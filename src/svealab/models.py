@@ -26,6 +26,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
+from scipy import special as _sp
 
 from .errors import DomainError, FamilyMismatchError
 from .specfn import bessel_j1
@@ -157,14 +158,14 @@ def kg_force(model: ModelSpec, phi: ArrayLike) -> ArrayLike:
     raise FamilyMismatchError(f"kg_force needs a KG family, got {f.value}")
 
 
-def _bessel_rate(amp: np.ndarray) -> np.ndarray:
-    # J1(z)/z with its removable singularity filled by the even series.
+def _bessel_rate(amp: np.ndarray, lo: float) -> np.ndarray:
+    # J1(z)/z; if some z < cutover (lo = min z), its 0/0 is masked and filled by the series.
+    if lo >= BESSEL_RATE_CUTOVER:
+        return _sp.j1(amp) / amp
     small = amp < BESSEL_RATE_CUTOVER
-    safe = np.where(small, 1.0, amp)
-    ratio = bessel_j1(safe) / safe
     z2 = amp * amp
     series = 0.5 - z2 / 16.0 + z2 * z2 / 384.0
-    return np.where(small, series, ratio)
+    return np.where(small, series, _bessel_rate(np.where(small, 1.0, amp), 1.0))
 
 
 def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLike:
@@ -174,10 +175,9 @@ def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLik
     """
     amp = np.asarray(amplitude, dtype=float)
     scalar = amp.ndim == 0
-    if not np.all(np.isfinite(amp)):
-        raise DomainError("amplitude must be finite")
-    if np.any(amp < 0.0):
-        raise DomainError("amplitude must be >= 0")
+    lo, hi = amp.min(initial=math.inf), amp.max(initial=0.0)
+    if not (lo >= 0.0 and hi < math.inf):  # NaN fails both comparisons
+        raise DomainError(f"amplitude must be {'>= 0' if np.all(np.isfinite(amp)) else 'finite'}")
     f = model.family
     if f is Family.CUBIC_NLS:
         out = (model.lam / model.omega) * amp**2
@@ -186,7 +186,7 @@ def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLik
     elif f is Family.CUBIC_QUINTIC_NLS:
         out = -model.sigma * amp**2 + model.lam * amp**4
     elif f is Family.BESSEL_NLS:
-        out = (model.lam**2 / model.omega) * _bessel_rate(amp)
+        out = (model.lam**2 / model.omega) * _bessel_rate(amp, lo)
     else:
         raise FamilyMismatchError(f"nls_nonlinear_phase_rate needs an NLS family, got {f.value}")
     return float(out) if scalar else out

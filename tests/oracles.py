@@ -6,9 +6,24 @@ values outside [0, 1], mpmath's ellipfun inside it) and then frozen.  The
 sn_oracle function re-derives sn on demand by integrating its defining ODE
 with a tight-tolerance Runge-Kutta method, giving the test suite a second
 live route that shares no code with the implementation under test.
+
+reference_propagate is the textbook Strang step the solver's in-place
+stepper must reproduce bit for bit: every product allocates, the guard
+dt*max|V| and the finite check run on every step.  reference_bessel_rate is
+the masked J1(z)/z form the rate's fast path must reproduce.
 """
 
+import math
+
+import numpy as np
+from scipy import fft
 from scipy.integrate import solve_ivp
+from scipy.special import j1
+
+from svealab.errors import DivergenceError
+from svealab.models import BESSEL_RATE_CUTOVER, nls_nonlinear_phase_rate
+from svealab.solver import (STABILITY_GUARD, UNITARITY_GUARD, FieldState, Trajectory,
+                            peak_intensity)
 
 # J1(z), summed as sum_k (-1)^k (z/2)^(2k+1) / (k! (k+1)!) at 40 digits
 J1_VALUES = {
@@ -57,3 +72,49 @@ def sn_oracle(u: float, m: float) -> float:
     sol = solve_ivp(rhs, (0.0, u), [0.0, 1.0], method="DOP853",
                     rtol=1e-12, atol=1e-14, dense_output=True)
     return float(sol.sol(u)[0])
+
+
+def reference_bessel_rate(amp):
+    """J1(z)/z with z < BESSEL_RATE_CUTOVER always routed through the mask."""
+    small = amp < BESSEL_RATE_CUTOVER
+    safe = np.where(small, 1.0, amp)
+    z2 = amp * amp
+    return np.where(small, 0.5 - z2 / 16.0 + z2 * z2 / 384.0, j1(safe) / safe)
+
+
+def _reference_step(v_hat, half, model, dt, t, target):
+    v = fft.ifft(half * v_hat)
+    rate = nls_nonlinear_phase_rate(model, np.abs(v))
+    if abs(dt) * float(np.max(np.abs(rate))) >= STABILITY_GUARD:
+        raise DivergenceError(f"rotation guard at t={t:g}", time=t)
+    v_hat = half * fft.fft(v * np.exp(-1j * dt * rate))
+    if not np.all(np.isfinite(v_hat.view(float))):
+        raise DivergenceError(f"non-finite field at t={t:g}", time=t)
+    if target is None:
+        return v_hat
+    scale = math.sqrt(target / float(np.vdot(v_hat, v_hat).real))
+    if abs(scale - 1.0) > UNITARITY_GUARD:
+        raise DivergenceError(f"unitarity defect at t={t:g}", time=t)
+    return v_hat * scale
+
+
+def reference_propagate(initial, cfg):
+    """The solver's propagate, one allocating textbook step at a time."""
+    grid, model, dt = initial.grid, cfg.model, cfg.dt
+    half = np.exp(-0.5j * model.dispersion * dt * grid.wavenumbers**2)
+    if cfg.dealias:
+        idx = np.abs(fft.fftfreq(grid.n, d=1.0 / grid.n))
+        half = half * (idx <= grid.n / 3.0).astype(float)
+    parseval = grid.spacing / grid.n
+    n_steps = int(round(cfg.t_final / dt))
+    v_hat = fft.fft(initial.values)
+    target = float(np.vdot(v_hat, v_hat).real)
+    snaps, peaks, masses = [initial], [peak_intensity(initial)], [target * parseval]
+    for j in range(1, n_steps + 1):
+        t = initial.time + j * dt
+        v_hat = _reference_step(v_hat, half, model, dt, t, None if cfg.dealias else target)
+        masses.append(float(np.vdot(v_hat, v_hat).real * parseval))
+        if j % cfg.snapshot_stride == 0 or j == n_steps:
+            snaps.append(FieldState(grid, fft.ifft(v_hat), t))
+            peaks.append(peak_intensity(snaps[-1]))
+    return Trajectory(tuple(snaps), np.array(masses), np.array(peaks))

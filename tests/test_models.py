@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from svealab.errors import DomainError
-from svealab.models import Family, ModelSpec, kappa_curve, kg_force, nls_nonlinear_phase_rate
+from svealab.models import (BESSEL_RATE_CUTOVER, Family, ModelSpec, kappa_curve, kg_force,
+                            nls_nonlinear_phase_rate)
 
-from oracles import FIRST_J1_ZERO, J1_VALUES
+from oracles import FIRST_J1_ZERO, J1_VALUES, reference_bessel_rate
 
 
 def test_family_partition():
@@ -97,6 +98,34 @@ class TestPhaseRate:
         m = ModelSpec(Family.CUBIC_NLS)
         with pytest.raises(DomainError):
             nls_nonlinear_phase_rate(m, -1.0)
+
+    @pytest.mark.parametrize("amps, message", [
+        ([1.0, -0.5], ">= 0"),
+        ([1.0, np.nan], "finite"),
+        ([np.inf, 2.0], "finite"),
+        ([-np.inf, 2.0], "finite"),
+        ([-1.0, np.nan], "finite"),
+    ])
+    def test_rejection_names_the_violation(self, amps, message):
+        with pytest.raises(DomainError, match=message):
+            nls_nonlinear_phase_rate(ModelSpec(Family.BESSEL_NLS), np.array(amps))
+
+    def test_empty_amplitude_array(self):
+        for f in (Family.CUBIC_NLS, Family.BESSEL_NLS):
+            assert nls_nonlinear_phase_rate(ModelSpec(f), np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("amps", [
+        np.linspace(2e-4, 14.0, 501),                          # direct J1(z)/z only
+        np.linspace(0.0, 14.0, 501),                           # mixed, with z = 0
+        np.array([0.0, 5e-5, 0.99e-4, BESSEL_RATE_CUTOVER]),   # series and the edge
+        np.linspace(0.0, 0.5 * BESSEL_RATE_CUTOVER, 64),       # series only
+    ], ids=["direct", "mixed", "edge", "series"])
+    def test_bessel_rate_matches_masked_form_bitwise(self, amps):
+        m = ModelSpec(Family.BESSEL_NLS, lam=1.3, omega=0.7)
+        expected = (m.lam**2 / m.omega) * reference_bessel_rate(amps)
+        assert np.array_equal(nls_nonlinear_phase_rate(m, amps), expected)
+        for a, e in zip(amps[:4], expected[:4]):
+            assert nls_nonlinear_phase_rate(m, float(a)) == e
 
     def test_array_input(self):
         m = ModelSpec(Family.BESSEL_NLS)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from svealab.errors import DivergenceError, DomainError
-from svealab.models import Family, ModelSpec, nls_nonlinear_phase_rate
+from svealab.models import BESSEL_RATE_CUTOVER, Family, ModelSpec, nls_nonlinear_phase_rate
 from svealab.solutions import SolutionId, make_solution
 from svealab.solver import (FieldState, Grid1D, RunConfig, Trajectory, catalog_profile,
                             mass, peak_intensity, propagate, sech_profile, step,
                             supergaussian_profile, uniform_profile)
 
-from oracles import K_VALUES
+from oracles import K_VALUES, reference_propagate
 
 CUBIC = ModelSpec(Family.CUBIC_NLS, lam=1.0, omega=1.0)
 BESSEL = ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0)
@@ -68,6 +68,17 @@ class TestRunConfig:
             RunConfig(CUBIC, t_final=-1.0)
         with pytest.raises(DomainError):
             RunConfig(CUBIC, snapshot_stride=0)
+
+    @pytest.mark.parametrize("dt, t_final", [(0.3, 1.0), (1e-3, 1e-12), (0.4, 0.9)])
+    def test_rejects_horizon_off_the_step_grid(self, dt, t_final):
+        # rounding t_final/dt used to stop short (t=0.9 for dt=0.3) without a word
+        with pytest.raises(DomainError, match="whole number"):
+            RunConfig(CUBIC, dt=dt, t_final=t_final)
+
+    def test_step_count_survives_decimal_rounding(self):
+        assert RunConfig(CUBIC, dt=1e-3, t_final=30.0).n_steps == 30000
+        assert RunConfig(CUBIC, dt=0.1, t_final=0.3).n_steps == 3
+        assert RunConfig(CUBIC, dt=0.3, t_final=0.0).n_steps == 0
 
 
 class TestProfiles:
@@ -167,9 +178,21 @@ class TestPropagation:
     def test_single_step_matches_propagate(self):
         g = Grid1D(128, 20.0)
         st = sech_profile(g, 1.5)
-        one = step(st, CUBIC, 1e-3)
-        traj = propagate(st, RunConfig(CUBIC, dt=1e-3, t_final=1e-3, snapshot_stride=1))
-        assert np.array_equal(one.values, traj.final.values)
+        for model in (CUBIC, BESSEL):
+            one = step(st, model, 1e-3)
+            cfg = RunConfig(model, dt=1e-3, t_final=1e-3, snapshot_stride=1)
+            traj = propagate(st, cfg)
+            assert one.time == traj.final.time
+            assert np.array_equal(one.values, traj.final.values)
+            assert np.array_equal(one.values, reference_propagate(st, cfg).final.values)
+
+    @pytest.mark.parametrize("model", [CUBIC, BESSEL], ids=["cubic", "bessel"])
+    def test_zero_field_is_rejected_before_stepping(self, model):
+        st = uniform_profile(Grid1D(64, 20.0), 0.0)
+        with pytest.raises(DomainError, match="mass"):
+            propagate(st, RunConfig(model, dt=1e-3, t_final=0.1))
+        with pytest.raises(DomainError, match="mass"):
+            step(st, model, 1e-3)
 
     def test_dealiased_run_completes(self):
         g = Grid1D(128, 40.0)
@@ -195,3 +218,74 @@ class TestDivergenceGuard:
         assert isinstance(partial, Trajectory)
         assert len(partial.snapshots) >= 1
         assert partial.snapshots[0].time == 0.0
+
+    # The once-per-run Bessel bound dt*lambda**2/omega/2 is 1.0 and 0.6: neither
+    # clears the guard, and 100*J1(psi0)/psi0 turns dt*|V| into 0.88 and 0.58.
+    @pytest.mark.parametrize("dt, psi0", [(0.02, 1.0), (0.012, 0.5)])
+    def test_bessel_run_beyond_its_bound_keeps_the_per_step_guard(self, dt, psi0):
+        model = ModelSpec(Family.BESSEL_NLS, lam=10.0, omega=1.0)
+        with pytest.raises(DivergenceError, match="guard") as err:
+            propagate(uniform_profile(Grid1D(64, 20.0), psi0),
+                      RunConfig(model, dt=dt, t_final=50 * dt))
+        assert err.value.time == pytest.approx(dt)
+        assert len(err.value.partial.mass_series) == 1
+
+    @pytest.mark.parametrize("dealias", [False, True])
+    def test_non_finite_field_raises_with_partial(self, monkeypatch, dealias):
+        # An infinite rate on the third step poisons the field with NaN; the
+        # Bessel bound has switched the rotation guard off, so only the
+        # projection's power sum (or the dealiased path's scan) can see it.
+        calls = []
+
+        def poisoned(model, amp):
+            calls.append(None)
+            rate = nls_nonlinear_phase_rate(model, amp)
+            if len(calls) == 3:
+                rate[0] = np.inf
+            return rate
+
+        monkeypatch.setattr("svealab.solver.nls_nonlinear_phase_rate", poisoned)
+        with pytest.raises(DivergenceError, match="non-finite") as err, \
+                np.errstate(invalid="ignore"):
+            propagate(sech_profile(Grid1D(64, 20.0), 1.0),
+                      RunConfig(BESSEL, dt=1e-3, t_final=0.01, dealias=dealias))
+        assert err.value.time == pytest.approx(3e-3)
+        assert len(err.value.partial.mass_series) == 3
+
+
+def _structured(grid, base, bump):
+    return FieldState(grid, (base + bump / np.cosh(grid.x)).astype(complex))
+
+
+_G = Grid1D(256, 40.0)
+# (model, initial state, dealias, dt): every NLS family, both Bessel rate
+# branches (series below the cutover, direct above it, and a mix), a Bessel run
+# whose once-per-run bound (0.01*100/2 = 0.5) keeps the per-step guard, and
+# dealiasing.
+_BITWISE_CASES = {
+    "cubic": (CUBIC, sech_profile(_G, 2.0), False, 1e-3),
+    "double-well": (ModelSpec(Family.DOUBLE_WELL_NLS, lam=1.0, mass=0.5),
+                    sech_profile(_G, 2.0), False, 1e-3),
+    "cubic-quintic": (ModelSpec(Family.CUBIC_QUINTIC_NLS, lam=0.1, sigma=0.5),
+                      sech_profile(_G, 2.0), False, 1e-3),
+    "bessel-mixed": (BESSEL, sech_profile(_G, 15.0), False, 1e-3),
+    "bessel-direct": (BESSEL, _structured(_G, 0.5, 8.0), False, 1e-3),
+    "bessel-series": (BESSEL, sech_profile(_G, 0.5 * BESSEL_RATE_CUTOVER, 0.2), False, 1e-3),
+    "bessel-guard-per-step": (ModelSpec(Family.BESSEL_NLS, lam=10.0),
+                              _structured(_G, 5.0, 0.1), False, 1e-2),
+    "cubic-dealias": (CUBIC, sech_profile(_G, 2.0), True, 1e-3),
+    "bessel-dealias": (BESSEL, sech_profile(_G, 15.0), True, 1e-3),
+}
+
+
+@pytest.mark.parametrize("name", list(_BITWISE_CASES))
+def test_in_place_stepper_matches_textbook_step_bitwise(name):
+    model, st, dealias, dt = _BITWISE_CASES[name]
+    cfg = RunConfig(model, dt=dt, t_final=200 * dt, snapshot_stride=30, dealias=dealias)
+    fast, ref = propagate(st, cfg), reference_propagate(st, cfg)
+    assert len(fast.snapshots) == len(ref.snapshots) == 8
+    for a, b in zip(fast.snapshots, ref.snapshots):
+        assert a.time == b.time
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(fast.mass_series, ref.mass_series)
+    assert np.array_equal(fast.peak_series, ref.peak_series)
