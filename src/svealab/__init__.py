@@ -14,8 +14,8 @@ from .errors import (ConfigError, ConstraintError, DivergenceError,
 from .models import Family, ModelSpec, kappa_curve, kg_force, nls_nonlinear_phase_rate
 from .solutions import (AnalyticSolution, MappingPair, SolutionId, catalog_dump,
                         catalog_ids, eval_solution, in_validity_domain,
-                        instantiate_pair, make_solution, mapping_for,
-                        mapping_table, model_for, phase_rate)
+                        instantiate_pair, make_solution, mapping_table,
+                        model_for, phase_rate)
 from .solver import (FieldState, Grid1D, RunConfig, Trajectory, mass,
                      propagate, sech_profile, step, supergaussian_profile,
                      uniform_profile)

@@ -337,6 +337,9 @@ def scan_stability(alphas: Sequence[float],
     """
     if not alphas:
         raise DomainError("alpha list is empty")
+    bad = [a for a in alphas if not 0.0 < a < math.inf]  # NaN fails too
+    if bad:
+        raise DomainError(f"alphas must be finite and > 0, got {bad!r}")
     if template.model.family is not Family.BESSEL_NLS:
         raise DomainError("stability scan is defined for the Bessel envelope model")
     lo, hi, n_samples = float(psi0_range[0]), float(psi0_range[1]), int(psi0_range[2])

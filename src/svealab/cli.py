@@ -4,8 +4,9 @@ runs, and stability scans.
 Subcommands: verify, map-check, run, scan.  Settings flow preset -> config
 file -> command-line flags, later sources winning.  Config files are INI
 sections (model, grid, run, analysis, scan, verify, map) holding flat
-key=value pairs.  Exit codes: 0 all checks passed, 1 checks failed, 2
-usage or config error, 3 numerical divergence.
+key=value pairs; an unknown section or key is a config error.  Exit codes:
+0 all checks passed, 1 checks failed, 2 usage or config error, 3 numerical
+divergence.
 
 Outputs land under --output, else $SVEA_LAB_OUTPUT, else ./artifacts, in a
 per-command directory.  Every artifact directory gets a manifest sufficient
@@ -101,6 +102,20 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
 }
 
 
+# The keys each config section accepts; [model] is checked by ModelSpec.from_mapping.
+SECTION_KEYS: dict[str, Optional[frozenset[str]]] = {
+    "model": None,
+    "grid": frozenset({"n", "length"}),
+    "run": frozenset({"initial", "psi0", "alpha", "width", "order", "catalog_id",
+                      "dt", "t_final", "snapshot_stride"}),
+    "analysis": frozenset({"threshold", "threshold_fraction", "min_separation", "window"}),
+    "scan": frozenset({"alphas", "psi0_lo", "psi0_hi", "psi0_samples", "n", "length",
+                       "dt", "t_final", "snapshot_stride", "refine_iters"}),
+    "verify": frozenset({"tolerance", "n_points"}),
+    "map": frozenset({"tolerance", "t_samples", "n_points"}),
+}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     command: str
@@ -146,6 +161,15 @@ def load_settings(preset: Optional[str], config_path: Optional[str]) -> dict:
             raise ConfigError(f"cannot parse {config_path}: {err}") from err
         file_settings = {s: dict(parser.items(s)) for s in parser.sections()}
         settings = _merge(settings, file_settings)
+    for section, values in settings.items():
+        if section not in SECTION_KEYS:
+            raise ConfigError(f"unknown config section [{section}]; "
+                              f"expected one of {', '.join(SECTION_KEYS)}")
+        allowed = SECTION_KEYS[section]
+        unknown = sorted(set(values) - allowed) if allowed is not None else []
+        if unknown:
+            raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{section}]; "
+                              f"expected {', '.join(sorted(allowed))}")
     return settings
 
 
@@ -284,7 +308,6 @@ def cmd_run(args) -> int:
         dt=_get(settings, "run", "dt", float, 1e-3),
         t_final=_get(settings, "run", "t_final", float, 30.0),
         snapshot_stride=_get(settings, "run", "snapshot_stride", int, 100),
-        dealias=_get(settings, "run", "dealias", bool, False),
     )
     code = EXIT_OK
     try:
@@ -333,7 +356,10 @@ def cmd_scan(args) -> int:
     if model is None:
         raise ConfigError("scan needs a [model] section (or a preset providing one)")
     alphas_raw = _get(settings, "scan", "alphas", str, "")
-    alphas = tuple(float(v) for v in alphas_raw.split(",") if v.strip())
+    try:
+        alphas = tuple(float(v) for v in alphas_raw.split(",") if v.strip())
+    except ValueError as err:
+        raise ConfigError(f"bad [scan] alphas: {alphas_raw!r}") from err
     if not alphas:
         raise ConfigError("scan needs a non-empty [scan] alphas list")
     template = ScanTemplate(

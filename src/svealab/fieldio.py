@@ -70,6 +70,8 @@ def read_snapshot(path: PathLike) -> FieldState:
     raw = Path(path).read_bytes()
     if raw[:5] != SNAPSHOT_MAGIC:
         raise DomainError(f"{path}: not a field snapshot (bad magic)")
+    if len(raw) < 29:
+        raise DomainError(f"{path}: truncated header ({len(raw)} of 29 bytes)")
     n, length, time = struct.unpack("<Qdd", raw[5:29])
     values = np.frombuffer(raw[29:], dtype="<f8")
     if values.size != 2 * n:

@@ -159,13 +159,17 @@ def kg_force(model: ModelSpec, phi: ArrayLike) -> ArrayLike:
 
 
 def _bessel_rate(amp: np.ndarray, lo: float) -> np.ndarray:
-    # J1(z)/z; if some z < cutover (lo = min z), its 0/0 is masked and filled by the series.
+    # J1(z)/z.  When some z is under the cutover (lo = min z), those entries,
+    # including any 0/0 at z = 0, are overwritten by the series.
     if lo >= BESSEL_RATE_CUTOVER:
         return _sp.j1(amp) / amp
+    with np.errstate(invalid="ignore"):
+        out = np.asarray(_sp.j1(amp) / amp)  # a 0-d input divides to a scalar
     small = amp < BESSEL_RATE_CUTOVER
-    z2 = amp * amp
-    series = 0.5 - z2 / 16.0 + z2 * z2 / 384.0
-    return np.where(small, series, _bessel_rate(np.where(small, 1.0, amp), 1.0))
+    z = amp[small]
+    z2 = z * z
+    out[small] = 0.5 - z2 / 16.0 + z2 * z2 / 384.0
+    return out
 
 
 def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLike:

@@ -1,10 +1,13 @@
 """Closed-form solution catalog and the quench mapping table.
 
 Twenty-one catalog entries: exact solutions of the four second-order field
-equations and of their envelope reductions.  Each envelope solution carries a
-pure phase factor exp(i*theta*t); the mapping table records, for nine
-KG/envelope pairs, the parameter choice at which theta vanishes and the
-envelope profile collapses onto the static field solution.
+equations and of their envelope reductions.  Each entry is one record that
+states every fact about it once: formula, default parameters, validity rule,
+constraint check, residual window, profile (amplitude times x-profile) and,
+for envelope entries, phase rate theta.  An entry evaluates as
+profile * exp(i*theta*t), with theta = 0 for static fields.  The mapping
+table records, for nine KG/envelope pairs, the parameters at which theta
+vanishes and the envelope profile collapses onto the static field solution.
 
 Conventions: sn/cn/dn/dc take the parameter m = k**2 (see specfn); sign
 choices default to + and are passed as tuples of +1/-1 reading the printed
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
 
@@ -35,9 +38,7 @@ __all__ = [
     "in_validity_domain",
     "model_for",
     "mapping_table",
-    "mapping_for",
     "instantiate_pair",
-    "mapping_window",
     "catalog_ids",
     "formula_text",
     "catalog_dump",
@@ -83,6 +84,16 @@ class AnalyticSolution:
     def __getitem__(self, key: str) -> float:
         return self.params[key]
 
+    @property
+    def window(self) -> tuple[float, float]:
+        """x-window of the entry's residual check."""
+        return _CATALOG[self.sid].window
+
+    @property
+    def travelling(self) -> bool:
+        """Whether the profile itself moves in t (beyond the phase factor)."""
+        return _CATALOG[self.sid].travelling
+
 
 @dataclass(frozen=True)
 class _Entry:
@@ -91,7 +102,18 @@ class _Entry:
     validity: str
     defaults: dict
     n_signs: int
+    profile: Callable  # (p, s, x, t) -> amplitude times x-profile
+    # x-window of the residual check; narrower ones keep clear of dc poles, of
+    # the log-singular edges of the imaginary sine-Gordon profile and of the
+    # touch-zero kinks of the cubic-quintic root (those two span a single arch)
+    window: tuple[float, float] = (-3.0, 3.0)
+    theta: Optional[Callable[[dict], float]] = None  # phase rate; None for static fields
+    valid: Optional[Callable[[dict], bool]] = None
+    # fills derived parameters and says how the stated constraint fails, or None
+    check: Optional[Callable[[dict], Optional[str]]] = None
     constraints: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()  # parameters accepted beyond the defaults
+    travelling: bool = False  # profile moves in t beyond the phase factor
 
 
 _SQ2 = math.sqrt(2.0)
@@ -101,6 +123,62 @@ def _csqrt(z: float) -> complex:
     return cmath.sqrt(complex(z))
 
 
+# --- shared profiles and checks ---------------------------------------------
+
+def _sn_wave(p, s, x, t):
+    amp = s[0] * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
+    return amp * jacobi_elliptic(p["c"] * x, p["m"]).sn
+
+
+def _cn_wave(p, s, x, t):
+    amp = s[0] * 1j * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
+    return amp * jacobi_elliptic(p["c"] * x, p["m"]).cn
+
+
+def _dc_wave(p, s, x, m):
+    return s[0] * p["c"] * math.sqrt(2.0 / p["lam"]) * jacobi_dc(p["c"] * x, m)
+
+
+def _ones(x):
+    return np.ones_like(np.asarray(x, dtype=float))
+
+
+def _cq_root(p, b, m, x):
+    sn = jacobi_elliptic(np.asarray(x, dtype=float), m).sn
+    return np.sqrt(np.asarray(3.0 * p["sigma"] / (8.0 * p["lam"]) + b * sn, dtype=complex))
+
+
+def _sg_kink(p, s, x, t):
+    x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
+    # arctan saturates; the cap avoids exp overflow
+    arg = np.minimum(p["lam"] * p["gamma"] * (x - p["nu"] * t) + p["delta"], 500.0)
+    return 4.0 * np.arctan(np.exp(arg))
+
+
+def _sg_imag(p, s, x, t):
+    sn = jacobi_elliptic(s[2] * np.asarray(x, dtype=float) / _SQ2, -1.0).sn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s[0] * 2.0 * np.arctan(s[1] * 1j * np.asarray(sn, dtype=complex))
+
+
+def _balance(lhs: float, rhs: float) -> Optional[str]:
+    off = abs(lhs - rhs) > _CONSTRAINT_RTOL * max(abs(lhs), abs(rhs))
+    return f"got {lhs} vs {rhs}" if off else None
+
+
+def _sg_kink_check(p: dict) -> Optional[str]:
+    if not abs(p["nu"]) < 1.0:
+        raise DomainError(f"SG_KINK needs |nu| < 1, got {p['nu']}")
+    p.setdefault("gamma", 1.0 / math.sqrt(1.0 - p["nu"] ** 2))
+    err = abs(p["gamma"] ** 2 * (1.0 - p["nu"] ** 2) - 1.0)
+    return f"off by {err:.3e}" if err > _CONSTRAINT_RTOL else None
+
+
+def _bessel_check(p: dict) -> None:
+    if p["psi0"] < 0.0:
+        raise DomainError("BESSEL_UNIFORM requires psi0 >= 0")
+
+
 _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_KG_SN: _Entry(
         Family.CUBIC_KG,
@@ -108,6 +186,8 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "all real x; purely imaginary",
         {"c": 1.0, "lam": 1.0},
         1,
+        profile=lambda p, s, x, t: (s[0] * 1j * p["c"] * math.sqrt(2.0 / p["lam"])
+                                    * jacobi_elliptic(p["c"] * x, -1.0).sn),
     ),
     SolutionId.CUBIC_KG_CN: _Entry(
         Family.CUBIC_KG,
@@ -115,6 +195,8 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "all real x; purely imaginary",
         {"c": 1.0, "lam": 1.0},
         1,
+        profile=lambda p, s, x, t: (s[0] * 1j * p["c"] / math.sqrt(p["lam"])
+                                    * jacobi_elliptic(p["c"] * x, 0.5).cn),
     ),
     SolutionId.CUBIC_KG_DC: _Entry(
         Family.CUBIC_KG,
@@ -122,6 +204,8 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "real x away from the poles of dc",
         {"c": 1.0, "lam": 1.0},
         1,
+        window=(-1.0, 1.0),
+        profile=lambda p, s, x, t: _dc_wave(p, s, x, -1.0),
     ),
     SolutionId.CUBIC_NLS_SN: _Entry(
         Family.CUBIC_NLS,
@@ -129,6 +213,9 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "m > 0",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
         1,
+        profile=_sn_wave,
+        theta=lambda p: -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"],
+        valid=lambda p: p["m"] > 0.0,
     ),
     SolutionId.CUBIC_NLS_CN: _Entry(
         Family.CUBIC_NLS,
@@ -136,6 +223,9 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "m < 0",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -0.5},
         1,
+        profile=_cn_wave,
+        theta=lambda p: -(1.0 - 2.0 * p["m"]) * p["c"] ** 2 / p["omega"],
+        valid=lambda p: p["m"] < 0.0,
     ),
     SolutionId.CUBIC_NLS_DC: _Entry(
         Family.CUBIC_NLS,
@@ -143,6 +233,9 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "any real m, x away from the poles of dc",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
         1,
+        window=(-1.5, 1.5),
+        profile=lambda p, s, x, t: _dc_wave(p, s, x, p["m"]),
+        theta=lambda p: -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"],
     ),
     SolutionId.DW_KG_KINK: _Entry(
         Family.DOUBLE_WELL_KG,
@@ -150,6 +243,9 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "all real x",
         {"mass": 1.0, "lam": 1.0, "x0": 0.0},
         2,
+        window=(-5.0, 5.0),
+        profile=lambda p, s, x, t: (s[0] * p["mass"] / math.sqrt(p["lam"]) * np.tanh(
+            s[1] * (p["mass"] / _SQ2) * (np.asarray(x, dtype=float) - p["x0"]))),
     ),
     SolutionId.DW_KG_SN: _Entry(
         Family.DOUBLE_WELL_KG,
@@ -157,6 +253,10 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "mass**2 > c**2 for a real profile",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
         1,
+        profile=lambda p, s, x, t: (
+            s[0] * _csqrt(2.0 * (p["mass"] ** 2 - p["c"] ** 2) / p["lam"]) * jacobi_elliptic(
+                p["c"] * x, (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2).sn),
+        valid=lambda p: p["mass"] ** 2 > p["c"] ** 2,
     ),
     SolutionId.DW_KG_CN: _Entry(
         Family.DOUBLE_WELL_KG,
@@ -164,6 +264,10 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "c**2 > mass**2 for an imaginary profile",
         {"mass": 0.6, "c": 1.0, "lam": 1.0},
         1,
+        profile=lambda p, s, x, t: (
+            s[0] * 1j * _csqrt((p["c"] ** 2 - p["mass"] ** 2) / p["lam"]) * jacobi_elliptic(
+                p["c"] * x, (p["c"] ** 2 - p["mass"] ** 2) / (2.0 * p["c"] ** 2)).cn),
+        valid=lambda p: p["c"] ** 2 > p["mass"] ** 2,
     ),
     SolutionId.DW_KG_DC: _Entry(
         Family.DOUBLE_WELL_KG,
@@ -171,6 +275,8 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "real x away from the poles of dc",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
         1,
+        window=(-1.3, 1.3),
+        profile=lambda p, s, x, t: _dc_wave(p, s, x, (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2),
     ),
     SolutionId.DW_KG_CONST: _Entry(
         Family.DOUBLE_WELL_KG,
@@ -178,6 +284,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "all real x (vacuum state)",
         {"mass": 1.0, "lam": 1.0},
         1,
+        profile=lambda p, s, x, t: s[0] * p["mass"] / math.sqrt(p["lam"]) * _ones(x),
     ),
     SolutionId.DW_NLS_TANH: _Entry(
         Family.DOUBLE_WELL_NLS,
@@ -185,6 +292,10 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "all real x",
         {"c": 0.7, "mass": 1.0, "lam": 1.0, "omega": 1.0, "x0": 0.0},
         2,
+        window=(-5.0, 5.0),
+        profile=lambda p, s, x, t: (s[0] * p["c"] * math.sqrt(2.0 / p["lam"]) * np.tanh(
+            s[1] * p["c"] * (np.asarray(x, dtype=float) - p["x0"]))),
+        theta=lambda p: (p["mass"] ** 2 - 2.0 * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_SN: _Entry(
         Family.DOUBLE_WELL_NLS,
@@ -192,6 +303,9 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "m > 0",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         1,
+        profile=_sn_wave,
+        theta=lambda p: (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"],
+        valid=lambda p: p["m"] > 0.0,
     ),
     SolutionId.DW_NLS_CN: _Entry(
         Family.DOUBLE_WELL_NLS,
@@ -199,6 +313,9 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "m < 0",
         {"m": -0.5, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         1,
+        profile=_cn_wave,
+        theta=lambda p: (p["mass"] ** 2 - (1.0 - 2.0 * p["m"]) * p["c"] ** 2) / p["omega"],
+        valid=lambda p: p["m"] < 0.0,
     ),
     SolutionId.DW_NLS_DC: _Entry(
         Family.DOUBLE_WELL_NLS,
@@ -206,6 +323,9 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "any real m, x away from the poles of dc",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         1,
+        window=(-1.5, 1.5),
+        profile=lambda p, s, x, t: _dc_wave(p, s, x, p["m"]),
+        theta=lambda p: (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_CONST: _Entry(
         Family.DOUBLE_WELL_NLS,
@@ -213,6 +333,8 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "all real x (uniform)",
         {"a": 1.0, "mass": 1.0, "lam": 1.0, "omega": 1.0},
         1,
+        profile=lambda p, s, x, t: s[0] * p["a"] * _ones(x),
+        theta=lambda p: (p["mass"] ** 2 - p["a"] ** 2 * p["lam"]) / p["omega"],
     ),
     SolutionId.CQ_KG_SN: _Entry(
         Family.CUBIC_QUINTIC_KG,
@@ -220,7 +342,10 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "real where the radicand is >= 0; requires 15*sigma**2 = 16*lambda",
         {"sigma": 1.0, "lam": 15.0 / 16.0},
         0,
-        ("15*sigma**2 = 16*lambda",),
+        window=(-1.5, 4.8),
+        profile=lambda p, s, x, t: _cq_root(p, math.sqrt(3.0 / (20.0 * p["lam"])), 0.2, x),
+        check=lambda p: _balance(15.0 * p["sigma"] ** 2, 16.0 * p["lam"]),
+        constraints=("15*sigma**2 = 16*lambda",),
     ),
     SolutionId.CQ_NLS_SN: _Entry(
         Family.CUBIC_QUINTIC_NLS,
@@ -229,7 +354,12 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "m > 0; requires 16*m*lambda = 3*sigma**2",
         {"m": 0.3, "lam": 1.0, "sigma": math.sqrt(1.6)},
         0,
-        ("16*m*lambda = 3*sigma**2",),
+        window=(-1.55, 4.95),
+        profile=lambda p, s, x, t: _cq_root(p, _csqrt(3.0 * p["m"] / (4.0 * p["lam"])), p["m"], x),
+        theta=lambda p: -(1.0 + p["m"] - 9.0 * p["sigma"] ** 2 / (8.0 * p["lam"])) / 4.0,
+        valid=lambda p: p["m"] > 0.0,
+        check=lambda p: _balance(16.0 * p["m"] * p["lam"], 3.0 * p["sigma"] ** 2),
+        constraints=("16*m*lambda = 3*sigma**2",),
     ),
     SolutionId.SG_KINK: _Entry(
         Family.SINE_GORDON_KG,
@@ -237,7 +367,13 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "|nu| < 1, gamma = 1/sqrt(1 - nu**2)",
         {"lam": 1.0, "nu": 0.5, "delta": 0.0},
         0,
-        ("gamma**2*(1 - nu**2) = 1",),
+        window=(-5.0, 5.0),
+        profile=_sg_kink,
+        valid=lambda p: abs(p["nu"]) < 1.0,
+        check=_sg_kink_check,
+        constraints=("gamma**2*(1 - nu**2) = 1",),
+        optional=("gamma",),
+        travelling=True,
     ),
     SolutionId.SG_IMAG: _Entry(
         Family.SINE_GORDON_KG,
@@ -245,6 +381,8 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "purely imaginary; bounded for |x| < sqrt(2)*K(1/2), log-singular at the edges",
         {},
         3,
+        window=(-1.45, 1.45),
+        profile=_sg_imag,
     ),
     SolutionId.BESSEL_UNIFORM: _Entry(
         Family.BESSEL_NLS,
@@ -252,6 +390,11 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "psi0 >= 0 (uniform in x)",
         {"psi0": 3.0, "omega": 1.0, "lam": 1.0},
         0,
+        window=(-15.0, 15.0),
+        profile=lambda p, s, x, t: p["psi0"] * _ones(x),
+        theta=lambda p: -float(nls_nonlinear_phase_rate(
+            ModelSpec(Family.BESSEL_NLS, lam=p["lam"], omega=p["omega"]), p["psi0"])),
+        check=_bessel_check,
     ),
 }
 
@@ -264,42 +407,12 @@ def formula_text(sid: SolutionId) -> str:
     return _CATALOG[sid].formula
 
 
-def _check_constraints(sid: SolutionId, p: dict) -> None:
-    if sid is SolutionId.CQ_KG_SN:
-        lhs, rhs = 15.0 * p["sigma"] ** 2, 16.0 * p["lam"]
-        if abs(lhs - rhs) > _CONSTRAINT_RTOL * max(abs(lhs), abs(rhs)):
-            raise ConstraintError(
-                f"CQ_KG_SN requires 15*sigma**2 = 16*lambda, got {lhs} vs {rhs}",
-                relation="15*sigma**2 = 16*lambda",
-            )
-    elif sid is SolutionId.CQ_NLS_SN:
-        lhs, rhs = 16.0 * p["m"] * p["lam"], 3.0 * p["sigma"] ** 2
-        if abs(lhs - rhs) > _CONSTRAINT_RTOL * max(abs(lhs), abs(rhs)):
-            raise ConstraintError(
-                f"CQ_NLS_SN requires 16*m*lambda = 3*sigma**2, got {lhs} vs {rhs}",
-                relation="16*m*lambda = 3*sigma**2",
-            )
-    elif sid is SolutionId.SG_KINK:
-        if not abs(p["nu"]) < 1.0:
-            raise DomainError(f"SG_KINK needs |nu| < 1, got {p['nu']}")
-        if "gamma" not in p:
-            p["gamma"] = 1.0 / math.sqrt(1.0 - p["nu"] ** 2)
-        else:
-            err = abs(p["gamma"] ** 2 * (1.0 - p["nu"] ** 2) - 1.0)
-            if err > _CONSTRAINT_RTOL:
-                raise ConstraintError(
-                    f"SG_KINK requires gamma**2*(1 - nu**2) = 1, off by {err:.3e}",
-                    relation="gamma**2*(1 - nu**2) = 1",
-                )
-
-
 def make_solution(sid: SolutionId, signs: Optional[tuple[int, ...]] = None, **overrides) -> AnalyticSolution:
     """Bind a catalog entry to parameters, filling defaults and checking constraints."""
     entry = _CATALOG[sid]
     params = dict(entry.defaults)
-    extra_keys = {"gamma"} if sid is SolutionId.SG_KINK else set()
     for key, val in overrides.items():
-        if key not in entry.defaults and key not in extra_keys:
+        if key not in entry.defaults and key not in entry.optional:
             raise DomainError(f"{sid.value} has no parameter {key!r}")
         params[key] = float(val)
     for key, val in params.items():
@@ -309,9 +422,10 @@ def make_solution(sid: SolutionId, signs: Optional[tuple[int, ...]] = None, **ov
         raise DomainError(f"{sid.value} requires lambda > 0")
     if "omega" in params and params["omega"] <= 0.0:
         raise DomainError(f"{sid.value} requires omega > 0")
-    if sid is SolutionId.BESSEL_UNIFORM and params["psi0"] < 0.0:
-        raise DomainError("BESSEL_UNIFORM requires psi0 >= 0")
-    _check_constraints(sid, params)
+    failure = entry.check(params) if entry.check is not None else None
+    if failure is not None:
+        relation = entry.constraints[0]
+        raise ConstraintError(f"{sid.value} requires {relation}, {failure}", relation=relation)
     if signs is None:
         signs = (1,) * entry.n_signs
     signs = tuple(int(s) for s in signs)
@@ -322,216 +436,25 @@ def make_solution(sid: SolutionId, signs: Optional[tuple[int, ...]] = None, **ov
     return AnalyticSolution(sid=sid, params=params, signs=signs)
 
 
-def _phase(theta: float, t) -> np.ndarray:
-    return np.exp(1j * theta * np.asarray(t, dtype=float))
-
-
-# --- evaluators ------------------------------------------------------------
-
-def _ev_cubic_kg_sn(p, s, x, t):
-    amp = s[0] * 1j * p["c"] * math.sqrt(2.0 / p["lam"])
-    return amp * jacobi_elliptic(p["c"] * x, -1.0).sn * _phase(0.0, t)
-
-
-def _ev_cubic_kg_cn(p, s, x, t):
-    amp = s[0] * 1j * p["c"] / math.sqrt(p["lam"])
-    return amp * jacobi_elliptic(p["c"] * x, 0.5).cn * _phase(0.0, t)
-
-
-def _ev_cubic_kg_dc(p, s, x, t):
-    amp = s[0] * p["c"] * math.sqrt(2.0 / p["lam"])
-    return amp * jacobi_dc(p["c"] * x, -1.0) * _phase(0.0, t)
-
-
-def _ev_cubic_nls_sn(p, s, x, t):
-    amp = s[0] * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
-    theta = -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"]
-    return amp * jacobi_elliptic(p["c"] * x, p["m"]).sn * _phase(theta, t)
-
-
-def _ev_cubic_nls_cn(p, s, x, t):
-    amp = s[0] * 1j * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
-    theta = -(1.0 - 2.0 * p["m"]) * p["c"] ** 2 / p["omega"]
-    return amp * jacobi_elliptic(p["c"] * x, p["m"]).cn * _phase(theta, t)
-
-
-def _ev_cubic_nls_dc(p, s, x, t):
-    amp = s[0] * p["c"] * math.sqrt(2.0 / p["lam"])
-    theta = -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"]
-    return amp * jacobi_dc(p["c"] * x, p["m"]) * _phase(theta, t)
-
-
-def _ev_dw_kg_kink(p, s, x, t):
-    amp = s[0] * p["mass"] / math.sqrt(p["lam"])
-    arg = s[1] * (p["mass"] / _SQ2) * (np.asarray(x, dtype=float) - p["x0"])
-    return amp * np.tanh(arg) * _phase(0.0, t)
-
-
-def _ev_dw_kg_sn(p, s, x, t):
-    m = (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2
-    amp = s[0] * _csqrt(2.0 * (p["mass"] ** 2 - p["c"] ** 2) / p["lam"])
-    return amp * jacobi_elliptic(p["c"] * x, m).sn * _phase(0.0, t)
-
-
-def _ev_dw_kg_cn(p, s, x, t):
-    m = (p["c"] ** 2 - p["mass"] ** 2) / (2.0 * p["c"] ** 2)
-    amp = s[0] * 1j * _csqrt((p["c"] ** 2 - p["mass"] ** 2) / p["lam"])
-    return amp * jacobi_elliptic(p["c"] * x, m).cn * _phase(0.0, t)
-
-
-def _ev_dw_kg_dc(p, s, x, t):
-    m = (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2
-    amp = s[0] * p["c"] * math.sqrt(2.0 / p["lam"])
-    return amp * jacobi_dc(p["c"] * x, m) * _phase(0.0, t)
-
-
-def _ev_dw_kg_const(p, s, x, t):
-    amp = s[0] * p["mass"] / math.sqrt(p["lam"])
-    return amp * np.ones_like(np.asarray(x, dtype=float)) * _phase(0.0, t)
-
-
-def _ev_dw_nls_tanh(p, s, x, t):
-    amp = s[0] * p["c"] * math.sqrt(2.0 / p["lam"])
-    arg = s[1] * p["c"] * (np.asarray(x, dtype=float) - p["x0"])
-    theta = (p["mass"] ** 2 - 2.0 * p["c"] ** 2) / p["omega"]
-    return amp * np.tanh(arg) * _phase(theta, t)
-
-
-def _ev_dw_nls_sn(p, s, x, t):
-    amp = s[0] * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
-    theta = (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"]
-    return amp * jacobi_elliptic(p["c"] * x, p["m"]).sn * _phase(theta, t)
-
-
-def _ev_dw_nls_cn(p, s, x, t):
-    amp = s[0] * 1j * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
-    theta = (p["mass"] ** 2 - (1.0 - 2.0 * p["m"]) * p["c"] ** 2) / p["omega"]
-    return amp * jacobi_elliptic(p["c"] * x, p["m"]).cn * _phase(theta, t)
-
-
-def _ev_dw_nls_dc(p, s, x, t):
-    amp = s[0] * p["c"] * math.sqrt(2.0 / p["lam"])
-    theta = (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"]
-    return amp * jacobi_dc(p["c"] * x, p["m"]) * _phase(theta, t)
-
-
-def _ev_dw_nls_const(p, s, x, t):
-    theta = (p["mass"] ** 2 - p["a"] ** 2 * p["lam"]) / p["omega"]
-    ones = np.ones_like(np.asarray(x, dtype=float))
-    return s[0] * p["a"] * ones * _phase(theta, t)
-
-
-def _ev_cq_kg_sn(p, s, x, t):
-    radicand = 3.0 * p["sigma"] / (8.0 * p["lam"]) + math.sqrt(
-        3.0 / (20.0 * p["lam"])
-    ) * jacobi_elliptic(np.asarray(x, dtype=float), 0.2).sn
-    return np.sqrt(np.asarray(radicand, dtype=complex)) * _phase(0.0, t)
-
-
-def _ev_cq_nls_sn(p, s, x, t):
-    b = _csqrt(3.0 * p["m"] / (4.0 * p["lam"]))
-    radicand = 3.0 * p["sigma"] / (8.0 * p["lam"]) + b * jacobi_elliptic(
-        np.asarray(x, dtype=float), p["m"]
-    ).sn
-    theta = -(1.0 + p["m"] - 9.0 * p["sigma"] ** 2 / (8.0 * p["lam"])) / 4.0
-    return np.sqrt(np.asarray(radicand, dtype=complex)) * _phase(theta, t)
-
-
-def _ev_sg_kink(p, s, x, t):
-    arg = p["lam"] * p["gamma"] * (np.asarray(x, dtype=float) - p["nu"] * np.asarray(t, dtype=float))
-    arg = np.minimum(arg + p["delta"], 500.0)  # arctan saturates; avoid exp overflow
-    return 4.0 * np.arctan(np.exp(arg)) + 0j
-
-
-def _ev_sg_imag(p, s, x, t):
-    sn = jacobi_elliptic(s[2] * np.asarray(x, dtype=float) / _SQ2, -1.0).sn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = s[0] * 2.0 * np.arctan(s[1] * 1j * np.asarray(sn, dtype=complex))
-    return val * _phase(0.0, t)
-
-
-def _ev_bessel_uniform(p, s, x, t):
-    theta = phase_rate_value(SolutionId.BESSEL_UNIFORM, p)
-    ones = np.ones_like(np.asarray(x, dtype=float))
-    return p["psi0"] * ones * _phase(theta, t)
-
-
-_EVALUATORS: dict[SolutionId, Callable] = {
-    SolutionId.CUBIC_KG_SN: _ev_cubic_kg_sn,
-    SolutionId.CUBIC_KG_CN: _ev_cubic_kg_cn,
-    SolutionId.CUBIC_KG_DC: _ev_cubic_kg_dc,
-    SolutionId.CUBIC_NLS_SN: _ev_cubic_nls_sn,
-    SolutionId.CUBIC_NLS_CN: _ev_cubic_nls_cn,
-    SolutionId.CUBIC_NLS_DC: _ev_cubic_nls_dc,
-    SolutionId.DW_KG_KINK: _ev_dw_kg_kink,
-    SolutionId.DW_KG_SN: _ev_dw_kg_sn,
-    SolutionId.DW_KG_CN: _ev_dw_kg_cn,
-    SolutionId.DW_KG_DC: _ev_dw_kg_dc,
-    SolutionId.DW_KG_CONST: _ev_dw_kg_const,
-    SolutionId.DW_NLS_TANH: _ev_dw_nls_tanh,
-    SolutionId.DW_NLS_SN: _ev_dw_nls_sn,
-    SolutionId.DW_NLS_CN: _ev_dw_nls_cn,
-    SolutionId.DW_NLS_DC: _ev_dw_nls_dc,
-    SolutionId.DW_NLS_CONST: _ev_dw_nls_const,
-    SolutionId.CQ_KG_SN: _ev_cq_kg_sn,
-    SolutionId.CQ_NLS_SN: _ev_cq_nls_sn,
-    SolutionId.SG_KINK: _ev_sg_kink,
-    SolutionId.SG_IMAG: _ev_sg_imag,
-    SolutionId.BESSEL_UNIFORM: _ev_bessel_uniform,
-}
-
-
 def eval_solution(sol: AnalyticSolution, x: ArrayLike, t: ArrayLike = 0.0):
     """Evaluate the solution at position(s) x and time(s) t; complex output.
 
     x and t broadcast against each other, so a (5,1) time column against an
     (n,) grid yields the (5,n) space-time slab the residual stencils need.
     """
-    out = _EVALUATORS[sol.sid](sol.params, sol.signs, x, t)
-    out = np.asarray(out, dtype=complex)
+    entry = _CATALOG[sol.sid]
+    theta = 0.0 if entry.theta is None else entry.theta(sol.params)
+    phase = np.exp(1j * theta * np.asarray(t, dtype=float))
+    out = np.asarray(entry.profile(sol.params, sol.signs, x, t) * phase, dtype=complex)
     return complex(out) if out.ndim == 0 else out
-
-
-# --- phase rates -----------------------------------------------------------
-
-def phase_rate_value(sid: SolutionId, p: dict) -> float:
-    if sid is SolutionId.CUBIC_NLS_SN or sid is SolutionId.CUBIC_NLS_DC:
-        return -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"]
-    if sid is SolutionId.CUBIC_NLS_CN:
-        return -(1.0 - 2.0 * p["m"]) * p["c"] ** 2 / p["omega"]
-    if sid is SolutionId.DW_NLS_TANH:
-        return (p["mass"] ** 2 - 2.0 * p["c"] ** 2) / p["omega"]
-    if sid is SolutionId.DW_NLS_SN or sid is SolutionId.DW_NLS_DC:
-        return (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"]
-    if sid is SolutionId.DW_NLS_CN:
-        return (p["mass"] ** 2 - (1.0 - 2.0 * p["m"]) * p["c"] ** 2) / p["omega"]
-    if sid is SolutionId.DW_NLS_CONST:
-        return (p["mass"] ** 2 - p["a"] ** 2 * p["lam"]) / p["omega"]
-    if sid is SolutionId.CQ_NLS_SN:
-        return -(1.0 + p["m"] - 9.0 * p["sigma"] ** 2 / (8.0 * p["lam"])) / 4.0
-    if sid is SolutionId.BESSEL_UNIFORM:
-        model = ModelSpec(Family.BESSEL_NLS, lam=p["lam"], omega=p["omega"])
-        return -float(nls_nonlinear_phase_rate(model, p["psi0"]))
-    raise FamilyMismatchError(f"{sid.value} is not an envelope solution; no phase rate")
 
 
 def phase_rate(sol: AnalyticSolution) -> float:
     """Coefficient theta of t in the solution's phase factor exp(i*theta*t)."""
-    return phase_rate_value(sol.sid, sol.params)
-
-
-# --- validity domains ------------------------------------------------------
-
-_VALIDITY: dict[SolutionId, Callable[[dict], bool]] = {
-    SolutionId.CUBIC_NLS_SN: lambda p: p["m"] > 0.0,
-    SolutionId.CUBIC_NLS_CN: lambda p: p["m"] < 0.0,
-    SolutionId.DW_NLS_SN: lambda p: p["m"] > 0.0,
-    SolutionId.DW_NLS_CN: lambda p: p["m"] < 0.0,
-    SolutionId.DW_KG_SN: lambda p: p["mass"] ** 2 > p["c"] ** 2,
-    SolutionId.DW_KG_CN: lambda p: p["c"] ** 2 > p["mass"] ** 2,
-    SolutionId.CQ_NLS_SN: lambda p: p["m"] > 0.0,
-    SolutionId.SG_KINK: lambda p: abs(p["nu"]) < 1.0,
-}
+    theta = _CATALOG[sol.sid].theta
+    if theta is None:
+        raise FamilyMismatchError(f"{sol.sid.value} is not an envelope solution; no phase rate")
+    return theta(sol.params)
 
 
 def in_validity_domain(sol: AnalyticSolution) -> bool:
@@ -540,8 +463,8 @@ def in_validity_domain(sol: AnalyticSolution) -> bool:
     Evaluation is still possible outside (needed by the mapping checks, whose
     sn/cn quench values deliberately violate these domains).
     """
-    pred = _VALIDITY.get(sol.sid)
-    return True if pred is None else bool(pred(sol.params))
+    valid = _CATALOG[sol.sid].valid
+    return True if valid is None else bool(valid(sol.params))
 
 
 def model_for(sol: AnalyticSolution) -> ModelSpec:
@@ -562,63 +485,60 @@ def model_for(sol: AnalyticSolution) -> ModelSpec:
 
 @dataclass(frozen=True)
 class MappingPair:
-    """One row of the quench table: envelope entry collapsing onto a static field entry."""
+    """One row of the quench table: envelope entry collapsing onto a static field entry.
+
+    nls_params(detune) gives the envelope parameters, quenched at detune = 0.
+    window, the x-range of the pointwise comparison, avoids dc poles and the
+    branch points of the cubic-quintic root.
+    """
 
     kg_id: SolutionId
     nls_id: SolutionId
     m_star: Optional[float]
-    constraint_note: str
+    window: tuple[float, float]
+    nls_params: Callable[[float], dict] = field(compare=False)
+
+    @property
+    def kg_params(self) -> dict:
+        """The static partner takes the envelope's couplings at the quench point."""
+        names = _CATALOG[self.kg_id].defaults
+        return {k: v for k, v in self.nls_params(0.0).items() if k in names}
 
 
 _MAPPING_TABLE: tuple[MappingPair, ...] = (
-    MappingPair(SolutionId.CUBIC_KG_SN, SolutionId.CUBIC_NLS_SN, -1.0,
-                "phase rate -(1+m)*c**2/omega vanishes at m* = -1 (outside m > 0)"),
-    MappingPair(SolutionId.CUBIC_KG_CN, SolutionId.CUBIC_NLS_CN, 0.5,
-                "phase rate -(1-2m)*c**2/omega vanishes at m* = 1/2 (outside m < 0)"),
-    MappingPair(SolutionId.CUBIC_KG_DC, SolutionId.CUBIC_NLS_DC, -1.0,
-                "phase rate -(1+m)*c**2/omega vanishes at m* = -1; both equations hold"),
-    MappingPair(SolutionId.DW_KG_KINK, SolutionId.DW_NLS_TANH, None,
-                "mass**2 = 2*c**2"),
-    MappingPair(SolutionId.DW_KG_SN, SolutionId.DW_NLS_SN, None,
-                "m = (mass**2 - c**2)/c**2"),
-    MappingPair(SolutionId.DW_KG_CN, SolutionId.DW_NLS_CN, None,
-                "m = (c**2 - mass**2)/(2*c**2)"),
-    MappingPair(SolutionId.DW_KG_DC, SolutionId.DW_NLS_DC, None,
-                "m = (mass**2 - c**2)/c**2"),
-    MappingPair(SolutionId.DW_KG_CONST, SolutionId.DW_NLS_CONST, None,
-                "a = mass/sqrt(lambda)"),
-    MappingPair(SolutionId.CQ_KG_SN, SolutionId.CQ_NLS_SN, 0.2,
-                "16*m*lambda = 3*sigma**2 meets 15*sigma**2 = 16*lambda at m* = 1/5"),
+    MappingPair(SolutionId.CUBIC_KG_SN, SolutionId.CUBIC_NLS_SN, -1.0, (-5.0, 5.0),
+                lambda d: {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -1.0 + d}),
+    MappingPair(SolutionId.CUBIC_KG_CN, SolutionId.CUBIC_NLS_CN, 0.5, (-5.0, 5.0),
+                lambda d: {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.5 + d}),
+    MappingPair(SolutionId.CUBIC_KG_DC, SolutionId.CUBIC_NLS_DC, -1.0, (-1.0, 1.0),
+                lambda d: {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -1.0 + d}),
+    # mass**2 = 2*c**2
+    MappingPair(SolutionId.DW_KG_KINK, SolutionId.DW_NLS_TANH, None, (-5.0, 5.0),
+                lambda d: {"c": 1.0 + d, "mass": _SQ2, "lam": 1.0, "omega": 1.0, "x0": 0.0}),
+    # m = (mass**2 - c**2)/c**2
+    MappingPair(SolutionId.DW_KG_SN, SolutionId.DW_NLS_SN, None, (-5.0, 5.0),
+                lambda d: {"m": 1.2 * 1.2 - 1.0 + d, "mass": 1.2, "c": 1.0, "lam": 1.0,
+                           "omega": 1.0}),
+    # m = (c**2 - mass**2)/(2*c**2)
+    MappingPair(SolutionId.DW_KG_CN, SolutionId.DW_NLS_CN, None, (-5.0, 5.0),
+                lambda d: {"m": (1.0 - 0.6 * 0.6) / 2.0 + d, "mass": 0.6, "c": 1.0, "lam": 1.0,
+                           "omega": 1.0}),
+    MappingPair(SolutionId.DW_KG_DC, SolutionId.DW_NLS_DC, None, (-1.4, 1.4),
+                lambda d: {"m": 1.2 * 1.2 - 1.0 + d, "mass": 1.2, "c": 1.0, "lam": 1.0,
+                           "omega": 1.0}),
+    # a = mass/sqrt(lambda)
+    MappingPair(SolutionId.DW_KG_CONST, SolutionId.DW_NLS_CONST, None, (-5.0, 5.0),
+                lambda d: {"a": 1.0 + d, "mass": 1.0, "lam": 1.0, "omega": 1.0}),
+    # 16*m*lambda = 3*sigma**2 meets 15*sigma**2 = 16*lambda at m* = 1/5; the
+    # envelope sigma follows its own constraint, so a detuned instance stays admissible
+    MappingPair(SolutionId.CQ_KG_SN, SolutionId.CQ_NLS_SN, 0.2, (-1.2, 1.2),
+                lambda d: {"m": 0.2 + d, "lam": 15.0 / 16.0,
+                           "sigma": math.sqrt(16.0 * (0.2 + d) * (15.0 / 16.0) / 3.0)}),
 )
-
-# Canonical x-windows for pointwise mapping comparison, clear of dc poles and
-# of the branch points of the cubic-quintic root.
-_MAPPING_WINDOWS: dict[SolutionId, tuple[float, float]] = {
-    SolutionId.CUBIC_NLS_SN: (-5.0, 5.0),
-    SolutionId.CUBIC_NLS_CN: (-5.0, 5.0),
-    SolutionId.CUBIC_NLS_DC: (-1.0, 1.0),
-    SolutionId.DW_NLS_TANH: (-5.0, 5.0),
-    SolutionId.DW_NLS_SN: (-5.0, 5.0),
-    SolutionId.DW_NLS_CN: (-5.0, 5.0),
-    SolutionId.DW_NLS_DC: (-1.4, 1.4),
-    SolutionId.DW_NLS_CONST: (-5.0, 5.0),
-    SolutionId.CQ_NLS_SN: (-1.2, 1.2),
-}
 
 
 def mapping_table() -> tuple[MappingPair, ...]:
     return _MAPPING_TABLE
-
-
-def mapping_for(nls_id: SolutionId) -> MappingPair:
-    for pair in _MAPPING_TABLE:
-        if pair.nls_id is nls_id:
-            return pair
-    raise KeyError(f"no mapping row for {nls_id.value}")
-
-
-def mapping_window(pair: MappingPair) -> tuple[float, float]:
-    return _MAPPING_WINDOWS[pair.nls_id]
 
 
 def instantiate_pair(pair: MappingPair, detune: float = 0.0):
@@ -630,46 +550,8 @@ def instantiate_pair(pair: MappingPair, detune: float = 0.0):
     for the kink row, a -> a*(1+detune) for the constant row.  Any nonzero
     detune revives the phase rotation and the pair separates linearly in t.
     """
-    d = float(detune)
-    nid = pair.nls_id
-    if nid is SolutionId.CUBIC_NLS_SN:
-        return (make_solution(pair.kg_id, c=1.0, lam=1.0),
-                make_solution(nid, c=1.0, lam=1.0, omega=1.0, m=-1.0 + d))
-    if nid is SolutionId.CUBIC_NLS_CN:
-        return (make_solution(pair.kg_id, c=1.0, lam=1.0),
-                make_solution(nid, c=1.0, lam=1.0, omega=1.0, m=0.5 + d))
-    if nid is SolutionId.CUBIC_NLS_DC:
-        return (make_solution(pair.kg_id, c=1.0, lam=1.0),
-                make_solution(nid, c=1.0, lam=1.0, omega=1.0, m=-1.0 + d))
-    if nid is SolutionId.DW_NLS_TANH:
-        mass = _SQ2  # mass**2 = 2*c**2 with c = 1
-        return (make_solution(pair.kg_id, mass=mass, lam=1.0, x0=0.0),
-                make_solution(nid, c=1.0 + d, mass=mass, lam=1.0, omega=1.0, x0=0.0))
-    if nid is SolutionId.DW_NLS_SN:
-        mass = 1.2
-        m = mass * mass - 1.0
-        return (make_solution(pair.kg_id, mass=mass, c=1.0, lam=1.0),
-                make_solution(nid, m=m + d, mass=mass, c=1.0, lam=1.0, omega=1.0))
-    if nid is SolutionId.DW_NLS_CN:
-        mass = 0.6
-        m = (1.0 - mass * mass) / 2.0
-        return (make_solution(pair.kg_id, mass=mass, c=1.0, lam=1.0),
-                make_solution(nid, m=m + d, mass=mass, c=1.0, lam=1.0, omega=1.0))
-    if nid is SolutionId.DW_NLS_DC:
-        mass = 1.2
-        m = mass * mass - 1.0
-        return (make_solution(pair.kg_id, mass=mass, c=1.0, lam=1.0),
-                make_solution(nid, m=m + d, mass=mass, c=1.0, lam=1.0, omega=1.0))
-    if nid is SolutionId.DW_NLS_CONST:
-        return (make_solution(pair.kg_id, mass=1.0, lam=1.0),
-                make_solution(nid, a=1.0 + d, mass=1.0, lam=1.0, omega=1.0))
-    if nid is SolutionId.CQ_NLS_SN:
-        lam = 15.0 / 16.0
-        m = 0.2 + d
-        sigma = math.sqrt(16.0 * m * lam / 3.0)
-        return (make_solution(pair.kg_id, sigma=1.0, lam=lam),
-                make_solution(nid, m=m, lam=lam, sigma=sigma))
-    raise KeyError(f"no canonical instantiation for {nid.value}")
+    return (make_solution(pair.kg_id, **pair.kg_params),
+            make_solution(pair.nls_id, **pair.nls_params(float(detune))))
 
 
 # --- catalog dump ----------------------------------------------------------

@@ -100,7 +100,6 @@ class RunConfig:
     dt: float = 1e-3
     t_final: float = 30.0
     snapshot_stride: int = 100
-    dealias: bool = False
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -151,7 +150,7 @@ def peak_intensity(state: FieldState) -> float:
 UNITARITY_GUARD = 1e-10
 
 
-def _stepper(grid: Grid1D, model: ModelSpec, dt: float, dealias: bool, v_hat0: np.ndarray):
+def _stepper(grid: Grid1D, model: ModelSpec, dt: float, v_hat0: np.ndarray):
     """Build advance(v_hat, t): one Strang step of the spectrum, in place, to time t."""
     if not model.family.is_nls:
         raise DomainError(f"solver handles envelope families only, got {model.family.value}")
@@ -159,8 +158,6 @@ def _stepper(grid: Grid1D, model: ModelSpec, dt: float, dealias: bool, v_hat0: n
     if not 0.0 < target < math.inf:
         raise DomainError(f"initial state needs a positive finite mass, got power {target:g}")
     half = np.exp(-0.5j * model.dispersion * dt * grid.wavenumbers**2)
-    if dealias:  # 2/3 rule: zero the top third of the spectrum
-        half = half * (np.abs(_fft.fftfreq(grid.n, d=1.0 / grid.n)) <= grid.n / 3.0)
     phase = -1j * dt
     guard_each_step = not (model.family is Family.BESSEL_NLS and
                            abs(dt) * abs(model.lam**2 / model.omega) * 0.5 < STABILITY_GUARD)
@@ -175,10 +172,6 @@ def _stepper(grid: Grid1D, model: ModelSpec, dt: float, dealias: bool, v_hat0: n
                                   f"at t={t:g}; reduce dt", time=t)
         np.multiply(v, np.exp(np.multiply(phase, rate, out=rot), out=rot), out=v)
         np.multiply(half, _fft.fft(v, overwrite_x=True), out=v_hat)
-        if dealias:  # masked modes shed power by design: no projection
-            if not np.all(np.isfinite(v_hat.view(float))):
-                raise DivergenceError(f"non-finite field at t={t:g}", time=t)
-            return
         # Both sub-steps are unit-modulus rotations, so the exact flow keeps the
         # spectral power sum fixed; rescaling onto it removes the slow systematic
         # drift (~1e-16 per step) that exp() and the transform pair leave behind.
@@ -196,7 +189,7 @@ def _stepper(grid: Grid1D, model: ModelSpec, dt: float, dealias: bool, v_hat0: n
 def step(state: FieldState, model: ModelSpec, dt: float) -> FieldState:
     """One Strang step.  dt may be negative (time reversal)."""
     v_hat = _fft.fft(state.values)
-    _stepper(state.grid, model, dt, False, v_hat)(v_hat, state.time + dt)
+    _stepper(state.grid, model, dt, v_hat)(v_hat, state.time + dt)
     return FieldState(state.grid, _fft.ifft(v_hat), state.time + dt)
 
 
@@ -208,7 +201,7 @@ def propagate(initial: FieldState, cfg: RunConfig) -> Trajectory:
     """
     grid = initial.grid
     v_hat = _fft.fft(initial.values)
-    advance = _stepper(grid, cfg.model, cfg.dt, cfg.dealias, v_hat)
+    advance = _stepper(grid, cfg.model, cfg.dt, v_hat)
     n_steps = cfg.n_steps
     t0 = initial.time
 

@@ -30,7 +30,6 @@ from .solutions import (
     instantiate_pair,
     make_solution,
     mapping_table,
-    mapping_window,
     model_for,
 )
 
@@ -63,38 +62,7 @@ FLOOR_RESIDUAL = 1e-12
 _RATIO_GRIDS = (251, 501)
 _TOLERANCE_GRID = 2001
 
-# Evaluation windows, clear of dc poles, of the log-singular edges of the
-# imaginary sine-Gordon profile, and of the touch-zero kinks of the
-# cubic-quintic root (those two windows span a single smooth arch).
-_WINDOWS: dict[SolutionId, tuple[float, float]] = {
-    SolutionId.CUBIC_KG_SN: (-3.0, 3.0),
-    SolutionId.CUBIC_KG_CN: (-3.0, 3.0),
-    SolutionId.CUBIC_KG_DC: (-1.0, 1.0),
-    SolutionId.CUBIC_NLS_SN: (-3.0, 3.0),
-    SolutionId.CUBIC_NLS_CN: (-3.0, 3.0),
-    SolutionId.CUBIC_NLS_DC: (-1.5, 1.5),
-    SolutionId.DW_KG_KINK: (-5.0, 5.0),
-    SolutionId.DW_KG_SN: (-3.0, 3.0),
-    SolutionId.DW_KG_CN: (-3.0, 3.0),
-    SolutionId.DW_KG_DC: (-1.3, 1.3),
-    SolutionId.DW_KG_CONST: (-3.0, 3.0),
-    SolutionId.DW_NLS_TANH: (-5.0, 5.0),
-    SolutionId.DW_NLS_SN: (-3.0, 3.0),
-    SolutionId.DW_NLS_CN: (-3.0, 3.0),
-    SolutionId.DW_NLS_DC: (-1.5, 1.5),
-    SolutionId.DW_NLS_CONST: (-3.0, 3.0),
-    SolutionId.CQ_KG_SN: (-1.5, 4.8),
-    SolutionId.CQ_NLS_SN: (-1.55, 4.95),
-    SolutionId.SG_KINK: (-5.0, 5.0),
-    SolutionId.SG_IMAG: (-1.45, 1.45),
-    SolutionId.BESSEL_UNIFORM: (-15.0, 15.0),
-}
-
-# KG entries whose profile moves; everything else KG-side is static in t.
-_TIME_DEPENDENT_KG = frozenset({SolutionId.SG_KINK})
-
-_KG_TIMES = (0.0, 0.4)
-_NLS_TIMES = (0.0, 0.4)
+_TIMES = (0.0, 0.4)
 
 
 @dataclass(frozen=True)
@@ -162,12 +130,12 @@ def _slab(sol: AnalyticSolution, x: np.ndarray, t0: float, tau: float) -> np.nda
 
 def kg_residual(model: ModelSpec, sol: AnalyticSolution,
                 x_range: tuple[float, float], n_points: int,
-                t_range: Sequence[float] = _KG_TIMES) -> ResidualReport:
+                t_range: Sequence[float] = _TIMES) -> ResidualReport:
     """Residual of d2_t(phi) - d2_x(phi) + N(phi) at interior grid points."""
     if not model.family.is_kg:
         raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
     x, h = _grid(x_range, n_points)
-    static = sol.sid not in _TIME_DEPENDENT_KG
+    static = not sol.travelling
     times = (t_range[0],) if static else tuple(t_range)
     worst = 0.0
     norm = 0.0
@@ -194,7 +162,7 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
 
 def nls_residual(model: ModelSpec, sol: AnalyticSolution,
                  x_range: tuple[float, float], n_points: int,
-                 t_range: Sequence[float] = _NLS_TIMES) -> ResidualReport:
+                 t_range: Sequence[float] = _TIMES) -> ResidualReport:
     """Residual of i*d_t(psi) + D*d2_x(psi) - V(|psi|)*psi at interior points."""
     if not model.family.is_nls:
         raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
@@ -226,11 +194,9 @@ def residual_for(sol: AnalyticSolution,
                  t_range: Optional[Sequence[float]] = None) -> ResidualReport:
     """Dispatch to the KG or NLS residual with the entry's curated window."""
     model = model_for(sol)
-    if x_range is None:
-        x_range = _WINDOWS[sol.sid]
-    if model.family.is_kg:
-        return kg_residual(model, sol, x_range, n_points, t_range or _KG_TIMES)
-    return nls_residual(model, sol, x_range, n_points, t_range or _NLS_TIMES)
+    residual = kg_residual if model.family.is_kg else nls_residual
+    x_range = sol.window if x_range is None else x_range
+    return residual(model, sol, x_range, n_points, t_range or _TIMES)
 
 
 def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE,
@@ -299,8 +265,7 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
     difference grows like |1 - exp(i*theta*t)|.
     """
     kg_sol, nls_sol = instantiate_pair(pair, detune=detune)
-    window = mapping_window(pair)
-    x, _ = _grid(window, n_points)
+    x, _ = _grid(pair.window, n_points)
     phi = np.asarray(eval_solution(kg_sol, x, 0.0), dtype=complex)
     per_time = []
     worst = 0.0
@@ -315,7 +280,7 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
         detune=float(detune),
         per_time=tuple(per_time),
         max_abs_diff=worst,
-        window=window,
+        window=pair.window,
         n_points=n_points,
     )
 

@@ -206,6 +206,12 @@ class TestStabilityScan:
             tmpl_bad = ScanTemplate(ModelSpec(Family.CUBIC_NLS))
             scan_stability([0.1], (0.1, 1.1, 3), tmpl_bad)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_alpha_rejected_before_any_cell(self, alpha):
+        tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0))
+        with pytest.raises(DomainError, match="alphas"):
+            scan_stability([0.1, alpha], (0.1, 1.1, 9), tmpl)
+
     def test_small_scan_runs_serially(self):
         # coarse smoke run of the grid + golden refinement machinery;
         # the physics-grade scan lives in the acceptance suite

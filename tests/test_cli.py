@@ -1,14 +1,21 @@
 """Command-line entry points: exit codes, artifacts, determinism."""
 
 import configparser
+import hashlib
+import json
+import re
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
+from svealab import cli
 from svealab.analysis import ScanTemplate
 from svealab.cli import (EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, PRESETS,
-                         _get, _model_from, main)
+                         SECTION_KEYS, _get, _model_from, load_settings, main)
 from svealab.models import Family, ModelSpec
+from svealab.solutions import catalog_dump
 from svealab.solver import RunConfig
 
 
@@ -75,7 +82,8 @@ t_final = 0.6
 snapshot_stride = 100
 """
 
-SCAN_SHORT_INI = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "scan_short.ini"
+ROOT = Path(__file__).resolve().parents[1]
+SCAN_SHORT_INI = ROOT / "perfbench" / "configs" / "scan_short.ini"
 
 
 def _sections(text):
@@ -84,9 +92,9 @@ def _sections(text):
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
-def _write_ini(path, text, **run):
+def _write_ini(path, text, section="run", **values):
     sections = _sections(text)
-    sections["run"].update({k: str(v) for k, v in run.items()})
+    sections[section].update({k: str(v) for k, v in values.items()})
     path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                             for name, kv in sections.items()))
     return path
@@ -240,3 +248,87 @@ class TestVerifyArtifacts:
         out = outdir / "verify-verify-all"
         assert (out / "report.txt").exists()
         assert "PASS" in (out / "report.txt").read_text()
+
+
+class TestConfigSchema:
+    """Every section and key is checked; nothing is silently ignored."""
+
+    @pytest.mark.parametrize("section, key", [("run", "psi_0"), ("run", "dealias"),
+                                              ("grid", "lenght"), ("scan", "alpha")])
+    def test_unknown_key_is_usage_error(self, outdir, tmp_path, capsys, section, key):
+        text = STRUCTURED_INI if section != "scan" else TINY_SCAN_INI
+        ini = _write_ini(tmp_path / "typo.ini", text, section, **{key: "1"})
+        command = "scan" if section == "scan" else "run"
+        assert main([command, "--config", str(ini)]) == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not (outdir / command).exists()
+
+    def test_unknown_section_is_usage_error(self, outdir, tmp_path, capsys):
+        ini = tmp_path / "typo.ini"
+        ini.write_text(STRUCTURED_INI + "\n[analyss]\nwindow = 0.5\n")
+        assert main(["run", "--config", str(ini)]) == EXIT_USAGE
+        assert "[analyss]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_accepted(self, name):
+        assert load_settings(name, None) == PRESETS[name]
+
+    @pytest.mark.parametrize("text", [DIVERGENT_INI, TINY_SCAN_INI, STRUCTURED_INI,
+                                      SCAN_SHORT_INI.read_text()],
+                             ids=["divergent", "tiny-scan", "structured", "scan-short"])
+    def test_shipped_configs_accepted(self, tmp_path, text):
+        ini = tmp_path / "shipped.ini"
+        ini.write_text(text)
+        assert load_settings(None, str(ini)) == _sections(text)
+
+    def test_amplitude_override_on_a_preset_accepted(self, tmp_path):
+        # the form the benchmark writes: a lone [run] psi0 on top of case1
+        ini = tmp_path / "psi0.ini"
+        ini.write_text("[run]\npsi0 = 14.25\n\n")
+        assert load_settings("case1", str(ini))["run"]["psi0"] == "14.25"
+
+    def test_table_lists_exactly_the_keys_read(self):
+        read = set(re.findall(r'_get\(settings, "(\w+)", "(\w+)"', Path(cli.__file__).read_text()))
+        listed = {(section, key) for section, keys in SECTION_KEYS.items() if keys
+                  for key in keys}
+        assert read == listed
+
+
+class TestScanAlphas:
+    @pytest.mark.parametrize("alphas", ["0", "0.1, abc", "0.1, -0.2", "nan"])
+    def test_bad_alphas_are_usage_errors(self, outdir, tmp_path, capsys, alphas):
+        ini = _write_ini(tmp_path / "scan.ini", TINY_SCAN_INI, "scan", alphas=alphas)
+        assert main(["scan", "--config", str(ini), "--jobs", "1"]) == EXIT_USAGE
+        assert "alphas" in capsys.readouterr().err
+
+
+_RECORDED = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+_SAME_STACK = (_RECORDED["numpy"], _RECORDED["scipy"]) == (numpy.__version__, scipy.__version__)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestCatalogBytes:
+    """The catalog's reports are pinned byte for byte."""
+
+    def test_catalog_dump(self):
+        assert _sha256(catalog_dump().encode("utf-8")) == \
+            "a5c49f00cb4cd4a07d9cea6b18d96e59819ae0970207702e06189584c4270c24"
+
+    @pytest.mark.skipif(not _SAME_STACK, reason=(
+        f"report digests were recorded with numpy {_RECORDED['numpy']}, "
+        f"scipy {_RECORDED['scipy']}"))
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["verify", "--preset", "verify-all"], EXIT_OK,
+         "1e66fd6e4546f7c64f75ddce37a4aebdd5580633eb1375ca3972bca903bda6e3"),
+        (["map-check", "--preset", "map-all"], EXIT_OK,
+         "eeb423ed7a179888fe871b696ae77dc30a8b07cca89d7d7f96b92353cd033b4e"),
+        (["map-check", "--preset", "map-all", "--detune", "0.05"], EXIT_CHECKS_FAILED,
+         "0347bff124cdb09842097e9ad4eaccac078f2dcf01c31e796fe79c2b79b0ec5b"),
+    ], ids=["verify-all", "map-all", "map-all-detuned"])
+    def test_report(self, outdir, argv, code, digest):
+        assert main(argv) == code
+        report = outdir / f"{argv[0]}-{argv[2]}" / "report.txt"
+        assert _sha256(report.read_bytes()) == digest

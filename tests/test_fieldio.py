@@ -44,6 +44,13 @@ class TestSnapshotFormat:
         with pytest.raises(DomainError):
             read_snapshot(p)
 
+    @pytest.mark.parametrize("size", [5, 12, 28])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        p = tmp_path / "stub.svea"
+        p.write_bytes((SNAPSHOT_MAGIC + b"\x00" * 64)[:size])
+        with pytest.raises(DomainError, match="truncated header"):
+            read_snapshot(p)
+
     def test_magic_constant(self):
         assert SNAPSHOT_MAGIC == b"SVEA1"
 

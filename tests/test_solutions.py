@@ -7,8 +7,7 @@ from svealab.errors import ConstraintError, DomainError
 from svealab.models import Family, nls_nonlinear_phase_rate
 from svealab.solutions import (SolutionId, catalog_dump, catalog_ids, eval_solution,
                                formula_text, in_validity_domain, instantiate_pair,
-                               make_solution, mapping_table, mapping_window,
-                               model_for, phase_rate)
+                               make_solution, mapping_table, model_for, phase_rate)
 
 
 def test_catalog_has_twentyone_entries():
@@ -104,7 +103,7 @@ class TestMappingTable:
 
     def test_windows_are_ordered_intervals(self):
         for pair in mapping_table():
-            lo, hi = mapping_window(pair)
+            lo, hi = pair.window
             assert lo < hi
 
     def test_static_member_is_time_independent(self):

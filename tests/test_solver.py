@@ -194,13 +194,6 @@ class TestPropagation:
         with pytest.raises(DomainError, match="mass"):
             step(st, model, 1e-3)
 
-    def test_dealiased_run_completes(self):
-        g = Grid1D(128, 40.0)
-        traj = propagate(sech_profile(g, 3.0),
-                         RunConfig(CUBIC, dt=1e-3, t_final=0.5,
-                                   snapshot_stride=100, dealias=True))
-        assert np.all(np.isfinite(traj.mass_series))
-
     def test_kg_model_rejected(self):
         g = Grid1D(64, 20.0)
         with pytest.raises(DomainError):
@@ -230,11 +223,10 @@ class TestDivergenceGuard:
         assert err.value.time == pytest.approx(dt)
         assert len(err.value.partial.mass_series) == 1
 
-    @pytest.mark.parametrize("dealias", [False, True])
-    def test_non_finite_field_raises_with_partial(self, monkeypatch, dealias):
+    def test_non_finite_field_raises_with_partial(self, monkeypatch):
         # An infinite rate on the third step poisons the field with NaN; the
         # Bessel bound has switched the rotation guard off, so only the
-        # projection's power sum (or the dealiased path's scan) can see it.
+        # projection's power sum can see it.
         calls = []
 
         def poisoned(model, amp):
@@ -248,7 +240,7 @@ class TestDivergenceGuard:
         with pytest.raises(DivergenceError, match="non-finite") as err, \
                 np.errstate(invalid="ignore"):
             propagate(sech_profile(Grid1D(64, 20.0), 1.0),
-                      RunConfig(BESSEL, dt=1e-3, t_final=0.01, dealias=dealias))
+                      RunConfig(BESSEL, dt=1e-3, t_final=0.01))
         assert err.value.time == pytest.approx(3e-3)
         assert len(err.value.partial.mass_series) == 3
 
@@ -258,30 +250,27 @@ def _structured(grid, base, bump):
 
 
 _G = Grid1D(256, 40.0)
-# (model, initial state, dealias, dt): every NLS family, both Bessel rate
-# branches (series below the cutover, direct above it, and a mix), a Bessel run
-# whose once-per-run bound (0.01*100/2 = 0.5) keeps the per-step guard, and
-# dealiasing.
+# (model, initial state, dt): every NLS family, both Bessel rate branches
+# (series below the cutover, direct above it, and a mix), and a Bessel run
+# whose once-per-run bound (0.01*100/2 = 0.5) keeps the per-step guard.
 _BITWISE_CASES = {
-    "cubic": (CUBIC, sech_profile(_G, 2.0), False, 1e-3),
+    "cubic": (CUBIC, sech_profile(_G, 2.0), 1e-3),
     "double-well": (ModelSpec(Family.DOUBLE_WELL_NLS, lam=1.0, mass=0.5),
-                    sech_profile(_G, 2.0), False, 1e-3),
+                    sech_profile(_G, 2.0), 1e-3),
     "cubic-quintic": (ModelSpec(Family.CUBIC_QUINTIC_NLS, lam=0.1, sigma=0.5),
-                      sech_profile(_G, 2.0), False, 1e-3),
-    "bessel-mixed": (BESSEL, sech_profile(_G, 15.0), False, 1e-3),
-    "bessel-direct": (BESSEL, _structured(_G, 0.5, 8.0), False, 1e-3),
-    "bessel-series": (BESSEL, sech_profile(_G, 0.5 * BESSEL_RATE_CUTOVER, 0.2), False, 1e-3),
+                      sech_profile(_G, 2.0), 1e-3),
+    "bessel-mixed": (BESSEL, sech_profile(_G, 15.0), 1e-3),
+    "bessel-direct": (BESSEL, _structured(_G, 0.5, 8.0), 1e-3),
+    "bessel-series": (BESSEL, sech_profile(_G, 0.5 * BESSEL_RATE_CUTOVER, 0.2), 1e-3),
     "bessel-guard-per-step": (ModelSpec(Family.BESSEL_NLS, lam=10.0),
-                              _structured(_G, 5.0, 0.1), False, 1e-2),
-    "cubic-dealias": (CUBIC, sech_profile(_G, 2.0), True, 1e-3),
-    "bessel-dealias": (BESSEL, sech_profile(_G, 15.0), True, 1e-3),
+                              _structured(_G, 5.0, 0.1), 1e-2),
 }
 
 
 @pytest.mark.parametrize("name", list(_BITWISE_CASES))
 def test_in_place_stepper_matches_textbook_step_bitwise(name):
-    model, st, dealias, dt = _BITWISE_CASES[name]
-    cfg = RunConfig(model, dt=dt, t_final=200 * dt, snapshot_stride=30, dealias=dealias)
+    model, st, dt = _BITWISE_CASES[name]
+    cfg = RunConfig(model, dt=dt, t_final=200 * dt, snapshot_stride=30)
     fast, ref = propagate(st, cfg), reference_propagate(st, cfg)
     assert len(fast.snapshots) == len(ref.snapshots) == 8
     for a, b in zip(fast.snapshots, ref.snapshots):
