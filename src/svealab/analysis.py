@@ -6,15 +6,22 @@ parabolic interpolation.  Structure counts are modal over the trailing
 snapshot window, which rides out miscounts at breathing phase extremes.
 The stability scan minimizes the breathing metric of psi0*sech(alpha*x)
 initial data over psi0: a coarse sweep brackets the minimum and a
-golden-section pass refines it.  Everything is deterministic.
+golden-section pass refines it.  Each width's search is a coroutine that
+asks for the psi0 values it needs next; the widths advance in lockstep, and
+each round propagates all requested cells as one propagate_batch stack
+(split into at most `jobs` blocks across processes).  Batched rows are bitwise
+their solo runs, so the result is independent of batching and `jobs`.
+Everything is deterministic.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +29,11 @@ from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import DivergenceError, DomainError
 from .models import Family, ModelSpec
-from .solver import FieldState, Grid1D, RunConfig, Trajectory, propagate, sech_profile
+from .solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate_batch,
+                     sech_profile)
+# Not called here since the scan batches its cells; perfbench/tracing.py wraps
+# this name on this module, so it stays importable from it.
+from .solver import propagate  # noqa: F401
 
 __all__ = [
     "Peak",
@@ -279,47 +290,75 @@ class ScanTemplate:
         return Grid1D(self.grid_n, length)
 
 
-def _scan_cell(args: tuple) -> float:
-    template, alpha, psi0 = args
-    grid = template.grid_for(alpha)
-    state = sech_profile(grid, psi0, alpha)
+def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> list[float]:
+    """Breathing metric of each (alpha, psi0) cell, all propagated as one batch.
+
+    A cell that diverges scores infinity.
+    """
     cfg = RunConfig(template.model, dt=template.dt, t_final=template.t_final,
                     snapshot_stride=template.snapshot_stride)
-    try:
-        traj = propagate(state, cfg)
-    except DivergenceError:
-        return math.inf
-    return oscillation_metric(traj, window=template.window,
-                              min_separation=template.min_separation)
-
-
-def _evaluate_cells(cells: list[tuple], jobs: int) -> list[float]:
-    if jobs <= 1 or len(cells) <= 1:
-        return [_scan_cell(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_scan_cell, cells))
+    initials = [sech_profile(template.grid_for(alpha), psi0, alpha) for alpha, psi0 in cells]
+    return [math.inf if isinstance(traj, DivergenceError) else
+            oscillation_metric(traj, window=template.window,
+                               min_separation=template.min_separation)
+            for traj in propagate_batch(initials, cfg)]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_refine(template: ScanTemplate, alpha: float,
-                   lo: float, hi: float, iters: int = 8) -> tuple[float, float]:
-    a, b = lo, hi
+def _golden(a: float, b: float, iters: int):
+    """Golden-section search on [a, b] as a coroutine: yields the psi0 values
+    it needs, receives their metrics, returns (psi0, metric) of the best."""
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = _scan_cell((template, alpha, c))
-    fd = _scan_cell((template, alpha, d))
+    fc, fd = yield [c, d]
     for _ in range(iters):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = _scan_cell((template, alpha, c))
+            fc, = yield [c]
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = _scan_cell((template, alpha, d))
+            fd, = yield [d]
     return (c, fc) if fc <= fd else (d, fd)
+
+
+def _search(alpha: float, lo: float, hi: float, n_samples: int,
+            refine_iters: int, max_widenings: int):
+    """One width's coarse sweep, widenings and refinement, as a coroutine like
+    _golden; returns the StabilityPoint."""
+    a_lo, a_hi, a_n = lo, hi, n_samples
+    flags = []
+    for _ in range(max_widenings + 1):
+        samples = np.linspace(a_lo, a_hi, a_n)
+        metrics = yield [float(p) for p in samples]
+        if all(math.isinf(m) for m in metrics):
+            flags.append("all cells diverged")
+            best_psi0, best_metric = math.nan, math.inf
+            break
+        if any(math.isinf(m) for m in metrics):
+            flags.append(f"{sum(map(math.isinf, metrics))} divergent cells skipped")
+        k = int(np.argmin(metrics))
+        if 0 < k < len(samples) - 1:
+            best_psi0, best_metric = yield from _golden(
+                float(samples[k - 1]), float(samples[k + 1]), refine_iters)
+            if metrics[k] < best_metric:
+                best_psi0, best_metric = float(samples[k]), float(metrics[k])
+            break
+        # boundary minimum: widen away from the interior and rescan
+        span = a_hi - a_lo
+        if k == 0:
+            a_lo = max(lo * 0.25, a_lo - span)
+            flags.append(f"widened low to {a_lo:g}")
+        else:
+            a_hi = a_hi + span
+            flags.append(f"widened high to {a_hi:g}")
+    else:
+        best_psi0, best_metric = float(samples[k]), float(metrics[k])
+        flags.append("minimum stayed on range boundary")
+    return StabilityPoint(alpha, best_psi0, best_metric, "; ".join(flags))
 
 
 def scan_stability(alphas: Sequence[float],
@@ -330,10 +369,16 @@ def scan_stability(alphas: Sequence[float],
                    max_widenings: int = 2) -> list[StabilityPoint]:
     """Minimize the breathing metric over psi0 for each width alpha.
 
-    Coarse grid first (all cells, optionally in parallel), then golden-section
-    refinement inside the bracketing interval.  A minimum landing on the range
-    boundary widens the range and reruns, up to max_widenings times; cells
-    that diverge score infinity and are skipped.
+    Coarse grid first, then golden-section refinement inside the bracketing
+    interval.  A minimum landing on the range boundary widens the range and
+    reruns, up to max_widenings times; cells that diverge score infinity and
+    are skipped.  The widths run in lockstep: each round propagates every cell
+    that any width needs next as one batch, so a width evaluates the same
+    points as it would alone and the result does not depend on the batching.
+    jobs > 1 splits each batch into at most that many contiguous blocks, run
+    in one process pool for the whole scan.  Its workers start by the spawn
+    method, so a script that calls this with jobs > 1 needs the usual
+    `if __name__ == "__main__":` guard.
     """
     if not alphas:
         raise DomainError("alpha list is empty")
@@ -345,42 +390,29 @@ def scan_stability(alphas: Sequence[float],
     lo, hi, n_samples = float(psi0_range[0]), float(psi0_range[1]), int(psi0_range[2])
     if not (0.0 < lo < hi and n_samples >= 3):
         raise DomainError(f"bad psi0 range {psi0_range!r}")
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
 
-    points = []
-    for alpha in alphas:
-        a_lo, a_hi, a_n = lo, hi, n_samples
-        flags = []
-        for attempt in range(max_widenings + 1):
-            samples = np.linspace(a_lo, a_hi, a_n)
-            cells = [(template, float(alpha), float(p)) for p in samples]
-            metrics = _evaluate_cells(cells, jobs)
-            if all(math.isinf(m) for m in metrics):
-                flags.append("all cells diverged")
-                best_psi0, best_metric = math.nan, math.inf
-                break
-            if any(math.isinf(m) for m in metrics):
-                flags.append(f"{sum(map(math.isinf, metrics))} divergent cells skipped")
-            k = int(np.argmin(metrics))
-            if 0 < k < len(samples) - 1:
-                b_lo, b_hi = float(samples[k - 1]), float(samples[k + 1])
-                best_psi0, best_metric = _golden_refine(
-                    template, float(alpha), b_lo, b_hi, refine_iters)
-                if metrics[k] < best_metric:
-                    best_psi0, best_metric = float(samples[k]), float(metrics[k])
-                break
-            # boundary minimum: widen away from the interior and rescan
-            span = a_hi - a_lo
-            if k == 0:
-                a_lo = max(lo * 0.25, a_lo - span)
-                flags.append(f"widened low to {a_lo:g}")
-            else:
-                a_hi = a_hi + span
-                flags.append(f"widened high to {a_hi:g}")
-        else:
-            best_psi0, best_metric = float(samples[k]), float(metrics[k])
-            flags.append("minimum stayed on range boundary")
-        points.append(StabilityPoint(float(alpha), best_psi0, best_metric,
-                                     "; ".join(flags)))
+    alphas = [float(a) for a in alphas]
+    searches = [_search(a, lo, hi, n_samples, refine_iters, max_widenings) for a in alphas]
+    points: list = [None] * len(searches)
+    executor = (ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
+                if jobs > 1 else contextlib.nullcontext())
+    with executor as pool:
+        wanted = {i: next(s) for i, s in enumerate(searches)}
+        while wanted:
+            cells = [(alphas[i], p) for i, psi0s in wanted.items() for p in psi0s]
+            n_blocks = min(jobs, len(cells))
+            edges = [len(cells) * b // n_blocks for b in range(n_blocks + 1)]
+            blocks = [cells[e0:e1] for e0, e1 in zip(edges, edges[1:])]
+            metrics = (m for block in (pool.map if pool else map)(
+                _evaluate, [template] * n_blocks, blocks) for m in block)
+            for i, psi0s in list(wanted.items()):
+                try:
+                    wanted[i] = searches[i].send([next(metrics) for _ in psi0s])
+                except StopIteration as done:
+                    del wanted[i]
+                    points[i] = done.value
     return points
 
 

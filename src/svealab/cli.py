@@ -121,6 +121,10 @@ class RunManifest:
     command: str
     config_path: str
     output_dir: str
+    jobs: int
+    threshold: Optional[float]
+    detune: Optional[float]
+    settings: dict
     determinism: str
     version: str
     duration_s: float
@@ -130,9 +134,15 @@ class RunManifest:
             f"command: {self.command}\n"
             f"config: {self.config_path}\n"
             f"output_dir: {self.output_dir}\n"
+            f"jobs: {self.jobs}\n"
+            f"threshold: {self.threshold!r}\n"
+            f"detune: {self.detune!r}\n"
             f"determinism: {self.determinism}\n"
             f"version: {self.version}\n"
             f"duration_s: {self.duration_s:.3f}\n"
+            "settings (preset -> config -> flags):\n"
+            + "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in kv.items())
+                      for section, kv in self.settings.items())
         )
 
 
@@ -245,11 +255,22 @@ def _output_dir(args, command: str) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, args, t_start: float) -> None:
+def _with_threshold(settings: dict, section: str, args) -> dict:
+    """The settings with --threshold, if given, as the section's tolerance."""
+    if args.threshold is None:
+        return settings
+    return _merge(settings, {section: {"tolerance": repr(args.threshold)}})
+
+
+def _write_manifest(out: Path, command: str, args, t_start: float, settings: dict) -> None:
     manifest = RunManifest(
         command=command,
         config_path=args.config or (f"preset:{args.preset}" if args.preset else "(defaults)"),
         output_dir=str(out),
+        jobs=args.jobs,
+        threshold=args.threshold,
+        detune=args.detune,
+        settings=settings,
         determinism=_DETERMINISM_NOTE,
         version=__version__,
         duration_s=time.monotonic() - t_start,
@@ -259,25 +280,23 @@ def _write_manifest(out: Path, command: str, args, t_start: float) -> None:
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
-    settings = load_settings(args.preset, args.config)
+    settings = _with_threshold(load_settings(args.preset, args.config), "verify", args)
     out = _output_dir(args, "verify")
-    tolerance = args.threshold if args.threshold is not None else \
-        _get(settings, "verify", "tolerance", float, DEFAULT_TOLERANCE)
+    tolerance = _get(settings, "verify", "tolerance", float, DEFAULT_TOLERANCE)
     n_points = _get(settings, "verify", "n_points", int, 2001)
     reports = verify_catalog(tolerance=tolerance, n_points=n_points)
     text = verification_report(reports)
     atomic_write_text(out / "report.txt", text + "\n")
     print(text)
-    _write_manifest(out, "verify", args, t0)
+    _write_manifest(out, "verify", args, t0, settings)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECKS_FAILED
 
 
 def cmd_map_check(args) -> int:
     t0 = time.monotonic()
-    settings = load_settings(args.preset, args.config)
+    settings = _with_threshold(load_settings(args.preset, args.config), "map", args)
     out = _output_dir(args, "map-check")
-    tolerance = args.threshold if args.threshold is not None else \
-        _get(settings, "map", "tolerance", float, MAPPING_TOLERANCE)
+    tolerance = _get(settings, "map", "tolerance", float, MAPPING_TOLERANCE)
     n_points = _get(settings, "map", "n_points", int, 801)
     t_samples_raw = _get(settings, "map", "t_samples", str, "0, 1, 10")
     try:
@@ -291,7 +310,7 @@ def cmd_map_check(args) -> int:
     text = mapping_report(checks, tolerance)
     atomic_write_text(out / "report.txt", text + "\n")
     print(text)
-    _write_manifest(out, "map-check", args, t0)
+    _write_manifest(out, "map-check", args, t0, settings)
     ok = all(c.max_abs_diff < tolerance for c in checks)
     return EXIT_OK if ok else EXIT_CHECKS_FAILED
 
@@ -344,12 +363,14 @@ def cmd_run(args) -> int:
         atomic_write_text(out / "analysis.txt", summary)
         print(f"{len(traj.snapshots)} snapshots, {len(tracks)} peak tracks, "
               f"count_structures {count} -> {out}")
-    _write_manifest(out, "run", args, t0)
+    _write_manifest(out, "run", args, t0, settings)
     return code
 
 
 def cmd_scan(args) -> int:
     t0 = time.monotonic()
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     settings = load_settings(args.preset, args.config)
     out = _output_dir(args, "scan")
     model = _model_from(settings) if "model" in settings else None
@@ -383,7 +404,7 @@ def cmd_scan(args) -> int:
     for p in points:
         note = f"  [{p.flags}]" if p.flags else ""
         print(f"alpha={p.alpha:g} psi0_opt={p.psi0_opt:.4f} metric={p.metric_value:.4f}{note}")
-    _write_manifest(out, "scan", args, t0)
+    _write_manifest(out, "scan", args, t0, settings)
     if any(p.psi0_opt != p.psi0_opt for p in points):  # NaN: every cell diverged
         return EXIT_DIVERGED
     return EXIT_OK
@@ -402,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
         p.add_argument("--output", help="output root (default $SVEA_LAB_OUTPUT or ./artifacts)")
-        p.add_argument("--jobs", type=int, default=1, help="concurrent propagations for scans")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="scans: split each batch of cells into at most this many processes")
         p.add_argument("--threshold", type=float, default=None,
                        help="pass/fail tolerance override")
         p.add_argument("--detune", type=float, default=None,

@@ -7,14 +7,19 @@ nonlinear sub-step is exact because it leaves |psi| untouched, so both
 sub-steps preserve the discrete L2 norm to rounding and the overall scheme
 is second order in dt.
 
-step() and propagate() share one stepper built once per run: precomputed
-half-step multiplier and scalars, preallocated buffers, in-place out= ufuncs
-and overwrite_x transforms.  Products keep their textbook operand order
-(complex products are not bitwise commutative under SIMD), so the output is
-byte for byte that of the allocating form.  As |J1(z)/z| <= 1/2 (A&S 9.1.62),
-a Bessel run with dt*|lambda**2/omega|/2 < STABILITY_GUARD passes the rotation
-guard once per run; other runs check max|V| every step.  A non-finite field
-shows in the projection's power sum.
+propagate_batch() steps a (B, n) stack of initial states that share n, each
+on its own grid length: one transform pair (axis=-1), one rate evaluation and
+one rotation per step for the whole stack, and a per-row projection.  A row
+that diverges is retired with its own DivergenceError and partial trajectory;
+the others keep stepping.  propagate() and step() are its B = 1 case, so
+there is one stepping routine: precomputed half-step multipliers and scalars,
+preallocated buffers, in-place out= ufuncs and overwrite_x transforms.
+Products keep their textbook operand order (complex products are not bitwise
+commutative under SIMD) and every operation is per row, so each row's output
+is byte for byte that of the allocating single-row form.  As |J1(z)/z| <= 1/2
+(A&S 9.1.62), a Bessel run with dt*|lambda**2/omega|/2 < STABILITY_GUARD
+passes the rotation guard once per run; other runs check each row's max|V|
+every step.  A non-finite field shows in the projection's power sum.
 
 The x grid is symmetric, x_j = -L/2 + j*L/n, and wavenumbers follow the
 standard FFT ordering k_j = 2*pi*j/L.
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -39,6 +45,7 @@ __all__ = [
     "Trajectory",
     "step",
     "propagate",
+    "propagate_batch",
     "mass",
     "peak_intensity",
     "sech_profile",
@@ -150,47 +157,94 @@ def peak_intensity(state: FieldState) -> float:
 UNITARITY_GUARD = 1e-10
 
 
-def _stepper(grid: Grid1D, model: ModelSpec, dt: float, v_hat0: np.ndarray):
-    """Build advance(v_hat, t): one Strang step of the spectrum, in place, to time t."""
-    if not model.family.is_nls:
-        raise DomainError(f"solver handles envelope families only, got {model.family.value}")
-    target = float(np.vdot(v_hat0, v_hat0).real)
-    if not 0.0 < target < math.inf:
-        raise DomainError(f"initial state needs a positive finite mass, got power {target:g}")
-    half = np.exp(-0.5j * model.dispersion * dt * grid.wavenumbers**2)
-    phase = -1j * dt
-    guard_each_step = not (model.family is Family.BESSEL_NLS and
-                           abs(dt) * abs(model.lam**2 / model.omega) * 0.5 < STABILITY_GUARD)
-    work, rot, amp = np.empty(grid.n, complex), np.empty(grid.n, complex), np.empty(grid.n)
+class _Stepper:
+    """Strang steps of a (B, n) spectrum stack, in place, one transform pair per step.
 
-    def advance(v_hat: np.ndarray, t: float) -> None:
+    Rows share n but not their grid length, so each row gets its own half-step
+    multiplier.  Everything run-constant is settled once: the multipliers, the
+    projection targets, -1j*dt, the Bessel bound and the (B, n) buffers.
+    `rows` holds the input index of each row still stepping and `spectra` its
+    live view.  advance(j) retires every row that trips the rotation guard, the
+    non-finite check or the unitarity check, each with its own DivergenceError,
+    and compacts the stack so that the other rows keep stepping.
+    """
+
+    def __init__(self, grids: Sequence[Grid1D], model: ModelSpec, dt: float,
+                 v_hat: np.ndarray, t0: Sequence[float]):
+        if not model.family.is_nls:
+            raise DomainError(f"solver handles envelope families only, got {model.family.value}")
+        self.targets = [float(np.vdot(row, row).real) for row in v_hat]
+        for target in self.targets:
+            if not 0.0 < target < math.inf:
+                raise DomainError("initial state needs a positive finite mass, "
+                                  f"got power {target:g}")
+        self.model, self.dt, self.t0 = model, dt, list(t0)
+        self.rows = list(range(len(v_hat)))
+        half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
+                         for g in grids])
+        self.phase = -1j * dt
+        self.guard_each_step = not (model.family is Family.BESSEL_NLS and
+                                    abs(dt) * abs(model.lam**2 / model.omega) * 0.5
+                                    < STABILITY_GUARD)
+        self._full = (v_hat, half, np.empty(v_hat.shape, complex),
+                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape))
+        self._live(len(self.rows))
+
+    def _live(self, m: int) -> None:
+        self._views = tuple(a[:m] for a in self._full)
+        self.spectra = list(self._views[0])
+
+    def advance(self, j: int) -> Sequence[tuple[int, DivergenceError]]:
+        """Step j of every live row; returns the (row, error) pairs it retired."""
+        v_hat, half, work, rot, amp = self._views
         np.multiply(half, v_hat, out=work)
-        v = _fft.ifft(work, overwrite_x=True)
-        rate = nls_nonlinear_phase_rate(model, np.abs(v, out=amp))
-        if guard_each_step and abs(dt) * float(np.max(np.abs(rate))) >= STABILITY_GUARD:
-            raise DivergenceError(f"nonlinear rotation exceeded guard {STABILITY_GUARD} "
-                                  f"at t={t:g}; reduce dt", time=t)
-        np.multiply(v, np.exp(np.multiply(phase, rate, out=rot), out=rot), out=v)
-        np.multiply(half, _fft.fft(v, overwrite_x=True), out=v_hat)
+        v = _fft.ifft(work, axis=-1, overwrite_x=True)
+        rate = nls_nonlinear_phase_rate(self.model, np.abs(v, out=amp))
+        bad = {}  # row -> message, {t} standing for its time
+        if self.guard_each_step:
+            peak = abs(self.dt) * np.max(np.abs(rate), axis=-1)
+            for k in np.flatnonzero(peak >= STABILITY_GUARD):
+                bad[int(k)] = (f"nonlinear rotation exceeded guard {STABILITY_GUARD} "
+                               "at t={t:g}; reduce dt")
+        np.multiply(v, np.exp(np.multiply(self.phase, rate, out=rot), out=rot), out=v)
+        np.multiply(half, _fft.fft(v, axis=-1, overwrite_x=True), out=v_hat)
         # Both sub-steps are unit-modulus rotations, so the exact flow keeps the
         # spectral power sum fixed; rescaling onto it removes the slow systematic
         # drift (~1e-16 per step) that exp() and the transform pair leave behind.
-        total = float(np.vdot(v_hat, v_hat).real)
-        if not math.isfinite(total):
-            raise DivergenceError(f"non-finite field at t={t:g}", time=t)
-        scale = math.sqrt(target / total)
-        if abs(scale - 1.0) > UNITARITY_GUARD:
-            raise DivergenceError(f"unitarity defect {abs(scale - 1.0):.3e} at t={t:g}", time=t)
-        np.multiply(v_hat, scale, out=v_hat)
+        for k, (row, target) in enumerate(zip(self.spectra, self.targets)):
+            if k in bad:
+                continue
+            total = float(np.vdot(row, row).real)
+            if not math.isfinite(total):
+                bad[k] = "non-finite field at t={t:g}"
+                continue
+            scale = math.sqrt(target / total)
+            if abs(scale - 1.0) > UNITARITY_GUARD:
+                bad[k] = f"unitarity defect {abs(scale - 1.0):.3e} at t={{t:g}}"
+                continue
+            np.multiply(row, scale, out=row)
+        return self._retire(bad, j) if bad else ()
 
-    return advance
+    def _retire(self, bad: dict, j: int) -> list[tuple[int, DivergenceError]]:
+        retired = []
+        for k in sorted(bad):
+            t = self.t0[k] + j * self.dt
+            retired.append((self.rows[k], DivergenceError(bad[k].format(t=t), time=t)))
+        keep = [k for k in range(len(self.rows)) if k not in bad]
+        for a in self._full[:2]:
+            a[:len(keep)] = a[keep]
+        self.rows, self.targets, self.t0 = ([seq[k] for k in keep]
+                                            for seq in (self.rows, self.targets, self.t0))
+        self._live(len(keep))
+        return retired
 
 
 def step(state: FieldState, model: ModelSpec, dt: float) -> FieldState:
     """One Strang step.  dt may be negative (time reversal)."""
-    v_hat = _fft.fft(state.values)
-    _stepper(state.grid, model, dt, v_hat)(v_hat, state.time + dt)
-    return FieldState(state.grid, _fft.ifft(v_hat), state.time + dt)
+    stack = _Stepper([state.grid], model, dt, _fft.fft(state.values)[np.newaxis], [state.time])
+    for _, err in stack.advance(1):
+        raise err
+    return FieldState(state.grid, _fft.ifft(stack.spectra[0]), state.time + dt)
 
 
 def propagate(initial: FieldState, cfg: RunConfig) -> Trajectory:
@@ -199,32 +253,54 @@ def propagate(initial: FieldState, cfg: RunConfig) -> Trajectory:
     On divergence the partial trajectory (snapshots up to the last healthy
     step) rides on the raised error.
     """
-    grid = initial.grid
-    v_hat = _fft.fft(initial.values)
-    advance = _stepper(grid, cfg.model, cfg.dt, v_hat)
+    result, = propagate_batch([initial], cfg)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
+
+
+def propagate_batch(initials: Sequence[FieldState],
+                    cfg: RunConfig) -> list[Trajectory | DivergenceError]:
+    """propagate() for a stack of initial states that share n, stepped together.
+
+    Each entry of the result is the row's Trajectory, bitwise that of its solo
+    run, or the DivergenceError it raised there, partial trajectory attached;
+    a diverged row leaves the stack and the others keep stepping.
+    """
+    if not initials:
+        raise DomainError("propagate_batch needs at least one initial state")
+    grids = [s.grid for s in initials]
+    if len({g.n for g in grids}) > 1:
+        raise DomainError(f"batched rows must share n, got {sorted({g.n for g in grids})}")
+    stack = _Stepper(grids, cfg.model, cfg.dt,
+                     np.array([_fft.fft(s.values) for s in initials]),
+                     [s.time for s in initials])
     n_steps = cfg.n_steps
-    t0 = initial.time
 
     # Kept spectral between steps: the discrete mass is read off the spectrum
     # (Parseval), so only one transform pair per step touches the state.
-    parseval = grid.spacing / grid.n
+    parseval = [g.spacing / g.n for g in grids]
 
-    snaps = [initial]
-    peaks = [peak_intensity(initial)]
-    masses = [float(np.vdot(v_hat, v_hat).real) * parseval]
+    snaps = [[s] for s in initials]
+    peaks = [[peak_intensity(s)] for s in initials]
+    masses = [[target * p] for target, p in zip(stack.targets, parseval)]
+    results: list = [None] * len(initials)
     for j in range(1, n_steps + 1):
-        t = t0 + j * cfg.dt
-        try:
-            advance(v_hat, t)
-        except DivergenceError as err:
-            err.partial = Trajectory(tuple(snaps), np.array(masses), np.array(peaks))
-            raise
-        masses.append(float(np.vdot(v_hat, v_hat).real * parseval))
+        for i, err in stack.advance(j):
+            err.partial = Trajectory(tuple(snaps[i]), np.array(masses[i]), np.array(peaks[i]))
+            results[i] = err
+        if not stack.rows:
+            break
+        for i, row in zip(stack.rows, stack.spectra):
+            masses[i].append(float(np.vdot(row, row).real * parseval[i]))
         if j % cfg.snapshot_stride == 0 or j == n_steps:
-            state = FieldState(grid, _fft.ifft(v_hat), t)
-            snaps.append(state)
-            peaks.append(peak_intensity(state))
-    return Trajectory(tuple(snaps), np.array(masses), np.array(peaks))
+            for i, row in zip(stack.rows, stack.spectra):
+                state = FieldState(grids[i], _fft.ifft(row), initials[i].time + j * cfg.dt)
+                snaps[i].append(state)
+                peaks[i].append(peak_intensity(state))
+    for i in stack.rows:
+        results[i] = Trajectory(tuple(snaps[i]), np.array(masses[i]), np.array(peaks[i]))
+    return results
 
 
 # --- initial conditions ----------------------------------------------------

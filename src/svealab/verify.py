@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FamilyMismatchError
+from .errors import DomainError, FamilyMismatchError
 from .models import ModelSpec, kg_force, nls_nonlinear_phase_rate
 from .solutions import (
     AnalyticSolution,
@@ -63,6 +63,10 @@ _RATIO_GRIDS = (251, 501)
 _TOLERANCE_GRID = 2001
 
 _TIMES = (0.0, 0.4)
+
+# The 5-point stencils leave n_points - 4 interior points; a map window needs
+# both of its ends.
+_STENCIL_POINTS = 5
 
 
 @dataclass(frozen=True)
@@ -112,7 +116,10 @@ def _slab_first(slab: np.ndarray, tau: float) -> np.ndarray:
     return (slab[0] - 8.0 * slab[1] + 8.0 * slab[3] - slab[4]) / (12.0 * tau)
 
 
-def _grid(x_range: tuple[float, float], n_points: int) -> tuple[np.ndarray, float]:
+def _grid(x_range: tuple[float, float], n_points: int,
+          minimum: int) -> tuple[np.ndarray, float]:
+    if int(n_points) < minimum:
+        raise DomainError(f"n_points must be at least {minimum}, got {n_points}")
     lo, hi = float(x_range[0]), float(x_range[1])
     x = np.linspace(lo, hi, int(n_points))
     return x, (hi - lo) / (int(n_points) - 1)
@@ -134,7 +141,7 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
     """Residual of d2_t(phi) - d2_x(phi) + N(phi) at interior grid points."""
     if not model.family.is_kg:
         raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
-    x, h = _grid(x_range, n_points)
+    x, h = _grid(x_range, n_points, _STENCIL_POINTS)
     static = not sol.travelling
     times = (t_range[0],) if static else tuple(t_range)
     worst = 0.0
@@ -166,7 +173,7 @@ def nls_residual(model: ModelSpec, sol: AnalyticSolution,
     """Residual of i*d_t(psi) + D*d2_x(psi) - V(|psi|)*psi at interior points."""
     if not model.family.is_nls:
         raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
-    x, h = _grid(x_range, n_points)
+    x, h = _grid(x_range, n_points, _STENCIL_POINTS)
     worst = 0.0
     norm = 0.0
     for t0 in t_range:
@@ -265,7 +272,7 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
     difference grows like |1 - exp(i*theta*t)|.
     """
     kg_sol, nls_sol = instantiate_pair(pair, detune=detune)
-    x, _ = _grid(pair.window, n_points)
+    x, _ = _grid(pair.window, n_points, 2)
     phi = np.asarray(eval_solution(kg_sol, x, 0.0), dtype=complex)
     per_time = []
     worst = 0.0

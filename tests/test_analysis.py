@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from svealab.analysis import (ScanTemplate, count_structures, detection_threshold,
+from svealab.analysis import (ScanTemplate, StabilityPoint, count_structures, detection_threshold,
                               find_peaks, oscillation_metric, outer_position_blocks,
                               peak_count_series, persistent_structure_count,
                               scan_stability, splitting_alternations,
@@ -224,3 +224,53 @@ class TestStabilityScan:
         assert pt.alpha == 0.5
         assert pt.psi0_opt > 0
         assert np.isfinite(pt.metric_value)
+
+
+# Coarse and cheap: only the scan machinery is under test here.
+_SMALL = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0),
+                      grid_n=128, grid_length=48.0, t_final=20.0, dt=5e-3,
+                      snapshot_stride=400)
+
+
+class TestLockstepScan:
+    """The widths run in lockstep batches; results must not depend on it."""
+
+    def test_independent_of_jobs_and_alpha_order(self):
+        # 0.7 widens its range once while the others already refine
+        tmpl = ScanTemplate(_SMALL.model, grid_n=128, grid_length=48.0, t_final=10.0,
+                            dt=5e-3, snapshot_stride=400)
+        alphas = [0.3, 0.5, 0.7]
+        serial = scan_stability(alphas, (0.5, 3.0, 4), tmpl, jobs=1, refine_iters=3)
+        assert [p.alpha for p in serial] == alphas
+        assert any(p.flags.startswith("widened high") for p in serial)
+        assert scan_stability(alphas, (0.5, 3.0, 4), tmpl, jobs=2, refine_iters=3) == serial
+        reverse = scan_stability(alphas[::-1], (0.5, 3.0, 4), tmpl, jobs=1, refine_iters=3)
+        assert sorted(reverse, key=lambda p: p.alpha) == serial
+
+    # Values from the serial per-cell scan this one replaced.
+    @pytest.mark.parametrize("psi0_range, expected", [
+        ((2.6, 3.4, 3), StabilityPoint(0.5, 3.3554175279993266, 0.023679980792752846,
+                                       "widened high to 4.2")),
+        ((0.2, 0.9, 3), StabilityPoint(0.5, 3.0, 0.08126046902864933,
+                                       "widened high to 1.6; widened high to 3; "
+                                       "widened high to 5.8; minimum stayed on range boundary")),
+    ], ids=["widened-once", "boundary-after-widenings"])
+    def test_widening_keeps_its_flags(self, psi0_range, expected):
+        point, = scan_stability([0.5], psi0_range, _SMALL, refine_iters=2)
+        assert point.flags == expected.flags
+        assert point.psi0_opt == pytest.approx(expected.psi0_opt, rel=1e-12)
+        assert point.metric_value == pytest.approx(expected.metric_value, rel=1e-9)
+
+    def test_all_cells_diverged(self):
+        # lambda=10 at dt=0.012 leaves the rotation guard on, and every sech
+        # tail (rate near 50) trips it on the first step
+        tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=10.0, omega=1.0), grid_n=64,
+                            grid_length=48.0, t_final=0.24, dt=0.012, snapshot_stride=5)
+        points = scan_stability([0.5, 0.3], (1.0, 3.0, 3), tmpl, refine_iters=2)
+        assert [p.flags for p in points] == ["all cells diverged"] * 2
+        assert all(np.isnan(p.psi0_opt) and p.metric_value == np.inf for p in points)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(DomainError, match="jobs"):
+            scan_stability([0.5], (1.0, 3.0, 5), _SMALL, jobs=jobs)

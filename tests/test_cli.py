@@ -137,6 +137,25 @@ class TestExitCodes:
         ini = _write_ini(tmp_path / "short.ini", STRUCTURED_INI, dt=0.3, t_final=1.0)
         assert main(["run", "--config", str(ini)]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_scan_jobs_below_one_is_usage_error(self, outdir, tmp_path, capsys, jobs):
+        ini = tmp_path / "scan.ini"
+        ini.write_text(TINY_SCAN_INI)
+        assert main(["scan", "--config", str(ini), "--jobs", jobs]) == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not (outdir / "scan").exists()
+
+    @pytest.mark.parametrize("command, section, n_points, minimum", [
+        ("verify", "verify", 3, 5), ("verify", "verify", -4, 5),
+        ("map-check", "map", 1, 2), ("map-check", "map", 0, 2),
+    ])
+    def test_grid_below_the_stencil_is_usage_error(self, outdir, tmp_path, capsys,
+                                                   command, section, n_points, minimum):
+        ini = tmp_path / "small.ini"
+        ini.write_text(f"[{section}]\nn_points = {n_points}\n")
+        assert main([command, "--config", str(ini)]) == EXIT_USAGE
+        assert f"at least {minimum}" in capsys.readouterr().err
+
 
 def _run_configs():
     for name, preset in PRESETS.items():
@@ -242,6 +261,32 @@ class TestScanCommand:
         assert (out / "manifest.txt").exists()
 
 
+
+class TestManifest:
+    """manifest.txt holds what a rerun needs: the flags and the merged settings."""
+
+    def test_scan_manifest(self, outdir, tmp_path):
+        ini = _write_ini(tmp_path / "scan.ini", TINY_SCAN_INI, "scan", refine_iters=1)
+        assert main(["scan", "--config", str(ini), "--jobs", "2"]) == EXIT_OK
+        text = (outdir / "scan" / "manifest.txt").read_text()
+        assert f"config: {ini}\n" in text
+        for line in ("jobs: 2", "threshold: None", "detune: None", "[model]",
+                     "family = bessel_nls", "[scan]", "alphas = 0.5", "refine_iters = 1"):
+            assert line + "\n" in text, line
+
+    def test_map_check_manifest(self, outdir, tmp_path):
+        ini = tmp_path / "map.ini"
+        ini.write_text("[map]\nt_samples = 0, 2\n")
+        argv = ["map-check", "--preset", "map-all", "--config", str(ini),
+                "--detune", "0.05", "--threshold", "1e-3"]
+        assert main(argv) == EXIT_CHECKS_FAILED
+        text = (outdir / "map-check-map-all" / "manifest.txt").read_text()
+        # preset -> config -> flags: the file's t_samples and the flag's tolerance win
+        for line in ("jobs: 1", "threshold: 0.001", "detune: 0.05", "[map]",
+                     "tolerance = 0.001", "t_samples = 0, 2", "n_points = 801"):
+            assert line + "\n" in text, line
+
+
 class TestVerifyArtifacts:
     def test_report_written(self, outdir):
         assert main(["verify", "--preset", "verify-all"]) == EXIT_OK
@@ -332,3 +377,17 @@ class TestCatalogBytes:
         assert main(argv) == code
         report = outdir / f"{argv[0]}-{argv[2]}" / "report.txt"
         assert _sha256(report.read_bytes()) == digest
+
+
+class TestScanBytes:
+    """The benchmark's short scan is pinned byte for byte."""
+
+    @pytest.mark.skipif(not _SAME_STACK, reason=(
+        f"scan digest was recorded with numpy {_RECORDED['numpy']}, "
+        f"scipy {_RECORDED['scipy']}"))
+    def test_scan_short_stability_table(self, outdir):
+        assert main(["scan", "--config", str(SCAN_SHORT_INI), "--jobs", "1"]) == EXIT_OK
+        table = (outdir / "scan" / "stability.csv").read_bytes()
+        assert _sha256(table) == _RECORDED["workloads"]["scan-short"]["scan/stability.csv"]
+        assert _sha256(table) == \
+            "4a057e20cbd6474631363930007e22fc2e48de1853213ccdf9b92564f9474af7"

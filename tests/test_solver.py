@@ -9,8 +9,8 @@ from svealab.errors import DivergenceError, DomainError
 from svealab.models import BESSEL_RATE_CUTOVER, Family, ModelSpec, nls_nonlinear_phase_rate
 from svealab.solutions import SolutionId, make_solution
 from svealab.solver import (FieldState, Grid1D, RunConfig, Trajectory, catalog_profile,
-                            mass, peak_intensity, propagate, sech_profile, step,
-                            supergaussian_profile, uniform_profile)
+                            mass, peak_intensity, propagate, propagate_batch, sech_profile,
+                            step, supergaussian_profile, uniform_profile)
 
 from oracles import K_VALUES, reference_propagate
 
@@ -267,14 +267,106 @@ _BITWISE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", list(_BITWISE_CASES))
-def test_in_place_stepper_matches_textbook_step_bitwise(name):
-    model, st, dt = _BITWISE_CASES[name]
-    cfg = RunConfig(model, dt=dt, t_final=200 * dt, snapshot_stride=30)
-    fast, ref = propagate(st, cfg), reference_propagate(st, cfg)
-    assert len(fast.snapshots) == len(ref.snapshots) == 8
+def _assert_same_trajectory(fast, ref):
+    assert len(fast.snapshots) == len(ref.snapshots)
     for a, b in zip(fast.snapshots, ref.snapshots):
         assert a.time == b.time
         assert np.array_equal(a.values, b.values)
     assert np.array_equal(fast.mass_series, ref.mass_series)
     assert np.array_equal(fast.peak_series, ref.peak_series)
+
+
+@pytest.mark.parametrize("name", list(_BITWISE_CASES))
+def test_in_place_stepper_matches_textbook_step_bitwise(name):
+    model, st, dt = _BITWISE_CASES[name]
+    cfg = RunConfig(model, dt=dt, t_final=200 * dt, snapshot_stride=30)
+    fast, ref = propagate(st, cfg), reference_propagate(st, cfg)
+    assert len(fast.snapshots) == 8
+    _assert_same_trajectory(fast, ref)
+
+
+FOCUSING = ModelSpec(Family.CUBIC_NLS, lam=-1.0, omega=1.0)
+
+
+class TestBatchedPropagation:
+    """Every row of a propagate_batch stack is bitwise its solo textbook run."""
+
+    def test_rows_with_different_grid_lengths(self):
+        # the scan's grids: length max(80, 24/alpha) at a shared n
+        cfg = RunConfig(BESSEL, dt=2e-3, t_final=0.4, snapshot_stride=50)
+        initials = [sech_profile(Grid1D(256, max(80.0, 24.0 / alpha)), psi0, alpha)
+                    for alpha, psi0 in ((0.1, 0.3), (0.15, 0.6), (0.1, 1.1), (0.5, 2.0))]
+        results = propagate_batch(initials, cfg)
+        assert len(results) == 4
+        for st, traj in zip(initials, results):
+            _assert_same_trajectory(traj, reference_propagate(st, cfg))
+
+    def test_stack_mixing_bessel_series_and_direct_rows(self):
+        names = ("bessel-series", "bessel-direct", "bessel-mixed")
+        initials = [_BITWISE_CASES[name][1] for name in names]
+        assert all(_BITWISE_CASES[name][0] == BESSEL for name in names)
+        cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.2, snapshot_stride=30)
+        for st, traj in zip(initials, propagate_batch(initials, cfg)):
+            _assert_same_trajectory(traj, reference_propagate(st, cfg))
+
+    def test_rows_diverging_mid_run_are_retired_alone(self):
+        # focusing pulses compress: amplitudes 3 and 4 trip the per-step guard
+        # at steps 14 and 7, amplitudes 2 and 1.5 run to the end
+        cfg = RunConfig(FOCUSING, dt=0.02, t_final=2.0, snapshot_stride=10)
+        initials = [sech_profile(_G, psi0) for psi0 in (2.0, 3.0, 1.5, 4.0)]
+        results = propagate_batch(initials, cfg)
+        for st, got in zip(initials, results):
+            try:
+                solo = propagate(st, cfg)
+            except DivergenceError as err:
+                assert isinstance(got, DivergenceError)
+                assert str(got) == str(err) and got.time == err.time
+                _assert_same_trajectory(got.partial, err.partial)
+            else:
+                _assert_same_trajectory(got, solo)
+                _assert_same_trajectory(got, reference_propagate(st, cfg))
+        assert [type(r).__name__ for r in results] == \
+            ["Trajectory", "DivergenceError", "Trajectory", "DivergenceError"]
+        assert [len(r.partial.mass_series) for r in results[1::2]] == [14, 7]
+
+    def test_non_finite_row_is_retired_alone(self, monkeypatch):
+        # row 1's rate turns infinite on the third step; the Bessel bound has
+        # switched the rotation guard off, so only its power sum sees it
+        calls = []
+
+        def poisoned(model, amp):
+            calls.append(None)
+            rate = nls_nonlinear_phase_rate(model, amp)
+            if len(calls) == 3:
+                rate[1, 0] = np.inf
+            return rate
+
+        cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.01, snapshot_stride=4)
+        initials = [sech_profile(_G, psi0) for psi0 in (1.0, 2.0, 3.0)]
+        monkeypatch.setattr("svealab.solver.nls_nonlinear_phase_rate", poisoned)
+        with np.errstate(invalid="ignore"):
+            first, bad, last = propagate_batch(initials, cfg)
+        assert isinstance(bad, DivergenceError) and "non-finite" in str(bad)
+        assert bad.time == pytest.approx(3e-3)
+        assert len(bad.partial.mass_series) == 3
+        _assert_same_trajectory(first, reference_propagate(initials[0], cfg))
+        _assert_same_trajectory(last, reference_propagate(initials[2], cfg))
+
+    def test_batch_of_one_is_propagate(self):
+        model, st, dt = _BITWISE_CASES["bessel-mixed"]
+        cfg = RunConfig(model, dt=dt, t_final=50 * dt, snapshot_stride=20)
+        traj, = propagate_batch([st], cfg)
+        _assert_same_trajectory(traj, propagate(st, cfg))
+
+    def test_rejects_empty_and_mixed_sizes(self):
+        cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.01)
+        with pytest.raises(DomainError, match="at least one"):
+            propagate_batch([], cfg)
+        with pytest.raises(DomainError, match="share n"):
+            propagate_batch([sech_profile(Grid1D(64, 20.0), 1.0),
+                             sech_profile(Grid1D(128, 20.0), 1.0)], cfg)
+
+    def test_zero_row_is_rejected_before_stepping(self):
+        cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.01)
+        with pytest.raises(DomainError, match="mass"):
+            propagate_batch([sech_profile(_G, 1.0), uniform_profile(_G, 0.0)], cfg)

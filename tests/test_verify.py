@@ -9,10 +9,12 @@ comparison.
 import numpy as np
 import pytest
 
+from svealab.errors import DomainError
 from svealab.solutions import SolutionId, instantiate_pair, make_solution, mapping_table, model_for
 from svealab.verify import (CONVERGENCE_RATIO_MIN, DEFAULT_TOLERANCE, FLOOR_RESIDUAL,
                             MAPPING_TOLERANCE, check_all_mappings, check_mapping,
-                            mapping_report, nls_residual, verification_report,
+                            mapping_report, nls_residual, residual_for,
+                            verification_report,
                             verify_catalog, verify_entry)
 
 
@@ -103,3 +105,27 @@ def test_static_residual_flags_wrong_coefficient():
     ok = nls_residual(model, sol, (-3.0, 3.0), 801)
     bad = nls_residual(wrong, sol, (-3.0, 3.0), 801)
     assert bad.relative_residual > 100.0 * ok.relative_residual
+
+
+class TestGridSizes:
+    """Grids too small for the stencil or the window are domain errors."""
+
+    @pytest.mark.parametrize("n_points", [4, 3, 0, -4])
+    def test_residual_needs_the_stencil(self, n_points):
+        for sid in (SolutionId.CUBIC_KG_SN, SolutionId.SG_KINK, SolutionId.CUBIC_NLS_SN):
+            with pytest.raises(DomainError, match="at least 5"):
+                residual_for(make_solution(sid), n_points=n_points)
+        with pytest.raises(DomainError, match="at least 5"):
+            verify_catalog([SolutionId.CUBIC_KG_SN], n_points=n_points)
+
+    def test_smallest_residual_grid_runs(self):
+        for sid in (SolutionId.CUBIC_KG_SN, SolutionId.SG_KINK, SolutionId.CUBIC_NLS_SN):
+            assert np.isfinite(residual_for(make_solution(sid), n_points=5).max_abs_residual)
+
+    @pytest.mark.parametrize("n_points", [1, 0, -2])
+    def test_mapping_needs_both_window_ends(self, n_points):
+        with pytest.raises(DomainError, match="at least 2"):
+            check_mapping(mapping_table()[0], n_points=n_points)
+
+    def test_smallest_mapping_grid_runs(self):
+        assert check_mapping(mapping_table()[0], n_points=2).max_abs_diff < MAPPING_TOLERANCE
