@@ -21,8 +21,8 @@ from .solver import (FieldState, Grid1D, RunConfig, Trajectory, mass,
                      uniform_profile)
 from .verify import (check_all_mappings, check_mapping, kg_residual,
                      nls_residual, residual_for, verify_catalog, verify_entry)
-from .analysis import (Peak, ScanTemplate, StabilityPoint, count_structures,
-                       find_peaks, oscillation_metric, scan_stability,
+from .analysis import (Peak, PeakTable, ScanTemplate, StabilityPoint, count_structures,
+                       find_peaks, oscillation_metric, peak_table, scan_stability,
                        stable_line_prediction, track_structures)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

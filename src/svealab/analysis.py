@@ -2,8 +2,10 @@
 and the amplitude-width stability scan.
 
 Peak positions come from scipy's local-maximum finder refined by 3-point
-parabolic interpolation.  Structure counts are modal over the trailing
-snapshot window, which rides out miscounts at breathing phase extremes.
+parabolic interpolation.  peak_table runs it once per snapshot, at one
+threshold and separation; build that table once and pass it to every metric,
+each of which reads a trailing window of its rows.  Structure counts are modal
+over the window, which rides out miscounts at breathing phase extremes.
 The stability scan minimizes the breathing metric of psi0*sech(alpha*x)
 initial data over psi0: a coarse sweep brackets the minimum and a
 golden-section pass refines it.  Each width's search is a coroutine that
@@ -41,10 +43,12 @@ __all__ = [
     "ScanTemplate",
     "find_peaks",
     "detection_threshold",
+    "PeakRow",
+    "PeakTable",
+    "peak_table",
     "peak_count_series",
     "count_structures",
     "splitting_alternations",
-    "central_peak_series",
     "oscillation_metric",
     "outer_position_blocks",
     "track_structures",
@@ -104,15 +108,6 @@ def find_peaks(state: FieldState, threshold: float,
     return peaks
 
 
-def _window_snapshots(traj: Trajectory, window: float) -> tuple[FieldState, ...]:
-    if not traj.snapshots:
-        raise DomainError("trajectory has no snapshots")
-    if not 0.0 < window <= 1.0:
-        raise DomainError(f"window fraction must be in (0, 1], got {window}")
-    k = max(1, int(math.ceil(window * len(traj.snapshots))))
-    return traj.snapshots[-k:]
-
-
 def detection_threshold(traj: Trajectory,
                         fraction: float = DEFAULT_THRESHOLD_FRACTION) -> float:
     """Absolute detection bar: fraction of the trajectory's global max |psi|^2."""
@@ -121,30 +116,53 @@ def detection_threshold(traj: Trajectory,
     return fraction * float(np.max(traj.peak_series))
 
 
-def _resolve_threshold(traj: Trajectory, threshold: Optional[float]) -> float:
-    if threshold is not None:
-        return float(threshold)
-    return detection_threshold(traj)
+@dataclass(frozen=True)
+class PeakRow:
+    """One snapshot: its time, its peaks and its max |psi|^2."""
+
+    time: float
+    peaks: tuple[Peak, ...]
+    max_intensity: float
 
 
-def peak_count_series(traj: Trajectory, threshold: Optional[float] = None,
-                      min_separation: float = DEFAULT_MIN_SEPARATION,
-                      window: float = 1.0) -> list[tuple[float, int]]:
+@dataclass(frozen=True)
+class PeakTable:
+    """The peaks of every snapshot of one trajectory, found once by peak_table;
+    every metric below reads its rows."""
+
+    rows: tuple[PeakRow, ...]
+
+    def tail(self, fraction: float) -> tuple[PeakRow, ...]:
+        """The trailing max(1, ceil(fraction * N)) rows; fraction in (0, 1]."""
+        if not 0.0 < fraction <= 1.0:
+            raise DomainError(f"window fraction must be in (0, 1], got {fraction}")
+        return self.rows[-max(1, int(math.ceil(fraction * len(self.rows)))):]
+
+
+def peak_table(traj: Trajectory, threshold: Optional[float] = None,
+               min_separation: float = DEFAULT_MIN_SEPARATION) -> PeakTable:
+    """One find_peaks pass per snapshot, at one threshold (default:
+    detection_threshold(traj)).  The max |psi|^2 of each row is the
+    trajectory's peak_series entry."""
+    if not traj.snapshots:
+        raise DomainError("trajectory has no snapshots")
+    thr = detection_threshold(traj) if threshold is None else float(threshold)
+    return PeakTable(tuple(
+        PeakRow(s.time, tuple(find_peaks(s, thr, min_separation)), float(top))
+        for s, top in zip(traj.snapshots, traj.peak_series)))
+
+
+def peak_count_series(table: PeakTable, window: float = 1.0) -> list[tuple[float, int]]:
     """(time, peak count) per snapshot over the trailing window."""
-    thr = _resolve_threshold(traj, threshold)
-    return [(s.time, len(find_peaks(s, thr, min_separation)))
-            for s in _window_snapshots(traj, window)]
+    return [(row.time, len(row.peaks)) for row in table.tail(window)]
 
 
-def count_structures(traj: Trajectory, window: float = DEFAULT_WINDOW_FRACTION,
-                     threshold: Optional[float] = None,
-                     min_separation: float = DEFAULT_MIN_SEPARATION) -> int:
+def count_structures(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION) -> int:
     """Modal peak count over the trailing snapshot window.
 
     Ties between equally frequent counts resolve to the smaller count.
     """
-    counts = [c for _, c in peak_count_series(traj, threshold, min_separation, window)]
-    freq = Counter(counts)
+    freq = Counter(c for _, c in peak_count_series(table, window))
     best = max(freq.items(), key=lambda kv: (kv[1], -kv[0]))
     return int(best[0])
 
@@ -170,11 +188,8 @@ def splitting_alternations(counts: Sequence[int], split_at: int = 3,
     return flips
 
 
-def outer_position_blocks(traj: Trajectory, window: float = DEFAULT_WINDOW_FRACTION,
-                          threshold: Optional[float] = None,
-                          min_separation: float = DEFAULT_MIN_SEPARATION,
-                          n_blocks: int = 4,
-                          core_radius: float = 3.0) -> np.ndarray:
+def outer_position_blocks(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION,
+                          n_blocks: int = 4, core_radius: float = 3.0) -> np.ndarray:
     """Block-averaged mean |position| of off-center peaks over the window.
 
     Travelling structures breathe, so their instantaneous positions wobble
@@ -184,11 +199,9 @@ def outer_position_blocks(traj: Trajectory, window: float = DEFAULT_WINDOW_FRACT
     """
     if n_blocks < 2:
         raise DomainError(f"need at least 2 blocks, got {n_blocks}")
-    thr = _resolve_threshold(traj, threshold)
     per_snap = []
-    for s in _window_snapshots(traj, window):
-        outer = [abs(p.position) for p in find_peaks(s, thr, min_separation)
-                 if abs(p.position) > core_radius]
+    for row in table.tail(window):
+        outer = [abs(p.position) for p in row.peaks if abs(p.position) > core_radius]
         if outer:
             per_snap.append(float(np.mean(outer)))
     if len(per_snap) < n_blocks:
@@ -197,47 +210,28 @@ def outer_position_blocks(traj: Trajectory, window: float = DEFAULT_WINDOW_FRACT
     return np.array([b.mean() for b in np.array_split(np.array(per_snap), n_blocks)])
 
 
-def central_peak_series(traj: Trajectory, window: float = DEFAULT_WINDOW_FRACTION,
-                        threshold: Optional[float] = None,
-                        min_separation: float = DEFAULT_MIN_SEPARATION) -> np.ndarray:
-    """Height of the peak nearest x = 0 per snapshot (global max of |psi|^2
-    when nothing clears the threshold, e.g. plateau-only fields)."""
-    thr = _resolve_threshold(traj, threshold)
-    heights = []
-    for s in _window_snapshots(traj, window):
-        peaks = find_peaks(s, thr, min_separation)
-        if peaks:
-            central = min(peaks, key=lambda p: (abs(p.position), p.position))
-            heights.append(central.height)
-        else:
-            heights.append(float(np.max(np.abs(s.values) ** 2)))
-    return np.array(heights)
-
-
-def oscillation_metric(traj: Trajectory, window: float = DEFAULT_WINDOW_FRACTION,
-                       threshold: Optional[float] = None,
-                       min_separation: float = DEFAULT_MIN_SEPARATION) -> float:
-    """(max - min)/mean of the central-peak height over the window."""
-    h = central_peak_series(traj, window, threshold, min_separation)
+def oscillation_metric(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION) -> float:
+    """(max - min)/mean over the window of the height of the peak nearest
+    x = 0 (the snapshot's max |psi|^2 when nothing clears the threshold, e.g.
+    plateau-only fields)."""
+    h = np.array([min(row.peaks, key=lambda p: (abs(p.position), p.position)).height
+                  if row.peaks else row.max_intensity for row in table.tail(window)])
     mean = float(np.mean(h))
     if mean <= 0.0:
         raise DomainError("degenerate trajectory: central-peak heights average to zero")
     return float((np.max(h) - np.min(h)) / mean)
 
 
-def track_structures(traj: Trajectory, window: float = 1.0,
-                     threshold: Optional[float] = None,
-                     min_separation: float = DEFAULT_MIN_SEPARATION,
+def track_structures(table: PeakTable, window: float = 1.0,
                      gating: float = TRACK_GATING_DISTANCE) -> list[list[Peak]]:
     """Greedy nearest-neighbor matching of peaks across snapshots.
 
     Each track is the time-ordered list of matched peaks; a peak further than
     the gating distance from every live track opens a new one.
     """
-    thr = _resolve_threshold(traj, threshold)
     tracks: list[list[Peak]] = []
-    for s in _window_snapshots(traj, window):
-        peaks = find_peaks(s, thr, min_separation)
+    for row in table.tail(window):
+        peaks = row.peaks
         assignments = []
         for ti, tr in enumerate(tracks):
             last = tr[-1].position
@@ -258,15 +252,11 @@ def track_structures(traj: Trajectory, window: float = 1.0,
     return tracks
 
 
-def persistent_structure_count(traj: Trajectory,
-                               window: float = DEFAULT_WINDOW_FRACTION,
-                               threshold: Optional[float] = None,
-                               min_separation: float = DEFAULT_MIN_SEPARATION) -> int:
+def persistent_structure_count(table: PeakTable,
+                               window: float = DEFAULT_WINDOW_FRACTION) -> int:
     """Tracks present in at least the persistence fraction of window snapshots."""
-    n_snaps = len(_window_snapshots(traj, window))
-    tracks = track_structures(traj, window, threshold, min_separation)
-    need = PERSISTENCE_FRACTION * n_snaps
-    return sum(1 for tr in tracks if len(tr) >= need)
+    need = PERSISTENCE_FRACTION * len(table.tail(window))
+    return sum(1 for tr in track_structures(table, window) if len(tr) >= need)
 
 
 # --- stability scan --------------------------------------------------------
@@ -299,8 +289,8 @@ def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> l
                     snapshot_stride=template.snapshot_stride)
     initials = [sech_profile(template.grid_for(alpha), psi0, alpha) for alpha, psi0 in cells]
     return [math.inf if isinstance(traj, DivergenceError) else
-            oscillation_metric(traj, window=template.window,
-                               min_separation=template.min_separation)
+            oscillation_metric(peak_table(traj, min_separation=template.min_separation),
+                               window=template.window)
             for traj in propagate_batch(initials, cfg)]
 
 
@@ -331,7 +321,7 @@ def _search(alpha: float, lo: float, hi: float, n_samples: int,
     _golden; returns the StabilityPoint."""
     a_lo, a_hi, a_n = lo, hi, n_samples
     flags = []
-    for _ in range(max_widenings + 1):
+    for attempt in range(max_widenings + 1):
         samples = np.linspace(a_lo, a_hi, a_n)
         metrics = yield [float(p) for p in samples]
         if all(math.isinf(m) for m in metrics):
@@ -347,6 +337,10 @@ def _search(alpha: float, lo: float, hi: float, n_samples: int,
             if metrics[k] < best_metric:
                 best_psi0, best_metric = float(samples[k]), float(metrics[k])
             break
+        if attempt == max_widenings:
+            best_psi0, best_metric = float(samples[k]), float(metrics[k])
+            flags.append("minimum stayed on range boundary")
+            break
         # boundary minimum: widen away from the interior and rescan
         span = a_hi - a_lo
         if k == 0:
@@ -355,9 +349,6 @@ def _search(alpha: float, lo: float, hi: float, n_samples: int,
         else:
             a_hi = a_hi + span
             flags.append(f"widened high to {a_hi:g}")
-    else:
-        best_psi0, best_metric = float(samples[k]), float(metrics[k])
-        flags.append("minimum stayed on range boundary")
     return StabilityPoint(alpha, best_psi0, best_metric, "; ".join(flags))
 
 
@@ -365,7 +356,7 @@ def scan_stability(alphas: Sequence[float],
                    psi0_range: tuple[float, float, int],
                    template: ScanTemplate,
                    jobs: int = 1,
-                   refine_iters: int = 8,
+                   refine_iters: int = 6,
                    max_widenings: int = 2) -> list[StabilityPoint]:
     """Minimize the breathing metric over psi0 for each width alpha.
 

@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .analysis import (DEFAULT_MIN_SEPARATION, DEFAULT_WINDOW_FRACTION,
                        ScanTemplate, count_structures, detection_threshold,
-                       oscillation_metric, peak_count_series, scan_stability,
-                       splitting_alternations, track_structures)
+                       oscillation_metric, peak_count_series, peak_table,
+                       scan_stability, splitting_alternations, track_structures)
 from .errors import ConfigError, DivergenceError, DomainError, PoleError
 from .models import ModelSpec
 from .fieldio import (atomic_write_text, write_scan_csv, write_track_csv,
@@ -38,7 +38,7 @@ from .solutions import SolutionId, make_solution
 from .solver import (Grid1D, RunConfig, catalog_profile, propagate,
                      sech_profile, supergaussian_profile, uniform_profile)
 from .verify import (check_all_mappings, mapping_report, verification_report,
-                     verify_catalog, DEFAULT_TOLERANCE, MAPPING_TOLERANCE)
+                     verify_catalog, MAPPING_TOLERANCE)
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -188,16 +188,27 @@ def _get(settings: dict, section: str, key: str, cast, default):
     if raw is None:
         return default
     try:
-        if cast is bool:
-            low = str(raw).strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
         return cast(raw)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from err
+
+
+def _given(**values) -> dict:
+    """The keyword arguments that are not None.  Settings read with default
+    None thus pass only the keys a config sets; the callee's own defaults
+    cover the rest."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _floats(raw: str, name: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers, non-empty."""
+    try:
+        values = tuple(float(v) for v in raw.split(",") if v.strip())
+    except ValueError as err:
+        raise ConfigError(f"bad {name}: {raw!r}") from err
+    if not values:
+        raise ConfigError(f"{name} is empty")
+    return values
 
 
 def _model_from(settings: dict) -> ModelSpec:
@@ -217,6 +228,13 @@ def _grid_from(settings: dict) -> Grid1D:
         return Grid1D(n, length)
     except DomainError as err:
         raise ConfigError(str(err)) from err
+
+
+def _run_config(settings: dict) -> RunConfig:
+    return RunConfig(_model_from(settings), **_given(
+        dt=_get(settings, "run", "dt", float, None),
+        t_final=_get(settings, "run", "t_final", float, None),
+        snapshot_stride=_get(settings, "run", "snapshot_stride", int, None)))
 
 
 def _initial_from(settings: dict, grid: Grid1D):
@@ -282,9 +300,9 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     settings = _with_threshold(load_settings(args.preset, args.config), "verify", args)
     out = _output_dir(args, "verify")
-    tolerance = _get(settings, "verify", "tolerance", float, DEFAULT_TOLERANCE)
-    n_points = _get(settings, "verify", "n_points", int, 2001)
-    reports = verify_catalog(tolerance=tolerance, n_points=n_points)
+    reports = verify_catalog(**_given(
+        tolerance=_get(settings, "verify", "tolerance", float, None),
+        n_points=_get(settings, "verify", "n_points", int, None)))
     text = verification_report(reports)
     atomic_write_text(out / "report.txt", text + "\n")
     print(text)
@@ -297,16 +315,10 @@ def cmd_map_check(args) -> int:
     settings = _with_threshold(load_settings(args.preset, args.config), "map", args)
     out = _output_dir(args, "map-check")
     tolerance = _get(settings, "map", "tolerance", float, MAPPING_TOLERANCE)
-    n_points = _get(settings, "map", "n_points", int, 801)
-    t_samples_raw = _get(settings, "map", "t_samples", str, "0, 1, 10")
-    try:
-        t_samples = tuple(float(v) for v in t_samples_raw.split(",") if v.strip())
-    except ValueError as err:
-        raise ConfigError(f"bad [map] t_samples: {t_samples_raw!r}") from err
-    if not t_samples:
-        raise ConfigError("[map] t_samples is empty")
-    detune = args.detune or 0.0
-    checks = check_all_mappings(n_points=n_points, t_samples=t_samples, detune=detune)
+    t_samples = _get(settings, "map", "t_samples", str, None)
+    checks = check_all_mappings(detune=args.detune or 0.0, **_given(
+        n_points=_get(settings, "map", "n_points", int, None),
+        t_samples=None if t_samples is None else _floats(t_samples, "[map] t_samples")))
     text = mapping_report(checks, tolerance)
     atomic_write_text(out / "report.txt", text + "\n")
     print(text)
@@ -319,15 +331,8 @@ def cmd_run(args) -> int:
     t0 = time.monotonic()
     settings = load_settings(args.preset, args.config)
     out = _output_dir(args, "run")
-    model = _model_from(settings)
-    grid = _grid_from(settings)
-    initial = _initial_from(settings, grid)
-    cfg = RunConfig(
-        model=model,
-        dt=_get(settings, "run", "dt", float, 1e-3),
-        t_final=_get(settings, "run", "t_final", float, 30.0),
-        snapshot_stride=_get(settings, "run", "snapshot_stride", int, 100),
-    )
+    cfg = _run_config(settings)
+    initial = _initial_from(settings, _grid_from(settings))
     code = EXIT_OK
     try:
         traj = propagate(initial, cfg)
@@ -346,16 +351,15 @@ def cmd_run(args) -> int:
                        DEFAULT_MIN_SEPARATION)
         window = _get(settings, "analysis", "window", float,
                       DEFAULT_WINDOW_FRACTION)
-        tracks = track_structures(traj, window=1.0, threshold=threshold,
-                                  min_separation=min_sep)
+        table = peak_table(traj, threshold, min_sep)
+        tracks = track_structures(table, window=1.0)
         write_track_csv(out / "tracks.csv", tracks)
-        count = count_structures(traj, window, threshold, min_sep)
-        series = [c for _, c in peak_count_series(traj, threshold, min_sep)]
-        alternations = splitting_alternations(series)
+        count = count_structures(table, window)
+        alternations = splitting_alternations([c for _, c in peak_count_series(table)])
         summary = (
             f"count_structures: {count}\n"
             f"splitting_alternations: {alternations}\n"
-            f"oscillation_metric: {oscillation_metric(traj, window, threshold, min_sep):.6g}\n"
+            f"oscillation_metric: {oscillation_metric(table, window):.6g}\n"
             f"window_fraction: {window:g}\n"
             f"min_separation: {min_sep:g}\n"
             f"threshold: {'default' if threshold is None else format(threshold, 'g')}\n"
@@ -367,6 +371,15 @@ def cmd_run(args) -> int:
     return code
 
 
+def _scan_template(settings: dict, model: ModelSpec) -> ScanTemplate:
+    return ScanTemplate(model, **_given(
+        grid_n=_get(settings, "scan", "n", int, None),
+        grid_length=_get(settings, "scan", "length", float, None),
+        dt=_get(settings, "scan", "dt", float, None),
+        t_final=_get(settings, "scan", "t_final", float, None),
+        snapshot_stride=_get(settings, "scan", "snapshot_stride", int, None)))
+
+
 def cmd_scan(args) -> int:
     t0 = time.monotonic()
     if args.jobs < 1:
@@ -376,21 +389,8 @@ def cmd_scan(args) -> int:
     model = _model_from(settings) if "model" in settings else None
     if model is None:
         raise ConfigError("scan needs a [model] section (or a preset providing one)")
-    alphas_raw = _get(settings, "scan", "alphas", str, "")
-    try:
-        alphas = tuple(float(v) for v in alphas_raw.split(",") if v.strip())
-    except ValueError as err:
-        raise ConfigError(f"bad [scan] alphas: {alphas_raw!r}") from err
-    if not alphas:
-        raise ConfigError("scan needs a non-empty [scan] alphas list")
-    template = ScanTemplate(
-        model=model,
-        grid_n=_get(settings, "scan", "n", int, 1024),
-        grid_length=_get(settings, "scan", "length", float, 80.0),
-        dt=_get(settings, "scan", "dt", float, 2e-3),
-        t_final=_get(settings, "scan", "t_final", float, 90.0),
-        snapshot_stride=_get(settings, "scan", "snapshot_stride", int, 500),
-    )
+    alphas = _floats(_get(settings, "scan", "alphas", str, ""), "[scan] alphas")
+    template = _scan_template(settings, model)
     points = scan_stability(
         alphas,
         (_get(settings, "scan", "psi0_lo", float, 0.1),
@@ -398,7 +398,7 @@ def cmd_scan(args) -> int:
          _get(settings, "scan", "psi0_samples", int, 9)),
         template,
         jobs=args.jobs,
-        refine_iters=_get(settings, "scan", "refine_iters", int, 6),
+        **_given(refine_iters=_get(settings, "scan", "refine_iters", int, None)),
     )
     write_scan_csv(out / "stability.csv", points)
     for p in points:
@@ -423,13 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
         p.add_argument("--output", help="output root (default $SVEA_LAB_OUTPUT or ./artifacts)")
+        # accepted by every command, so a script can pass one argv form to all four
         p.add_argument("--jobs", type=int, default=1,
-                       help="scans: split each batch of cells into at most this many processes")
-        p.add_argument("--threshold", type=float, default=None,
-                       help="pass/fail tolerance override")
-        p.add_argument("--detune", type=float, default=None,
-                       help="mapping diagnostic: shift the quench parameter")
-        p.set_defaults(fn=fn)
+                       help="read by scan only: split each batch of cells into at most "
+                            "this many processes")
+        if name in ("verify", "map-check"):
+            p.add_argument("--threshold", type=float,
+                           help="pass/fail tolerance override")
+        if name == "map-check":
+            p.add_argument("--detune", type=float,
+                           help="mapping diagnostic: shift the quench parameter")
+        p.set_defaults(fn=fn, threshold=None, detune=None)
     return parser
 
 

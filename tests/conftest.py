@@ -9,20 +9,14 @@ import time
 
 import pytest
 
-from svealab.cli import PRESETS, load_settings, _get, _grid_from, _initial_from, _model_from
-from svealab.solver import RunConfig, propagate
+from svealab.cli import load_settings, _grid_from, _initial_from, _run_config
+from svealab.solver import propagate
 
 
 def run_preset(name):
     settings = load_settings(name, None)
-    grid = _grid_from(settings)
-    initial = _initial_from(settings, grid)
-    cfg = RunConfig(
-        model=_model_from(settings),
-        dt=_get(settings, "run", "dt", float, 1e-3),
-        t_final=_get(settings, "run", "t_final", float, 30.0),
-        snapshot_stride=_get(settings, "run", "snapshot_stride", int, 100),
-    )
+    initial = _initial_from(settings, _grid_from(settings))
+    cfg = _run_config(settings)
     t0 = time.monotonic()
     traj = propagate(initial, cfg)
     return traj, time.monotonic() - t0, settings

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from svealab.analysis import (ScanTemplate, count_structures, detection_threshold,
                               oscillation_metric, outer_position_blocks,
-                              peak_count_series, scan_stability,
+                              peak_count_series, peak_table, scan_stability,
                               splitting_alternations)
 from svealab.models import Family, ModelSpec
 from svealab.solutions import SolutionId, mapping_table
@@ -144,7 +144,7 @@ def test_criterion_04_mass_conservation(case1_run, case2_run, case3_run, case4_r
 def test_criterion_05_strong_kick_splits_in_three(case1_run):
     with criterion(5, "amplitude-15 pulse settles into three structures"):
         traj, seconds, _ = case1_run
-        assert count_structures(traj) == 3
+        assert count_structures(peak_table(traj)) == 3
         assert seconds < 60.0
 
 
@@ -152,8 +152,9 @@ def test_criterion_06_stronger_kick_five_and_receding(case2_run):
     with criterion(6, "amplitude-22 pulse: five structures, outer pairs receding"):
         traj, seconds, settings = case2_run
         min_sep = float(settings["analysis"]["min_separation"])
-        assert count_structures(traj, min_separation=min_sep) == 5
-        blocks = outer_position_blocks(traj, min_separation=min_sep)
+        table = peak_table(traj, min_separation=min_sep)
+        assert count_structures(table) == 5
+        blocks = outer_position_blocks(table)
         assert np.all(np.diff(blocks) > 0), blocks
         assert seconds < 60.0
 
@@ -161,7 +162,7 @@ def test_criterion_06_stronger_kick_five_and_receding(case2_run):
 def test_criterion_07_wide_low_pulse_stays_quiet(case3_run):
     with criterion(7, "wide low pulse propagates without breathing"):
         traj, seconds, _ = case3_run
-        assert oscillation_metric(traj) < OSCILLATION_TOL
+        assert oscillation_metric(peak_table(traj)) < OSCILLATION_TOL
         assert seconds < 120.0
 
 
@@ -205,7 +206,7 @@ def test_criterion_10_flat_top_splits_and_recombines(case4_run):
         frac = float(settings["analysis"]["threshold_fraction"])
         min_sep = float(settings["analysis"]["min_separation"])
         thr = detection_threshold(traj, frac)
-        counts = [c for _, c in peak_count_series(traj, thr, min_sep)]
+        counts = [c for _, c in peak_count_series(peak_table(traj, thr, min_sep))]
         assert max(counts) >= 3
         assert min(counts) <= 2
         assert splitting_alternations(counts) >= 3

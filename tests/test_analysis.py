@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from svealab.analysis import (ScanTemplate, StabilityPoint, count_structures, detection_threshold,
-                              find_peaks, oscillation_metric, outer_position_blocks,
-                              peak_count_series, persistent_structure_count,
-                              scan_stability, splitting_alternations,
-                              stable_line_prediction, track_structures)
+from svealab import analysis
+from svealab.analysis import (PeakRow, PeakTable, ScanTemplate, StabilityPoint, count_structures,
+                              detection_threshold, find_peaks, oscillation_metric,
+                              outer_position_blocks, peak_count_series, peak_table,
+                              persistent_structure_count, scan_stability,
+                              splitting_alternations, stable_line_prediction, track_structures)
 from svealab.errors import DomainError
 from svealab.models import Family, ModelSpec
 from svealab.solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate,
@@ -73,20 +74,20 @@ class TestStructureCounting:
         two = 1 / np.cosh(g.x - 5) + 1 / np.cosh(g.x + 5)
         # trailing 25% of 8 frames = 2 frames, both with three humps
         traj = synthetic_traj(g, [two] * 6 + [three] * 2)
-        assert count_structures(traj, threshold=0.3, min_separation=2.0) == 3
+        assert count_structures(peak_table(traj, threshold=0.3, min_separation=2.0)) == 3
 
     def test_tie_prefers_smaller_count(self):
         g = Grid1D(512, 60.0)
         one = 1 / np.cosh(g.x)
         two = 1 / np.cosh(g.x - 8) + 1 / np.cosh(g.x + 8)
         traj = synthetic_traj(g, [one, two, one, two])
-        n = count_structures(traj, threshold=0.3, min_separation=2.0, window=1.0)
+        n = count_structures(peak_table(traj, threshold=0.3, min_separation=2.0), window=1.0)
         assert n == 1
 
     def test_peak_count_series_shape(self):
         g = Grid1D(256, 40.0)
         traj = synthetic_traj(g, [1 / np.cosh(g.x)] * 3)
-        series = peak_count_series(traj, threshold=0.3)
+        series = peak_count_series(peak_table(traj, threshold=0.3))
         assert [t for t, _ in series] == pytest.approx([0.0, 1.0, 2.0])
         assert [c for _, c in series] == [1, 1, 1]
 
@@ -113,8 +114,8 @@ class TestAlternations:
         three = 1 / np.cosh(g.x) + 1 / np.cosh(g.x - 10) + 1 / np.cosh(g.x + 10)
         one = 1 / np.cosh(g.x)
         traj = synthetic_traj(g, [three, one, three, one])
-        counts = [c for _, c in peak_count_series(traj, threshold=0.3,
-                                                  min_separation=2.0)]
+        counts = [c for _, c in peak_count_series(peak_table(traj, threshold=0.3,
+                                                             min_separation=2.0))]
         assert splitting_alternations(counts) == 3
 
 
@@ -122,14 +123,14 @@ class TestOscillationMetric:
     def test_steady_peak_scores_zero(self):
         g = Grid1D(256, 40.0)
         traj = synthetic_traj(g, [1 / np.cosh(g.x)] * 5)
-        assert oscillation_metric(traj) == pytest.approx(0.0, abs=1e-15)
+        assert oscillation_metric(peak_table(traj)) == pytest.approx(0.0, abs=1e-15)
 
     def test_breathing_peak_scores_swing_over_mean(self):
         g = Grid1D(256, 40.0)
         frames = [a / np.cosh(g.x) for a in (1.0, 1.1, 0.9, 1.0, 1.1, 0.9, 1.0, 1.1)]
         # trailing half: intensities 1.21, 0.81, 1.0, 1.21
         traj = synthetic_traj(g, frames)
-        m = oscillation_metric(traj, window=0.5)
+        m = oscillation_metric(peak_table(traj), window=0.5)
         swing = (1.21 - 0.81) / np.mean([1.21, 0.81, 1.0, 1.21])
         assert m == pytest.approx(swing, rel=1e-10)
 
@@ -143,8 +144,8 @@ class TestOuterBlocks:
             frames.append(1.2 / np.cosh(g.x)
                           + 1 / np.cosh(g.x - d) + 1 / np.cosh(g.x + d))
         traj = synthetic_traj(g, frames)
-        blocks = outer_position_blocks(traj, window=1.0, threshold=0.3,
-                                       min_separation=2.0, n_blocks=4)
+        blocks = outer_position_blocks(peak_table(traj, threshold=0.3, min_separation=2.0),
+                                       window=1.0, n_blocks=4)
         assert len(blocks) == 4
         assert np.all(np.diff(blocks) > 0)
         # the standing hump at the origin must not drag the average down
@@ -154,7 +155,50 @@ class TestOuterBlocks:
         g = Grid1D(256, 40.0)
         traj = synthetic_traj(g, [1 / np.cosh(g.x - 8) + 1 / np.cosh(g.x + 8)] * 4)
         with pytest.raises(DomainError):
-            outer_position_blocks(traj, threshold=0.3, n_blocks=1)
+            outer_position_blocks(peak_table(traj, threshold=0.3), n_blocks=1)
+
+
+class TestPeakTable:
+    def test_one_find_peaks_call_per_snapshot(self, monkeypatch):
+        g = Grid1D(256, 40.0)
+        traj = synthetic_traj(g, [1 / np.cosh(g.x)] * 5)
+        calls = []
+        real = analysis.find_peaks
+        monkeypatch.setattr(analysis, "find_peaks",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        table = peak_table(traj, min_separation=2.0)
+        assert len(calls) == 5
+        # one threshold for every snapshot: the trajectory-wide default
+        assert {(thr, sep) for _, thr, sep in calls} == {(detection_threshold(traj), 2.0)}
+        assert [r.time for r in table.rows] == [s.time for s in traj.snapshots]
+
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_tail_keeps_the_trailing_window_rule(self, n, fraction):
+        table = PeakTable(tuple(PeakRow(float(i), (), 1.0) for i in range(n)))
+        k = max(1, int(np.ceil(fraction * n)))
+        assert table.tail(fraction) == table.rows[-k:]
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_tail_rejects_fractions_outside_unit_interval(self, fraction):
+        table = PeakTable((PeakRow(0.0, (), 1.0),))
+        with pytest.raises(DomainError, match="window"):
+            table.tail(fraction)
+
+    def test_empty_trajectory_rejected(self):
+        traj = Trajectory(snapshots=(), mass_series=np.array([]), peak_series=np.array([]))
+        with pytest.raises(DomainError, match="no snapshots"):
+            peak_table(traj, threshold=0.5)
+
+    def test_plateau_metric_reads_the_peak_series(self):
+        # flat frames have no interior maxima, so each row falls back to its
+        # max |psi|^2, which the table takes from traj.peak_series
+        g = Grid1D(64, 20.0)
+        flat = synthetic_traj(g, [np.ones(64)] * 4)
+        traj = Trajectory(flat.snapshots, flat.mass_series, np.array([1.0, 2.0, 3.0, 4.0]))
+        table = peak_table(traj, threshold=0.5)
+        assert all(not r.peaks for r in table.rows)
+        assert oscillation_metric(table, window=1.0) == pytest.approx((4.0 - 1.0) / 2.5)
 
 
 class TestDetectionThreshold:
@@ -179,12 +223,12 @@ class TestTracking:
         with_blip = steady + 0.8 / np.cosh(2 * (g.x - 14.0))
         frames = [steady] * 7 + [with_blip] + [steady] * 2
         traj = synthetic_traj(g, frames)
-        tracks = track_structures(traj, window=1.0, threshold=0.3, min_separation=2.0)
+        table = peak_table(traj, threshold=0.3, min_separation=2.0)
+        tracks = track_structures(table, window=1.0)
         lifetimes = sorted(len(t) for t in tracks)
         assert lifetimes[-1] == 10
         # the blip lives for one snapshot out of ten, well under persistence
-        n = persistent_structure_count(traj, window=1.0, threshold=0.3,
-                                       min_separation=2.0)
+        n = persistent_structure_count(table, window=1.0)
         assert n == 2
 
 
@@ -247,13 +291,14 @@ class TestLockstepScan:
         reverse = scan_stability(alphas[::-1], (0.5, 3.0, 4), tmpl, jobs=1, refine_iters=3)
         assert sorted(reverse, key=lambda p: p.alpha) == serial
 
-    # Values from the serial per-cell scan this one replaced.
+    # Values from the serial per-cell scan this one replaced.  The boundary
+    # case's flags name only the widenings that were scanned.
     @pytest.mark.parametrize("psi0_range, expected", [
         ((2.6, 3.4, 3), StabilityPoint(0.5, 3.3554175279993266, 0.023679980792752846,
                                        "widened high to 4.2")),
         ((0.2, 0.9, 3), StabilityPoint(0.5, 3.0, 0.08126046902864933,
                                        "widened high to 1.6; widened high to 3; "
-                                       "widened high to 5.8; minimum stayed on range boundary")),
+                                       "minimum stayed on range boundary")),
     ], ids=["widened-once", "boundary-after-widenings"])
     def test_widening_keeps_its_flags(self, psi0_range, expected):
         point, = scan_stability([0.5], psi0_range, _SMALL, refine_iters=2)

@@ -2,6 +2,8 @@
 
 import configparser
 import hashlib
+import importlib.util
+import inspect
 import json
 import re
 from pathlib import Path
@@ -10,8 +12,8 @@ import numpy
 import pytest
 import scipy
 
-from svealab import cli
-from svealab.analysis import ScanTemplate
+from svealab import analysis, cli
+from svealab.analysis import ScanTemplate, scan_stability
 from svealab.cli import (EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, PRESETS,
                          SECTION_KEYS, _get, _model_from, load_settings, main)
 from svealab.models import Family, ModelSpec
@@ -178,14 +180,30 @@ class TestShippedHorizons:
 
     @pytest.mark.parametrize("name, settings", list(_run_configs()))
     def test_run_config_accepted(self, name, settings):
-        cfg = RunConfig(_model_from(settings), dt=_get(settings, "run", "dt", float, 1e-3),
-                        t_final=_get(settings, "run", "t_final", float, 30.0))
+        cfg = cli._run_config(settings)
+        # the values the CLI resolved when it stated these defaults itself
+        assert cfg == RunConfig(_model_from(settings),
+                                dt=_get(settings, "run", "dt", float, 1e-3),
+                                t_final=_get(settings, "run", "t_final", float, 30.0),
+                                snapshot_stride=_get(settings, "run", "snapshot_stride",
+                                                     int, 100))
         assert cfg.n_steps * cfg.dt == pytest.approx(cfg.t_final, rel=1e-12)
 
     @pytest.mark.parametrize("name, settings", list(_scan_configs()))
     def test_scan_config_accepted(self, name, settings):
-        RunConfig(_model_from(settings), dt=_get(settings, "scan", "dt", float, 2e-3),
-                  t_final=_get(settings, "scan", "t_final", float, 90.0))
+        model = _model_from(settings)
+        template = cli._scan_template(settings, model)
+        assert template == ScanTemplate(
+            model, grid_n=_get(settings, "scan", "n", int, 1024),
+            grid_length=_get(settings, "scan", "length", float, 80.0),
+            dt=_get(settings, "scan", "dt", float, 2e-3),
+            t_final=_get(settings, "scan", "t_final", float, 90.0),
+            snapshot_stride=_get(settings, "scan", "snapshot_stride", int, 500))
+        RunConfig(model, dt=template.dt, t_final=template.t_final)
+
+    def test_scan_refines_six_times_unless_configured(self):
+        # every CLI scan without [scan] refine_iters has run six iterations
+        assert inspect.signature(scan_stability).parameters["refine_iters"].default == 6
 
     def test_scan_template_default_accepted(self):
         template = ScanTemplate(ModelSpec(Family.BESSEL_NLS))
@@ -222,6 +240,18 @@ class TestRunArtifacts:
         assert main(["run", "--preset", "uniform3"]) == EXIT_OK
         second = (outdir / "run-uniform3" / "diagnostics.csv").read_bytes()
         assert first == second
+
+    def test_one_find_peaks_pass_per_snapshot(self, outdir, tmp_path, monkeypatch):
+        calls = []
+        real = analysis.find_peaks
+        monkeypatch.setattr(analysis, "find_peaks",
+                            lambda *a, **kw: calls.append(a[0].time) or real(*a, **kw))
+        ini = tmp_path / "structured.ini"
+        ini.write_text(STRUCTURED_INI)
+        assert main(["run", "--config", str(ini)]) == EXIT_OK
+        snapshots = sorted((outdir / "run").glob("*.svea"))
+        assert len(snapshots) == 7
+        assert len(calls) == len(snapshots) == len(set(calls))
 
     def test_structured_rerun_is_byte_identical(self, outdir, tmp_path):
         ini = tmp_path / "structured.ini"
@@ -337,6 +367,39 @@ class TestConfigSchema:
         listed = {(section, key) for section, keys in SECTION_KEYS.items() if keys
                   for key in keys}
         assert read == listed
+
+
+class TestFlagsPerCommand:
+    """Each command accepts only the flags it reads; --jobs is accepted by all."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("run", "--detune"), ("run", "--threshold"), ("scan", "--threshold"),
+        ("scan", "--detune"), ("verify", "--detune")])
+    def test_flag_the_command_does_not_read_is_usage_error(self, outdir, tmp_path, capsys,
+                                                            command, flag):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(TINY_SCAN_INI if command == "scan" else STRUCTURED_INI)
+        argv = [command, "--config", str(ini)] if command != "verify" else [command]
+        assert main(argv + [flag, "0.1"]) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (outdir / command).exists()
+
+    @pytest.mark.parametrize("command", ["verify", "map-check", "run", "scan"])
+    def test_jobs_accepted_by_every_command(self, command):
+        args = cli.build_parser().parse_args([command, "--jobs", "1"])
+        assert (args.jobs, args.threshold, args.detune) == (1, None, None)
+
+
+class TestTracedNames:
+    """The benchmark's tracer replaces these names; each must exist."""
+
+    def test_every_traced_name_resolves(self):
+        spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module_name, attr, *_ in tracing.POINTS:
+            assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+                (module_name, attr)
 
 
 class TestScanAlphas:
