@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.signal import find_peaks as _scipy_find_peaks
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, require_positive
 from .models import Family, ModelSpec
 from .solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate_batch,
                      sech_profile)
@@ -60,6 +60,7 @@ __all__ = [
     "DEFAULT_THRESHOLD_FRACTION",
     "TRACK_GATING_DISTANCE",
     "PERSISTENCE_FRACTION",
+    "MAX_WIDENINGS",
 ]
 
 DEFAULT_WINDOW_FRACTION = 0.25
@@ -90,6 +91,7 @@ def find_peaks(state: FieldState, threshold: float,
     """Local maxima of |psi|^2 above threshold, separated by min_separation."""
     if not threshold > 0.0:
         raise DomainError(f"threshold must be positive, got {threshold}")
+    require_positive("min_separation", min_separation)
     y = np.abs(state.values) ** 2
     dx = state.grid.spacing
     distance = max(1, int(math.ceil(min_separation / dx)))
@@ -271,8 +273,6 @@ class ScanTemplate:
     dt: float = 2e-3
     t_final: float = 90.0
     snapshot_stride: int = 500
-    window: float = DEFAULT_WINDOW_FRACTION
-    min_separation: float = DEFAULT_MIN_SEPARATION
 
     def grid_for(self, alpha: float) -> Grid1D:
         # Wide profiles need a domain several widths across.
@@ -281,7 +281,8 @@ class ScanTemplate:
 
 
 def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> list[float]:
-    """Breathing metric of each (alpha, psi0) cell, all propagated as one batch.
+    """Breathing metric of each (alpha, psi0) cell, all propagated as one batch,
+    at the default peak separation and window.
 
     A cell that diverges scores infinity.
     """
@@ -289,12 +290,13 @@ def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> l
                     snapshot_stride=template.snapshot_stride)
     initials = [sech_profile(template.grid_for(alpha), psi0, alpha) for alpha, psi0 in cells]
     return [math.inf if isinstance(traj, DivergenceError) else
-            oscillation_metric(peak_table(traj, min_separation=template.min_separation),
-                               window=template.window)
+            oscillation_metric(peak_table(traj))
             for traj in propagate_batch(initials, cfg)]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# How many times a scan widens a range whose minimum lands on its boundary.
+MAX_WIDENINGS = 2
 
 
 def _golden(a: float, b: float, iters: int):
@@ -315,13 +317,12 @@ def _golden(a: float, b: float, iters: int):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _search(alpha: float, lo: float, hi: float, n_samples: int,
-            refine_iters: int, max_widenings: int):
+def _search(alpha: float, lo: float, hi: float, n_samples: int, refine_iters: int):
     """One width's coarse sweep, widenings and refinement, as a coroutine like
     _golden; returns the StabilityPoint."""
     a_lo, a_hi, a_n = lo, hi, n_samples
     flags = []
-    for attempt in range(max_widenings + 1):
+    for attempt in range(MAX_WIDENINGS + 1):
         samples = np.linspace(a_lo, a_hi, a_n)
         metrics = yield [float(p) for p in samples]
         if all(math.isinf(m) for m in metrics):
@@ -337,7 +338,7 @@ def _search(alpha: float, lo: float, hi: float, n_samples: int,
             if metrics[k] < best_metric:
                 best_psi0, best_metric = float(samples[k]), float(metrics[k])
             break
-        if attempt == max_widenings:
+        if attempt == MAX_WIDENINGS:
             best_psi0, best_metric = float(samples[k]), float(metrics[k])
             flags.append("minimum stayed on range boundary")
             break
@@ -356,13 +357,12 @@ def scan_stability(alphas: Sequence[float],
                    psi0_range: tuple[float, float, int],
                    template: ScanTemplate,
                    jobs: int = 1,
-                   refine_iters: int = 6,
-                   max_widenings: int = 2) -> list[StabilityPoint]:
+                   refine_iters: int = 6) -> list[StabilityPoint]:
     """Minimize the breathing metric over psi0 for each width alpha.
 
     Coarse grid first, then golden-section refinement inside the bracketing
     interval.  A minimum landing on the range boundary widens the range and
-    reruns, up to max_widenings times; cells that diverge score infinity and
+    reruns, up to MAX_WIDENINGS times; cells that diverge score infinity and
     are skipped.  The widths run in lockstep: each round propagates every cell
     that any width needs next as one batch, so a width evaluates the same
     points as it would alone and the result does not depend on the batching.
@@ -383,9 +383,11 @@ def scan_stability(alphas: Sequence[float],
         raise DomainError(f"bad psi0 range {psi0_range!r}")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if refine_iters < 0:
+        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
 
     alphas = [float(a) for a in alphas]
-    searches = [_search(a, lo, hi, n_samples, refine_iters, max_widenings) for a in alphas]
+    searches = [_search(a, lo, hi, n_samples, refine_iters) for a in alphas]
     points: list = [None] * len(searches)
     executor = (ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
                 if jobs > 1 else contextlib.nullcontext())

@@ -4,9 +4,14 @@ runs, and stability scans.
 Subcommands: verify, map-check, run, scan.  Settings flow preset -> config
 file -> command-line flags, later sources winning.  Config files are INI
 sections (model, grid, run, analysis, scan, verify, map) holding flat
-key=value pairs; an unknown section or key is a config error.  Exit codes:
-0 all checks passed, 1 checks failed, 2 usage or config error, 3 numerical
-divergence.
+key=value pairs; an unknown section or key, or a file that is not UTF-8, is a
+config error.  Exit codes: 0 all checks passed, 1 checks failed, 2 usage or
+config error, 3 numerical divergence.
+
+main runs the steps every command shares, once: load the settings, merge
+--threshold as the command's tolerance, make the output directory, run the
+command body cmd_*(args, settings, out) -> exit code, write the manifest.
+verify and map-check exit by the passed flag each check carries.
 
 Outputs land under --output, else $SVEA_LAB_OUTPUT, else ./artifacts, in a
 per-command directory.  Every artifact directory gets a manifest sufficient
@@ -18,10 +23,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,15 +35,14 @@ from .analysis import (DEFAULT_MIN_SEPARATION, DEFAULT_WINDOW_FRACTION,
                        ScanTemplate, count_structures, detection_threshold,
                        oscillation_metric, peak_count_series, peak_table,
                        scan_stability, splitting_alternations, track_structures)
-from .errors import ConfigError, DivergenceError, DomainError, PoleError
+from .errors import ConfigError, DivergenceError, DomainError, PoleError, require_positive
 from .models import ModelSpec
 from .fieldio import (atomic_write_text, write_scan_csv, write_track_csv,
                       write_trajectory)
 from .solutions import SolutionId, make_solution
 from .solver import (Grid1D, RunConfig, catalog_profile, propagate,
                      sech_profile, supergaussian_profile, uniform_profile)
-from .verify import (check_all_mappings, mapping_report, verification_report,
-                     verify_catalog, MAPPING_TOLERANCE)
+from .verify import check_all_mappings, mapping_report, verification_report, verify_catalog
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -116,36 +120,6 @@ SECTION_KEYS: dict[str, Optional[frozenset[str]]] = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_path: str
-    output_dir: str
-    jobs: int
-    threshold: Optional[float]
-    detune: Optional[float]
-    settings: dict
-    determinism: str
-    version: str
-    duration_s: float
-
-    def to_text(self) -> str:
-        return (
-            f"command: {self.command}\n"
-            f"config: {self.config_path}\n"
-            f"output_dir: {self.output_dir}\n"
-            f"jobs: {self.jobs}\n"
-            f"threshold: {self.threshold!r}\n"
-            f"detune: {self.detune!r}\n"
-            f"determinism: {self.determinism}\n"
-            f"version: {self.version}\n"
-            f"duration_s: {self.duration_s:.3f}\n"
-            "settings (preset -> config -> flags):\n"
-            + "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in kv.items())
-                      for section, kv in self.settings.items())
-        )
-
-
 def _merge(base: dict, extra: dict) -> dict:
     out = {k: dict(v) for k, v in base.items()}
     for sect, kv in extra.items():
@@ -166,7 +140,9 @@ def load_settings(preset: Optional[str], config_path: Optional[str]) -> dict:
             raise ConfigError(f"config file not found: {config_path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            parser.read_string(path.read_text())
+            parser.read_string(path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"cannot read {config_path}: not UTF-8 ({err})") from err
         except configparser.Error as err:
             raise ConfigError(f"cannot parse {config_path}: {err}") from err
         file_settings = {s: dict(parser.items(s)) for s in parser.sections()}
@@ -201,13 +177,15 @@ def _given(**values) -> dict:
 
 
 def _floats(raw: str, name: str) -> tuple[float, ...]:
-    """A comma-separated list of numbers, non-empty."""
+    """A comma-separated list of finite numbers, non-empty."""
     try:
         values = tuple(float(v) for v in raw.split(",") if v.strip())
     except ValueError as err:
         raise ConfigError(f"bad {name}: {raw!r}") from err
     if not values:
         raise ConfigError(f"{name} is empty")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name} must be finite, got {raw!r}")
     return values
 
 
@@ -263,9 +241,9 @@ def _initial_from(settings: dict, grid: Grid1D):
     raise ConfigError(f"unknown initial condition kind {kind!r}")
 
 
-def _output_dir(args, command: str) -> Path:
+def _output_dir(args) -> Path:
     root = args.output or os.environ.get("SVEA_LAB_OUTPUT") or "artifacts"
-    name = f"{command}-{args.preset}" if args.preset else command
+    name = f"{args.command}-{args.preset}" if args.preset else args.command
     out = Path(root) / name
     out.mkdir(parents=True, exist_ok=True)
     if not os.access(out, os.W_OK):
@@ -273,66 +251,55 @@ def _output_dir(args, command: str) -> Path:
     return out
 
 
-def _with_threshold(settings: dict, section: str, args) -> dict:
-    """The settings with --threshold, if given, as the section's tolerance."""
-    if args.threshold is None:
-        return settings
-    return _merge(settings, {section: {"tolerance": repr(args.threshold)}})
+def _write_manifest(out: Path, args, t_start: float, settings: dict) -> None:
+    config = args.config or (f"preset:{args.preset}" if args.preset else "(defaults)")
+    atomic_write_text(out / "manifest.txt", (
+        f"command: {args.command}\n"
+        f"config: {config}\n"
+        f"output_dir: {out}\n"
+        f"jobs: {args.jobs}\n"
+        f"threshold: {args.threshold!r}\n"
+        f"detune: {args.detune!r}\n"
+        f"determinism: {_DETERMINISM_NOTE}\n"
+        f"version: {__version__}\n"
+        f"duration_s: {time.monotonic() - t_start:.3f}\n"
+        "settings (preset -> config -> flags):\n"
+        + "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in kv.items())
+                  for section, kv in settings.items())))
 
 
-def _write_manifest(out: Path, command: str, args, t_start: float, settings: dict) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_path=args.config or (f"preset:{args.preset}" if args.preset else "(defaults)"),
-        output_dir=str(out),
-        jobs=args.jobs,
-        threshold=args.threshold,
-        detune=args.detune,
-        settings=settings,
-        determinism=_DETERMINISM_NOTE,
-        version=__version__,
-        duration_s=time.monotonic() - t_start,
-    )
-    atomic_write_text(out / "manifest.txt", manifest.to_text())
+def _checks_exit(out: Path, text: str, checks) -> int:
+    """Write and print the report; exit by the verdict each check carries."""
+    atomic_write_text(out / "report.txt", text + "\n")
+    print(text)
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_CHECKS_FAILED
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
-    settings = _with_threshold(load_settings(args.preset, args.config), "verify", args)
-    out = _output_dir(args, "verify")
+def cmd_verify(args, settings: dict, out: Path) -> int:
     reports = verify_catalog(**_given(
         tolerance=_get(settings, "verify", "tolerance", float, None),
         n_points=_get(settings, "verify", "n_points", int, None)))
-    text = verification_report(reports)
-    atomic_write_text(out / "report.txt", text + "\n")
-    print(text)
-    _write_manifest(out, "verify", args, t0, settings)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECKS_FAILED
+    return _checks_exit(out, verification_report(reports), reports)
 
 
-def cmd_map_check(args) -> int:
-    t0 = time.monotonic()
-    settings = _with_threshold(load_settings(args.preset, args.config), "map", args)
-    out = _output_dir(args, "map-check")
-    tolerance = _get(settings, "map", "tolerance", float, MAPPING_TOLERANCE)
+def cmd_map_check(args, settings: dict, out: Path) -> int:
     t_samples = _get(settings, "map", "t_samples", str, None)
     checks = check_all_mappings(detune=args.detune or 0.0, **_given(
+        tolerance=_get(settings, "map", "tolerance", float, None),
         n_points=_get(settings, "map", "n_points", int, None),
         t_samples=None if t_samples is None else _floats(t_samples, "[map] t_samples")))
-    text = mapping_report(checks, tolerance)
-    atomic_write_text(out / "report.txt", text + "\n")
-    print(text)
-    _write_manifest(out, "map-check", args, t0, settings)
-    ok = all(c.max_abs_diff < tolerance for c in checks)
-    return EXIT_OK if ok else EXIT_CHECKS_FAILED
+    return _checks_exit(out, mapping_report(checks), checks)
 
 
-def cmd_run(args) -> int:
-    t0 = time.monotonic()
-    settings = load_settings(args.preset, args.config)
-    out = _output_dir(args, "run")
+def cmd_run(args, settings: dict, out: Path) -> int:
     cfg = _run_config(settings)
     initial = _initial_from(settings, _grid_from(settings))
+    # the analysis settings are checked before the propagation they follow
+    threshold = _get(settings, "analysis", "threshold", float, None)
+    frac = _get(settings, "analysis", "threshold_fraction", float, None)
+    min_sep = _get(settings, "analysis", "min_separation", float, DEFAULT_MIN_SEPARATION)
+    require_positive("[analysis] min_separation", min_sep)
+    window = _get(settings, "analysis", "window", float, DEFAULT_WINDOW_FRACTION)
     code = EXIT_OK
     try:
         traj = propagate(initial, cfg)
@@ -342,15 +309,8 @@ def cmd_run(args) -> int:
         code = EXIT_DIVERGED
     if traj is not None and traj.snapshots:
         write_trajectory(out, traj, cfg.dt)
-        threshold = _get(settings, "analysis", "threshold", float, None)
-        if threshold is None:
-            frac = _get(settings, "analysis", "threshold_fraction", float, None)
-            if frac is not None:
-                threshold = detection_threshold(traj, frac)
-        min_sep = _get(settings, "analysis", "min_separation", float,
-                       DEFAULT_MIN_SEPARATION)
-        window = _get(settings, "analysis", "window", float,
-                      DEFAULT_WINDOW_FRACTION)
+        if threshold is None and frac is not None:
+            threshold = detection_threshold(traj, frac)
         table = peak_table(traj, threshold, min_sep)
         tracks = track_structures(table, window=1.0)
         write_track_csv(out / "tracks.csv", tracks)
@@ -367,7 +327,6 @@ def cmd_run(args) -> int:
         atomic_write_text(out / "analysis.txt", summary)
         print(f"{len(traj.snapshots)} snapshots, {len(tracks)} peak tracks, "
               f"count_structures {count} -> {out}")
-    _write_manifest(out, "run", args, t0, settings)
     return code
 
 
@@ -380,12 +339,7 @@ def _scan_template(settings: dict, model: ModelSpec) -> ScanTemplate:
         snapshot_stride=_get(settings, "scan", "snapshot_stride", int, None)))
 
 
-def cmd_scan(args) -> int:
-    t0 = time.monotonic()
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    settings = load_settings(args.preset, args.config)
-    out = _output_dir(args, "scan")
+def cmd_scan(args, settings: dict, out: Path) -> int:
     model = _model_from(settings) if "model" in settings else None
     if model is None:
         raise ConfigError("scan needs a [model] section (or a preset providing one)")
@@ -404,10 +358,17 @@ def cmd_scan(args) -> int:
     for p in points:
         note = f"  [{p.flags}]" if p.flags else ""
         print(f"alpha={p.alpha:g} psi0_opt={p.psi0_opt:.4f} metric={p.metric_value:.4f}{note}")
-    _write_manifest(out, "scan", args, t0, settings)
     if any(p.psi0_opt != p.psi0_opt for p in points):  # NaN: every cell diverged
         return EXIT_DIVERGED
     return EXIT_OK
+
+
+def positive_int(raw: str) -> int:
+    """The --jobs type: an integer >= 1."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,23 +378,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "quench-mapping checks, split-step propagation, stability scans.")
     parser.add_argument("--version", action="version", version=f"svealab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("verify", cmd_verify), ("map-check", cmd_map_check),
-                     ("run", cmd_run), ("scan", cmd_scan)):
+    # (command, body, the config section --threshold sets the tolerance of)
+    for name, fn, section in (("verify", cmd_verify, "verify"),
+                              ("map-check", cmd_map_check, "map"),
+                              ("run", cmd_run, None), ("scan", cmd_scan, None)):
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
         p.add_argument("--output", help="output root (default $SVEA_LAB_OUTPUT or ./artifacts)")
         # accepted by every command, so a script can pass one argv form to all four
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=positive_int, default=1,
                        help="read by scan only: split each batch of cells into at most "
                             "this many processes")
-        if name in ("verify", "map-check"):
+        if section is not None:
             p.add_argument("--threshold", type=float,
                            help="pass/fail tolerance override")
         if name == "map-check":
             p.add_argument("--detune", type=float,
                            help="mapping diagnostic: shift the quench parameter")
-        p.set_defaults(fn=fn, threshold=None, detune=None)
+        p.set_defaults(fn=fn, section=section, threshold=None, detune=None)
     return parser
 
 
@@ -443,8 +406,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else 0
+    t0 = time.monotonic()
     try:
-        return args.fn(args)
+        settings = load_settings(args.preset, args.config)
+        if args.threshold is not None:
+            settings = _merge(settings, {args.section: {"tolerance": repr(args.threshold)}})
+        out = _output_dir(args)
+        code = args.fn(args, settings, out)
+        _write_manifest(out, args, t0, settings)
+        return code
     except (ConfigError, PoleError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

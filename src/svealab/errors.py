@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one finite-and-positive check."""
+
+import math
 
 
 class DomainError(ValueError):
     """Input outside a function's mathematical domain (non-finite, negative amplitude, ...)."""
+
+
+def require_positive(name: str, value: float) -> float:
+    """value, if it is finite and > 0 (NaN is not); else a DomainError naming it."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 class PoleError(ValueError):

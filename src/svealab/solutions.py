@@ -494,7 +494,6 @@ class MappingPair:
 
     kg_id: SolutionId
     nls_id: SolutionId
-    m_star: Optional[float]
     window: tuple[float, float]
     nls_params: Callable[[float], dict] = field(compare=False)
 
@@ -506,32 +505,32 @@ class MappingPair:
 
 
 _MAPPING_TABLE: tuple[MappingPair, ...] = (
-    MappingPair(SolutionId.CUBIC_KG_SN, SolutionId.CUBIC_NLS_SN, -1.0, (-5.0, 5.0),
+    MappingPair(SolutionId.CUBIC_KG_SN, SolutionId.CUBIC_NLS_SN, (-5.0, 5.0),
                 lambda d: {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -1.0 + d}),
-    MappingPair(SolutionId.CUBIC_KG_CN, SolutionId.CUBIC_NLS_CN, 0.5, (-5.0, 5.0),
+    MappingPair(SolutionId.CUBIC_KG_CN, SolutionId.CUBIC_NLS_CN, (-5.0, 5.0),
                 lambda d: {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.5 + d}),
-    MappingPair(SolutionId.CUBIC_KG_DC, SolutionId.CUBIC_NLS_DC, -1.0, (-1.0, 1.0),
+    MappingPair(SolutionId.CUBIC_KG_DC, SolutionId.CUBIC_NLS_DC, (-1.0, 1.0),
                 lambda d: {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -1.0 + d}),
     # mass**2 = 2*c**2
-    MappingPair(SolutionId.DW_KG_KINK, SolutionId.DW_NLS_TANH, None, (-5.0, 5.0),
+    MappingPair(SolutionId.DW_KG_KINK, SolutionId.DW_NLS_TANH, (-5.0, 5.0),
                 lambda d: {"c": 1.0 + d, "mass": _SQ2, "lam": 1.0, "omega": 1.0, "x0": 0.0}),
     # m = (mass**2 - c**2)/c**2
-    MappingPair(SolutionId.DW_KG_SN, SolutionId.DW_NLS_SN, None, (-5.0, 5.0),
+    MappingPair(SolutionId.DW_KG_SN, SolutionId.DW_NLS_SN, (-5.0, 5.0),
                 lambda d: {"m": 1.2 * 1.2 - 1.0 + d, "mass": 1.2, "c": 1.0, "lam": 1.0,
                            "omega": 1.0}),
     # m = (c**2 - mass**2)/(2*c**2)
-    MappingPair(SolutionId.DW_KG_CN, SolutionId.DW_NLS_CN, None, (-5.0, 5.0),
+    MappingPair(SolutionId.DW_KG_CN, SolutionId.DW_NLS_CN, (-5.0, 5.0),
                 lambda d: {"m": (1.0 - 0.6 * 0.6) / 2.0 + d, "mass": 0.6, "c": 1.0, "lam": 1.0,
                            "omega": 1.0}),
-    MappingPair(SolutionId.DW_KG_DC, SolutionId.DW_NLS_DC, None, (-1.4, 1.4),
+    MappingPair(SolutionId.DW_KG_DC, SolutionId.DW_NLS_DC, (-1.4, 1.4),
                 lambda d: {"m": 1.2 * 1.2 - 1.0 + d, "mass": 1.2, "c": 1.0, "lam": 1.0,
                            "omega": 1.0}),
     # a = mass/sqrt(lambda)
-    MappingPair(SolutionId.DW_KG_CONST, SolutionId.DW_NLS_CONST, None, (-5.0, 5.0),
+    MappingPair(SolutionId.DW_KG_CONST, SolutionId.DW_NLS_CONST, (-5.0, 5.0),
                 lambda d: {"a": 1.0 + d, "mass": 1.0, "lam": 1.0, "omega": 1.0}),
     # 16*m*lambda = 3*sigma**2 meets 15*sigma**2 = 16*lambda at m* = 1/5; the
     # envelope sigma follows its own constraint, so a detuned instance stays admissible
-    MappingPair(SolutionId.CQ_KG_SN, SolutionId.CQ_NLS_SN, 0.2, (-1.2, 1.2),
+    MappingPair(SolutionId.CQ_KG_SN, SolutionId.CQ_NLS_SN, (-1.2, 1.2),
                 lambda d: {"m": 0.2 + d, "lam": 15.0 / 16.0,
                            "sigma": math.sqrt(16.0 * (0.2 + d) * (15.0 / 16.0) / 3.0)}),
 )

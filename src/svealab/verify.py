@@ -9,6 +9,12 @@ several entries are already down at the rounding floor of the stencil, where
 the ratio is meaningless.  Entries whose residual is identically zero
 (vacuum constants, the uniform envelope) pass through the floor rule
 instead.
+
+Each check carries its own verdict: ConvergenceReport.passed and
+MappingCheck.passed are set once, where the check runs, and the reports only
+print them.  Worst values are NaN-propagating maxima, so a non-finite
+residual or difference fails; a non-finite coarse or fine residual is not
+converged, and a tolerance must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, FamilyMismatchError
+from .errors import DomainError, FamilyMismatchError, require_positive
 from .models import ModelSpec, kg_force, nls_nonlinear_phase_rate
 from .solutions import (
     AnalyticSolution,
@@ -100,6 +106,8 @@ class MappingCheck:
     max_abs_diff: float
     window: tuple[float, float]
     n_points: int
+    tolerance: float
+    passed: bool
 
 
 def _interior_second(row: np.ndarray, h: float) -> np.ndarray:
@@ -135,6 +143,21 @@ def _slab(sol: AnalyticSolution, x: np.ndarray, t0: float, tau: float) -> np.nda
     return np.asarray(eval_solution(sol, x[None, :], t0 + offsets), dtype=complex)
 
 
+def _report(sol: AnalyticSolution, grid: str,
+            samples: Sequence[tuple[np.ndarray, np.ndarray]]) -> ResidualReport:
+    """The worst |residual| and |field| over the (residual, field) time
+    samples.  np.max keeps a NaN where Python's max would drop it."""
+    worst, norm = map(float, np.max(
+        [(np.max(np.abs(res)), np.max(np.abs(field))) for res, field in samples], axis=0))
+    return ResidualReport(
+        solution_id=sol.sid.value,
+        grid=grid,
+        max_abs_residual=worst,
+        normalizer=norm,
+        relative_residual=worst / max(norm, 1.0),
+    )
+
+
 def kg_residual(model: ModelSpec, sol: AnalyticSolution,
                 x_range: tuple[float, float], n_points: int,
                 t_range: Sequence[float] = _TIMES) -> ResidualReport:
@@ -144,8 +167,7 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
     x, h = _grid(x_range, n_points, _STENCIL_POINTS)
     static = not sol.travelling
     times = (t_range[0],) if static else tuple(t_range)
-    worst = 0.0
-    norm = 0.0
+    samples = []
     for t0 in times:
         if static:
             center = np.asarray(eval_solution(sol, x, t0), dtype=complex)
@@ -155,16 +177,8 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
             center = slab[2]
             phi_tt = _slab_second(slab, h)[2:-2]
         phi_xx = _interior_second(center, h)
-        res = phi_tt - phi_xx + kg_force(model, center[2:-2])
-        worst = max(worst, float(np.max(np.abs(res))))
-        norm = max(norm, float(np.max(np.abs(center))))
-    return ResidualReport(
-        solution_id=sol.sid.value,
-        grid=_grid_text(x_range, n_points, times),
-        max_abs_residual=worst,
-        normalizer=norm,
-        relative_residual=worst / max(norm, 1.0),
-    )
+        samples.append((phi_tt - phi_xx + kg_force(model, center[2:-2]), center))
+    return _report(sol, _grid_text(x_range, n_points, times), samples)
 
 
 def nls_residual(model: ModelSpec, sol: AnalyticSolution,
@@ -174,8 +188,7 @@ def nls_residual(model: ModelSpec, sol: AnalyticSolution,
     if not model.family.is_nls:
         raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
     x, h = _grid(x_range, n_points, _STENCIL_POINTS)
-    worst = 0.0
-    norm = 0.0
+    samples = []
     for t0 in t_range:
         slab = _slab(sol, x, t0, h)
         center = slab[2]
@@ -183,16 +196,8 @@ def nls_residual(model: ModelSpec, sol: AnalyticSolution,
         psi_xx = _interior_second(center, h)
         core = center[2:-2]
         v = nls_nonlinear_phase_rate(model, np.abs(core))
-        res = 1j * psi_t + model.dispersion * psi_xx - v * core
-        worst = max(worst, float(np.max(np.abs(res))))
-        norm = max(norm, float(np.max(np.abs(center))))
-    return ResidualReport(
-        solution_id=sol.sid.value,
-        grid=_grid_text(x_range, n_points, t_range),
-        max_abs_residual=worst,
-        normalizer=norm,
-        relative_residual=worst / max(norm, 1.0),
-    )
+        samples.append((1j * psi_t + model.dispersion * psi_xx - v * core, center))
+    return _report(sol, _grid_text(x_range, n_points, t_range), samples)
 
 
 def residual_for(sol: AnalyticSolution,
@@ -209,6 +214,7 @@ def residual_for(sol: AnalyticSolution,
 def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE,
                  n_points: int = _TOLERANCE_GRID) -> ConvergenceReport:
     """Tolerance check on the fine grid plus the grid-doubling ratio check."""
+    require_positive("tolerance", tolerance)
     sol = make_solution(sid)
     coarse = residual_for(sol, n_points=_RATIO_GRIDS[0])
     fine = residual_for(sol, n_points=_RATIO_GRIDS[1])
@@ -216,7 +222,9 @@ def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE,
 
     at_floor = (coarse.relative_residual <= FLOOR_RESIDUAL
                 and fine.relative_residual <= FLOOR_RESIDUAL)
-    if fine.relative_residual > 0.0:
+    if not (math.isfinite(coarse.relative_residual) and math.isfinite(fine.relative_residual)):
+        ratio = order = math.nan  # never converged: NaN >= anything is False
+    elif fine.relative_residual > 0.0:
         ratio = coarse.relative_residual / fine.relative_residual
         order = math.log2(ratio) if ratio > 0.0 else math.inf
     else:
@@ -264,23 +272,24 @@ def verification_report(reports: Sequence[ConvergenceReport]) -> str:
 
 def check_mapping(pair: MappingPair, n_points: int = 801,
                   t_samples: Sequence[float] = (0.0, 1.0, 10.0),
-                  detune: float = 0.0) -> MappingCheck:
-    """Max pointwise |envelope - static field| over the window and t samples.
+                  detune: float = 0.0,
+                  tolerance: float = MAPPING_TOLERANCE) -> MappingCheck:
+    """Max pointwise |envelope - static field| over the window and t samples;
+    the row passes when that maximum is below tolerance.
 
     At detune = 0 the phase rate is quenched exactly and the result is
     t-independent; a nonzero detune is the diagnostic mode in which the
     difference grows like |1 - exp(i*theta*t)|.
     """
+    require_positive("tolerance", tolerance)
     kg_sol, nls_sol = instantiate_pair(pair, detune=detune)
     x, _ = _grid(pair.window, n_points, 2)
     phi = np.asarray(eval_solution(kg_sol, x, 0.0), dtype=complex)
     per_time = []
-    worst = 0.0
     for t in t_samples:
         psi = np.asarray(eval_solution(nls_sol, x, t), dtype=complex)
-        diff = float(np.max(np.abs(psi - phi)))
-        per_time.append((float(t), diff))
-        worst = max(worst, diff)
+        per_time.append((float(t), float(np.max(np.abs(psi - phi)))))
+    worst = float(np.max([diff for _, diff in per_time]))  # keeps a NaN
     return MappingCheck(
         kg_id=pair.kg_id.value,
         nls_id=pair.nls_id.value,
@@ -289,25 +298,28 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
         max_abs_diff=worst,
         window=pair.window,
         n_points=n_points,
+        tolerance=tolerance,
+        passed=worst < tolerance,
     )
 
 
 def check_all_mappings(n_points: int = 801,
                        t_samples: Sequence[float] = (0.0, 1.0, 10.0),
-                       detune: float = 0.0) -> list[MappingCheck]:
-    return [check_mapping(p, n_points, t_samples, detune) for p in mapping_table()]
+                       detune: float = 0.0,
+                       tolerance: float = MAPPING_TOLERANCE) -> list[MappingCheck]:
+    return [check_mapping(p, n_points, t_samples, detune, tolerance) for p in mapping_table()]
 
 
-def mapping_report(checks: Sequence[MappingCheck],
-                   tolerance: float = MAPPING_TOLERANCE) -> str:
+def mapping_report(checks: Sequence[MappingCheck]) -> str:
     lines = []
     for c in checks:
-        status = "PASS" if c.max_abs_diff < tolerance else "FAIL"
+        status = "PASS" if c.passed else "FAIL"
         times = ", ".join(f"t={t:g}: {d:.3e}" for t, d in c.per_time)
         lines.append(
             f"{c.kg_id:<14} <- {c.nls_id:<14} detune={c.detune:g} "
             f"max|psi-phi|={c.max_abs_diff:.3e} ({times}) {status}"
         )
-    n_pass = sum(c.max_abs_diff < tolerance for c in checks)
+    n_pass = sum(c.passed for c in checks)
+    tolerance = checks[0].tolerance if checks else MAPPING_TOLERANCE
     lines.append(f"{n_pass}/{len(checks)} mapping rows within {tolerance:g}")
     return "\n".join(lines)

@@ -76,7 +76,7 @@ def test_criterion_02_envelope_collapse():
             assert c.max_abs_diff < MAPPING_TOL, (c.kg_id, c.nls_id)
             assert [t for t, _ in c.per_time] == [0.0, 1.0, 10.0]
         table = {p.nls_id: p for p in mapping_table()}
-        assert table[SolutionId.CQ_NLS_SN].m_star == pytest.approx(0.2)
+        assert table[SolutionId.CQ_NLS_SN].nls_params(0.0)["m"] == pytest.approx(0.2)
         assert elapsed < 5.0
 
 

@@ -319,3 +319,18 @@ class TestLockstepScan:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(DomainError, match="jobs"):
             scan_stability([0.5], (1.0, 3.0, 5), _SMALL, jobs=jobs)
+
+    def test_negative_refine_iters_rejected_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(analysis, "propagate_batch", None)  # a call would fail
+        with pytest.raises(DomainError, match="refine_iters"):
+            scan_stability([0.5], (1.0, 3.0, 5), _SMALL, refine_iters=-1)
+
+
+@pytest.mark.parametrize("min_separation", [float("nan"), float("inf"), 0.0, -3.0])
+def test_bad_min_separation_rejected(min_separation):
+    g = Grid1D(64, 20.0)
+    traj = synthetic_traj(g, [np.exp(-g.x ** 2)])
+    with pytest.raises(DomainError, match="min_separation"):
+        find_peaks(traj.snapshots[0], threshold=0.5, min_separation=min_separation)
+    with pytest.raises(DomainError, match="min_separation"):
+        peak_table(traj, min_separation=min_separation)

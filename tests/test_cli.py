@@ -12,7 +12,7 @@ import numpy
 import pytest
 import scipy
 
-from svealab import analysis, cli
+from svealab import analysis, cli, verify
 from svealab.analysis import ScanTemplate, scan_stability
 from svealab.cli import (EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, PRESETS,
                          SECTION_KEYS, _get, _model_from, load_settings, main)
@@ -96,7 +96,7 @@ def _sections(text):
 
 def _write_ini(path, text, section="run", **values):
     sections = _sections(text)
-    sections[section].update({k: str(v) for k, v in values.items()})
+    sections.setdefault(section, {}).update({k: str(v) for k, v in values.items()})
     path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                             for name, kv in sections.items()))
     return path
@@ -128,6 +128,13 @@ class TestExitCodes:
         bad.write_text("[model\nfamily=cubic_nls\n")
         assert main(["run", "--config", str(bad)]) == EXIT_USAGE
 
+    def test_config_that_is_not_utf8_is_usage_error(self, outdir, tmp_path, capsys):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes((STRUCTURED_INI + "; r\u00e9glage\n").encode("latin-1"))
+        assert main(["run", "--config", str(ini)]) == EXIT_USAGE
+        assert "error:" in (err := capsys.readouterr().err) and "UTF-8" in err
+        assert not (outdir / "run").exists()
+
     def test_version_exits_clean(self):
         assert main(["--version"]) == 0
 
@@ -146,6 +153,15 @@ class TestExitCodes:
         assert main(["scan", "--config", str(ini), "--jobs", jobs]) == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
         assert not (outdir / "scan").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "map-check", "run"])
+    def test_jobs_below_one_is_usage_error_for_every_command(self, outdir, tmp_path, capsys,
+                                                             command):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(STRUCTURED_INI if command == "run" else "")
+        assert main([command, "--config", str(ini), "--jobs", "0"]) == EXIT_USAGE
+        assert "--jobs" in capsys.readouterr().err
+        assert not (outdir / command).exists()
 
     @pytest.mark.parametrize("command, section, n_points, minimum", [
         ("verify", "verify", 3, 5), ("verify", "verify", -4, 5),
@@ -315,6 +331,35 @@ class TestManifest:
         for line in ("jobs: 1", "threshold: 0.001", "detune: 0.05", "[map]",
                      "tolerance = 0.001", "t_samples = 0, 2", "n_points = 801"):
             assert line + "\n" in text, line
+
+
+class TestOutOfRangeSettings:
+    """An out-of-range value exits 2 before any sweep or propagation runs."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("map", "t_samples", "0, nan"), ("map", "t_samples", "inf"),
+        ("verify", "tolerance", "nan"), ("verify", "tolerance", "-1"),
+        ("map", "tolerance", "0"), ("map", "tolerance", "inf"),
+        ("verify", "--threshold", "nan"), ("map", "--threshold", "-1"),
+        ("analysis", "min_separation", "nan"), ("analysis", "min_separation", "-3"),
+        ("analysis", "min_separation", "0"), ("scan", "refine_iters", "-1"),
+    ])
+    def test_rejected_before_any_work(self, outdir, tmp_path, capsys, monkeypatch,
+                                      section, key, value):
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the settings were checked")
+
+        monkeypatch.setattr(cli, "propagate", work)
+        monkeypatch.setattr(analysis, "propagate_batch", work)
+        monkeypatch.setattr(verify, "eval_solution", work)
+        command = {"verify": "verify", "map": "map-check", "analysis": "run",
+                   "scan": "scan"}[section]
+        text = {"analysis": STRUCTURED_INI, "scan": TINY_SCAN_INI}.get(section, "")
+        flag = key.startswith("--")
+        ini = _write_ini(tmp_path / "cfg.ini", text, section, **({} if flag else {key: value}))
+        assert main([command, "--config", str(ini)] + ([key, value] if flag else [])) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ("tolerance" if flag else key) in err
 
 
 class TestVerifyArtifacts:

@@ -89,7 +89,7 @@ class TestMappingTable:
     def test_quintic_row_quenches_at_one_fifth(self):
         rows = [p for p in mapping_table() if p.nls_id is SolutionId.CQ_NLS_SN]
         assert len(rows) == 1
-        assert rows[0].m_star == pytest.approx(0.2)
+        assert rows[0].nls_params(0.0)["m"] == pytest.approx(0.2)
 
     def test_quenched_pairs_have_zero_phase_rate(self):
         for pair in mapping_table():

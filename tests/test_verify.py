@@ -6,14 +6,18 @@ on the fine grid, and the time-(in)dependence structure of the quench
 comparison.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from svealab import verify
 from svealab.errors import DomainError
-from svealab.solutions import SolutionId, instantiate_pair, make_solution, mapping_table, model_for
+from svealab.solutions import (SolutionId, catalog_ids, instantiate_pair, make_solution,
+                               mapping_table, model_for)
 from svealab.verify import (CONVERGENCE_RATIO_MIN, DEFAULT_TOLERANCE, FLOOR_RESIDUAL,
-                            MAPPING_TOLERANCE, check_all_mappings, check_mapping,
-                            mapping_report, nls_residual, residual_for,
+                            MAPPING_TOLERANCE, ResidualReport, check_all_mappings,
+                            check_mapping, mapping_report, nls_residual, residual_for,
                             verification_report,
                             verify_catalog, verify_entry)
 
@@ -129,3 +133,60 @@ class TestGridSizes:
 
     def test_smallest_mapping_grid_runs(self):
         assert check_mapping(mapping_table()[0], n_points=2).max_abs_diff < MAPPING_TOLERANCE
+
+
+def _nan_field(sol, x, t):
+    return np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), complex(math.nan, 0.0))
+
+
+class TestNonFiniteVerdicts:
+    """A NaN or an infinity fails the check it reaches; no fold drops it."""
+
+    def test_nan_time_sample_fails_the_mapping_row(self):
+        c = check_mapping(mapping_table()[0], t_samples=(0.0, math.nan))
+        assert math.isnan(c.max_abs_diff)
+        assert c.passed is False
+        assert mapping_report([c]).splitlines()[-1] == f"0/1 mapping rows within {MAPPING_TOLERANCE:g}"
+
+    def test_nan_field_fails_every_kg_entry(self, monkeypatch):
+        monkeypatch.setattr(verify, "eval_solution", _nan_field)
+        kg = [sid for sid in catalog_ids() if model_for(make_solution(sid)).family.is_kg]
+        assert len(kg) == 11
+        for sid in kg:
+            rep = verify_entry(sid)
+            assert rep.passed is False, sid
+            assert math.isnan(rep.tolerance_report.relative_residual), sid
+
+    def test_nan_residual_has_no_doubling_ratio(self, monkeypatch):
+        monkeypatch.setattr(verify, "eval_solution", _nan_field)
+        rep = verify_entry(SolutionId.CUBIC_KG_SN)
+        assert math.isnan(rep.ratio) and math.isnan(rep.order)
+        assert rep.note == "doubling ratio nan (order nan)"
+
+    @pytest.mark.parametrize("coarse, fine", [(math.inf, 1e-3), (math.nan, 1e-3),
+                                              (1e-3, math.nan), (1e-3, math.inf)])
+    def test_non_finite_ratio_grid_is_not_converged(self, monkeypatch, coarse, fine):
+        # the tolerance grid is well within tolerance: only the ratio rule can fail
+        relative = {251: coarse, 501: fine, 2001: 1e-9}
+
+        def residual(sol, x_range=None, n_points=2001, t_range=None):
+            return ResidualReport(sol.sid.value, "grid", relative[n_points], 1.0,
+                                  relative[n_points])
+
+        monkeypatch.setattr(verify, "residual_for", residual)
+        assert verify_entry(SolutionId.CUBIC_KG_SN).passed is False
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tolerance):
+        monkeypatch.setattr(verify, "eval_solution", None)  # a call would fail
+        with pytest.raises(DomainError, match="tolerance"):
+            verify_entry(SolutionId.CUBIC_KG_SN, tolerance=tolerance)
+        with pytest.raises(DomainError, match="tolerance"):
+            check_mapping(mapping_table()[0], tolerance=tolerance)
+
+    def test_mapping_tolerance_sets_the_verdict(self):
+        strict = check_mapping(mapping_table()[1], detune=0.05)
+        loose = check_mapping(mapping_table()[1], detune=0.05,
+                              tolerance=2.0 * strict.max_abs_diff)
+        assert (strict.passed, loose.passed) == (False, True)
+        assert loose.tolerance == 2.0 * strict.max_abs_diff
