@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.signal import find_peaks as _scipy_find_peaks
 
-from .errors import DivergenceError, DomainError, require_positive
+from .errors import DivergenceError, DomainError, range_rule, require_positive
 from .models import Family, ModelSpec
 from .solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate_batch,
                      sech_profile)
@@ -43,6 +43,9 @@ __all__ = [
     "ScanTemplate",
     "find_peaks",
     "detection_threshold",
+    "require_threshold",
+    "require_threshold_fraction",
+    "require_window",
     "PeakRow",
     "PeakTable",
     "peak_table",
@@ -68,6 +71,7 @@ DEFAULT_MIN_SEPARATION = 1.0
 # Detection threshold as a fraction of the trajectory's global max |psi|^2.
 DEFAULT_THRESHOLD_FRACTION = 0.02
 TRACK_GATING_DISTANCE = 2.0
+_CORE_RADIUS = 3.0  # peaks this close to x = 0 belong to the standing structure
 PERSISTENCE_FRACTION = 0.8
 
 
@@ -86,11 +90,16 @@ class StabilityPoint:
     flags: str = ""
 
 
+# Range rules of the analysis settings; the command line applies them up front.
+require_threshold = range_rule(lambda v: v > 0.0, "positive")
+require_threshold_fraction = range_rule(lambda v: 0.0 < v < 1.0, "in (0, 1)")
+require_window = range_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
 def find_peaks(state: FieldState, threshold: float,
                min_separation: float = DEFAULT_MIN_SEPARATION) -> list[Peak]:
     """Local maxima of |psi|^2 above threshold, separated by min_separation."""
-    if not threshold > 0.0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    require_threshold("threshold", threshold)
     require_positive("min_separation", min_separation)
     y = np.abs(state.values) ** 2
     dx = state.grid.spacing
@@ -113,8 +122,7 @@ def find_peaks(state: FieldState, threshold: float,
 def detection_threshold(traj: Trajectory,
                         fraction: float = DEFAULT_THRESHOLD_FRACTION) -> float:
     """Absolute detection bar: fraction of the trajectory's global max |psi|^2."""
-    if not 0.0 < fraction < 1.0:
-        raise DomainError(f"threshold fraction must be in (0, 1), got {fraction}")
+    require_threshold_fraction("threshold fraction", fraction)
     return fraction * float(np.max(traj.peak_series))
 
 
@@ -136,8 +144,7 @@ class PeakTable:
 
     def tail(self, fraction: float) -> tuple[PeakRow, ...]:
         """The trailing max(1, ceil(fraction * N)) rows; fraction in (0, 1]."""
-        if not 0.0 < fraction <= 1.0:
-            raise DomainError(f"window fraction must be in (0, 1], got {fraction}")
+        require_window("window fraction", fraction)
         return self.rows[-max(1, int(math.ceil(fraction * len(self.rows)))):]
 
 
@@ -191,19 +198,19 @@ def splitting_alternations(counts: Sequence[int], split_at: int = 3,
 
 
 def outer_position_blocks(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION,
-                          n_blocks: int = 4, core_radius: float = 3.0) -> np.ndarray:
+                          n_blocks: int = 4) -> np.ndarray:
     """Block-averaged mean |position| of off-center peaks over the window.
 
     Travelling structures breathe, so their instantaneous positions wobble
     around the outward trend; averaging over n_blocks sub-windows exposes the
-    drift itself.  Peaks within core_radius of the origin (the standing
+    drift itself.  Peaks within _CORE_RADIUS of the origin (the standing
     structure) are excluded.
     """
     if n_blocks < 2:
         raise DomainError(f"need at least 2 blocks, got {n_blocks}")
     per_snap = []
     for row in table.tail(window):
-        outer = [abs(p.position) for p in row.peaks if abs(p.position) > core_radius]
+        outer = [abs(p.position) for p in row.peaks if abs(p.position) > _CORE_RADIUS]
         if outer:
             per_snap.append(float(np.mean(outer)))
     if len(per_snap) < n_blocks:
@@ -224,8 +231,7 @@ def oscillation_metric(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION
     return float((np.max(h) - np.min(h)) / mean)
 
 
-def track_structures(table: PeakTable, window: float = 1.0,
-                     gating: float = TRACK_GATING_DISTANCE) -> list[list[Peak]]:
+def track_structures(table: PeakTable, window: float = 1.0) -> list[list[Peak]]:
     """Greedy nearest-neighbor matching of peaks across snapshots.
 
     Each track is the time-ordered list of matched peaks; a peak further than
@@ -243,7 +249,7 @@ def track_structures(table: PeakTable, window: float = 1.0,
         used_tracks: set[int] = set()
         used_peaks: set[int] = set()
         for dist, ti, pi in sorted(assignments):
-            if dist > gating or ti in used_tracks or pi in used_peaks:
+            if dist > TRACK_GATING_DISTANCE or ti in used_tracks or pi in used_peaks:
                 continue
             tracks[ti].append(peaks[pi])
             used_tracks.add(ti)

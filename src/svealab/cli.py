@@ -4,9 +4,10 @@ runs, and stability scans.
 Subcommands: verify, map-check, run, scan.  Settings flow preset -> config
 file -> command-line flags, later sources winning.  Config files are INI
 sections (model, grid, run, analysis, scan, verify, map) holding flat
-key=value pairs; an unknown section or key, or a file that is not UTF-8, is a
-config error.  Exit codes: 0 all checks passed, 1 checks failed, 2 usage or
-config error, 3 numerical divergence.
+key=value pairs; an unknown section or key (in [model], one the family's law
+does not read), or a file that is not UTF-8, is a config error.  Exit codes:
+0 all checks passed, 1 checks failed, 2 usage or config error, 3 numerical
+divergence.
 
 main runs the steps every command shares, once: load the settings, merge
 --threshold as the command's tolerance, make the output directory, run the
@@ -34,6 +35,7 @@ from . import __version__
 from .analysis import (DEFAULT_MIN_SEPARATION, DEFAULT_WINDOW_FRACTION,
                        ScanTemplate, count_structures, detection_threshold,
                        oscillation_metric, peak_count_series, peak_table,
+                       require_threshold, require_threshold_fraction, require_window,
                        scan_stability, splitting_alternations, track_structures)
 from .errors import ConfigError, DivergenceError, DomainError, PoleError, require_positive
 from .models import ModelSpec
@@ -106,9 +108,9 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
 }
 
 
-# The keys each config section accepts; [model] is checked by ModelSpec.from_mapping.
-SECTION_KEYS: dict[str, Optional[frozenset[str]]] = {
-    "model": None,
+# The keys each config section accepts.  [model] is checked whole by
+# ModelSpec.from_mapping: family, lambda and the couplings of the family's law.
+SECTION_KEYS: dict[str, frozenset[str]] = {
     "grid": frozenset({"n", "length"}),
     "run": frozenset({"initial", "psi0", "alpha", "width", "order", "catalog_id",
                       "dt", "t_final", "snapshot_stride"}),
@@ -148,14 +150,16 @@ def load_settings(preset: Optional[str], config_path: Optional[str]) -> dict:
         file_settings = {s: dict(parser.items(s)) for s in parser.sections()}
         settings = _merge(settings, file_settings)
     for section, values in settings.items():
+        if section == "model":
+            _model_from(settings)
+            continue
         if section not in SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]; "
-                              f"expected one of {', '.join(SECTION_KEYS)}")
-        allowed = SECTION_KEYS[section]
-        unknown = sorted(set(values) - allowed) if allowed is not None else []
+                              f"expected one of model, {', '.join(SECTION_KEYS)}")
+        unknown = sorted(set(values) - SECTION_KEYS[section])
         if unknown:
             raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{section}]; "
-                              f"expected {', '.join(sorted(allowed))}")
+                              f"expected {', '.join(sorted(SECTION_KEYS[section]))}")
     return settings
 
 
@@ -190,12 +194,9 @@ def _floats(raw: str, name: str) -> tuple[float, ...]:
 
 
 def _model_from(settings: dict) -> ModelSpec:
-    section = dict(settings.get("model", {}))
-    if "family" not in section:
-        raise ConfigError("config needs [model] family")
     try:
-        return ModelSpec.from_mapping(section)
-    except (DomainError, KeyError, ValueError) as err:
+        return ModelSpec.from_mapping(settings.get("model", {}))
+    except ValueError as err:  # DomainError is one
         raise ConfigError(f"bad [model] section: {err}") from err
 
 
@@ -294,12 +295,17 @@ def cmd_map_check(args, settings: dict, out: Path) -> int:
 def cmd_run(args, settings: dict, out: Path) -> int:
     cfg = _run_config(settings)
     initial = _initial_from(settings, _grid_from(settings))
-    # the analysis settings are checked before the propagation they follow
     threshold = _get(settings, "analysis", "threshold", float, None)
     frac = _get(settings, "analysis", "threshold_fraction", float, None)
     min_sep = _get(settings, "analysis", "min_separation", float, DEFAULT_MIN_SEPARATION)
-    require_positive("[analysis] min_separation", min_sep)
     window = _get(settings, "analysis", "window", float, DEFAULT_WINDOW_FRACTION)
+    # checked by the rules analysis applies, before the propagation they follow
+    for key, value, rule in (("threshold", threshold, require_threshold),
+                             ("threshold_fraction", frac, require_threshold_fraction),
+                             ("min_separation", min_sep, require_positive),
+                             ("window", window, require_window)):
+        if value is not None:
+            rule(f"[analysis] {key}", value)
     code = EXIT_OK
     try:
         traj = propagate(initial, cfg)
@@ -340,9 +346,7 @@ def _scan_template(settings: dict, model: ModelSpec) -> ScanTemplate:
 
 
 def cmd_scan(args, settings: dict, out: Path) -> int:
-    model = _model_from(settings) if "model" in settings else None
-    if model is None:
-        raise ConfigError("scan needs a [model] section (or a preset providing one)")
+    model = _model_from(settings)
     alphas = _floats(_get(settings, "scan", "alphas", str, ""), "[scan] alphas")
     template = _scan_template(settings, model)
     points = scan_stability(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one finite-and-positive check."""
+"""Exception types shared across the package, and the range rules that raise them."""
 
 import math
 
@@ -7,11 +7,16 @@ class DomainError(ValueError):
     """Input outside a function's mathematical domain (non-finite, negative amplitude, ...)."""
 
 
-def require_positive(name: str, value: float) -> float:
-    """value, if it is finite and > 0 (NaN is not); else a DomainError naming it."""
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return value
+def range_rule(holds, text: str):
+    """A check (name, value) -> value that raises a DomainError naming it unless holds(value)."""
+    def require(name: str, value: float) -> float:
+        if not holds(value):
+            raise DomainError(f"{name} must be {text}, got {value!r}")
+        return value
+    return require
+
+
+require_positive = range_rule(lambda v: 0.0 < v < math.inf, "finite and > 0")  # NaN fails
 
 
 class PoleError(ValueError):

@@ -116,24 +116,16 @@ def write_scan_csv(path: PathLike, points: Sequence[StabilityPoint]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float,
-                     basename: str = "snapshot") -> list[Path]:
+def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> list[Path]:
     """Write every snapshot plus diagnostics CSV and a manifest; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    names = []
-    for i, state in enumerate(traj.snapshots):
-        name = f"{basename}_{i:05d}.svea"
-        write_snapshot(out / name, state)
-        names.append(name)
-        written.append(out / name)
-    write_mass_csv(out / "diagnostics.csv", traj, dt)
-    written.append(out / "diagnostics.csv")
-    manifest = ["snapshots:"]
+    names = [f"snapshot_{i:05d}.svea" for i in range(len(traj.snapshots))]
     for name, state in zip(names, traj.snapshots):
-        manifest.append(f"  {name}  t={_fmt(state.time)}")
+        write_snapshot(out / name, state)
+    write_mass_csv(out / "diagnostics.csv", traj, dt)
+    manifest = ["snapshots:"] + [f"  {name}  t={_fmt(state.time)}"
+                                 for name, state in zip(names, traj.snapshots)]
     manifest.append("diagnostics: diagnostics.csv")
     atomic_write_text(out / "trajectory.txt", "\n".join(manifest) + "\n")
-    written.append(out / "trajectory.txt")
-    return written
+    return [out / name for name in names + ["diagnostics.csv", "trajectory.txt"]]

@@ -1,29 +1,32 @@
-"""Wave-equation families and their envelope reductions.
+"""Wave-equation families and their envelope reductions, one record each.
 
-Four second-order field equations, written box(phi) + N(phi) = 0 with
-box = d_tt - d_xx:
+family.law states what each equation reads and says.  Four second-order
+field equations box(phi) + N(phi) = 0, box = d_tt - d_xx (D = 1):
 
-    cubic:          N = lambda*phi**3
-    double well:    N = -mass**2*phi + lambda*phi**3
-    cubic-quintic:  N = -sigma*phi**3 + lambda*phi**5
-    sine-Gordon:    N = lambda**2*sin(phi)
+    cubic:          N = lambda*phi**3                       reads lambda
+    double well:    N = -mass**2*phi + lambda*phi**3         reads lambda, mass
+    cubic-quintic:  N = -sigma*phi**3 + lambda*phi**5        reads lambda, sigma
+    sine-Gordon:    N = lambda**2*sin(phi)                   reads lambda
 
-and four first-order envelope equations, written
-i*psi_t + D*psi_xx - V(|psi|)*psi = 0 with the family-specific amplitude-
-dependent phase rate V and dispersion coefficient D fixed by the reduction:
+and four envelope equations i*psi_t + D*psi_xx - V(|psi|)*psi = 0, each
+reading omega as well:
 
     cubic NLS:          V = (lambda/omega)*|psi|**2,                  D = 1/omega
     double-well NLS:    V = (lambda/omega)*(|psi|**2 - mass**2/lambda), D = 1/omega
     cubic-quintic NLS:  V = -sigma*|psi|**2 + lambda*|psi|**4,        D = 1
     Bessel NLS:         V = (lambda**2/omega)*J1(|psi|)/|psi|,        D = 1/(2*omega)
+
+Only the Bessel rate is bounded: sup|V| = |lambda**2/omega|/2, as
+|J1(z)/z| <= 1/2 (A&S 9.1.62).  A [model] mapping holds family, lambda and the
+couplings its family reads, nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy import special as _sp
@@ -33,6 +36,7 @@ from .specfn import bessel_j1
 
 __all__ = [
     "Family",
+    "FamilyLaw",
     "ModelSpec",
     "KappaSample",
     "kg_force",
@@ -44,7 +48,8 @@ __all__ = [
 ArrayLike = Union[float, complex, np.ndarray]
 
 # Below this |psi| the Bessel rate switches to its even Taylor series
-# 1/2 - z**2/16 + z**4/384 to avoid the 0/0 at the origin.
+# 1/2 - z**2/16, avoiding the 0/0 at the origin.  The next term, z**4/384, is
+# under 2.7e-19 there: less than half an ulp of the sum, so it never counts.
 BESSEL_RATE_CUTOVER = 1e-4
 
 
@@ -59,30 +64,27 @@ class Family(Enum):
     BESSEL_NLS = "bessel_nls"
 
     @property
+    def law(self) -> "FamilyLaw":
+        return _LAWS[self]
+
+    @property
     def is_nls(self) -> bool:
-        return self in NLS_FAMILIES
+        return self.law.envelope
 
     @property
     def is_kg(self) -> bool:
         return not self.is_nls
 
 
-KG_FAMILIES = frozenset(
-    {Family.CUBIC_KG, Family.DOUBLE_WELL_KG, Family.CUBIC_QUINTIC_KG, Family.SINE_GORDON_KG}
-)
-NLS_FAMILIES = frozenset(
-    {Family.CUBIC_NLS, Family.DOUBLE_WELL_NLS, Family.CUBIC_QUINTIC_NLS, Family.BESSEL_NLS}
-)
+class FamilyLaw(NamedTuple):
+    """One family's equation: term is N(model, phi) for a field family, V(model,
+    amp, lo) with lo = min(amp) for an envelope one; rate_bound is sup|V|."""
 
-
-def _derived_dispersion(family: Family, omega: float) -> float:
-    if family in (Family.CUBIC_NLS, Family.DOUBLE_WELL_NLS):
-        return 1.0 / omega
-    if family is Family.BESSEL_NLS:
-        return 1.0 / (2.0 * omega)
-    # cubic-quintic reduction carries a unit Laplacian coefficient; KG families
-    # use D only as the d_xx coefficient of the box operator.
-    return 1.0
+    envelope: bool
+    couplings: tuple[str, ...]  # ModelSpec fields read beyond lam
+    dispersion: Callable[["ModelSpec"], float]
+    term: Callable
+    rate_bound: Callable[["ModelSpec"], float] = lambda m: math.inf
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,7 @@ class ModelSpec:
 
     lam is the self-coupling (lambda), mass the double-well m_s, sigma the
     cubic-quintic cubic coupling, omega the carrier frequency of the envelope
-    reduction.  dispersion defaults to the value the reduction fixes for the
-    family and normally should not be passed.
+    reduction.  The family's law says which of them its equation reads.
     """
 
     family: Family
@@ -100,7 +101,6 @@ class ModelSpec:
     mass: float = 0.0
     sigma: float = 0.0
     omega: float = 1.0
-    dispersion: float = field(default=math.nan)
 
     def __post_init__(self):
         if self.family.is_nls and not self.omega > 0.0:
@@ -108,54 +108,28 @@ class ModelSpec:
         for name in ("lam", "mass", "sigma", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
-        if math.isnan(self.dispersion):
-            object.__setattr__(self, "dispersion", _derived_dispersion(self.family, self.omega))
-        elif not math.isfinite(self.dispersion):
-            raise DomainError("dispersion must be finite")
 
-    def to_mapping(self) -> dict[str, str]:
-        """Flat key-value form for run-config files."""
-        out = {"family": self.family.value, "lambda": repr(self.lam), "omega": repr(self.omega)}
-        if self.family in (Family.DOUBLE_WELL_KG, Family.DOUBLE_WELL_NLS):
-            out["mass"] = repr(self.mass)
-        if self.family in (Family.CUBIC_QUINTIC_KG, Family.CUBIC_QUINTIC_NLS):
-            out["sigma"] = repr(self.sigma)
-        return out
+    @property
+    def dispersion(self) -> float:
+        """D, the d_xx coefficient the reduction fixes for the family."""
+        return self.family.law.dispersion(self)
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ModelSpec":
+        """The model of a [model] mapping, which holds family, lambda and the
+        couplings of the family's law; any other key is a DomainError naming it."""
         try:
             family = Family(str(data["family"]).strip().lower())
         except (KeyError, ValueError) as exc:
-            raise DomainError(f"unknown or missing model family in {data!r}") from exc
-        known = (("lambda", "lam"), ("mass", "mass"), ("sigma", "sigma"), ("omega", "omega"))
-        extra = set(data) - {"family"} - {key for key, _ in known}
+            raise DomainError(f"needs a family, one of {', '.join(f.value for f in Family)}; "
+                              f"got {data!r}") from exc
+        keys = {"family", "lambda", *family.law.couplings}
+        extra = sorted(set(data) - keys)
         if extra:
-            raise DomainError(f"unknown model keys {sorted(extra)}; "
-                              "expected lambda/mass/sigma/omega")
-        kwargs = {}
-        for key, attr in known:
-            if key in data:
-                kwargs[attr] = float(data[key])
-        return cls(family=family, **kwargs)
-
-
-def kg_force(model: ModelSpec, phi: ArrayLike) -> ArrayLike:
-    """The N(phi) of box(phi) + N(phi) = 0 for the model's KG family.
-
-    phi may be complex (two catalog entries are purely imaginary); NLS
-    families are rejected with FamilyMismatchError.
-    """
-    f = model.family
-    if f is Family.CUBIC_KG:
-        return model.lam * phi**3
-    if f is Family.DOUBLE_WELL_KG:
-        return -model.mass**2 * phi + model.lam * phi**3
-    if f is Family.CUBIC_QUINTIC_KG:
-        return -model.sigma * phi**3 + model.lam * phi**5
-    if f is Family.SINE_GORDON_KG:
-        return model.lam**2 * np.sin(phi)
-    raise FamilyMismatchError(f"kg_force needs a KG family, got {f.value}")
+            raise DomainError(f"{family.value} does not read {', '.join(extra)}; "
+                              f"expected {', '.join(sorted(keys))}")
+        return cls(family, **{"lam" if key == "lambda" else key: float(value)
+                              for key, value in data.items() if key != "family"})
 
 
 def _bessel_rate(amp: np.ndarray, lo: float) -> np.ndarray:
@@ -167,9 +141,43 @@ def _bessel_rate(amp: np.ndarray, lo: float) -> np.ndarray:
         out = np.asarray(_sp.j1(amp) / amp)  # a 0-d input divides to a scalar
     small = amp < BESSEL_RATE_CUTOVER
     z = amp[small]
-    z2 = z * z
-    out[small] = 0.5 - z2 / 16.0 + z2 * z2 / 384.0
+    out[small] = 0.5 - z * z / 16.0
     return out
+
+
+_LAWS: dict[Family, FamilyLaw] = {
+    Family.CUBIC_KG: FamilyLaw(False, (), lambda m: 1.0,
+                               lambda m, phi: m.lam * phi**3),
+    Family.DOUBLE_WELL_KG: FamilyLaw(False, ("mass",), lambda m: 1.0,
+                                     lambda m, phi: -m.mass**2 * phi + m.lam * phi**3),
+    Family.CUBIC_QUINTIC_KG: FamilyLaw(False, ("sigma",), lambda m: 1.0,
+                                       lambda m, phi: -m.sigma * phi**3 + m.lam * phi**5),
+    Family.SINE_GORDON_KG: FamilyLaw(False, (), lambda m: 1.0,
+                                     lambda m, phi: m.lam**2 * np.sin(phi)),
+    Family.CUBIC_NLS: FamilyLaw(True, ("omega",), lambda m: 1.0 / m.omega,
+                                lambda m, a, lo: (m.lam / m.omega) * a**2),
+    Family.DOUBLE_WELL_NLS: FamilyLaw(
+        True, ("mass", "omega"), lambda m: 1.0 / m.omega,
+        lambda m, a, lo: (m.lam / m.omega) * (a**2 - m.mass**2 / m.lam)),
+    Family.CUBIC_QUINTIC_NLS: FamilyLaw(True, ("sigma", "omega"), lambda m: 1.0,
+                                        lambda m, a, lo: -m.sigma * a**2 + m.lam * a**4),
+    Family.BESSEL_NLS: FamilyLaw(
+        True, ("omega",), lambda m: 1.0 / (2.0 * m.omega),
+        lambda m, a, lo: (m.lam**2 / m.omega) * _bessel_rate(a, lo),
+        rate_bound=lambda m: abs(m.lam**2 / m.omega) / 2.0),
+}
+
+
+def kg_force(model: ModelSpec, phi: ArrayLike) -> ArrayLike:
+    """The N(phi) of box(phi) + N(phi) = 0 for the model's KG family.
+
+    phi may be complex (two catalog entries are purely imaginary); NLS
+    families are rejected with FamilyMismatchError.
+    """
+    law = model.family.law
+    if law.envelope:
+        raise FamilyMismatchError(f"kg_force needs a KG family, got {model.family.value}")
+    return law.term(model, phi)
 
 
 def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLike:
@@ -182,17 +190,11 @@ def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLik
     lo, hi = amp.min(initial=math.inf), amp.max(initial=0.0)
     if not (lo >= 0.0 and hi < math.inf):  # NaN fails both comparisons
         raise DomainError(f"amplitude must be {'>= 0' if np.all(np.isfinite(amp)) else 'finite'}")
-    f = model.family
-    if f is Family.CUBIC_NLS:
-        out = (model.lam / model.omega) * amp**2
-    elif f is Family.DOUBLE_WELL_NLS:
-        out = (model.lam / model.omega) * (amp**2 - model.mass**2 / model.lam)
-    elif f is Family.CUBIC_QUINTIC_NLS:
-        out = -model.sigma * amp**2 + model.lam * amp**4
-    elif f is Family.BESSEL_NLS:
-        out = (model.lam**2 / model.omega) * _bessel_rate(amp, lo)
-    else:
-        raise FamilyMismatchError(f"nls_nonlinear_phase_rate needs an NLS family, got {f.value}")
+    law = model.family.law
+    if not law.envelope:
+        raise FamilyMismatchError(
+            f"nls_nonlinear_phase_rate needs an NLS family, got {model.family.value}")
+    out = law.term(model, amp, lo)
     return float(out) if scalar else out
 
 

@@ -81,9 +81,6 @@ class AnalyticSolution:
     params: dict
     signs: tuple[int, ...]
 
-    def __getitem__(self, key: str) -> float:
-        return self.params[key]
-
     @property
     def window(self) -> tuple[float, float]:
         """x-window of the entry's residual check."""
@@ -468,17 +465,12 @@ def in_validity_domain(sol: AnalyticSolution) -> bool:
 
 
 def model_for(sol: AnalyticSolution) -> ModelSpec:
-    """The ModelSpec whose equation this solution solves (parameters copied over)."""
-    entry = _CATALOG[sol.sid]
-    p = sol.params
-    kwargs = {"lam": p.get("lam", 1.0)}
-    if entry.family in (Family.DOUBLE_WELL_KG, Family.DOUBLE_WELL_NLS):
-        kwargs["mass"] = p["mass"]
-    if entry.family in (Family.CUBIC_QUINTIC_KG, Family.CUBIC_QUINTIC_NLS):
-        kwargs["sigma"] = p["sigma"]
-    if entry.family.is_nls:
-        kwargs["omega"] = p.get("omega", 1.0)
-    return ModelSpec(family=entry.family, **kwargs)
+    """The ModelSpec whose equation this solution solves: lambda and the
+    couplings its family's law reads, copied from the parameters (the ModelSpec
+    default where the entry has none)."""
+    family = _CATALOG[sol.sid].family
+    return ModelSpec(family, **{name: sol.params[name] for name in ("lam", *family.law.couplings)
+                                if name in sol.params})
 
 
 # --- mapping table ---------------------------------------------------------

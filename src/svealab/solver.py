@@ -16,10 +16,10 @@ there is one stepping routine: precomputed half-step multipliers and scalars,
 preallocated buffers, in-place out= ufuncs and overwrite_x transforms.
 Products keep their textbook operand order (complex products are not bitwise
 commutative under SIMD) and every operation is per row, so each row's output
-is byte for byte that of the allocating single-row form.  As |J1(z)/z| <= 1/2
-(A&S 9.1.62), a Bessel run with dt*|lambda**2/omega|/2 < STABILITY_GUARD
-passes the rotation guard once per run; other runs check each row's max|V|
-every step.  A non-finite field shows in the projection's power sum.
+is byte for byte that of the allocating single-row form.  When the family law
+bounds the rate (Bessel) and dt*sup|V| < STABILITY_GUARD, the rotation guard
+passes once per run; other runs check each row's max|V| every step.  A
+non-finite field shows in the projection's power sum.
 
 The x grid is symmetric, x_j = -L/2 + j*L/n, and wavenumbers follow the
 standard FFT ordering k_j = 2*pi*j/L.
@@ -35,7 +35,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import DivergenceError, DomainError
-from .models import Family, ModelSpec, nls_nonlinear_phase_rate
+from .models import ModelSpec, nls_nonlinear_phase_rate
 from .solutions import AnalyticSolution, eval_solution
 
 __all__ = [
@@ -109,10 +109,10 @@ class RunConfig:
     snapshot_stride: int = 100
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise DomainError(f"dt must be positive, got {self.dt}")
         if not (self.t_final >= 0.0 and math.isfinite(self.t_final)):
             raise DomainError(f"t_final must be >= 0, got {self.t_final}")
+        if not (0.0 < self.dt < math.inf and math.isfinite(self.t_final / self.dt)):
+            raise DomainError(f"dt must be positive with t_final/dt finite, got {self.dt!r}")
         if int(self.snapshot_stride) < 1:
             raise DomainError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         object.__setattr__(self, "snapshot_stride", int(self.snapshot_stride))
@@ -162,11 +162,11 @@ class _Stepper:
 
     Rows share n but not their grid length, so each row gets its own half-step
     multiplier.  Everything run-constant is settled once: the multipliers, the
-    projection targets, -1j*dt, the Bessel bound and the (B, n) buffers.
-    `rows` holds the input index of each row still stepping and `spectra` its
-    live view.  advance(j) retires every row that trips the rotation guard, the
-    non-finite check or the unitarity check, each with its own DivergenceError,
-    and compacts the stack so that the other rows keep stepping.
+    projection targets, -1j*dt, the rate-bound guard decision and the (B, n)
+    buffers.  `rows` holds the input index of each row still stepping and
+    `spectra` its live view.  advance(j) retires every row that trips the
+    rotation guard, the non-finite check or the unitarity check, each with its
+    own DivergenceError, and compacts the stack so the other rows keep stepping.
     """
 
     def __init__(self, grids: Sequence[Grid1D], model: ModelSpec, dt: float,
@@ -183,9 +183,7 @@ class _Stepper:
         half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
                          for g in grids])
         self.phase = -1j * dt
-        self.guard_each_step = not (model.family is Family.BESSEL_NLS and
-                                    abs(dt) * abs(model.lam**2 / model.omega) * 0.5
-                                    < STABILITY_GUARD)
+        self.guard_each_step = not abs(dt) * model.family.law.rate_bound(model) < STABILITY_GUARD
         self._full = (v_hat, half, np.empty(v_hat.shape, complex),
                       np.empty(v_hat.shape, complex), np.empty(v_hat.shape))
         self._live(len(self.rows))
@@ -325,6 +323,6 @@ def uniform_profile(grid: Grid1D, psi0: float) -> FieldState:
     return FieldState(grid, np.full(grid.n, complex(psi0)), 0.0)
 
 
-def catalog_profile(grid: Grid1D, sol: AnalyticSolution, t: float = 0.0) -> FieldState:
-    """Sample a catalog solution onto the grid as initial data."""
-    return FieldState(grid, np.asarray(eval_solution(sol, grid.x, t), dtype=complex), t)
+def catalog_profile(grid: Grid1D, sol: AnalyticSolution) -> FieldState:
+    """Sample a catalog solution at t = 0 onto the grid as initial data."""
+    return FieldState(grid, np.asarray(eval_solution(sol, grid.x, 0.0), dtype=complex), 0.0)

@@ -105,7 +105,7 @@ def _nearest_cn_zero(u: float, m: float) -> float:
     return spacing * (2 * j + 1)
 
 
-def jacobi_dc(u: ArrayLike, m: float, pole_threshold: float = DC_POLE_THRESHOLD) -> ArrayLike:
+def jacobi_dc(u: ArrayLike, m: float) -> ArrayLike:
     """dc(u|m) = dn/cn, raising PoleError when any point sits on a pole.
 
     Poles are the zeros of cn; the error carries the offending location and
@@ -114,7 +114,7 @@ def jacobi_dc(u: ArrayLike, m: float, pole_threshold: float = DC_POLE_THRESHOLD)
     trip = jacobi_elliptic(u, m)
     cn = np.asarray(trip.cn, dtype=float)
     if m < 1.0:
-        bad = np.abs(cn) < pole_threshold
+        bad = np.abs(cn) < DC_POLE_THRESHOLD
         if np.any(bad):
             uu = np.asarray(u, dtype=float)
             idx = int(np.argmax(bad)) if cn.ndim else 0
@@ -122,7 +122,7 @@ def jacobi_dc(u: ArrayLike, m: float, pole_threshold: float = DC_POLE_THRESHOLD)
             pole = _nearest_cn_zero(loc, m)
             dist = abs(loc - pole)
             raise PoleError(
-                f"dc(u|m={m}) evaluated within {pole_threshold} of a pole: "
+                f"dc(u|m={m}) evaluated within {DC_POLE_THRESHOLD} of a pole: "
                 f"u = {loc}, nearest pole at {pole} (distance {dist:.3e})",
                 location=loc,
                 distance=dist,

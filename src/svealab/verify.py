@@ -147,6 +147,8 @@ def _report(sol: AnalyticSolution, grid: str,
             samples: Sequence[tuple[np.ndarray, np.ndarray]]) -> ResidualReport:
     """The worst |residual| and |field| over the (residual, field) time
     samples.  np.max keeps a NaN where Python's max would drop it."""
+    if not samples:
+        raise DomainError("t_range needs at least one time")
     worst, norm = map(float, np.max(
         [(np.max(np.abs(res)), np.max(np.abs(field))) for res, field in samples], axis=0))
     return ResidualReport(
@@ -166,7 +168,7 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
         raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
     x, h = _grid(x_range, n_points, _STENCIL_POINTS)
     static = not sol.travelling
-    times = (t_range[0],) if static else tuple(t_range)
+    times = tuple(t_range)[:1] if static else tuple(t_range)
     samples = []
     for t0 in times:
         if static:
@@ -200,15 +202,11 @@ def nls_residual(model: ModelSpec, sol: AnalyticSolution,
     return _report(sol, _grid_text(x_range, n_points, t_range), samples)
 
 
-def residual_for(sol: AnalyticSolution,
-                 x_range: Optional[tuple[float, float]] = None,
-                 n_points: int = _TOLERANCE_GRID,
-                 t_range: Optional[Sequence[float]] = None) -> ResidualReport:
-    """Dispatch to the KG or NLS residual with the entry's curated window."""
+def residual_for(sol: AnalyticSolution, n_points: int = _TOLERANCE_GRID) -> ResidualReport:
+    """Dispatch to the KG or NLS residual on the entry's curated window."""
     model = model_for(sol)
     residual = kg_residual if model.family.is_kg else nls_residual
-    x_range = sol.window if x_range is None else x_range
-    return residual(model, sol, x_range, n_points, t_range or _TIMES)
+    return residual(model, sol, sol.window, n_points)
 
 
 def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE,
@@ -282,6 +280,8 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
     difference grows like |1 - exp(i*theta*t)|.
     """
     require_positive("tolerance", tolerance)
+    if len(t_samples) == 0:
+        raise DomainError("t_samples needs at least one time")
     kg_sol, nls_sol = instantiate_pair(pair, detune=detune)
     x, _ = _grid(pair.window, n_points, 2)
     phi = np.asarray(eval_solution(kg_sol, x, 0.0), dtype=complex)

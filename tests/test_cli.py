@@ -16,6 +16,7 @@ from svealab import analysis, cli, verify
 from svealab.analysis import ScanTemplate, scan_stability
 from svealab.cli import (EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, PRESETS,
                          SECTION_KEYS, _get, _model_from, load_settings, main)
+from svealab.errors import ConfigError
 from svealab.models import Family, ModelSpec
 from svealab.solutions import catalog_dump
 from svealab.solver import RunConfig
@@ -343,6 +344,9 @@ class TestOutOfRangeSettings:
         ("verify", "--threshold", "nan"), ("map", "--threshold", "-1"),
         ("analysis", "min_separation", "nan"), ("analysis", "min_separation", "-3"),
         ("analysis", "min_separation", "0"), ("scan", "refine_iters", "-1"),
+        ("analysis", "window", "2"), ("analysis", "window", "0"),
+        ("analysis", "threshold", "-1"), ("analysis", "threshold_fraction", "1.5"),
+        ("run", "dt", "1e-320"), ("scan", "dt", "1e-320"),
     ])
     def test_rejected_before_any_work(self, outdir, tmp_path, capsys, monkeypatch,
                                       section, key, value):
@@ -352,9 +356,10 @@ class TestOutOfRangeSettings:
         monkeypatch.setattr(cli, "propagate", work)
         monkeypatch.setattr(analysis, "propagate_batch", work)
         monkeypatch.setattr(verify, "eval_solution", work)
-        command = {"verify": "verify", "map": "map-check", "analysis": "run",
+        command = {"verify": "verify", "map": "map-check", "analysis": "run", "run": "run",
                    "scan": "scan"}[section]
-        text = {"analysis": STRUCTURED_INI, "scan": TINY_SCAN_INI}.get(section, "")
+        text = {"analysis": STRUCTURED_INI, "run": STRUCTURED_INI,
+                "scan": TINY_SCAN_INI}.get(section, "")
         flag = key.startswith("--")
         ini = _write_ini(tmp_path / "cfg.ini", text, section, **({} if flag else {key: value}))
         assert main([command, "--config", str(ini)] + ([key, value] if flag else [])) == EXIT_USAGE
@@ -374,7 +379,8 @@ class TestConfigSchema:
     """Every section and key is checked; nothing is silently ignored."""
 
     @pytest.mark.parametrize("section, key", [("run", "psi_0"), ("run", "dealias"),
-                                              ("grid", "lenght"), ("scan", "alpha")])
+                                              ("grid", "lenght"), ("scan", "alpha"),
+                                              ("model", "mass")])
     def test_unknown_key_is_usage_error(self, outdir, tmp_path, capsys, section, key):
         text = STRUCTURED_INI if section != "scan" else TINY_SCAN_INI
         ini = _write_ini(tmp_path / "typo.ini", text, section, **{key: "1"})
@@ -382,6 +388,30 @@ class TestConfigSchema:
         assert main([command, "--config", str(ini)]) == EXIT_USAGE
         assert key in capsys.readouterr().err
         assert not (outdir / command).exists()
+
+    def test_readme_table_lists_exactly_the_keys_accepted(self, tmp_path):
+        rows = re.findall(r"^\| `\[(\w+)\]`([^|]*)\|([^|]*)\|$",
+                          (ROOT / "README.md").read_text(), re.MULTILINE)
+        listed = {}
+        for section, families, keys in rows:
+            for family in re.findall(r"`(\w+)`", families) or [None]:
+                listed[section, family] = set(re.findall(r"`(\w+)`", keys))
+        assert {(s, f) for s, f in listed if f is None} == {(s, None) for s in SECTION_KEYS}
+        assert {f for s, f in listed if s == "model"} == {f.value for f in Family}
+        for (section, family), keys in listed.items():
+            if family is None:
+                assert keys == SECTION_KEYS[section], section
+                continue
+            # every listed key loads; each other coupling is refused
+            model = {key: family if key == "family" else "1.0" for key in keys}
+            body = "[model]\n" + "".join(f"{k} = {v}\n" for k, v in model.items())
+            ini = tmp_path / f"{family}.ini"
+            ini.write_text(body)
+            assert load_settings(None, str(ini)) == {"model": model}
+            for key in {"mass", "sigma", "omega"} - keys:
+                ini.write_text(body + f"{key} = 1.0\n")
+                with pytest.raises(ConfigError, match=key):
+                    load_settings(None, str(ini))
 
     def test_unknown_section_is_usage_error(self, outdir, tmp_path, capsys):
         ini = tmp_path / "typo.ini"

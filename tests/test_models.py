@@ -18,6 +18,24 @@ def test_family_partition():
     assert nls.isdisjoint(kg)
 
 
+def test_each_law_reads_its_couplings():
+    assert {f.value: set(f.law.couplings) for f in Family} == {
+        "cubic_kg": set(), "double_well_kg": {"mass"}, "cubic_quintic_kg": {"sigma"},
+        "sine_gordon_kg": set(), "cubic_nls": {"omega"}, "double_well_nls": {"mass", "omega"},
+        "cubic_quintic_nls": {"sigma", "omega"}, "bessel_nls": {"omega"}}
+
+
+def test_only_the_bessel_rate_is_bounded():
+    m = ModelSpec(Family.BESSEL_NLS, lam=-1.3, omega=0.7)
+    bound = m.family.law.rate_bound(m)
+    assert bound == abs(m.lam**2 / m.omega) / 2.0
+    rates = np.abs(nls_nonlinear_phase_rate(m, np.linspace(0.0, 40.0, 4001)))
+    assert rates.max() == pytest.approx(bound, rel=1e-15) and np.all(rates <= bound)
+    for f in Family:
+        if f is not Family.BESSEL_NLS:
+            assert f.law.rate_bound(ModelSpec(f)) == np.inf
+
+
 class TestModelSpec:
     def test_dispersion_values(self):
         assert ModelSpec(Family.CUBIC_NLS, omega=2.0).dispersion == 0.5
@@ -28,11 +46,18 @@ class TestModelSpec:
         with pytest.raises(DomainError):
             ModelSpec(Family.CUBIC_NLS, omega=0.0)
 
-    def test_mapping_round_trip(self):
-        spec = ModelSpec(Family.DOUBLE_WELL_NLS, lam=2.0, mass=1.3, omega=0.7)
-        data = spec.to_mapping()
-        assert data["lambda"] == "2.0"
-        assert ModelSpec.from_mapping(data) == spec
+    def test_from_mapping_reads_the_family_couplings(self):
+        data = {"family": " Double_Well_NLS", "lambda": "2.0", "mass": "1.3", "omega": "0.7"}
+        assert ModelSpec.from_mapping(data) == ModelSpec(Family.DOUBLE_WELL_NLS, lam=2.0,
+                                                         mass=1.3, omega=0.7)
+
+    @pytest.mark.parametrize("family, key", [
+        ("cubic_nls", "mass"), ("cubic_nls", "sigma"), ("bessel_nls", "mass"),
+        ("bessel_nls", "sigma"), ("double_well_nls", "sigma"), ("cubic_kg", "omega"),
+        ("sine_gordon_kg", "mass"), ("cubic_quintic_kg", "mass")])
+    def test_from_mapping_rejects_a_coupling_the_family_does_not_read(self, family, key):
+        with pytest.raises(DomainError, match=key):
+            ModelSpec.from_mapping({"family": family, "lambda": "1.0", key: "7.0"})
 
     def test_from_mapping_rejects_unknown_family(self):
         with pytest.raises((DomainError, ValueError, KeyError)):
@@ -119,7 +144,8 @@ class TestPhaseRate:
         np.linspace(0.0, 14.0, 501),                           # mixed, with z = 0
         np.array([0.0, 5e-5, 0.99e-4, BESSEL_RATE_CUTOVER]),   # series and the edge
         np.linspace(0.0, 0.5 * BESSEL_RATE_CUTOVER, 64),       # series only
-    ], ids=["direct", "mixed", "edge", "series"])
+        np.logspace(-320, -4.0001, 2001),                      # series, down to subnormals
+    ], ids=["direct", "mixed", "edge", "series", "logspaced"])
     def test_bessel_rate_matches_masked_form_bitwise(self, amps):
         m = ModelSpec(Family.BESSEL_NLS, lam=1.3, omega=0.7)
         expected = (m.lam**2 / m.omega) * reference_bessel_rate(amps)

@@ -17,9 +17,8 @@ from svealab.solutions import (SolutionId, catalog_ids, instantiate_pair, make_s
                                mapping_table, model_for)
 from svealab.verify import (CONVERGENCE_RATIO_MIN, DEFAULT_TOLERANCE, FLOOR_RESIDUAL,
                             MAPPING_TOLERANCE, ResidualReport, check_all_mappings,
-                            check_mapping, mapping_report, nls_residual, residual_for,
-                            verification_report,
-                            verify_catalog, verify_entry)
+                            check_mapping, kg_residual, mapping_report, nls_residual,
+                            residual_for, verification_report, verify_catalog, verify_entry)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +125,16 @@ class TestGridSizes:
         for sid in (SolutionId.CUBIC_KG_SN, SolutionId.SG_KINK, SolutionId.CUBIC_NLS_SN):
             assert np.isfinite(residual_for(make_solution(sid), n_points=5).max_abs_residual)
 
+    def test_empty_time_list_is_a_domain_error(self):
+        pair = mapping_table()[0]
+        with pytest.raises(DomainError, match="t_samples"):
+            check_mapping(pair, t_samples=())
+        for sol in instantiate_pair(pair) + (make_solution(SolutionId.SG_KINK),):
+            model = model_for(sol)
+            residual = kg_residual if model.family.is_kg else nls_residual
+            with pytest.raises(DomainError, match="t_range"):
+                residual(model, sol, sol.window, 101, t_range=())
+
     @pytest.mark.parametrize("n_points", [1, 0, -2])
     def test_mapping_needs_both_window_ends(self, n_points):
         with pytest.raises(DomainError, match="at least 2"):
@@ -169,7 +178,7 @@ class TestNonFiniteVerdicts:
         # the tolerance grid is well within tolerance: only the ratio rule can fail
         relative = {251: coarse, 501: fine, 2001: 1e-9}
 
-        def residual(sol, x_range=None, n_points=2001, t_range=None):
+        def residual(sol, n_points=2001):
             return ResidualReport(sol.sid.value, "grid", relative[n_points], 1.0,
                                   relative[n_points])
 
