@@ -1,7 +1,8 @@
 """Post-processing: peak detection, structure counting, breathing metrics,
 and the amplitude-width stability scan.
 
-Peak positions come from scipy's local-maximum finder refined by 3-point
+Peak positions come from a numpy port of scipy's local-maximum rule
+(scipy.signal.find_peaks with height and distance), refined by 3-point
 parabolic interpolation.  peak_table runs it once per snapshot, at one
 threshold and separation; build that table once and pass it to every metric,
 each of which reads a trailing window of its rows.  Structure counts are modal
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import DivergenceError, DomainError, range_rule, require_positive
 from .models import Family, ModelSpec
@@ -96,15 +96,48 @@ require_threshold_fraction = range_rule(lambda v: 0.0 < v < 1.0, "in (0, 1)")
 require_window = range_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
+def _local_peaks(y: np.ndarray, height: float, distance: int) -> np.ndarray:
+    """Indices of scipy.signal.find_peaks(y, height=height, distance=distance)[0]
+    for finite float64 y.
+
+    A peak is a strict rise into a run of equal values and a strict fall out
+    of it, placed at the run's middle sample (rounded down); the ends of y are
+    never peaks.  Peaks under height go.  Then, highest first in
+    np.argsort order (scipy's default kind, so ties break alike), each
+    surviving peak drops every neighbour closer than distance samples.
+    """
+    rise = y[1:] > y[:-1]
+    change = np.flatnonzero(rise | (y[1:] < y[:-1]))  # the non-flat steps
+    up = rise[change]
+    top = up[:-1] & ~up[1:]  # a rise whose next non-flat step falls
+    peaks = (change[:-1][top] + 1 + change[1:][top]) // 2
+    peaks = peaks[y[peaks] >= height]
+    if peaks.size < 2 or np.diff(peaks).min() >= distance:
+        return peaks
+    lo = np.searchsorted(peaks, peaks - distance, side="right").tolist()
+    hi = np.searchsorted(peaks, peaks + distance, side="left").tolist()
+    keep = [True] * peaks.size
+    for j in np.argsort(y[peaks])[::-1].tolist():
+        if keep[j]:
+            keep[lo[j]:hi[j]] = [False] * (hi[j] - lo[j])
+            keep[j] = True
+    return peaks[np.array(keep)]
+
+
 def find_peaks(state: FieldState, threshold: float,
                min_separation: float = DEFAULT_MIN_SEPARATION) -> list[Peak]:
-    """Local maxima of |psi|^2 above threshold, separated by min_separation."""
+    """Local maxima of |psi|^2 above threshold, separated by min_separation.
+
+    A field whose |psi|^2 holds a NaN or an infinity is a DomainError.
+    """
     require_threshold("threshold", threshold)
     require_positive("min_separation", min_separation)
     y = np.abs(state.values) ** 2
+    if not math.isfinite(np.max(y, initial=0.0)):  # NaN propagates through max
+        raise DomainError(f"|psi|^2 at t={state.time:g} is not finite")
     dx = state.grid.spacing
     distance = max(1, int(math.ceil(min_separation / dx)))
-    idx, _ = _scipy_find_peaks(y, height=threshold, distance=distance)
+    idx = _local_peaks(y, threshold, distance)
     x = state.grid.x
     peaks = []
     for i in idx:

@@ -4,8 +4,9 @@ runs, and stability scans.
 Subcommands: verify, map-check, run, scan.  Settings flow preset -> config
 file -> command-line flags, later sources winning.  Config files are INI
 sections (model, grid, run, analysis, scan, verify, map) holding flat
-key=value pairs; an unknown section or key (in [model], one the family's law
-does not read), or a file that is not UTF-8, is a config error.  Exit codes:
+key=value pairs; an unknown key (in [model], one the family's law does not
+read), a section the command does not read, or a file that is not UTF-8, is
+a config error.  Exit codes:
 0 all checks passed, 1 checks failed, 2 usage or config error, 3 numerical
 divergence.
 
@@ -121,6 +122,14 @@ SECTION_KEYS: dict[str, frozenset[str]] = {
     "map": frozenset({"tolerance", "t_samples", "n_points"}),
 }
 
+# The config sections each command reads.
+COMMAND_SECTIONS: dict[str, tuple[str, ...]] = {
+    "run": ("model", "grid", "run", "analysis"),
+    "scan": ("model", "scan"),
+    "verify": ("verify",),
+    "map-check": ("map",),
+}
+
 
 def _merge(base: dict, extra: dict) -> dict:
     out = {k: dict(v) for k, v in base.items()}
@@ -129,7 +138,10 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
-def load_settings(preset: Optional[str], config_path: Optional[str]) -> dict:
+def load_settings(preset: Optional[str], config_path: Optional[str],
+                  command: Optional[str] = None) -> dict:
+    """The merged preset and config sections, each checked; given a command,
+    a section it does not read is a ConfigError too."""
     settings: dict[str, dict[str, str]] = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -150,6 +162,9 @@ def load_settings(preset: Optional[str], config_path: Optional[str]) -> dict:
         file_settings = {s: dict(parser.items(s)) for s in parser.sections()}
         settings = _merge(settings, file_settings)
     for section, values in settings.items():
+        if command is not None and section not in COMMAND_SECTIONS[command]:
+            raise ConfigError(f"{command} does not read [{section}]; it reads "
+                              f"{', '.join(f'[{s}]' for s in COMMAND_SECTIONS[command])}")
         if section == "model":
             _model_from(settings)
             continue
@@ -412,7 +427,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if err.code not in (0, None) else 0
     t0 = time.monotonic()
     try:
-        settings = load_settings(args.preset, args.config)
+        settings = load_settings(args.preset, args.config, args.command)
         if args.threshold is not None:
             settings = _merge(settings, {args.section: {"tolerance": repr(args.threshold)}})
         out = _output_dir(args)

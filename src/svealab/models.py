@@ -8,13 +8,15 @@ field equations box(phi) + N(phi) = 0, box = d_tt - d_xx (D = 1):
     cubic-quintic:  N = -sigma*phi**3 + lambda*phi**5        reads lambda, sigma
     sine-Gordon:    N = lambda**2*sin(phi)                   reads lambda
 
-and four envelope equations i*psi_t + D*psi_xx - V(|psi|)*psi = 0, each
-reading omega as well:
+and four envelope equations i*psi_t + D*psi_xx - V(|psi|)*psi = 0:
 
     cubic NLS:          V = (lambda/omega)*|psi|**2,                  D = 1/omega
     double-well NLS:    V = (lambda/omega)*(|psi|**2 - mass**2/lambda), D = 1/omega
     cubic-quintic NLS:  V = -sigma*|psi|**2 + lambda*|psi|**4,        D = 1
     Bessel NLS:         V = (lambda**2/omega)*J1(|psi|)/|psi|,        D = 1/(2*omega)
+
+Each reads lambda and whichever of omega, mass and sigma its V and D name;
+cubic-quintic NLS reads no omega.
 
 Only the Bessel rate is bounded: sup|V| = |lambda**2/omega|/2, as
 |J1(z)/z| <= 1/2 (A&S 9.1.62).  A [model] mapping holds family, lambda and the
@@ -159,7 +161,7 @@ _LAWS: dict[Family, FamilyLaw] = {
     Family.DOUBLE_WELL_NLS: FamilyLaw(
         True, ("mass", "omega"), lambda m: 1.0 / m.omega,
         lambda m, a, lo: (m.lam / m.omega) * (a**2 - m.mass**2 / m.lam)),
-    Family.CUBIC_QUINTIC_NLS: FamilyLaw(True, ("sigma", "omega"), lambda m: 1.0,
+    Family.CUBIC_QUINTIC_NLS: FamilyLaw(True, ("sigma",), lambda m: 1.0,
                                         lambda m, a, lo: -m.sigma * a**2 + m.lam * a**4),
     Family.BESSEL_NLS: FamilyLaw(
         True, ("omega",), lambda m: 1.0 / (2.0 * m.omega),

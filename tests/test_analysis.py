@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import find_peaks as scipy_find_peaks
 
 from svealab import analysis
 from svealab.analysis import (PeakRow, PeakTable, ScanTemplate, StabilityPoint, count_structures,
@@ -65,6 +68,75 @@ class TestFindPeaks:
         g = Grid1D(64, 20.0)
         with pytest.raises(DomainError):
             find_peaks(make_state(g, np.ones(64)), threshold=0.0)
+
+
+def _rounded_sine(n, step, scale):
+    return np.round(scale * np.sin(step * np.arange(n)))
+
+
+def _repeated_blocks(block, repeats, n):
+    return np.resize(np.repeat(np.asarray(block, dtype=float), repeats), n)
+
+
+# Noise, integer plateaus, rounded sines and repeated blocks, 0 to 300 samples.
+_FIELDS = st.one_of(
+    st.lists(st.floats(0.0, 1.0), max_size=300).map(np.array),
+    st.lists(st.integers(0, 3), max_size=300).map(np.array),
+    st.builds(_rounded_sine, st.integers(0, 300), st.floats(0.05, 1.5), st.integers(1, 4)),
+    st.builds(_repeated_blocks, st.lists(st.integers(0, 2), min_size=1, max_size=5),
+              st.integers(1, 3), st.integers(0, 300)))
+
+
+class TestLocalPeaks:
+    """The numpy peak rule against scipy.signal.find_peaks as the oracle."""
+
+    @staticmethod
+    def _oracle(y, height, distance):
+        return scipy_find_peaks(y, height=height, distance=distance)[0]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(y=_FIELDS, height=st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0)),
+           distance=st.integers(1, 11))
+    def test_same_indices_as_scipy(self, y, height, distance):
+        y = y.astype(float)
+        got = analysis._local_peaks(y, height, distance)
+        np.testing.assert_array_equal(got, self._oracle(y, height, distance))
+
+    def test_uniform_field_has_no_peaks(self):
+        assert analysis._local_peaks(np.full(50, 2.0), 0.0, 1).size == 0
+
+    @pytest.mark.parametrize("y", [[3.0, 3.0, 3.0, 1.0, 0.0, 0.0],
+                                   [0.0, 1.0, 3.0, 3.0, 3.0],
+                                   [0.0, 1.0, 3.0, 3.0, 3.0, 3.0]],
+                             ids=["left", "right", "right-even"])
+    def test_plateau_touching_an_edge_is_no_peak(self, y):
+        y = np.array(y)
+        assert analysis._local_peaks(y, 0.0, 1).size == 0 == self._oracle(y, 0.0, 1).size
+
+    def test_plateau_peak_sits_at_its_middle_rounded_down(self):
+        y = np.array([0.0, 2.0, 2.0, 2.0, 2.0, 0.0])
+        assert analysis._local_peaks(y, 0.0, 1).tolist() == [2] == self._oracle(y, 0.0, 1).tolist()
+
+    def test_equal_heights_closer_than_distance_keep_scipys_choice(self):
+        y = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+        for distance in (3, 5):
+            got = analysis._local_peaks(y, 0.5, distance)
+            np.testing.assert_array_equal(got, self._oracle(y, 0.5, distance))
+            assert got.size == (2 if distance == 3 else 1)
+
+    def test_nan_intensity_is_a_domain_error(self):
+        # FieldState refuses a NaN, but its array stays writable.  On this
+        # field the plain rule calls index 1 a peak and scipy finds none.
+        state = make_state(Grid1D(16, 16.0), np.zeros(16))
+        state.values[:5] = [0.0, 1.0, np.nan, 1.0, 0.0]
+        with pytest.raises(DomainError, match="not finite"):
+            find_peaks(state, threshold=0.5)
+
+    def test_overflowing_intensity_is_a_domain_error(self):
+        values = np.zeros(16)
+        values[:5] = [0.0, 1.0, 1e200, 1.0, 0.0]  # finite psi, |psi|^2 = inf
+        with pytest.raises(DomainError, match="not finite"), np.errstate(over="ignore"):
+            find_peaks(make_state(Grid1D(16, 16.0), values), threshold=0.5)
 
 
 class TestStructureCounting:

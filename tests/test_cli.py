@@ -5,7 +5,10 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy
@@ -14,8 +17,8 @@ import scipy
 
 from svealab import analysis, cli, verify
 from svealab.analysis import ScanTemplate, scan_stability
-from svealab.cli import (EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, PRESETS,
-                         SECTION_KEYS, _get, _model_from, load_settings, main)
+from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
+                         EXIT_USAGE, PRESETS, SECTION_KEYS, _get, _model_from, load_settings, main)
 from svealab.errors import ConfigError
 from svealab.models import Family, ModelSpec
 from svealab.solutions import catalog_dump
@@ -87,6 +90,8 @@ snapshot_stride = 100
 
 ROOT = Path(__file__).resolve().parents[1]
 SCAN_SHORT_INI = ROOT / "perfbench" / "configs" / "scan_short.ini"
+# The command of each preset that is not a run.
+_PRESET_COMMANDS = {"scan-stable-line": "scan", "verify-all": "verify", "map-all": "map-check"}
 
 
 def _sections(text):
@@ -421,21 +426,50 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_accepted(self, name):
+        command = _PRESET_COMMANDS.get(name, "run")
         assert load_settings(name, None) == PRESETS[name]
+        assert load_settings(name, None, command) == PRESETS[name]
 
-    @pytest.mark.parametrize("text", [DIVERGENT_INI, TINY_SCAN_INI, STRUCTURED_INI,
-                                      SCAN_SHORT_INI.read_text()],
-                             ids=["divergent", "tiny-scan", "structured", "scan-short"])
-    def test_shipped_configs_accepted(self, tmp_path, text):
+    @pytest.mark.parametrize("text, command", [
+        (DIVERGENT_INI, "run"), (TINY_SCAN_INI, "scan"), (STRUCTURED_INI, "run"),
+        (SCAN_SHORT_INI.read_text(), "scan")],
+        ids=["divergent", "tiny-scan", "structured", "scan-short"])
+    def test_shipped_configs_accepted(self, tmp_path, text, command):
         ini = tmp_path / "shipped.ini"
         ini.write_text(text)
         assert load_settings(None, str(ini)) == _sections(text)
+        assert load_settings(None, str(ini), command) == _sections(text)
 
     def test_amplitude_override_on_a_preset_accepted(self, tmp_path):
         # the form the benchmark writes: a lone [run] psi0 on top of case1
         ini = tmp_path / "psi0.ini"
         ini.write_text("[run]\npsi0 = 14.25\n\n")
         assert load_settings("case1", str(ini))["run"]["psi0"] == "14.25"
+        assert load_settings("case1", str(ini), "run")["run"]["psi0"] == "14.25"
+
+    def test_every_command_declares_its_sections(self):
+        assert set(COMMAND_SECTIONS) == {"verify", "map-check", "run", "scan"}
+        assert {s for sections in COMMAND_SECTIONS.values() for s in sections} == \
+            {"model", *SECTION_KEYS}
+
+    @pytest.mark.parametrize("command, text, section", [
+        ("run", STRUCTURED_INI, "scan"), ("scan", TINY_SCAN_INI, "grid"),
+        ("verify", "[verify]\nn_points = 101\n", "map"),
+        ("map-check", "[map]\nn_points = 101\n", "model")])
+    def test_section_the_command_does_not_read_is_usage_error(self, outdir, tmp_path, capsys,
+                                                              command, text, section):
+        extra = {"scan": "alphas = 0.5\n", "grid": "n = 64\n", "map": "n_points = 11\n",
+                 "model": "family = cubic_nls\n"}[section]
+        ini = tmp_path / "extra.ini"
+        ini.write_text(text + f"\n[{section}]\n" + extra)
+        assert main([command, "--config", str(ini)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"[{section}]" in err
+        assert not (outdir / command).exists()
+
+    def test_preset_of_another_command_is_usage_error(self, outdir, capsys):
+        assert main(["scan", "--preset", "case1"]) == EXIT_USAGE
+        assert "scan does not read [grid]" in capsys.readouterr().err
 
     def test_table_lists_exactly_the_keys_read(self):
         read = set(re.findall(r'_get\(settings, "(\w+)", "(\w+)"', Path(cli.__file__).read_text()))
@@ -463,6 +497,18 @@ class TestFlagsPerCommand:
     def test_jobs_accepted_by_every_command(self, command):
         args = cli.build_parser().parse_args([command, "--jobs", "1"])
         assert (args.jobs, args.threshold, args.detune) == (1, None, None)
+
+
+class TestStartup:
+    def test_cli_import_leaves_the_heavy_scipy_packages_out(self):
+        # scipy serves fft and special only; signal would pull in stats and optimize
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, svealab.cli; print(' '.join(sorted(m for m in "
+                 "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == ""
 
 
 class TestTracedNames:

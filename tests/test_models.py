@@ -22,7 +22,7 @@ def test_each_law_reads_its_couplings():
     assert {f.value: set(f.law.couplings) for f in Family} == {
         "cubic_kg": set(), "double_well_kg": {"mass"}, "cubic_quintic_kg": {"sigma"},
         "sine_gordon_kg": set(), "cubic_nls": {"omega"}, "double_well_nls": {"mass", "omega"},
-        "cubic_quintic_nls": {"sigma", "omega"}, "bessel_nls": {"omega"}}
+        "cubic_quintic_nls": {"sigma"}, "bessel_nls": {"omega"}}
 
 
 def test_only_the_bessel_rate_is_bounded():
@@ -54,7 +54,9 @@ class TestModelSpec:
     @pytest.mark.parametrize("family, key", [
         ("cubic_nls", "mass"), ("cubic_nls", "sigma"), ("bessel_nls", "mass"),
         ("bessel_nls", "sigma"), ("double_well_nls", "sigma"), ("cubic_kg", "omega"),
-        ("sine_gordon_kg", "mass"), ("cubic_quintic_kg", "mass")])
+        ("sine_gordon_kg", "mass"), ("cubic_quintic_kg", "mass"),
+        # D = 1 and V = -sigma*|psi|**2 + lambda*|psi|**4: no omega anywhere
+        ("cubic_quintic_nls", "omega")])
     def test_from_mapping_rejects_a_coupling_the_family_does_not_read(self, family, key):
         with pytest.raises(DomainError, match=key):
             ModelSpec.from_mapping({"family": family, "lambda": "1.0", key: "7.0"})
