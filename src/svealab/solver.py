@@ -21,6 +21,19 @@ bounds the rate (Bessel) and dt*sup|V| < STABILITY_GUARD, the rotation guard
 passes once per run; other runs check each row's max|V| every step.  A
 non-finite field shows in the projection's power sum.
 
+The nonlinear half allocates nothing: the rate V is written into a step
+buffer, theta = (-dt)*V + 0.0 into the amplitude buffer, and the rotation is
+built as cos(theta) + i*sin(theta) straight into the real and imaginary parts
+of a complex buffer.  This is bitwise exp(-1j*dt*V), the textbook form the
+tests keep as reference.  -1j*dt is the complex (+0, -dt), so its product
+with V is (+-0) + i*(+0 + (-dt)*V) exactly; the +0 turns a -0 angle into +0,
+which is why theta adds it too.  The complex exp of that is exp(+-0) = 1
+times cos(theta) + i*sin(theta), from the same libm.  tests/test_solver.py
+checks the identity on the platform at hand for angles under
+STABILITY_GUARD, signed zeros and negative dt included.
+
+A run takes at most MAX_STEPS steps; RunConfig refuses a longer one.
+
 The x grid is symmetric, x_j = -L/2 + j*L/n, and wavenumbers follow the
 standard FFT ordering k_j = 2*pi*j/L.
 """
@@ -53,10 +66,14 @@ __all__ = [
     "uniform_profile",
     "catalog_profile",
     "STABILITY_GUARD",
+    "MAX_STEPS",
 ]
 
 # Nonlinear rotation per step must stay under this angle (radians).
 STABILITY_GUARD = 0.5
+
+# Most steps one run may take: 100 times the 1e5 of the longest preset.
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -85,18 +102,22 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class FieldState:
+    """Field values on a grid at one time.  values is a read-only copy of the
+    array given, so the finite check made here keeps holding."""
+
     grid: Grid1D
     values: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.array(self.values, dtype=complex)
         if v.shape != (self.grid.n,):
             raise DomainError(
                 f"field length {v.shape} does not match grid n={self.grid.n}"
             )
         if not np.all(np.isfinite(v.view(float))):
             raise DomainError("field values must be finite")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "time", float(self.time))
 
@@ -116,6 +137,9 @@ class RunConfig:
         if int(self.snapshot_stride) < 1:
             raise DomainError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
         object.__setattr__(self, "snapshot_stride", int(self.snapshot_stride))
+        if self.n_steps > MAX_STEPS:
+            raise DomainError(f"dt={self.dt!r} makes {self.n_steps:.3g} steps to "
+                              f"t_final={self.t_final!r}, more than {MAX_STEPS:.0e}")
         if not math.isclose(self.n_steps * self.dt, self.t_final, rel_tol=1e-9):
             raise DomainError(f"t_final={self.t_final!r} is not a whole number of dt={self.dt!r}")
 
@@ -162,11 +186,11 @@ class _Stepper:
 
     Rows share n but not their grid length, so each row gets its own half-step
     multiplier.  Everything run-constant is settled once: the multipliers, the
-    projection targets, -1j*dt, the rate-bound guard decision and the (B, n)
-    buffers.  `rows` holds the input index of each row still stepping and
-    `spectra` its live view.  advance(j) retires every row that trips the
-    rotation guard, the non-finite check or the unitarity check, each with its
-    own DivergenceError, and compacts the stack so the other rows keep stepping.
+    projection targets, the rate-bound guard decision and the (B, n) buffers.
+    `rows` holds the input index of each row still stepping and `spectra` its
+    live view.  advance(j) retires every row that trips the rotation guard, the
+    non-finite check or the unitarity check, each with its own DivergenceError,
+    and compacts the stack so the other rows keep stepping.
     """
 
     def __init__(self, grids: Sequence[Grid1D], model: ModelSpec, dt: float,
@@ -182,10 +206,10 @@ class _Stepper:
         self.rows = list(range(len(v_hat)))
         half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
                          for g in grids])
-        self.phase = -1j * dt
         self.guard_each_step = not abs(dt) * model.family.law.rate_bound(model) < STABILITY_GUARD
         self._full = (v_hat, half, np.empty(v_hat.shape, complex),
-                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape))
+                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape),
+                      np.empty(v_hat.shape))
         self._live(len(self.rows))
 
     def _live(self, m: int) -> None:
@@ -194,21 +218,25 @@ class _Stepper:
 
     def advance(self, j: int) -> Sequence[tuple[int, DivergenceError]]:
         """Step j of every live row; returns the (row, error) pairs it retired."""
-        v_hat, half, work, rot, amp = self._views
+        v_hat, half, work, rot, amp, rate = self._views
         np.multiply(half, v_hat, out=work)
         v = _fft.ifft(work, axis=-1, overwrite_x=True)
-        rate = nls_nonlinear_phase_rate(self.model, np.abs(v, out=amp))
+        rate = nls_nonlinear_phase_rate(self.model, np.abs(v, out=amp), out=rate)
         bad = {}  # row -> message, {t} standing for its time
         if self.guard_each_step:
             peak = abs(self.dt) * np.max(np.abs(rate), axis=-1)
             for k in np.flatnonzero(peak >= STABILITY_GUARD):
                 bad[int(k)] = (f"nonlinear rotation exceeded guard {STABILITY_GUARD} "
                                "at t={t:g}; reduce dt")
-        np.multiply(v, np.exp(np.multiply(self.phase, rate, out=rot), out=rot), out=v)
+        # + 0.0 gives a zero angle the sign it has in exp(-1j*dt*V)'s argument
+        theta = np.add(np.multiply(-self.dt, rate, out=amp), 0.0, out=amp)
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        np.multiply(v, rot, out=v)
         np.multiply(half, _fft.fft(v, axis=-1, overwrite_x=True), out=v_hat)
         # Both sub-steps are unit-modulus rotations, so the exact flow keeps the
         # spectral power sum fixed; rescaling onto it removes the slow systematic
-        # drift (~1e-16 per step) that exp() and the transform pair leave behind.
+        # drift (~1e-16 per step) that cos, sin and the transform pair leave behind.
         for k, (row, target) in enumerate(zip(self.spectra, self.targets)):
             if k in bad:
                 continue

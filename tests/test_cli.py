@@ -352,6 +352,7 @@ class TestOutOfRangeSettings:
         ("analysis", "window", "2"), ("analysis", "window", "0"),
         ("analysis", "threshold", "-1"), ("analysis", "threshold_fraction", "1.5"),
         ("run", "dt", "1e-320"), ("scan", "dt", "1e-320"),
+        ("run", "dt", "1e-300"), ("scan", "dt", "1e-300"),
     ])
     def test_rejected_before_any_work(self, outdir, tmp_path, capsys, monkeypatch,
                                       section, key, value):

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svealab.errors import DivergenceError, DomainError
 from svealab.models import BESSEL_RATE_CUTOVER, Family, ModelSpec, nls_nonlinear_phase_rate
 from svealab.solutions import SolutionId, make_solution
-from svealab.solver import (FieldState, Grid1D, RunConfig, Trajectory, catalog_profile,
-                            mass, peak_intensity, propagate, propagate_batch, sech_profile,
-                            step, supergaussian_profile, uniform_profile)
+from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunConfig,
+                            Trajectory, catalog_profile, mass, peak_intensity, propagate,
+                            propagate_batch, sech_profile, step, supergaussian_profile,
+                            uniform_profile)
 
 from oracles import K_VALUES, reference_propagate
 
@@ -59,6 +62,25 @@ class TestFieldState:
         with pytest.raises(DomainError):
             FieldState(g, np.ones(16, dtype=complex), 0.0)
 
+    def test_values_are_a_read_only_copy(self):
+        g = Grid1D(16, 10.0)
+        given_values = np.ones(16, dtype=complex)
+        state = FieldState(g, given_values)
+        with pytest.raises(ValueError, match="read-only"):
+            state.values[:5] = [0.0, 1.0, np.nan, 1.0, 0.0]
+        assert not np.shares_memory(state.values, given_values)
+        given_values[2] = np.nan  # the caller's array stays writable
+        assert np.all(np.isfinite(state.values))
+
+    def test_snapshots_share_no_memory(self):
+        g = Grid1D(64, 20.0)
+        initial = sech_profile(g, 2.0)
+        traj = propagate(initial, RunConfig(BESSEL, dt=1e-3, t_final=0.02, snapshot_stride=5))
+        for a in traj.snapshots:
+            assert not a.values.flags.writeable
+            assert sum(np.shares_memory(a.values, b.values) for b in traj.snapshots) == 1
+        assert not step(initial, BESSEL, 1e-3).values.flags.writeable
+
 
 class TestRunConfig:
     def test_rejects_bad_dt_and_horizon(self):
@@ -79,6 +101,14 @@ class TestRunConfig:
         assert RunConfig(CUBIC, dt=1e-3, t_final=30.0).n_steps == 30000
         assert RunConfig(CUBIC, dt=0.1, t_final=0.3).n_steps == 3
         assert RunConfig(CUBIC, dt=0.3, t_final=0.0).n_steps == 0
+
+    def test_step_count_is_bounded(self):
+        # t_final/dt is finite, so only the bound stops a run of ~3e301 steps
+        with pytest.raises(DomainError, match="dt=1e-300"):
+            RunConfig(CUBIC, dt=1e-300, t_final=30.0)
+        with pytest.raises(DomainError, match="dt"):
+            RunConfig(CUBIC, dt=1e-3, t_final=MAX_STEPS * 1e-3 + 1.0)
+        assert RunConfig(CUBIC, dt=1e-3, t_final=MAX_STEPS * 1e-3).n_steps == MAX_STEPS
 
 
 class TestProfiles:
@@ -229,9 +259,9 @@ class TestDivergenceGuard:
         # projection's power sum can see it.
         calls = []
 
-        def poisoned(model, amp):
+        def poisoned(model, amp, out=None):
             calls.append(None)
-            rate = nls_nonlinear_phase_rate(model, amp)
+            rate = nls_nonlinear_phase_rate(model, amp, out=out)
             if len(calls) == 3:
                 rate[0] = np.inf
             return rate
@@ -271,9 +301,31 @@ def _assert_same_trajectory(fast, ref):
     assert len(fast.snapshots) == len(ref.snapshots)
     for a, b in zip(fast.snapshots, ref.snapshots):
         assert a.time == b.time
-        assert np.array_equal(a.values, b.values)
-    assert np.array_equal(fast.mass_series, ref.mass_series)
-    assert np.array_equal(fast.peak_series, ref.peak_series)
+        assert a.values.tobytes() == b.values.tobytes()
+    assert fast.mass_series.tobytes() == ref.mass_series.tobytes()
+    assert fast.peak_series.tobytes() == ref.peak_series.tobytes()
+
+
+_EDGE_RATES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(dt=st.one_of(st.sampled_from([1e-3, -1e-3, 2e-3, 1e-2, 1e-300, -1e-300]),
+                    st.floats(-1.0, 1.0).filter(lambda d: d != 0.0)),
+       fractions=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGE_RATES)),
+                          min_size=1, max_size=64))
+def test_cos_sin_rotation_is_bitwise_the_complex_exp(dt, fractions):
+    # _Stepper.advance builds exp(-1j*dt*V) as cos(theta) + i*sin(theta) with
+    # theta = (-dt)*V + 0.0; this holds on a platform whose complex exp and
+    # real cos/sin round alike, for every rotation under the guard
+    rate = np.array([f * STABILITY_GUARD / abs(dt) if abs(f) >= 1e-200 else f
+                     for f in fractions])
+    rate = rate[np.abs(dt * rate) < STABILITY_GUARD]
+    theta = np.add(np.multiply(-dt, rate), 0.0)
+    rot = np.empty(rate.shape, complex)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    assert rot.tobytes() == np.exp(np.multiply(-1j * dt, rate)).tobytes()
 
 
 @pytest.mark.parametrize("name", list(_BITWISE_CASES))
@@ -334,9 +386,9 @@ class TestBatchedPropagation:
         # switched the rotation guard off, so only its power sum sees it
         calls = []
 
-        def poisoned(model, amp):
+        def poisoned(model, amp, out=None):
             calls.append(None)
-            rate = nls_nonlinear_phase_rate(model, amp)
+            rate = nls_nonlinear_phase_rate(model, amp, out=out)
             if len(calls) == 3:
                 rate[1, 0] = np.inf
             return rate
