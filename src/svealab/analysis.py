@@ -313,13 +313,6 @@ class ScanTemplate:
     t_final: float = 90.0
     snapshot_stride: int = 500
 
-    def __post_init__(self):
-        self.run_config()  # dt, t_final and the stride are checked before any cell
-
-    def run_config(self) -> RunConfig:
-        return RunConfig(self.model, dt=self.dt, t_final=self.t_final,
-                         snapshot_stride=self.snapshot_stride)
-
     def grid_for(self, alpha: float) -> Grid1D:
         # Wide profiles need a domain several widths across.
         length = max(self.grid_length, 24.0 / alpha)
@@ -332,7 +325,8 @@ def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> l
 
     A cell that diverges scores infinity.
     """
-    cfg = template.run_config()
+    cfg = RunConfig(template.model, dt=template.dt, t_final=template.t_final,
+                    snapshot_stride=template.snapshot_stride)
     initials = [sech_profile(template.grid_for(alpha), psi0, alpha) for alpha, psi0 in cells]
     return [math.inf if isinstance(traj, DivergenceError) else
             oscillation_metric(peak_table(traj))

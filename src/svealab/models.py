@@ -21,12 +21,6 @@ cubic-quintic NLS reads no omega.
 Only the Bessel rate is bounded: sup|V| = |lambda**2/omega|/2, as
 |J1(z)/z| <= 1/2 (A&S 9.1.62).  A [model] mapping holds family, lambda and the
 couplings its family reads, nothing else.
-
-Each envelope term writes V into a caller's buffer and returns it, so the
-solver's step allocates no rate.  The in-place ufuncs apply the same IEEE
-operations in the same order as the allocating expressions they replace
-(J1(z), then /z, then times lambda**2/omega for Bessel), so the rate is bit
-for bit what those expressions give.
 """
 
 from __future__ import annotations
@@ -86,8 +80,7 @@ class Family(Enum):
 
 class FamilyLaw(NamedTuple):
     """One family's equation: term is N(model, phi) for a field family, V(model,
-    amp, lo, out) with lo = min(amp) for an envelope one, written into out and
-    returned; rate_bound is sup|V|."""
+    amp, lo) with lo = min(amp) for an envelope one; rate_bound is sup|V|."""
 
     envelope: bool
     couplings: tuple[str, ...]  # ModelSpec fields read beyond lam
@@ -141,14 +134,14 @@ class ModelSpec:
                               for key, value in data.items() if key != "family"})
 
 
-def _bessel_rate(amp: np.ndarray, lo: float, out: np.ndarray) -> np.ndarray:
-    # J1(z)/z into out.  When some z is under the cutover (lo = min z), the
-    # division skips those entries, z = 0 included, and the series fills them.
-    _sp.j1(amp, out=out)
+def _bessel_rate(amp: np.ndarray, lo: float) -> np.ndarray:
+    # J1(z)/z.  When some z is under the cutover (lo = min z), those entries,
+    # including any 0/0 at z = 0, are overwritten by the series.
     if lo >= BESSEL_RATE_CUTOVER:
-        return np.divide(out, amp, out=out)
+        return _sp.j1(amp) / amp
+    with np.errstate(invalid="ignore"):
+        out = np.asarray(_sp.j1(amp) / amp)  # a 0-d input divides to a scalar
     small = amp < BESSEL_RATE_CUTOVER
-    np.divide(out, amp, out=out, where=~small)
     z = amp[small]
     out[small] = 0.5 - z * z / 16.0
     return out
@@ -163,21 +156,16 @@ _LAWS: dict[Family, FamilyLaw] = {
                                        lambda m, phi: -m.sigma * phi**3 + m.lam * phi**5),
     Family.SINE_GORDON_KG: FamilyLaw(False, (), lambda m: 1.0,
                                      lambda m, phi: m.lam**2 * np.sin(phi)),
-    Family.CUBIC_NLS: FamilyLaw(
-        True, ("omega",), lambda m: 1.0 / m.omega,
-        lambda m, a, lo, out: np.multiply(m.lam / m.omega, np.square(a, out=out), out=out)),
+    Family.CUBIC_NLS: FamilyLaw(True, ("omega",), lambda m: 1.0 / m.omega,
+                                lambda m, a, lo: (m.lam / m.omega) * a**2),
     Family.DOUBLE_WELL_NLS: FamilyLaw(
         True, ("mass", "omega"), lambda m: 1.0 / m.omega,
-        lambda m, a, lo, out: np.multiply(
-            m.lam / m.omega, np.subtract(np.square(a, out=out), m.mass**2 / m.lam, out=out),
-            out=out)),
-    Family.CUBIC_QUINTIC_NLS: FamilyLaw(
-        True, ("sigma",), lambda m: 1.0,
-        lambda m, a, lo, out: np.add(
-            -m.sigma * a**2, np.multiply(m.lam, np.power(a, 4, out=out), out=out), out=out)),
+        lambda m, a, lo: (m.lam / m.omega) * (a**2 - m.mass**2 / m.lam)),
+    Family.CUBIC_QUINTIC_NLS: FamilyLaw(True, ("sigma",), lambda m: 1.0,
+                                        lambda m, a, lo: -m.sigma * a**2 + m.lam * a**4),
     Family.BESSEL_NLS: FamilyLaw(
         True, ("omega",), lambda m: 1.0 / (2.0 * m.omega),
-        lambda m, a, lo, out: np.multiply(m.lam**2 / m.omega, _bessel_rate(a, lo, out), out=out),
+        lambda m, a, lo: (m.lam**2 / m.omega) * _bessel_rate(a, lo),
         rate_bound=lambda m: abs(m.lam**2 / m.omega) / 2.0),
 }
 
@@ -194,13 +182,10 @@ def kg_force(model: ModelSpec, phi: ArrayLike) -> ArrayLike:
     return law.term(model, phi)
 
 
-def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike,
-                             out: np.ndarray | None = None) -> ArrayLike:
+def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLike:
     """V(|psi|), the amplitude-dependent phase rotation rate of the envelope equation.
 
-    Vectorized over amplitude; amplitudes must be real and >= 0.  out, a float
-    array of the amplitude's shape that does not overlap it, receives V and is
-    returned; the result is bitwise the same with or without it.
+    Vectorized over amplitude; amplitudes must be real and >= 0.
     """
     amp = np.asarray(amplitude, dtype=float)
     scalar = amp.ndim == 0
@@ -211,7 +196,7 @@ def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike,
     if not law.envelope:
         raise FamilyMismatchError(
             f"nls_nonlinear_phase_rate needs an NLS family, got {model.family.value}")
-    out = law.term(model, amp, lo, np.empty_like(amp) if out is None else out)
+    out = law.term(model, amp, lo)
     return float(out) if scalar else out
 
 

@@ -21,11 +21,11 @@ bounds the rate (Bessel) and dt*sup|V| < STABILITY_GUARD, the rotation guard
 passes once per run; other runs check each row's max|V| every step.  A
 non-finite field shows in the projection's power sum.
 
-The nonlinear half allocates nothing: the rate V is written into a step
-buffer, theta = (-dt)*V + 0.0 into the amplitude buffer, and the rotation is
-built as cos(theta) + i*sin(theta) straight into the real and imaginary parts
-of a complex buffer.  This is bitwise exp(-1j*dt*V), the textbook form the
-tests keep as reference.  -1j*dt is the complex (+0, -dt), so its product
+The nonlinear half builds no complex exp: once the rate V is computed the
+amplitude buffer is free, so theta = (-dt)*V + 0.0 goes there, and the rotation
+is built as cos(theta) + i*sin(theta) straight into the real and imaginary
+parts of a complex buffer.  This is bitwise exp(-1j*dt*V), the textbook form
+the tests keep as reference.  -1j*dt is the complex (+0, -dt), so its product
 with V is (+-0) + i*(+0 + (-dt)*V) exactly; the +0 turns a -0 angle into +0,
 which is why theta adds it too.  The complex exp of that is exp(+-0) = 1
 times cos(theta) + i*sin(theta), from the same libm.  tests/test_solver.py
@@ -208,8 +208,7 @@ class _Stepper:
                          for g in grids])
         self.guard_each_step = not abs(dt) * model.family.law.rate_bound(model) < STABILITY_GUARD
         self._full = (v_hat, half, np.empty(v_hat.shape, complex),
-                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape),
-                      np.empty(v_hat.shape))
+                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape))
         self._live(len(self.rows))
 
     def _live(self, m: int) -> None:
@@ -218,10 +217,10 @@ class _Stepper:
 
     def advance(self, j: int) -> Sequence[tuple[int, DivergenceError]]:
         """Step j of every live row; returns the (row, error) pairs it retired."""
-        v_hat, half, work, rot, amp, rate = self._views
+        v_hat, half, work, rot, amp = self._views
         np.multiply(half, v_hat, out=work)
         v = _fft.ifft(work, axis=-1, overwrite_x=True)
-        rate = nls_nonlinear_phase_rate(self.model, np.abs(v, out=amp), out=rate)
+        rate = nls_nonlinear_phase_rate(self.model, np.abs(v, out=amp))
         bad = {}  # row -> message, {t} standing for its time
         if self.guard_each_step:
             peak = abs(self.dt) * np.max(np.abs(rate), axis=-1)

@@ -155,44 +155,6 @@ class TestPhaseRate:
         for a, e in zip(amps[:4], expected[:4]):
             assert nls_nonlinear_phase_rate(m, float(a)) == e
 
-    # the allocating expression each envelope term wrote before it took `out`
-    _TEXTBOOK = {
-        Family.CUBIC_NLS: lambda m, a: (m.lam / m.omega) * a**2,
-        Family.DOUBLE_WELL_NLS: lambda m, a: (m.lam / m.omega) * (a**2 - m.mass**2 / m.lam),
-        Family.CUBIC_QUINTIC_NLS: lambda m, a: -m.sigma * a**2 + m.lam * a**4,
-        Family.BESSEL_NLS: lambda m, a: (m.lam**2 / m.omega) * reference_bessel_rate(a),
-    }
-    _MODELS = [ModelSpec(Family.CUBIC_NLS, lam=1.3, omega=0.7),
-               ModelSpec(Family.DOUBLE_WELL_NLS, lam=1.3, mass=0.9, omega=0.7),
-               ModelSpec(Family.CUBIC_QUINTIC_NLS, lam=1.3, sigma=0.45),
-               ModelSpec(Family.BESSEL_NLS, lam=1.3, omega=0.7)]
-    _AMPS = {
-        "series": np.linspace(0.0, 0.9 * BESSEL_RATE_CUTOVER, 257),
-        "direct": np.linspace(2e-4, 14.0, 1001),
-        "mixed": np.concatenate([np.logspace(-320, 1.2, 700), [0.0, BESSEL_RATE_CUTOVER]]),
-        "zeros": np.zeros(33),
-        "stack": np.abs(np.sin(np.linspace(0.0, 9.0, 3 * 128))).reshape(3, 128) * 6.0,
-    }
-
-    @pytest.mark.parametrize("amps", _AMPS.values(), ids=_AMPS.keys())
-    @pytest.mark.parametrize("m", _MODELS, ids=lambda m: m.family.value)
-    def test_out_buffer_is_bitwise_the_allocating_call(self, m, amps):
-        expected = nls_nonlinear_phase_rate(m, amps)
-        buf = np.full(amps.shape, np.nan)
-        got = nls_nonlinear_phase_rate(m, amps, out=buf)
-        assert got is buf
-        assert expected.tobytes() == buf.tobytes()
-        assert expected.tobytes() == self._TEXTBOOK[m.family](m, amps).tobytes()
-
-    @pytest.mark.parametrize("a", [0.0, 5e-5, BESSEL_RATE_CUTOVER, 2.5, 7.0])
-    @pytest.mark.parametrize("m", _MODELS, ids=lambda m: m.family.value)
-    def test_out_buffer_with_a_scalar_amplitude(self, m, a):
-        expected = nls_nonlinear_phase_rate(m, a)
-        assert type(expected) is float
-        got = nls_nonlinear_phase_rate(m, a, out=np.empty(()))
-        textbook = self._TEXTBOOK[m.family](m, np.array(a))
-        assert np.array(got).tobytes() == np.array(expected).tobytes() == textbook.tobytes()
-
     def test_array_input(self):
         m = ModelSpec(Family.BESSEL_NLS)
         amps = np.array([0.0, 1.0, 5.0])

@@ -259,9 +259,9 @@ class TestDivergenceGuard:
         # projection's power sum can see it.
         calls = []
 
-        def poisoned(model, amp, out=None):
+        def poisoned(model, amp):
             calls.append(None)
-            rate = nls_nonlinear_phase_rate(model, amp, out=out)
+            rate = nls_nonlinear_phase_rate(model, amp)
             if len(calls) == 3:
                 rate[0] = np.inf
             return rate
@@ -386,9 +386,9 @@ class TestBatchedPropagation:
         # switched the rotation guard off, so only its power sum sees it
         calls = []
 
-        def poisoned(model, amp, out=None):
+        def poisoned(model, amp):
             calls.append(None)
-            rate = nls_nonlinear_phase_rate(model, amp, out=out)
+            rate = nls_nonlinear_phase_rate(model, amp)
             if len(calls) == 3:
                 rate[1, 0] = np.inf
             return rate
