@@ -136,7 +136,8 @@ def find_peaks(state: FieldState, threshold: float,
     if not math.isfinite(np.max(y, initial=0.0)):  # NaN propagates through max
         raise DomainError(f"|psi|^2 at t={state.time:g} is not finite")
     dx = state.grid.spacing
-    distance = max(1, int(math.ceil(min_separation / dx)))
+    # n samples or more keep only the highest peak, so the clamp changes nothing
+    distance = max(1, int(math.ceil(min(min_separation / dx, state.grid.n))))
     idx = _local_peaks(y, threshold, distance)
     x = state.grid.x
     peaks = []
@@ -418,8 +419,9 @@ def scan_stability(alphas: Sequence[float],
     if template.model.family is not Family.BESSEL_NLS:
         raise DomainError("stability scan is defined for the Bessel envelope model")
     lo, hi, n_samples = float(psi0_range[0]), float(psi0_range[1]), int(psi0_range[2])
-    if not (0.0 < lo < hi and n_samples >= 3):
-        raise DomainError(f"bad psi0 range {psi0_range!r}")
+    if not (0.0 < lo < hi < math.inf and n_samples >= 3):
+        raise DomainError(f"bad psi0 range {psi0_range!r}: need 0 < psi0_lo < psi0_hi < inf "
+                          "and psi0_samples >= 3")
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     if refine_iters < 0:

@@ -6,19 +6,21 @@ file -> command-line flags, later sources winning.  Config files are INI
 sections (model, grid, run, analysis, scan, verify, map) holding flat
 key=value pairs; an unknown key (in [model], one the family's law does not
 read), a section the command does not read, or a file that is not UTF-8, is
-a config error.  Exit codes:
-0 all checks passed, 1 checks failed, 2 usage or config error, 3 numerical
-divergence.
+a config error.  SECTION_KEYS states each key once with the reader that types
+it; _section passes on only the keys set, so the library's defaults cover the
+rest.  Exit codes: 0 all checks passed, 1 checks failed, 2 usage or config
+error, 3 numerical divergence.
 
 main runs the steps every command shares, once: load the settings, merge
---threshold as the command's tolerance, make the output directory, run the
-command body cmd_*(args, settings, out) -> exit code, write the manifest.
-verify and map-check exit by the passed flag each check carries.
+--threshold as the command's tolerance, check where the output directory
+goes, run the command body cmd_*(args, settings, out) -> exit code, write the
+manifest.  verify and map-check exit by the passed flag each check carries.
 
 Outputs land under --output, else $SVEA_LAB_OUTPUT, else ./artifacts, in a
-per-command directory.  Every artifact directory gets a manifest sufficient
-to re-run the command; all runs are deterministic (no randomness anywhere),
-so a rerun reproduces every CSV byte for byte.
+per-command directory that the first artifact written makes, so an error
+before it leaves nothing behind.  Every artifact directory gets a manifest
+sufficient to re-run the command; all runs are deterministic (no randomness
+anywhere), so a rerun reproduces every CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .analysis import (DEFAULT_MIN_SEPARATION, DEFAULT_WINDOW_FRACTION,
@@ -109,17 +111,28 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
 }
 
 
-# The keys each config section accepts.  [model] is checked whole by
-# ModelSpec.from_mapping: family, lambda and the couplings of the family's law.
-SECTION_KEYS: dict[str, frozenset[str]] = {
-    "grid": frozenset({"n", "length"}),
-    "run": frozenset({"initial", "psi0", "alpha", "width", "order", "catalog_id",
-                      "dt", "t_final", "snapshot_stride"}),
-    "analysis": frozenset({"threshold", "threshold_fraction", "min_separation", "window"}),
-    "scan": frozenset({"alphas", "psi0_lo", "psi0_hi", "psi0_samples", "n", "length",
-                       "dt", "t_final", "snapshot_stride", "refine_iters"}),
-    "verify": frozenset({"tolerance", "n_points"}),
-    "map": frozenset({"tolerance", "t_samples", "n_points"}),
+def _floats(raw: str) -> tuple[float, ...]:
+    """The comma-list reader: a non-empty list of finite numbers."""
+    values = tuple(float(v) for v in raw.split(",") if v.strip())
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(raw)
+    return values
+
+
+# The keys each config section accepts and the reader of each.  [model] is
+# checked whole by ModelSpec.from_mapping: family, lambda and the couplings of
+# the family's law.
+SECTION_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+    "grid": {"n": int, "length": float},
+    "run": {"initial": str, "psi0": float, "alpha": float, "width": float, "order": int,
+            "catalog_id": str, "dt": float, "t_final": float, "snapshot_stride": int},
+    "analysis": {"threshold": float, "threshold_fraction": float, "min_separation": float,
+                 "window": float},
+    "scan": {"alphas": _floats, "psi0_lo": float, "psi0_hi": float, "psi0_samples": int,
+             "n": int, "length": float, "dt": float, "t_final": float,
+             "snapshot_stride": int, "refine_iters": int},
+    "verify": {"tolerance": float, "n_points": int},
+    "map": {"tolerance": float, "t_samples": _floats, "n_points": int},
 }
 
 # The config sections each command reads.
@@ -140,8 +153,8 @@ def _merge(base: dict, extra: dict) -> dict:
 
 def load_settings(preset: Optional[str], config_path: Optional[str],
                   command: Optional[str] = None) -> dict:
-    """The merged preset and config sections, each checked; given a command,
-    a section it does not read is a ConfigError too."""
+    """The merged preset and config sections as raw strings, each checked;
+    given a command, a section it does not read is a ConfigError too."""
     settings: dict[str, dict[str, str]] = {}
     if preset is not None:
         if preset not in PRESETS:
@@ -171,41 +184,30 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
         if section not in SECTION_KEYS:
             raise ConfigError(f"unknown config section [{section}]; "
                               f"expected one of model, {', '.join(SECTION_KEYS)}")
-        unknown = sorted(set(values) - SECTION_KEYS[section])
+        unknown = sorted(set(values) - set(SECTION_KEYS[section]))
         if unknown:
             raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{section}]; "
                               f"expected {', '.join(sorted(SECTION_KEYS[section]))}")
     return settings
 
 
-def _get(settings: dict, section: str, key: str, cast, default):
-    raw = settings.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from err
-
-
-def _given(**values) -> dict:
-    """The keyword arguments that are not None.  Settings read with default
-    None thus pass only the keys a config sets; the callee's own defaults
-    cover the rest."""
-    return {name: value for name, value in values.items() if value is not None}
-
-
-def _floats(raw: str, name: str) -> tuple[float, ...]:
-    """A comma-separated list of finite numbers, non-empty."""
-    try:
-        values = tuple(float(v) for v in raw.split(",") if v.strip())
-    except ValueError as err:
-        raise ConfigError(f"bad {name}: {raw!r}") from err
-    if not values:
-        raise ConfigError(f"{name} is empty")
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"{name} must be finite, got {raw!r}")
+def _section(settings: dict, section: str) -> dict:
+    """The keys [section] sets, each read by its SECTION_KEYS reader.  A key
+    left out is not passed on, so the callee's own default covers it."""
+    values = {}
+    for key, raw in settings.get(section, {}).items():
+        try:
+            values[key] = SECTION_KEYS[section][key](raw)
+        except ValueError as err:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from err
     return values
+
+
+def _pick(values: dict, *keys: str, **renamed: str) -> dict:
+    """The entries of values set under keys, and under each of renamed's
+    values, passed on as its name."""
+    names = {**{key: key for key in keys}, **renamed}
+    return {name: values[key] for name, key in names.items() if key in values}
 
 
 def _model_from(settings: dict) -> ModelSpec:
@@ -216,54 +218,45 @@ def _model_from(settings: dict) -> ModelSpec:
 
 
 def _grid_from(settings: dict) -> Grid1D:
-    n = _get(settings, "grid", "n", int, 2048)
-    length = _get(settings, "grid", "length", float, 80.0)
-    try:
-        return Grid1D(n, length)
-    except DomainError as err:
-        raise ConfigError(str(err)) from err
+    grid = _section(settings, "grid")
+    return Grid1D(grid.get("n", 2048), grid.get("length", 80.0))
 
 
 def _run_config(settings: dict) -> RunConfig:
-    return RunConfig(_model_from(settings), **_given(
-        dt=_get(settings, "run", "dt", float, None),
-        t_final=_get(settings, "run", "t_final", float, None),
-        snapshot_stride=_get(settings, "run", "snapshot_stride", int, None)))
+    return RunConfig(_model_from(settings),
+                     **_pick(_section(settings, "run"), "dt", "t_final", "snapshot_stride"))
 
 
 def _initial_from(settings: dict, grid: Grid1D):
-    kind = _get(settings, "run", "initial", str, None)
-    if kind is None:
-        raise ConfigError("config needs [run] initial = sech|supergaussian|uniform|catalog")
-    kind = kind.strip().lower()
-    psi0 = _get(settings, "run", "psi0", float, 1.0)
+    run = _section(settings, "run")
+    kind = run.get("initial", "").strip().lower()
+    psi0 = run.get("psi0", 1.0)
     if kind == "sech":
-        return sech_profile(grid, psi0, _get(settings, "run", "alpha", float, 1.0))
+        return sech_profile(grid, psi0, **_pick(run, "alpha"))
     if kind == "supergaussian":
-        return supergaussian_profile(grid, psi0,
-                                     _get(settings, "run", "width", float, 10.0),
-                                     _get(settings, "run", "order", int, 40))
+        return supergaussian_profile(grid, psi0, run.get("width", 10.0), **_pick(run, "order"))
     if kind == "uniform":
         return uniform_profile(grid, psi0)
     if kind == "catalog":
-        name = _get(settings, "run", "catalog_id", str, None)
-        if name is None:
-            raise ConfigError("[run] initial = catalog needs catalog_id")
+        name = run.get("catalog_id", "")
         try:
-            sol = make_solution(SolutionId(name.strip().upper()))
-        except (ValueError, DomainError) as err:
-            raise ConfigError(f"bad catalog_id {name!r}: {err}") from err
-        return catalog_profile(grid, sol)
-    raise ConfigError(f"unknown initial condition kind {kind!r}")
+            return catalog_profile(grid, make_solution(SolutionId(name.strip().upper())))
+        except ValueError as err:  # DomainError is one
+            raise ConfigError(f"bad [run] catalog_id {name!r}: {err}") from err
+    raise ConfigError(f"config needs [run] initial = sech|supergaussian|uniform|catalog, "
+                      f"got {kind!r}")
 
 
 def _output_dir(args) -> Path:
+    """The command's output directory.  It is made by the first artifact
+    written, so a command that stops before writing leaves none behind; here
+    the nearest existing ancestor must be a writable directory."""
     root = args.output or os.environ.get("SVEA_LAB_OUTPUT") or "artifacts"
     name = f"{args.command}-{args.preset}" if args.preset else args.command
     out = Path(root) / name
-    out.mkdir(parents=True, exist_ok=True)
-    if not os.access(out, os.W_OK):
-        raise ConfigError(f"output directory not writable: {out}")
+    ancestor = next(p for p in (out, *out.parents) if p.exists())
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK)):
+        raise ConfigError(f"cannot make {out}: {ancestor} is not a writable directory")
     return out
 
 
@@ -292,94 +285,79 @@ def _checks_exit(out: Path, text: str, checks) -> int:
 
 
 def cmd_verify(args, settings: dict, out: Path) -> int:
-    reports = verify_catalog(**_given(
-        tolerance=_get(settings, "verify", "tolerance", float, None),
-        n_points=_get(settings, "verify", "n_points", int, None)))
+    reports = verify_catalog(**_section(settings, "verify"))
     return _checks_exit(out, verification_report(reports), reports)
 
 
 def cmd_map_check(args, settings: dict, out: Path) -> int:
-    t_samples = _get(settings, "map", "t_samples", str, None)
-    checks = check_all_mappings(detune=args.detune or 0.0, **_given(
-        tolerance=_get(settings, "map", "tolerance", float, None),
-        n_points=_get(settings, "map", "n_points", int, None),
-        t_samples=None if t_samples is None else _floats(t_samples, "[map] t_samples")))
+    checks = check_all_mappings(detune=args.detune or 0.0, **_section(settings, "map"))
     return _checks_exit(out, mapping_report(checks), checks)
 
 
 def cmd_run(args, settings: dict, out: Path) -> int:
     cfg = _run_config(settings)
     initial = _initial_from(settings, _grid_from(settings))
-    threshold = _get(settings, "analysis", "threshold", float, None)
-    frac = _get(settings, "analysis", "threshold_fraction", float, None)
-    min_sep = _get(settings, "analysis", "min_separation", float, DEFAULT_MIN_SEPARATION)
-    window = _get(settings, "analysis", "window", float, DEFAULT_WINDOW_FRACTION)
+    analysis = _section(settings, "analysis")
     # checked by the rules analysis applies, before the propagation they follow
-    for key, value, rule in (("threshold", threshold, require_threshold),
-                             ("threshold_fraction", frac, require_threshold_fraction),
-                             ("min_separation", min_sep, require_positive),
-                             ("window", window, require_window)):
-        if value is not None:
-            rule(f"[analysis] {key}", value)
+    for key, rule in (("threshold", require_threshold),
+                      ("threshold_fraction", require_threshold_fraction),
+                      ("min_separation", require_positive), ("window", require_window)):
+        if key in analysis:
+            rule(f"[analysis] {key}", analysis[key])
+    threshold = analysis.get("threshold")
+    min_sep = analysis.get("min_separation", DEFAULT_MIN_SEPARATION)
+    window = analysis.get("window", DEFAULT_WINDOW_FRACTION)
     code = EXIT_OK
     try:
         traj = propagate(initial, cfg)
     except DivergenceError as err:
         print(f"diverged: {err}", file=sys.stderr)
-        traj = err.partial
+        traj = err.partial  # holds the initial state at least
         code = EXIT_DIVERGED
-    if traj is not None and traj.snapshots:
-        write_trajectory(out, traj, cfg.dt)
-        if threshold is None and frac is not None:
-            threshold = detection_threshold(traj, frac)
-        table = peak_table(traj, threshold, min_sep)
-        tracks = track_structures(table, window=1.0)
-        write_track_csv(out / "tracks.csv", tracks)
-        count = count_structures(table, window)
-        alternations = splitting_alternations([c for _, c in peak_count_series(table)])
-        summary = (
-            f"count_structures: {count}\n"
-            f"splitting_alternations: {alternations}\n"
-            f"oscillation_metric: {oscillation_metric(table, window):.6g}\n"
-            f"window_fraction: {window:g}\n"
-            f"min_separation: {min_sep:g}\n"
-            f"threshold: {'default' if threshold is None else format(threshold, 'g')}\n"
-        )
-        atomic_write_text(out / "analysis.txt", summary)
-        print(f"{len(traj.snapshots)} snapshots, {len(tracks)} peak tracks, "
-              f"count_structures {count} -> {out}")
+    write_trajectory(out, traj, cfg.dt)
+    if threshold is None and "threshold_fraction" in analysis:
+        threshold = detection_threshold(traj, analysis["threshold_fraction"])
+    table = peak_table(traj, threshold, min_sep)
+    tracks = track_structures(table, window=1.0)
+    write_track_csv(out / "tracks.csv", tracks)
+    count = count_structures(table, window)
+    alternations = splitting_alternations([c for _, c in peak_count_series(table)])
+    summary = (
+        f"count_structures: {count}\n"
+        f"splitting_alternations: {alternations}\n"
+        f"oscillation_metric: {oscillation_metric(table, window):.6g}\n"
+        f"window_fraction: {window:g}\n"
+        f"min_separation: {min_sep:g}\n"
+        f"threshold: {'default' if threshold is None else format(threshold, 'g')}\n"
+    )
+    atomic_write_text(out / "analysis.txt", summary)
+    print(f"{len(traj.snapshots)} snapshots, {len(tracks)} peak tracks, "
+          f"count_structures {count} -> {out}")
     return code
 
 
 def _scan_template(settings: dict, model: ModelSpec) -> ScanTemplate:
-    return ScanTemplate(model, **_given(
-        grid_n=_get(settings, "scan", "n", int, None),
-        grid_length=_get(settings, "scan", "length", float, None),
-        dt=_get(settings, "scan", "dt", float, None),
-        t_final=_get(settings, "scan", "t_final", float, None),
-        snapshot_stride=_get(settings, "scan", "snapshot_stride", int, None)))
+    return ScanTemplate(model, **_pick(_section(settings, "scan"), "dt", "t_final",
+                                       "snapshot_stride", grid_n="n", grid_length="length"))
 
 
 def cmd_scan(args, settings: dict, out: Path) -> int:
-    model = _model_from(settings)
-    alphas = _floats(_get(settings, "scan", "alphas", str, ""), "[scan] alphas")
-    template = _scan_template(settings, model)
+    scan = _section(settings, "scan")
     points = scan_stability(
-        alphas,
-        (_get(settings, "scan", "psi0_lo", float, 0.1),
-         _get(settings, "scan", "psi0_hi", float, 1.1),
-         _get(settings, "scan", "psi0_samples", int, 9)),
-        template,
+        scan.get("alphas", ()),
+        (scan.get("psi0_lo", 0.1), scan.get("psi0_hi", 1.1), scan.get("psi0_samples", 9)),
+        _scan_template(settings, _model_from(settings)),
         jobs=args.jobs,
-        **_given(refine_iters=_get(settings, "scan", "refine_iters", int, None)),
+        **_pick(scan, "refine_iters"),
     )
     write_scan_csv(out / "stability.csv", points)
     for p in points:
         note = f"  [{p.flags}]" if p.flags else ""
         print(f"alpha={p.alpha:g} psi0_opt={p.psi0_opt:.4f} metric={p.metric_value:.4f}{note}")
-    if any(p.psi0_opt != p.psi0_opt for p in points):  # NaN: every cell diverged
-        return EXIT_DIVERGED
-    return EXIT_OK
+    diverged = [p for p in points if p.psi0_opt != p.psi0_opt]  # NaN: every cell diverged
+    for p in diverged:
+        print(f"diverged: every cell at alpha={p.alpha:g} diverged", file=sys.stderr)
+    return EXIT_DIVERGED if diverged else EXIT_OK
 
 
 def positive_int(raw: str) -> int:

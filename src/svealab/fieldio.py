@@ -5,8 +5,10 @@ as unsigned 64-bit, domain length and snapshot time as IEEE-754 doubles,
 then the field as n interleaved (re, im) double pairs.
 
 All writers go through an atomic temp-file + rename so a crashed run never
-leaves a half-written artifact.  Floats in CSVs are rendered with repr,
-which round-trips exactly: identical inputs give byte-identical files.
+leaves a half-written artifact; atomic_write_bytes makes the parent directory,
+so an output directory appears with its first artifact.  Floats in CSVs are
+rendered with repr, which round-trips exactly: identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ PathLike = Union[str, Path]
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -119,7 +122,6 @@ def write_scan_csv(path: PathLike, points: Sequence[StabilityPoint]) -> None:
 def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> list[Path]:
     """Write every snapshot plus diagnostics CSV and a manifest; returns paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     names = [f"snapshot_{i:05d}.svea" for i in range(len(traj.snapshots))]
     for name, state in zip(names, traj.snapshots):
         write_snapshot(out / name, state)

@@ -110,6 +110,10 @@ class ModelSpec:
         for name in ("lam", "mass", "sigma", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
+        try:  # the Bessel law squares lambda in floats
+            self.family.law.rate_bound(self)
+        except OverflowError as err:
+            raise DomainError(f"lambda={self.lam!r} is too large: lambda**2 overflows") from err
 
     @property
     def dispersion(self) -> float:

@@ -540,9 +540,16 @@ def instantiate_pair(pair: MappingPair, detune: float = 0.0):
     its own constraint so the instance stays admissible), c -> c*(1+detune)
     for the kink row, a -> a*(1+detune) for the constant row.  Any nonzero
     detune revives the phase rotation and the pair separates linearly in t.
+    A detune that takes the envelope entry out of its domain is a DomainError.
     """
-    return (make_solution(pair.kg_id, **pair.kg_params),
-            make_solution(pair.nls_id, **pair.nls_params(float(detune))))
+    try:
+        nls = make_solution(pair.nls_id, **pair.nls_params(float(detune)))
+        if not math.isfinite(phase_rate(nls)):
+            raise ValueError("its phase rate is not finite")
+    except (ValueError, OverflowError) as err:  # e.g. a square root of a negative
+        raise DomainError(f"detune={detune!r} takes {pair.nls_id.value} out of its "
+                          f"domain: {err}") from err
+    return make_solution(pair.kg_id, **pair.kg_params), nls
 
 
 # --- catalog dump ----------------------------------------------------------

@@ -93,6 +93,8 @@ class Grid1D:
         if not (length > 0.0 and math.isfinite(length)):
             raise DomainError(f"grid length must be positive and finite, got {length}")
         dx = length / n
+        if not (dx > 0.0 and (math.pi / dx) * (math.pi / dx) < math.inf):
+            raise DomainError(f"grid length {length!r} makes wavenumbers whose squares overflow")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "length", length)
         object.__setattr__(self, "spacing", dx)
@@ -331,19 +333,22 @@ def propagate_batch(initials: Sequence[FieldState],
 # --- initial conditions ----------------------------------------------------
 
 def sech_profile(grid: Grid1D, psi0: float, alpha: float = 1.0) -> FieldState:
-    """psi0 * sech(alpha * x)."""
-    if alpha <= 0.0:
-        raise DomainError(f"width parameter alpha must be positive, got {alpha}")
-    return FieldState(grid, psi0 / np.cosh(alpha * grid.x), 0.0)
+    """psi0 * sech(alpha * x); where cosh overflows, sech is 0."""
+    if not 0.0 < alpha < math.inf:  # NaN fails too
+        raise DomainError(f"width parameter alpha must be finite and > 0, got {alpha}")
+    with np.errstate(over="ignore"):
+        return FieldState(grid, psi0 / np.cosh(alpha * grid.x), 0.0)
 
 
 def supergaussian_profile(grid: Grid1D, psi0: float, width: float,
                           order: int = 40) -> FieldState:
-    """psi0 * exp(-(x/width)**(2*order)): step-like for large order."""
+    """psi0 * exp(-(x/width)**(2*order)), 0 where the power overflows:
+    step-like for large order."""
     if width <= 0.0 or order < 1:
         raise DomainError("supergaussian needs width > 0 and order >= 1")
-    u = grid.x / width
-    return FieldState(grid, psi0 * np.exp(-(u ** (2 * int(order)))), 0.0)
+    with np.errstate(over="ignore"):
+        u = grid.x / width
+        return FieldState(grid, psi0 * np.exp(-(u ** (2 * int(order)))), 0.0)
 
 
 def uniform_profile(grid: Grid1D, psi0: float) -> FieldState:

@@ -66,6 +66,14 @@ class TestFindPeaks:
         assert peaks[0].position == pytest.approx(x0, abs=1e-3)
         assert abs(peaks[0].position - x0) < g.spacing / 2
 
+    def test_separation_beyond_the_grid_keeps_only_the_highest_peak(self):
+        g = Grid1D(1024, 60.0)
+        vals = 1.0 / np.cosh(g.x - 5.0) + 1.2 / np.cosh(g.x + 5.0)
+        state = make_state(g, vals)
+        widest = find_peaks(state, threshold=0.5, min_separation=g.length)
+        assert len(widest) == 1 and widest[0].position == pytest.approx(-5.0, abs=1e-3)
+        assert find_peaks(state, threshold=0.5, min_separation=1e308) == widest
+
     def test_threshold_must_be_positive(self):
         g = Grid1D(64, 20.0)
         with pytest.raises(DomainError):
@@ -325,6 +333,11 @@ class TestStabilityScan:
         with pytest.raises(DomainError):
             tmpl_bad = ScanTemplate(ModelSpec(Family.CUBIC_NLS))
             scan_stability([0.1], (0.1, 1.1, 3), tmpl_bad)
+
+    def test_infinite_psi0_hi_rejected(self):
+        tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0))
+        with pytest.raises(DomainError, match="psi0_hi"):
+            scan_stability([0.1], (0.1, float("inf"), 9), tmpl)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, float("nan"), float("inf")])
     def test_bad_alpha_rejected_before_any_cell(self, alpha):

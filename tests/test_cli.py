@@ -18,11 +18,11 @@ import scipy
 from svealab import analysis, cli, verify
 from svealab.analysis import ScanTemplate, scan_stability
 from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
-                         EXIT_USAGE, PRESETS, SECTION_KEYS, _get, _model_from, load_settings, main)
+                         EXIT_USAGE, PRESETS, SECTION_KEYS, _model_from, load_settings, main)
 from svealab.errors import ConfigError
 from svealab.models import Family, ModelSpec
 from svealab.solutions import catalog_dump
-from svealab.solver import RunConfig
+from svealab.solver import RunConfig, sech_profile, supergaussian_profile
 
 
 @pytest.fixture
@@ -88,6 +88,25 @@ t_final = 0.6
 snapshot_stride = 100
 """
 
+# Every cell of the one width diverges in the first steps.
+ALL_DIVERGED_SCAN_INI = """\
+[model]
+family = bessel_nls
+lambda = 10
+omega = 1.0
+
+[scan]
+alphas = 0.5
+psi0_lo = 1
+psi0_hi = 3
+psi0_samples = 3
+n = 64
+length = 48
+dt = 0.02
+t_final = 0.2
+snapshot_stride = 5
+"""
+
 ROOT = Path(__file__).resolve().parents[1]
 SCAN_SHORT_INI = ROOT / "perfbench" / "configs" / "scan_short.ini"
 # The command of each preset that is not a run.
@@ -100,11 +119,15 @@ def _sections(text):
     return {s: dict(parser.items(s)) for s in parser.sections()}
 
 
+def _ini_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for name, kv in sections.items())
+
+
 def _write_ini(path, text, section="run", **values):
     sections = _sections(text)
     sections.setdefault(section, {}).update({k: str(v) for k, v in values.items()})
-    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
-                            for name, kv in sections.items()))
+    path.write_text(_ini_text(sections))
     return path
 
 
@@ -197,6 +220,12 @@ def _scan_configs():
     yield "scan-short", _sections(SCAN_SHORT_INI.read_text())
 
 
+def _setting(settings, section, key, default):
+    """A setting as the CLI resolved it when it stated this default itself."""
+    raw = settings.get(section, {}).get(key)
+    return default if raw is None else SECTION_KEYS[section][key](raw)
+
+
 class TestShippedHorizons:
     """Every shipped t_final is a whole number of steps dt."""
 
@@ -205,10 +234,10 @@ class TestShippedHorizons:
         cfg = cli._run_config(settings)
         # the values the CLI resolved when it stated these defaults itself
         assert cfg == RunConfig(_model_from(settings),
-                                dt=_get(settings, "run", "dt", float, 1e-3),
-                                t_final=_get(settings, "run", "t_final", float, 30.0),
-                                snapshot_stride=_get(settings, "run", "snapshot_stride",
-                                                     int, 100))
+                                dt=_setting(settings, "run", "dt", 1e-3),
+                                t_final=_setting(settings, "run", "t_final", 30.0),
+                                snapshot_stride=_setting(settings, "run", "snapshot_stride",
+                                                         100))
         assert cfg.n_steps * cfg.dt == pytest.approx(cfg.t_final, rel=1e-12)
 
     @pytest.mark.parametrize("name, settings", list(_scan_configs()))
@@ -216,16 +245,21 @@ class TestShippedHorizons:
         model = _model_from(settings)
         template = cli._scan_template(settings, model)
         assert template == ScanTemplate(
-            model, grid_n=_get(settings, "scan", "n", int, 1024),
-            grid_length=_get(settings, "scan", "length", float, 80.0),
-            dt=_get(settings, "scan", "dt", float, 2e-3),
-            t_final=_get(settings, "scan", "t_final", float, 90.0),
-            snapshot_stride=_get(settings, "scan", "snapshot_stride", int, 500))
+            model, grid_n=_setting(settings, "scan", "n", 1024),
+            grid_length=_setting(settings, "scan", "length", 80.0),
+            dt=_setting(settings, "scan", "dt", 2e-3),
+            t_final=_setting(settings, "scan", "t_final", 90.0),
+            snapshot_stride=_setting(settings, "scan", "snapshot_stride", 500))
         RunConfig(model, dt=template.dt, t_final=template.t_final)
 
     def test_scan_refines_six_times_unless_configured(self):
         # every CLI scan without [scan] refine_iters has run six iterations
         assert inspect.signature(scan_stability).parameters["refine_iters"].default == 6
+
+    def test_profiles_keep_the_defaults_the_cli_stated(self):
+        # every CLI run without [run] alpha or order has used these
+        assert inspect.signature(sech_profile).parameters["alpha"].default == 1.0
+        assert inspect.signature(supergaussian_profile).parameters["order"].default == 40
 
     def test_scan_template_default_accepted(self):
         template = ScanTemplate(ModelSpec(Family.BESSEL_NLS))
@@ -311,6 +345,37 @@ class TestScanCommand:
         assert rows[0].startswith("alpha,psi0_opt")
         assert len(rows) == 2
         assert (out / "manifest.txt").exists()
+
+    def test_width_whose_every_cell_diverges_is_reported(self, outdir, tmp_path, capsys):
+        ini = tmp_path / "scan.ini"
+        ini.write_text(ALL_DIVERGED_SCAN_INI)
+        assert main(["scan", "--config", str(ini)]) == EXIT_DIVERGED
+        captured = capsys.readouterr()
+        assert captured.out == "alpha=0.5 psi0_opt=nan metric=inf  [all cells diverged]\n"
+        assert captured.err == "diverged: every cell at alpha=0.5 diverged\n"
+        assert (outdir / "scan" / "stability.csv").read_text().splitlines()[1] == \
+            "0.5,nan,inf,2.0,all cells diverged"
+
+
+class TestOutputDirectory:
+    """The first artifact makes the output directory; nothing is made before it."""
+
+    def test_output_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        assert main(["verify", "--preset", "verify-all", "--output", str(target)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error:")
+        assert target.read_text() == ""
+
+    def test_nested_output_root_is_made_by_the_first_write(self, tmp_path):
+        root = tmp_path / "a" / "b"
+        assert main(["map-check", "--preset", "map-all", "--output", str(root)]) == EXIT_OK
+        assert (root / "map-check-map-all" / "report.txt").exists()
+
+    def test_error_after_loading_leaves_no_directory(self, outdir, tmp_path, capsys):
+        ini = _write_ini(tmp_path / "cfg.ini", STRUCTURED_INI, psi0=0.0)
+        assert main(["run", "--config", str(ini)]) == EXIT_USAGE
+        assert list(outdir.iterdir()) == [ini]
 
 
 
@@ -406,7 +471,7 @@ class TestConfigSchema:
         assert {f for s, f in listed if s == "model"} == {f.value for f in Family}
         for (section, family), keys in listed.items():
             if family is None:
-                assert keys == SECTION_KEYS[section], section
+                assert keys == set(SECTION_KEYS[section]), section
                 continue
             # every listed key loads; each other coupling is refused
             model = {key: family if key == "family" else "1.0" for key in keys}
@@ -472,10 +537,50 @@ class TestConfigSchema:
         assert main(["scan", "--preset", "case1"]) == EXIT_USAGE
         assert "scan does not read [grid]" in capsys.readouterr().err
 
-    def test_table_lists_exactly_the_keys_read(self):
-        read = set(re.findall(r'_get\(settings, "(\w+)", "(\w+)"', Path(cli.__file__).read_text()))
-        listed = {(section, key) for section, keys in SECTION_KEYS.items() if keys
-                  for key in keys}
+    def test_table_lists_exactly_the_keys_read(self, outdir, tmp_path, monkeypatch):
+        read = set()
+
+        class Recording(dict):
+            """A read section that records each key the CLI looks up or passes
+            on with ** (a dict subclass with its own __iter__ is unpacked
+            through keys() and __getitem__)."""
+
+            def __init__(self, section, values):
+                super().__init__(values)
+                self.section = section
+
+            def __iter__(self):
+                return super().__iter__()
+
+            def __contains__(self, key):
+                read.add((self.section, key))
+                return super().__contains__(key)
+
+            def __getitem__(self, key):
+                read.add((self.section, key))
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.add((self.section, key))
+                return super().get(key, default)
+
+        real = cli._section
+        monkeypatch.setattr(cli, "_section",
+                            lambda settings, section: Recording(section, real(settings, section)))
+        tiny_run = _sections(STRUCTURED_INI)
+        tiny_run["run"].update(t_final="0.1")
+        runs = [cli._merge(tiny_run, {"run": {"initial": kind, **extra}})
+                for kind, extra in (("sech", {}), ("supergaussian", {}),
+                                    ("catalog", {"catalog_id": "bessel_uniform"}))]
+        for command, settings in [("run", s) for s in runs] + [
+                ("scan", _sections(TINY_SCAN_INI)),
+                ("verify", {"verify": {"tolerance": "1e-6", "n_points": "101"}}),
+                ("map-check", {"map": {"tolerance": "1e-10", "t_samples": "0, 1",
+                                       "n_points": "11"}})]:
+            ini = tmp_path / "cfg.ini"
+            ini.write_text(_ini_text(settings))
+            assert main([command, "--config", str(ini)]) in (EXIT_OK, EXIT_CHECKS_FAILED), command
+        listed = {(section, key) for section, keys in SECTION_KEYS.items() for key in keys}
         assert read == listed
 
 

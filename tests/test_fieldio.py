@@ -5,7 +5,7 @@ import pytest
 
 from svealab.analysis import Peak, StabilityPoint
 from svealab.errors import DomainError
-from svealab.fieldio import (SNAPSHOT_MAGIC, read_snapshot, write_mass_csv,
+from svealab.fieldio import (SNAPSHOT_MAGIC, atomic_write_bytes, read_snapshot, write_mass_csv,
                              write_scan_csv, write_snapshot, write_track_csv,
                              write_trajectory)
 from svealab.models import Family, ModelSpec
@@ -85,6 +85,12 @@ class TestCsvWriters:
 
 
 class TestTrajectoryBundle:
+    def test_first_write_makes_the_directory(self, tmp_path):
+        target = tmp_path / "a" / "b" / "data.bin"
+        atomic_write_bytes(target, b"svea")
+        assert target.read_bytes() == b"svea"
+        assert sorted(p.name for p in target.parent.iterdir()) == ["data.bin"]
+
     def test_directory_contents(self, tmp_path, short_traj):
         written = write_trajectory(tmp_path / "out", short_traj, dt=1e-3)
         names = sorted(p.name for p in written)

@@ -42,6 +42,12 @@ class TestModelSpec:
         assert ModelSpec(Family.CUBIC_QUINTIC_NLS, sigma=1.0).dispersion == 1.0
         assert ModelSpec(Family.BESSEL_NLS, omega=2.0).dispersion == 0.25
 
+    def test_bessel_lambda_whose_square_overflows_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="lambda"):
+            ModelSpec(Family.BESSEL_NLS, lam=1e308)
+        m = ModelSpec(Family.BESSEL_NLS, lam=1e150)
+        assert m.family.law.rate_bound(m) == 1e150**2 / 2.0
+
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(DomainError):
             ModelSpec(Family.CUBIC_NLS, omega=0.0)

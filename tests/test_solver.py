@@ -32,6 +32,15 @@ class TestGrid:
         with pytest.raises(DomainError):
             Grid1D(64, 0.0)
 
+    @pytest.mark.parametrize("length", [1e-320, 1e-160])
+    def test_rejects_a_length_whose_wavenumbers_square_to_infinity(self, length):
+        with pytest.raises(DomainError, match="grid length"):
+            Grid1D(64, length)
+
+    def test_huge_length_is_a_grid(self):
+        g = Grid1D(64, 1e308)
+        assert np.all(np.isfinite(g.x)) and np.all(np.isfinite(g.wavenumbers**2))
+
     def test_axis_layout(self):
         g = Grid1D(64, 32.0)
         assert g.x[0] == pytest.approx(-16.0)
@@ -133,6 +142,20 @@ class TestProfiles:
     def test_sech_rejects_bad_width(self):
         with pytest.raises(DomainError):
             sech_profile(Grid1D(32, 10.0), 1.0, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha", [-1.0, float("inf"), float("nan")])
+    def test_sech_width_must_be_finite_and_positive(self, alpha):
+        with pytest.raises(DomainError, match="alpha"):
+            sech_profile(Grid1D(32, 10.0), 1.0, alpha=alpha)
+
+    def test_profiles_go_to_zero_where_they_overflow(self):
+        # 1/cosh and exp(-u**(2*order)) overflowing to 0 is the right limit;
+        # only x = 0 keeps the amplitude
+        g = Grid1D(32, 10.0)
+        spike = np.where(g.x == 0.0, 2.0, 0.0)
+        assert np.array_equal(sech_profile(g, 2.0, alpha=1e308).values, spike)
+        assert np.array_equal(supergaussian_profile(g, 2.0, width=1e-320).values, spike)
+        assert np.array_equal(sech_profile(Grid1D(32, 1e308), 2.0).values, spike)
 
     def test_catalog_profile_matches_closed_form(self):
         from svealab.solutions import eval_solution

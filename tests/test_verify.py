@@ -88,6 +88,13 @@ class TestMappings:
         assert diffs[2] > diffs[1] > diffs[0]
         assert diffs[2] > 100.0 * MAPPING_TOLERANCE
 
+    @pytest.mark.parametrize("detune", [-1.0, 1e308])
+    def test_detune_out_of_a_row_domain_is_a_domain_error(self, detune):
+        # -1 takes the cubic-quintic sigma's square root below zero; 1e308
+        # overflows the phase rates
+        with pytest.raises(DomainError, match="detune"):
+            check_all_mappings(n_points=11, t_samples=(0.0, 1.0), detune=detune)
+
     def test_quenched_quintic_profile_still_solves_envelope_equation(self):
         # the collapse point sits inside this entry's validity domain, so the
         # static profile must satisfy the dynamic equation as well
