@@ -78,6 +78,10 @@ class Family(Enum):
         return not self.is_nls
 
 
+def _unbounded(model: "ModelSpec") -> float:
+    return math.inf
+
+
 class FamilyLaw(NamedTuple):
     """One family's equation: term is N(model, phi) for a field family, V(model,
     amp, lo) with lo = min(amp) for an envelope one; rate_bound is sup|V|."""
@@ -86,7 +90,7 @@ class FamilyLaw(NamedTuple):
     couplings: tuple[str, ...]  # ModelSpec fields read beyond lam
     dispersion: Callable[["ModelSpec"], float]
     term: Callable
-    rate_bound: Callable[["ModelSpec"], float] = lambda m: math.inf
+    rate_bound: Callable[["ModelSpec"], float] = _unbounded
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,18 @@ class ModelSpec:
         for name in ("lam", "mass", "sigma", "omega"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
+        law = self.family.law
         try:  # the Bessel law squares lambda in floats
-            self.family.law.rate_bound(self)
+            bound = law.rate_bound(self)
         except OverflowError as err:
             raise DomainError(f"lambda={self.lam!r} is too large: lambda**2 overflows") from err
+        # 1/omega and lambda**2/omega overflow to inf for a tiny omega
+        if not math.isfinite(self.dispersion):
+            raise DomainError(f"omega={self.omega!r} is too small: the dispersion "
+                              f"D={self.dispersion!r} is not finite")
+        if law.rate_bound is not _unbounded and not math.isfinite(bound):
+            raise DomainError(f"omega={self.omega!r} is too small for lambda={self.lam!r}: "
+                              "the bound lambda**2/omega overflows")
 
     @property
     def dispersion(self) -> float:

@@ -206,8 +206,13 @@ class _Stepper:
                                   f"got power {target:g}")
         self.model, self.dt, self.t0 = model, dt, list(t0)
         self.rows = list(range(len(v_hat)))
-        half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
-                         for g in grids])
+        with np.errstate(over="ignore", invalid="ignore"):
+            half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
+                             for g in grids])
+        if not np.all(np.isfinite(half.view(float))):  # D*dt*k**2 overflowed
+            raise DomainError(f"the dispersion half step overflows: D={model.dispersion!r} "
+                              f"(omega={model.omega!r}) times dt={dt!r} times k**2; "
+                              "raise omega or lower dt")
         self.guard_each_step = not abs(dt) * model.family.law.rate_bound(model) < STABILITY_GUARD
         self._full = (v_hat, half, np.empty(v_hat.shape, complex),
                       np.empty(v_hat.shape, complex), np.empty(v_hat.shape))
@@ -332,8 +337,15 @@ def propagate_batch(initials: Sequence[FieldState],
 
 # --- initial conditions ----------------------------------------------------
 
+def _require_finite_psi0(psi0: float) -> None:
+    # checked before the profile, where inf/inf would be a NaN and a warning
+    if not math.isfinite(psi0):
+        raise DomainError(f"amplitude psi0 must be finite, got {psi0!r}")
+
+
 def sech_profile(grid: Grid1D, psi0: float, alpha: float = 1.0) -> FieldState:
     """psi0 * sech(alpha * x); where cosh overflows, sech is 0."""
+    _require_finite_psi0(psi0)
     if not 0.0 < alpha < math.inf:  # NaN fails too
         raise DomainError(f"width parameter alpha must be finite and > 0, got {alpha}")
     with np.errstate(over="ignore"):
@@ -344,6 +356,7 @@ def supergaussian_profile(grid: Grid1D, psi0: float, width: float,
                           order: int = 40) -> FieldState:
     """psi0 * exp(-(x/width)**(2*order)), 0 where the power overflows:
     step-like for large order."""
+    _require_finite_psi0(psi0)
     if width <= 0.0 or order < 1:
         raise DomainError("supergaussian needs width > 0 and order >= 1")
     with np.errstate(over="ignore"):
@@ -352,6 +365,7 @@ def supergaussian_profile(grid: Grid1D, psi0: float, width: float,
 
 
 def uniform_profile(grid: Grid1D, psi0: float) -> FieldState:
+    _require_finite_psi0(psi0)
     return FieldState(grid, np.full(grid.n, complex(psi0)), 0.0)
 
 

@@ -10,6 +10,12 @@ the ratio is meaningless.  Entries whose residual is identically zero
 (vacuum constants, the uniform envelope) pass through the floor rule
 instead.
 
+Each profile is evaluated once per grid: a check passes its grid as a row
+and every time it needs (for the stencils, t0 + tau*[-2..2] for every t0)
+as a column to one eval_solution call and splits the result back into
+per-time rows.  The profile is elementwise in x and the phase elementwise in
+t, so each value is the product the per-time calls would form.
+
 Each check carries its own verdict: ConvergenceReport.passed and
 MappingCheck.passed are set once, where the check runs, and the reports only
 print them.  Worst values are NaN-propagating maxima, so a non-finite
@@ -138,17 +144,31 @@ def _grid_text(x_range, n_points, t_range) -> str:
     return f"x in [{x_range[0]:g},{x_range[1]:g}], n={n_points}, t in {{{ts}}}"
 
 
-def _slab(sol: AnalyticSolution, x: np.ndarray, t0: float, tau: float) -> np.ndarray:
-    offsets = tau * np.arange(-2.0, 3.0)[:, None]
-    return np.asarray(eval_solution(sol, x[None, :], t0 + offsets), dtype=complex)
+def _time_list(times: Sequence[float], name: str) -> tuple[float, ...]:
+    times = tuple(times)
+    if not times:
+        raise DomainError(f"{name} needs at least one time")
+    return times
+
+
+def _rows(sol: AnalyticSolution, x: np.ndarray,
+          times: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The field on the grid x at every time, one evaluation: row i is time i."""
+    t = np.reshape(np.asarray(times, dtype=float), (-1, 1))
+    return np.asarray(eval_solution(sol, x[None, :], t), dtype=complex)
+
+
+def _slabs(sol: AnalyticSolution, x: np.ndarray, times: tuple[float, ...],
+           tau: float) -> np.ndarray:
+    """The (5, n) space-time slab at t0 + tau*[-2..2] for every t0 in times."""
+    t = np.asarray(times, dtype=float)[:, None] + tau * np.arange(-2.0, 3.0)
+    return _rows(sol, x, t).reshape(len(times), 5, x.size)
 
 
 def _report(sol: AnalyticSolution, grid: str,
             samples: Sequence[tuple[np.ndarray, np.ndarray]]) -> ResidualReport:
     """The worst |residual| and |field| over the (residual, field) time
     samples.  np.max keeps a NaN where Python's max would drop it."""
-    if not samples:
-        raise DomainError("t_range needs at least one time")
     worst, norm = map(float, np.max(
         [(np.max(np.abs(res)), np.max(np.abs(field))) for res, field in samples], axis=0))
     return ResidualReport(
@@ -167,19 +187,15 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
     if not model.family.is_kg:
         raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
     x, h = _grid(x_range, n_points, _STENCIL_POINTS)
-    static = not sol.travelling
-    times = tuple(t_range)[:1] if static else tuple(t_range)
-    samples = []
-    for t0 in times:
-        if static:
-            center = np.asarray(eval_solution(sol, x, t0), dtype=complex)
-            phi_tt = np.zeros(x.size - 4, dtype=complex)
-        else:
-            slab = _slab(sol, x, t0, h)
-            center = slab[2]
-            phi_tt = _slab_second(slab, h)[2:-2]
-        phi_xx = _interior_second(center, h)
-        samples.append((phi_tt - phi_xx + kg_force(model, center[2:-2]), center))
+    times = _time_list(t_range, "t_range")
+    if sol.travelling:
+        fields = [(slab[2], _slab_second(slab, h)[2:-2]) for slab in _slabs(sol, x, times, h)]
+    else:  # a static field is the same at every time
+        times = times[:1]
+        fields = [(np.asarray(eval_solution(sol, x, times[0]), dtype=complex),
+                   np.zeros(x.size - 4, dtype=complex))]
+    samples = [(phi_tt - _interior_second(center, h) + kg_force(model, center[2:-2]), center)
+               for center, phi_tt in fields]
     return _report(sol, _grid_text(x_range, n_points, times), samples)
 
 
@@ -190,16 +206,16 @@ def nls_residual(model: ModelSpec, sol: AnalyticSolution,
     if not model.family.is_nls:
         raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
     x, h = _grid(x_range, n_points, _STENCIL_POINTS)
+    times = _time_list(t_range, "t_range")
     samples = []
-    for t0 in t_range:
-        slab = _slab(sol, x, t0, h)
+    for slab in _slabs(sol, x, times, h):
         center = slab[2]
         psi_t = _slab_first(slab, h)[2:-2]
         psi_xx = _interior_second(center, h)
         core = center[2:-2]
         v = nls_nonlinear_phase_rate(model, np.abs(core))
         samples.append((1j * psi_t + model.dispersion * psi_xx - v * core, center))
-    return _report(sol, _grid_text(x_range, n_points, t_range), samples)
+    return _report(sol, _grid_text(x_range, n_points, times), samples)
 
 
 def residual_for(sol: AnalyticSolution, n_points: int = _TOLERANCE_GRID) -> ResidualReport:
@@ -280,21 +296,18 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
     difference grows like |1 - exp(i*theta*t)|.
     """
     require_positive("tolerance", tolerance)
-    if len(t_samples) == 0:
-        raise DomainError("t_samples needs at least one time")
+    times = _time_list(t_samples, "t_samples")
     kg_sol, nls_sol = instantiate_pair(pair, detune=detune)
     x, _ = _grid(pair.window, n_points, 2)
     phi = np.asarray(eval_solution(kg_sol, x, 0.0), dtype=complex)
-    per_time = []
-    for t in t_samples:
-        psi = np.asarray(eval_solution(nls_sol, x, t), dtype=complex)
-        per_time.append((float(t), float(np.max(np.abs(psi - phi)))))
-    worst = float(np.max([diff for _, diff in per_time]))  # keeps a NaN
+    diffs = np.max(np.abs(_rows(nls_sol, x, times) - phi), axis=1)
+    per_time = tuple((float(t), float(d)) for t, d in zip(times, diffs))
+    worst = float(np.max(diffs))  # keeps a NaN
     return MappingCheck(
         kg_id=pair.kg_id.value,
         nls_id=pair.nls_id.value,
         detune=float(detune),
-        per_time=tuple(per_time),
+        per_time=per_time,
         max_abs_diff=worst,
         window=pair.window,
         n_points=n_points,

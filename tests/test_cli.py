@@ -1,5 +1,6 @@
 """Command-line entry points: exit codes, artifacts, determinism."""
 
+import collections
 import configparser
 import hashlib
 import importlib.util
@@ -15,7 +16,7 @@ import numpy
 import pytest
 import scipy
 
-from svealab import analysis, cli, verify
+from svealab import analysis, cli, solutions, verify
 from svealab.analysis import ScanTemplate, scan_stability
 from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
                          EXIT_USAGE, PRESETS, SECTION_KEYS, _model_from, load_settings, main)
@@ -667,6 +668,30 @@ class TestCatalogBytes:
         assert main(argv) == code
         report = outdir / f"{argv[0]}-{argv[2]}" / "report.txt"
         assert _sha256(report.read_bytes()) == digest
+
+
+class TestCatalogCost:
+    """verify-all and map-all evaluate each profile once per grid."""
+
+    def test_elliptic_and_eval_calls_per_pass(self, outdir, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        counted(solutions, "jacobi_elliptic")
+        counted(solutions, "jacobi_dc")
+        counted(verify, "eval_solution")
+        assert main(["verify", "--preset", "verify-all"]) == EXIT_OK
+        assert main(["map-check", "--preset", "map-all"]) == EXIT_OK
+        # one evaluation per time sample instead: 94 elliptic and 132 eval calls
+        assert calls["jacobi_elliptic"] + calls["jacobi_dc"] == 59
+        assert calls["eval_solution"] == 81
 
 
 class TestScanBytes:

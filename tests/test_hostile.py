@@ -94,6 +94,8 @@ def test_flag_value(tmp_path, capsys, command, flag, value):
     ("scan", "scan", "psi0_hi", "inf", EXIT_USAGE),
     ("map-check", None, "--detune", "-1", EXIT_USAGE),
     ("map-check", None, "--detune", "1e308", EXIT_USAGE),
+    ("run", "model", "omega", "1e-320", EXIT_USAGE),
+    ("scan", "model", "omega", "1e-320", EXIT_USAGE),
 ])
 def test_found_value(tmp_path, capsys, command, section, key, value, code):
     settings = {name: dict(kv) for name, kv in BASE[command].items()}
@@ -106,3 +108,22 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
                  *flags]) == code
     if code == EXIT_USAGE:
         assert key.lstrip("-") in capsys.readouterr().err
+
+
+# Key pairs that used to end in a RuntimeWarning or an error naming neither key.
+@pytest.mark.parametrize("changes, named", [
+    ({"run": {"psi0": "inf", "alpha": "1e308"}}, "psi0"),
+    ({"run": {"psi0": "inf", "initial": "supergaussian", "width": "1e-320"}}, "psi0"),
+    # D = 5e307 is finite; D*dt*k**2 is not at this grid's largest |k|
+    ({"model": {"omega": "1e-308"}, "grid": {"length": "5.0"}}, "omega"),
+], ids=["sech-psi0-alpha", "supergaussian-psi0-width", "omega-length"])
+def test_found_pair(tmp_path, capsys, changes, named):
+    settings = {name: dict(kv) for name, kv in BASE["run"].items()}
+    for section, kv in changes.items():
+        settings[section] = dict(settings[section], **kv)
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(_ini_text(settings))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(ini), "--output", str(out)]) == EXIT_USAGE
+    assert named in capsys.readouterr().err
+    assert not out.exists()

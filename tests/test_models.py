@@ -48,6 +48,17 @@ class TestModelSpec:
         m = ModelSpec(Family.BESSEL_NLS, lam=1e150)
         assert m.family.law.rate_bound(m) == 1e150**2 / 2.0
 
+    @pytest.mark.parametrize("family", [f for f in Family if "omega" in f.law.couplings])
+    def test_omega_whose_dispersion_overflows_is_a_domain_error(self, family):
+        # D = 1/omega or 1/(2*omega) is inf at a subnormal omega
+        with pytest.raises(DomainError, match="omega"):
+            ModelSpec(family, omega=1e-320)
+
+    def test_bessel_bound_that_overflows_names_omega(self):
+        # D = 5e9 is finite, lambda**2/omega = 1e310 is not
+        with pytest.raises(DomainError, match="omega"):
+            ModelSpec(Family.BESSEL_NLS, lam=1e150, omega=1e-10)
+
     def test_rejects_nonpositive_omega(self):
         with pytest.raises(DomainError):
             ModelSpec(Family.CUBIC_NLS, omega=0.0)

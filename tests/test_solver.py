@@ -157,6 +157,17 @@ class TestProfiles:
         assert np.array_equal(supergaussian_profile(g, 2.0, width=1e-320).values, spike)
         assert np.array_equal(sech_profile(Grid1D(32, 1e308), 2.0).values, spike)
 
+    @pytest.mark.parametrize("psi0", [float("inf"), float("-inf"), float("nan")])
+    def test_profiles_reject_a_non_finite_psi0(self, psi0):
+        # inf/cosh(1e308 * x) used to be inf/inf: a NaN and a RuntimeWarning
+        g = Grid1D(64, 20.0)
+        for make in (lambda: sech_profile(g, psi0, 1e308), lambda: sech_profile(g, psi0),
+                     lambda: supergaussian_profile(g, psi0, 1e-320),
+                     lambda: supergaussian_profile(g, psi0, 10.0),
+                     lambda: uniform_profile(g, psi0)):
+            with pytest.raises(DomainError, match="psi0"):
+                make()
+
     def test_catalog_profile_matches_closed_form(self):
         from svealab.solutions import eval_solution
         sol = make_solution(SolutionId.CUBIC_NLS_CN)
@@ -252,6 +263,12 @@ class TestPropagation:
         with pytest.raises(DomainError):
             propagate(uniform_profile(g, 1.0),
                       RunConfig(ModelSpec(Family.CUBIC_KG), dt=1e-3, t_final=0.1))
+
+    def test_dispersion_half_step_that_overflows_is_a_domain_error(self):
+        # D = 5e307 is finite, but D*dt*k**2 is not at the largest |k| of this grid
+        model = ModelSpec(Family.BESSEL_NLS, omega=1e-308)
+        with pytest.raises(DomainError, match="omega"):
+            propagate(sech_profile(Grid1D(64, 5.0), 2.0), RunConfig(model, dt=0.01, t_final=0.1))
 
 
 class TestDivergenceGuard:

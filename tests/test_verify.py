@@ -13,8 +13,8 @@ import pytest
 
 from svealab import verify
 from svealab.errors import DomainError
-from svealab.solutions import (SolutionId, catalog_ids, instantiate_pair, make_solution,
-                               mapping_table, model_for)
+from svealab.solutions import (SolutionId, catalog_ids, eval_solution, instantiate_pair,
+                               make_solution, mapping_table, model_for)
 from svealab.verify import (CONVERGENCE_RATIO_MIN, DEFAULT_TOLERANCE, FLOOR_RESIDUAL,
                             MAPPING_TOLERANCE, ResidualReport, check_all_mappings,
                             check_mapping, kg_residual, mapping_report, nls_residual,
@@ -149,6 +149,37 @@ class TestGridSizes:
 
     def test_smallest_mapping_grid_runs(self):
         assert check_mapping(mapping_table()[0], n_points=2).max_abs_diff < MAPPING_TOLERANCE
+
+
+class TestBatchedEvaluation:
+    """One evaluation per grid is byte for byte the evaluation per time."""
+
+    @pytest.mark.parametrize("n_points", [251, 501, 2001])
+    @pytest.mark.parametrize("sid", catalog_ids(), ids=lambda sid: sid.value)
+    def test_each_slab_is_the_evaluation_at_its_time(self, sid, n_points):
+        sol = make_solution(sid)
+        x, h = verify._grid(sol.window, n_points, 5)
+        slabs = verify._slabs(sol, x, verify._TIMES, h)
+        assert slabs.shape == (len(verify._TIMES), 5, n_points)
+        offsets = h * np.arange(-2.0, 3.0)[:, None]
+        for t0, slab in zip(verify._TIMES, slabs):
+            one = np.asarray(eval_solution(sol, x[None, :], t0 + offsets), dtype=complex)
+            assert slab.tobytes() == one.tobytes(), t0
+
+    @pytest.mark.parametrize("detune", [0.0, 0.05])
+    def test_each_mapping_row_is_the_evaluation_at_its_time(self, detune):
+        times = (0.0, 1.0, 10.0)
+        for pair in mapping_table():
+            kg, nls = instantiate_pair(pair, detune=detune)
+            x, _ = verify._grid(pair.window, 801, 2)
+            phi = np.asarray(eval_solution(kg, x, 0.0), dtype=complex)
+            rows = verify._rows(nls, x, times)
+            per_time = []
+            for t, row in zip(times, rows):
+                psi = np.asarray(eval_solution(nls, x, t), dtype=complex)
+                assert row.tobytes() == psi.tobytes(), (pair.nls_id, t)
+                per_time.append((t, float(np.max(np.abs(psi - phi)))))
+            assert check_mapping(pair, t_samples=times, detune=detune).per_time == tuple(per_time)
 
 
 def _nan_field(sol, x, t):
