@@ -11,11 +11,10 @@ __version__ = "0.1.0"
 
 from .errors import (ConfigError, ConstraintError, DivergenceError,
                      DomainError, FamilyMismatchError, PoleError)
-from .models import Family, ModelSpec, kappa_curve, kg_force, nls_nonlinear_phase_rate
+from .models import Family, ModelSpec, kg_force, nls_nonlinear_phase_rate
 from .solutions import (AnalyticSolution, MappingPair, SolutionId, catalog_dump,
-                        catalog_ids, eval_solution, in_validity_domain,
-                        instantiate_pair, make_solution, mapping_table,
-                        model_for, phase_rate)
+                        catalog_ids, eval_solution, instantiate_pair,
+                        make_solution, mapping_table, model_for, phase_rate)
 from .solver import (FieldState, Grid1D, RunConfig, Trajectory, mass,
                      propagate, sech_profile, step, supergaussian_profile,
                      uniform_profile)

@@ -5,8 +5,9 @@ Peak positions come from a numpy port of scipy's local-maximum rule
 (scipy.signal.find_peaks with height and distance), refined by 3-point
 parabolic interpolation.  peak_table runs it once per snapshot, at one
 threshold and separation; build that table once and pass it to every metric,
-each of which reads a trailing window of its rows.  Structure counts are modal
-over the window, which rides out miscounts at breathing phase extremes.
+each of which reads a trailing window of its rows (track assembly reads them
+all).  Structure counts are modal over the window, which rides out miscounts
+at breathing phase extremes.
 The stability scan minimizes the breathing metric of psi0*sech(alpha*x)
 initial data over psi0: a coarse sweep brackets the minimum and a
 golden-section pass refines it.  Each width's search is a coroutine that
@@ -55,14 +56,12 @@ __all__ = [
     "oscillation_metric",
     "outer_position_blocks",
     "track_structures",
-    "persistent_structure_count",
     "scan_stability",
     "stable_line_prediction",
     "DEFAULT_WINDOW_FRACTION",
     "DEFAULT_MIN_SEPARATION",
     "DEFAULT_THRESHOLD_FRACTION",
     "TRACK_GATING_DISTANCE",
-    "PERSISTENCE_FRACTION",
     "MAX_WIDENINGS",
 ]
 
@@ -72,7 +71,7 @@ DEFAULT_MIN_SEPARATION = 1.0
 DEFAULT_THRESHOLD_FRACTION = 0.02
 TRACK_GATING_DISTANCE = 2.0
 _CORE_RADIUS = 3.0  # peaks this close to x = 0 belong to the standing structure
-PERSISTENCE_FRACTION = 0.8
+_OUTER_BLOCKS = 4
 
 
 @dataclass(frozen=True)
@@ -210,47 +209,30 @@ def count_structures(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION) 
     return int(best[0])
 
 
-def splitting_alternations(counts: Sequence[int], split_at: int = 3,
-                           merged_at: int = 2) -> int:
-    """Transitions between the split regime (count >= split_at) and the merged
-    regime (count <= merged_at) along a peak-count series.
-
-    Counts strictly between the two bounds extend the current regime.
-    """
-    if not merged_at < split_at:
-        raise DomainError(f"need merged_at < split_at, got {merged_at} >= {split_at}")
-    flips = 0
-    regime = None
-    for c in counts:
-        here = "split" if c >= split_at else ("merged" if c <= merged_at else None)
-        if here is None:
-            continue
-        if regime is not None and here != regime:
-            flips += 1
-        regime = here
-    return flips
+def splitting_alternations(counts: Sequence[int]) -> int:
+    """Transitions between the split regime (three or more peaks) and the
+    merged regime (two or fewer) between neighbouring counts of a series."""
+    split = [c >= 3 for c in counts]
+    return sum(a != b for a, b in zip(split, split[1:]))
 
 
-def outer_position_blocks(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION,
-                          n_blocks: int = 4) -> np.ndarray:
+def outer_position_blocks(table: PeakTable,
+                          window: float = DEFAULT_WINDOW_FRACTION) -> np.ndarray:
     """Block-averaged mean |position| of off-center peaks over the window.
 
     Travelling structures breathe, so their instantaneous positions wobble
-    around the outward trend; averaging over n_blocks sub-windows exposes the
+    around the outward trend; averaging over four sub-windows exposes the
     drift itself.  Peaks within _CORE_RADIUS of the origin (the standing
     structure) are excluded.
     """
-    if n_blocks < 2:
-        raise DomainError(f"need at least 2 blocks, got {n_blocks}")
     per_snap = []
     for row in table.tail(window):
         outer = [abs(p.position) for p in row.peaks if abs(p.position) > _CORE_RADIUS]
         if outer:
             per_snap.append(float(np.mean(outer)))
-    if len(per_snap) < n_blocks:
-        raise DomainError(
-            f"only {len(per_snap)} usable snapshots for {n_blocks} blocks")
-    return np.array([b.mean() for b in np.array_split(np.array(per_snap), n_blocks)])
+    if len(per_snap) < _OUTER_BLOCKS:
+        raise DomainError(f"only {len(per_snap)} usable snapshots for {_OUTER_BLOCKS} blocks")
+    return np.array([b.mean() for b in np.array_split(np.array(per_snap), _OUTER_BLOCKS)])
 
 
 def oscillation_metric(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION) -> float:
@@ -265,14 +247,14 @@ def oscillation_metric(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION
     return float((np.max(h) - np.min(h)) / mean)
 
 
-def track_structures(table: PeakTable, window: float = 1.0) -> list[list[Peak]]:
-    """Greedy nearest-neighbor matching of peaks across snapshots.
+def track_structures(table: PeakTable) -> list[list[Peak]]:
+    """Greedy nearest-neighbor matching of peaks across every snapshot.
 
     Each track is the time-ordered list of matched peaks; a peak further than
     the gating distance from every live track opens a new one.
     """
     tracks: list[list[Peak]] = []
-    for row in table.tail(window):
+    for row in table.rows:
         peaks = row.peaks
         assignments = []
         for ti, tr in enumerate(tracks):
@@ -294,13 +276,6 @@ def track_structures(table: PeakTable, window: float = 1.0) -> list[list[Peak]]:
     return tracks
 
 
-def persistent_structure_count(table: PeakTable,
-                               window: float = DEFAULT_WINDOW_FRACTION) -> int:
-    """Tracks present in at least the persistence fraction of window snapshots."""
-    need = PERSISTENCE_FRACTION * len(table.tail(window))
-    return sum(1 for tr in track_structures(table, window) if len(tr) >= need)
-
-
 # --- stability scan --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -317,6 +292,9 @@ class ScanTemplate:
     def grid_for(self, alpha: float) -> Grid1D:
         # Wide profiles need a domain several widths across.
         length = max(self.grid_length, 24.0 / alpha)
+        if length == math.inf:
+            raise DomainError(f"alpha={alpha!r} in alphas is too small: the domain "
+                              "24/alpha overflows")
         return Grid1D(self.grid_n, length)
 
 
@@ -426,6 +404,8 @@ def scan_stability(alphas: Sequence[float],
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     if refine_iters < 0:
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
+    for alpha in alphas:
+        template.grid_for(alpha)  # a DomainError if its domain overflows
 
     alphas = [float(a) for a in alphas]
     searches = [_search(a, lo, hi, n_samples, refine_iters) for a in alphas]

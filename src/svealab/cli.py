@@ -318,7 +318,7 @@ def cmd_run(args, settings: dict, out: Path) -> int:
     if threshold is None and "threshold_fraction" in analysis:
         threshold = detection_threshold(traj, analysis["threshold_fraction"])
     table = peak_table(traj, threshold, min_sep)
-    tracks = track_structures(table, window=1.0)
+    tracks = track_structures(table)
     write_track_csv(out / "tracks.csv", tracks)
     count = count_structures(table, window)
     alternations = splitting_alternations([c for _, c in peak_count_series(table)])

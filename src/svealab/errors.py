@@ -38,15 +38,8 @@ class FamilyMismatchError(ValueError):
 
 
 class ConstraintError(ValueError):
-    """Solution parameters violate a published constraint.
-
-    Attributes:
-        relation: the violated relation, e.g. "15*sigma**2 == 16*lambda".
-    """
-
-    def __init__(self, message: str, relation: str):
-        super().__init__(message)
-        self.relation = relation
+    """Solution parameters violate a published constraint; the message names
+    the relation, e.g. "15*sigma**2 = 16*lambda"."""
 
 
 class DivergenceError(RuntimeError):

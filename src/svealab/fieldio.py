@@ -2,7 +2,10 @@
 
 Snapshot binary layout, little-endian throughout: magic "SVEA1", grid size
 as unsigned 64-bit, domain length and snapshot time as IEEE-754 doubles,
-then the field as n interleaved (re, im) double pairs.
+then the field as n interleaved (re, im) double pairs.  A run directory
+holds one snapshot file per snapshot and diagnostics.csv, one row per
+snapshot in file order; the headers hold the times, so nothing lists them
+again.
 
 All writers go through an atomic temp-file + rename so a crashed run never
 leaves a half-written artifact; atomic_write_bytes makes the parent directory,
@@ -119,15 +122,10 @@ def write_scan_csv(path: PathLike, points: Sequence[StabilityPoint]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> list[Path]:
-    """Write every snapshot plus diagnostics CSV and a manifest; returns paths."""
+def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> None:
+    """Write snapshot_NNNNN.svea per snapshot and diagnostics.csv, whose rows
+    follow the snapshots in file order."""
     out = Path(out_dir)
-    names = [f"snapshot_{i:05d}.svea" for i in range(len(traj.snapshots))]
-    for name, state in zip(names, traj.snapshots):
-        write_snapshot(out / name, state)
+    for i, state in enumerate(traj.snapshots):
+        write_snapshot(out / f"snapshot_{i:05d}.svea", state)
     write_mass_csv(out / "diagnostics.csv", traj, dt)
-    manifest = ["snapshots:"] + [f"  {name}  t={_fmt(state.time)}"
-                                 for name, state in zip(names, traj.snapshots)]
-    manifest.append("diagnostics: diagnostics.csv")
-    atomic_write_text(out / "trajectory.txt", "\n".join(manifest) + "\n")
-    return [out / name for name in names + ["diagnostics.csv", "trajectory.txt"]]

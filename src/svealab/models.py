@@ -28,22 +28,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 from scipy import special as _sp
 
 from .errors import DomainError, FamilyMismatchError
-from .specfn import bessel_j1
 
 __all__ = [
     "Family",
     "FamilyLaw",
     "ModelSpec",
-    "KappaSample",
     "kg_force",
     "nls_nonlinear_phase_rate",
-    "kappa_curve",
     "BESSEL_RATE_CUTOVER",
 ]
 
@@ -72,10 +69,6 @@ class Family(Enum):
     @property
     def is_nls(self) -> bool:
         return self.law.envelope
-
-    @property
-    def is_kg(self) -> bool:
-        return not self.is_nls
 
 
 def _unbounded(model: "ModelSpec") -> float:
@@ -111,9 +104,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.family.is_nls and not self.omega > 0.0:
             raise DomainError(f"omega must be > 0 for NLS families, got {self.omega}")
-        for name in ("lam", "mass", "sigma", "omega"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        for key, value in (("lambda", self.lam), ("mass", self.mass), ("sigma", self.sigma),
+                           ("omega", self.omega)):
+            if not math.isfinite(value):
+                raise DomainError(f"{key} must be finite, got {value!r}")
         law = self.family.law
         try:  # the Bessel law squares lambda in floats
             bound = law.rate_bound(self)
@@ -146,8 +140,15 @@ class ModelSpec:
         if extra:
             raise DomainError(f"{family.value} does not read {', '.join(extra)}; "
                               f"expected {', '.join(sorted(keys))}")
-        return cls(family, **{"lam" if key == "lambda" else key: float(value)
-                              for key, value in data.items() if key != "family"})
+        values = {}
+        for key, raw in data.items():
+            if key == "family":
+                continue
+            try:
+                values["lam" if key == "lambda" else key] = float(raw)
+            except ValueError as exc:
+                raise DomainError(f"{key} must be a number, got {raw!r}") from exc
+        return cls(family, **values)
 
 
 def _bessel_rate(amp: np.ndarray, lo: float) -> np.ndarray:
@@ -215,22 +216,3 @@ def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLik
     out = law.term(model, amp, lo)
     return float(out) if scalar else out
 
-
-class KappaSample(NamedTuple):
-    amplitude: float
-    kappa: float
-
-
-def kappa_curve(amplitudes: Sequence[float]) -> list[KappaSample]:
-    """Effective nonlinearity strength J1(|psi|) sampled along an amplitude list.
-
-    Sign changes occur at the Bessel zeros (first near 3.8317), so a span up
-    to amplitude ~14 crosses five sign regimes.
-    """
-    out = []
-    for a in amplitudes:
-        a = float(a)
-        if not math.isfinite(a) or a < 0.0:
-            raise DomainError(f"amplitudes must be finite and >= 0, got {a!r}")
-        out.append(KappaSample(a, float(bessel_j1(a))))
-    return out

@@ -2,10 +2,13 @@
 
 Twenty-one catalog entries: exact solutions of the four second-order field
 equations and of their envelope reductions.  Each entry is one record that
-states every fact about it once: formula, default parameters, validity rule,
+states every fact about it once: formula, default parameters, validity text,
 constraint check, residual window, profile (amplitude times x-profile) and,
 for envelope entries, phase rate theta.  An entry evaluates as
-profile * exp(i*theta*t), with theta = 0 for static fields.  The mapping
+profile * exp(i*theta*t), with theta = 0 for static fields.  The validity
+text states the entry's domain for catalog_dump; evaluation does not enforce
+it, since the mapping checks quench the sn/cn entries outside it, and only
+SG_KINK's |nu| < 1 is checked (by its constraint check).  The mapping
 table records, for nine KG/envelope pairs, the parameters at which theta
 vanishes and the envelope profile collapses onto the static field solution.
 
@@ -35,12 +38,10 @@ __all__ = [
     "make_solution",
     "eval_solution",
     "phase_rate",
-    "in_validity_domain",
     "model_for",
     "mapping_table",
     "instantiate_pair",
     "catalog_ids",
-    "formula_text",
     "catalog_dump",
 ]
 
@@ -105,7 +106,6 @@ class _Entry:
     # touch-zero kinks of the cubic-quintic root (those two span a single arch)
     window: tuple[float, float] = (-3.0, 3.0)
     theta: Optional[Callable[[dict], float]] = None  # phase rate; None for static fields
-    valid: Optional[Callable[[dict], bool]] = None
     # fills derived parameters and says how the stated constraint fails, or None
     check: Optional[Callable[[dict], Optional[str]]] = None
     constraints: tuple[str, ...] = ()
@@ -212,7 +212,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         1,
         profile=_sn_wave,
         theta=lambda p: -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"],
-        valid=lambda p: p["m"] > 0.0,
     ),
     SolutionId.CUBIC_NLS_CN: _Entry(
         Family.CUBIC_NLS,
@@ -222,7 +221,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         1,
         profile=_cn_wave,
         theta=lambda p: -(1.0 - 2.0 * p["m"]) * p["c"] ** 2 / p["omega"],
-        valid=lambda p: p["m"] < 0.0,
     ),
     SolutionId.CUBIC_NLS_DC: _Entry(
         Family.CUBIC_NLS,
@@ -253,7 +251,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         profile=lambda p, s, x, t: (
             s[0] * _csqrt(2.0 * (p["mass"] ** 2 - p["c"] ** 2) / p["lam"]) * jacobi_elliptic(
                 p["c"] * x, (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2).sn),
-        valid=lambda p: p["mass"] ** 2 > p["c"] ** 2,
     ),
     SolutionId.DW_KG_CN: _Entry(
         Family.DOUBLE_WELL_KG,
@@ -264,7 +261,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         profile=lambda p, s, x, t: (
             s[0] * 1j * _csqrt((p["c"] ** 2 - p["mass"] ** 2) / p["lam"]) * jacobi_elliptic(
                 p["c"] * x, (p["c"] ** 2 - p["mass"] ** 2) / (2.0 * p["c"] ** 2)).cn),
-        valid=lambda p: p["c"] ** 2 > p["mass"] ** 2,
     ),
     SolutionId.DW_KG_DC: _Entry(
         Family.DOUBLE_WELL_KG,
@@ -302,7 +298,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         1,
         profile=_sn_wave,
         theta=lambda p: (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"],
-        valid=lambda p: p["m"] > 0.0,
     ),
     SolutionId.DW_NLS_CN: _Entry(
         Family.DOUBLE_WELL_NLS,
@@ -312,7 +307,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         1,
         profile=_cn_wave,
         theta=lambda p: (p["mass"] ** 2 - (1.0 - 2.0 * p["m"]) * p["c"] ** 2) / p["omega"],
-        valid=lambda p: p["m"] < 0.0,
     ),
     SolutionId.DW_NLS_DC: _Entry(
         Family.DOUBLE_WELL_NLS,
@@ -354,7 +348,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         window=(-1.55, 4.95),
         profile=lambda p, s, x, t: _cq_root(p, _csqrt(3.0 * p["m"] / (4.0 * p["lam"])), p["m"], x),
         theta=lambda p: -(1.0 + p["m"] - 9.0 * p["sigma"] ** 2 / (8.0 * p["lam"])) / 4.0,
-        valid=lambda p: p["m"] > 0.0,
         check=lambda p: _balance(16.0 * p["m"] * p["lam"], 3.0 * p["sigma"] ** 2),
         constraints=("16*m*lambda = 3*sigma**2",),
     ),
@@ -366,7 +359,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         0,
         window=(-5.0, 5.0),
         profile=_sg_kink,
-        valid=lambda p: abs(p["nu"]) < 1.0,
         check=_sg_kink_check,
         constraints=("gamma**2*(1 - nu**2) = 1",),
         optional=("gamma",),
@@ -400,10 +392,6 @@ def catalog_ids() -> tuple[SolutionId, ...]:
     return tuple(_CATALOG.keys())
 
 
-def formula_text(sid: SolutionId) -> str:
-    return _CATALOG[sid].formula
-
-
 def make_solution(sid: SolutionId, signs: Optional[tuple[int, ...]] = None, **overrides) -> AnalyticSolution:
     """Bind a catalog entry to parameters, filling defaults and checking constraints."""
     entry = _CATALOG[sid]
@@ -421,8 +409,7 @@ def make_solution(sid: SolutionId, signs: Optional[tuple[int, ...]] = None, **ov
         raise DomainError(f"{sid.value} requires omega > 0")
     failure = entry.check(params) if entry.check is not None else None
     if failure is not None:
-        relation = entry.constraints[0]
-        raise ConstraintError(f"{sid.value} requires {relation}, {failure}", relation=relation)
+        raise ConstraintError(f"{sid.value} requires {entry.constraints[0]}, {failure}")
     if signs is None:
         signs = (1,) * entry.n_signs
     signs = tuple(int(s) for s in signs)
@@ -452,16 +439,6 @@ def phase_rate(sol: AnalyticSolution) -> float:
     if theta is None:
         raise FamilyMismatchError(f"{sol.sid.value} is not an envelope solution; no phase rate")
     return theta(sol.params)
-
-
-def in_validity_domain(sol: AnalyticSolution) -> bool:
-    """Whether the bound parameters sit inside the entry's stated domain.
-
-    Evaluation is still possible outside (needed by the mapping checks, whose
-    sn/cn quench values deliberately violate these domains).
-    """
-    valid = _CATALOG[sol.sid].valid
-    return True if valid is None else bool(valid(sol.params))
 
 
 def model_for(sol: AnalyticSolution) -> ModelSpec:

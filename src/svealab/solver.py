@@ -47,7 +47,7 @@ from typing import Sequence
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, require_positive
 from .models import ModelSpec, nls_nonlinear_phase_rate
 from .solutions import AnalyticSolution, eval_solution
 
@@ -158,10 +158,6 @@ class Trajectory:
     snapshots: tuple[FieldState, ...]
     mass_series: np.ndarray
     peak_series: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([s.time for s in self.snapshots])
 
     @property
     def final(self) -> FieldState:
@@ -357,8 +353,9 @@ def supergaussian_profile(grid: Grid1D, psi0: float, width: float,
     """psi0 * exp(-(x/width)**(2*order)), 0 where the power overflows:
     step-like for large order."""
     _require_finite_psi0(psi0)
-    if width <= 0.0 or order < 1:
-        raise DomainError("supergaussian needs width > 0 and order >= 1")
+    require_positive("supergaussian width", width)
+    if order < 1:
+        raise DomainError(f"supergaussian order must be >= 1, got {order}")
     with np.errstate(over="ignore"):
         u = grid.x / width
         return FieldState(grid, psi0 * np.exp(-(u ** (2 * int(order)))), 0.0)

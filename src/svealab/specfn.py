@@ -84,21 +84,17 @@ def jacobi_elliptic(u: ArrayLike, m: float) -> EllipticTriple:
     return EllipticTriple(s, c, d)
 
 
-def _ellipk(m: float) -> float:
-    # scipy's ellipk takes the parameter m, same slot convention as ellipj.
-    return float(_sp.ellipk(m))
-
-
 def _nearest_cn_zero(u: float, m: float) -> float:
     """Location of the real zero of cn(.|m) nearest to u, or nan if none exist."""
     if m >= 1.0:
         # m = 1: cn = sech > 0; m > 1: cn(u|m) = dn(v|1/m) >= sqrt(1-1/m) > 0.
         return math.nan
+    # scipy's ellipk takes the parameter m, same slot convention as ellipj.
     if m >= 0.0:
-        first, scale = _ellipk(m), 1.0
+        first, scale = float(_sp.ellipk(m)), 1.0
     else:
         mu = -m / (1.0 - m)
-        first, scale = _ellipk(mu), 1.0 / math.sqrt(1.0 - m)
+        first, scale = float(_sp.ellipk(mu)), 1.0 / math.sqrt(1.0 - m)
     # zeros at scale*(2j+1)*K
     spacing = first * scale
     j = round((u / spacing - 1.0) / 2.0)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class ResidualReport:
     solution_id: str
     grid: str
     max_abs_residual: float
-    normalizer: float
     relative_residual: float
 
 
@@ -116,18 +115,19 @@ class MappingCheck:
     passed: bool
 
 
-def _interior_second(row: np.ndarray, h: float) -> np.ndarray:
-    return (-row[:-4] + 16.0 * row[1:-3] - 30.0 * row[2:-2]
-            + 16.0 * row[3:-1] - row[4:]) / (12.0 * h * h)
+def _second(f, h: float) -> np.ndarray:
+    """The 4th-order second difference of five samples f[0..4] spaced h apart:
+    the rows of a time slab, or the _shifts of an x row."""
+    return (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)
 
 
-def _slab_second(slab: np.ndarray, tau: float) -> np.ndarray:
-    return (-slab[0] + 16.0 * slab[1] - 30.0 * slab[2]
-            + 16.0 * slab[3] - slab[4]) / (12.0 * tau * tau)
+def _first(f, h: float) -> np.ndarray:
+    return (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
 
 
-def _slab_first(slab: np.ndarray, tau: float) -> np.ndarray:
-    return (slab[0] - 8.0 * slab[1] + 8.0 * slab[3] - slab[4]) / (12.0 * tau)
+def _shifts(row: np.ndarray) -> list[np.ndarray]:
+    """The five stencil neighbours of each interior point of row, as views."""
+    return [row[k:row.size - 4 + k] for k in range(5)]
 
 
 def _grid(x_range: tuple[float, float], n_points: int,
@@ -142,13 +142,6 @@ def _grid(x_range: tuple[float, float], n_points: int,
 def _grid_text(x_range, n_points, t_range) -> str:
     ts = ",".join(f"{t:g}" for t in t_range)
     return f"x in [{x_range[0]:g},{x_range[1]:g}], n={n_points}, t in {{{ts}}}"
-
-
-def _time_list(times: Sequence[float], name: str) -> tuple[float, ...]:
-    times = tuple(times)
-    if not times:
-        raise DomainError(f"{name} needs at least one time")
-    return times
 
 
 def _rows(sol: AnalyticSolution, x: np.ndarray,
@@ -171,57 +164,48 @@ def _report(sol: AnalyticSolution, grid: str,
     samples.  np.max keeps a NaN where Python's max would drop it."""
     worst, norm = map(float, np.max(
         [(np.max(np.abs(res)), np.max(np.abs(field))) for res, field in samples], axis=0))
-    return ResidualReport(
-        solution_id=sol.sid.value,
-        grid=grid,
-        max_abs_residual=worst,
-        normalizer=norm,
-        relative_residual=worst / max(norm, 1.0),
-    )
+    return ResidualReport(sol.sid.value, grid, worst, worst / max(norm, 1.0))
 
 
 def kg_residual(model: ModelSpec, sol: AnalyticSolution,
-                x_range: tuple[float, float], n_points: int,
-                t_range: Sequence[float] = _TIMES) -> ResidualReport:
+                x_range: tuple[float, float], n_points: int) -> ResidualReport:
     """Residual of d2_t(phi) - d2_x(phi) + N(phi) at interior grid points."""
-    if not model.family.is_kg:
+    if model.family.is_nls:
         raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
     x, h = _grid(x_range, n_points, _STENCIL_POINTS)
-    times = _time_list(t_range, "t_range")
     if sol.travelling:
-        fields = [(slab[2], _slab_second(slab, h)[2:-2]) for slab in _slabs(sol, x, times, h)]
+        times = _TIMES
+        fields = [(slab[2], _second(slab, h)[2:-2]) for slab in _slabs(sol, x, times, h)]
     else:  # a static field is the same at every time
-        times = times[:1]
+        times = _TIMES[:1]
         fields = [(np.asarray(eval_solution(sol, x, times[0]), dtype=complex),
                    np.zeros(x.size - 4, dtype=complex))]
-    samples = [(phi_tt - _interior_second(center, h) + kg_force(model, center[2:-2]), center)
+    samples = [(phi_tt - _second(_shifts(center), h) + kg_force(model, center[2:-2]), center)
                for center, phi_tt in fields]
     return _report(sol, _grid_text(x_range, n_points, times), samples)
 
 
 def nls_residual(model: ModelSpec, sol: AnalyticSolution,
-                 x_range: tuple[float, float], n_points: int,
-                 t_range: Sequence[float] = _TIMES) -> ResidualReport:
+                 x_range: tuple[float, float], n_points: int) -> ResidualReport:
     """Residual of i*d_t(psi) + D*d2_x(psi) - V(|psi|)*psi at interior points."""
     if not model.family.is_nls:
         raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
     x, h = _grid(x_range, n_points, _STENCIL_POINTS)
-    times = _time_list(t_range, "t_range")
     samples = []
-    for slab in _slabs(sol, x, times, h):
+    for slab in _slabs(sol, x, _TIMES, h):
         center = slab[2]
-        psi_t = _slab_first(slab, h)[2:-2]
-        psi_xx = _interior_second(center, h)
+        psi_t = _first(slab, h)[2:-2]
+        psi_xx = _second(_shifts(center), h)
         core = center[2:-2]
         v = nls_nonlinear_phase_rate(model, np.abs(core))
         samples.append((1j * psi_t + model.dispersion * psi_xx - v * core, center))
-    return _report(sol, _grid_text(x_range, n_points, times), samples)
+    return _report(sol, _grid_text(x_range, n_points, _TIMES), samples)
 
 
 def residual_for(sol: AnalyticSolution, n_points: int = _TOLERANCE_GRID) -> ResidualReport:
     """Dispatch to the KG or NLS residual on the entry's curated window."""
     model = model_for(sol)
-    residual = kg_residual if model.family.is_kg else nls_residual
+    residual = nls_residual if model.family.is_nls else kg_residual
     return residual(model, sol, sol.window, n_points)
 
 
@@ -264,10 +248,9 @@ def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE,
     )
 
 
-def verify_catalog(ids: Optional[Sequence[SolutionId]] = None,
-                   tolerance: float = DEFAULT_TOLERANCE,
+def verify_catalog(tolerance: float = DEFAULT_TOLERANCE,
                    n_points: int = _TOLERANCE_GRID) -> list[ConvergenceReport]:
-    return [verify_entry(sid, tolerance, n_points) for sid in (ids or catalog_ids())]
+    return [verify_entry(sid, tolerance, n_points) for sid in catalog_ids()]
 
 
 def verification_report(reports: Sequence[ConvergenceReport]) -> str:
@@ -296,7 +279,9 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
     difference grows like |1 - exp(i*theta*t)|.
     """
     require_positive("tolerance", tolerance)
-    times = _time_list(t_samples, "t_samples")
+    times = tuple(t_samples)
+    if not times:
+        raise DomainError("t_samples needs at least one time")
     kg_sol, nls_sol = instantiate_pair(pair, detune=detune)
     x, _ = _grid(pair.window, n_points, 2)
     phi = np.asarray(eval_solution(kg_sol, x, 0.0), dtype=complex)

@@ -12,7 +12,7 @@ from svealab import analysis
 from svealab.analysis import (PeakRow, PeakTable, ScanTemplate, StabilityPoint, count_structures,
                               detection_threshold, find_peaks, oscillation_metric,
                               outer_position_blocks, peak_count_series, peak_table,
-                              persistent_structure_count, scan_stability,
+                              scan_stability,
                               splitting_alternations, stable_line_prediction, track_structures)
 from svealab.errors import DomainError
 from svealab.models import Family, ModelSpec
@@ -181,17 +181,10 @@ class TestAlternations:
         assert splitting_alternations([3, 1, 4, 2, 5]) == 4
 
     def test_intermediate_counts_do_not_flip(self):
+        # only a step across 2 -> 3 flips; moves within a regime do not
         assert splitting_alternations([3, 2]) == 1
-        # a count between the bounds extends whatever regime is current
         assert splitting_alternations([4, 3, 2, 3, 4]) == 2
         assert splitting_alternations([1, 1, 2]) == 0
-
-    def test_custom_bounds(self):
-        assert splitting_alternations([5, 2, 5], split_at=5, merged_at=2) == 2
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(DomainError):
-            splitting_alternations([1, 2], split_at=2, merged_at=2)
 
     def test_composes_with_count_series(self):
         g = Grid1D(512, 60.0)
@@ -229,7 +222,7 @@ class TestOuterBlocks:
                           + 1 / np.cosh(g.x - d) + 1 / np.cosh(g.x + d))
         traj = synthetic_traj(g, frames)
         blocks = outer_position_blocks(peak_table(traj, threshold=0.3, min_separation=2.0),
-                                       window=1.0, n_blocks=4)
+                                       window=1.0)
         assert len(blocks) == 4
         assert np.all(np.diff(blocks) > 0)
         # the standing hump at the origin must not drag the average down
@@ -237,9 +230,10 @@ class TestOuterBlocks:
 
     def test_needs_at_least_two_blocks(self):
         g = Grid1D(256, 40.0)
-        traj = synthetic_traj(g, [1 / np.cosh(g.x - 8) + 1 / np.cosh(g.x + 8)] * 4)
-        with pytest.raises(DomainError):
-            outer_position_blocks(peak_table(traj, threshold=0.3), n_blocks=1)
+        # four blocks need four usable snapshots; the window holds three
+        traj = synthetic_traj(g, [1 / np.cosh(g.x - 8) + 1 / np.cosh(g.x + 8)] * 3)
+        with pytest.raises(DomainError, match="only 3 usable snapshots for 4 blocks"):
+            outer_position_blocks(peak_table(traj, threshold=0.3), window=1.0)
 
 
 class TestPeakTable:
@@ -308,12 +302,9 @@ class TestTracking:
         frames = [steady] * 7 + [with_blip] + [steady] * 2
         traj = synthetic_traj(g, frames)
         table = peak_table(traj, threshold=0.3, min_separation=2.0)
-        tracks = track_structures(table, window=1.0)
-        lifetimes = sorted(len(t) for t in tracks)
-        assert lifetimes[-1] == 10
-        # the blip lives for one snapshot out of ten, well under persistence
-        n = persistent_structure_count(table, window=1.0)
-        assert n == 2
+        tracks = track_structures(table)
+        # the blip opens a track of its own that lives for one snapshot
+        assert sorted(len(t) for t in tracks) == [1, 10, 10]
 
 
 class TestStabilityScan:

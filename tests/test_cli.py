@@ -283,9 +283,9 @@ class TestRunArtifacts:
     def test_uniform_preset_writes_bundle(self, outdir):
         assert main(["run", "--preset", "uniform3"]) == EXIT_OK
         out = outdir / "run-uniform3"
-        for name in ("manifest.txt", "diagnostics.csv", "trajectory.txt",
-                     "analysis.txt", "tracks.csv"):
+        for name in ("manifest.txt", "diagnostics.csv", "analysis.txt", "tracks.csv"):
             assert (out / name).exists(), name
+        assert not (out / "trajectory.txt").exists()
         assert list(out.glob("*.svea"))
         text = (out / "analysis.txt").read_text()
         assert "count_structures:" in text

@@ -92,18 +92,16 @@ class TestTrajectoryBundle:
         assert sorted(p.name for p in target.parent.iterdir()) == ["data.bin"]
 
     def test_directory_contents(self, tmp_path, short_traj):
-        written = write_trajectory(tmp_path / "out", short_traj, dt=1e-3)
-        names = sorted(p.name for p in written)
-        snap_names = [n for n in names if n.endswith(".svea")]
-        assert len(snap_names) == len(short_traj.snapshots)
-        assert "diagnostics.csv" in names
-        assert "trajectory.txt" in names
-        listing = (tmp_path / "out" / "trajectory.txt").read_text()
-        for n in snap_names:
-            assert n in listing
+        write_trajectory(tmp_path / "out", short_traj, dt=1e-3)
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        snaps = [f"snapshot_{i:05d}.svea" for i in range(len(short_traj.snapshots))]
+        assert names == ["diagnostics.csv"] + snaps
+        # one diagnostics row per snapshot, in file order
+        rows = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == [s.time for s in short_traj.snapshots]
 
     def test_snapshots_reload_in_order(self, tmp_path, short_traj):
         write_trajectory(tmp_path / "out", short_traj, dt=1e-3)
         times = [read_snapshot(p).time
                  for p in sorted((tmp_path / "out").glob("*.svea"))]
-        assert times == list(short_traj.times)
+        assert times == [s.time for s in short_traj.snapshots]

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from svealab.errors import DomainError
-from svealab.models import (BESSEL_RATE_CUTOVER, Family, ModelSpec, kappa_curve, kg_force,
+from svealab.models import (BESSEL_RATE_CUTOVER, Family, ModelSpec, kg_force,
                             nls_nonlinear_phase_rate)
 
-from oracles import FIRST_J1_ZERO, J1_VALUES, reference_bessel_rate
+from oracles import J1_VALUES, reference_bessel_rate
 
 
 def test_family_partition():
     nls = {f for f in Family if f.is_nls}
-    kg = {f for f in Family if f.is_kg}
     assert len(Family) == 8
-    assert len(nls) == 4 and len(kg) == 4
-    assert nls.isdisjoint(kg)
+    assert nls == {Family.CUBIC_NLS, Family.DOUBLE_WELL_NLS, Family.CUBIC_QUINTIC_NLS,
+                   Family.BESSEL_NLS}
 
 
 def test_each_law_reads_its_couplings():
@@ -179,8 +178,3 @@ class TestPhaseRate:
         assert out.shape == amps.shape
         assert np.all(np.isfinite(out))
 
-
-def test_kappa_curve_sign_flip_at_first_zero():
-    lo, hi = FIRST_J1_ZERO - 0.05, FIRST_J1_ZERO + 0.05
-    samples = kappa_curve([lo, hi])
-    assert samples[0].kappa > 0.0 > samples[1].kappa

@@ -187,7 +187,7 @@ class TestPropagation:
         g = Grid1D(64, 20.0)
         traj = propagate(uniform_profile(g, 1.0),
                          RunConfig(BESSEL, dt=0.01, t_final=0.25, snapshot_stride=10))
-        assert traj.times == pytest.approx([0.0, 0.1, 0.2, 0.25])
+        assert [s.time for s in traj.snapshots] == pytest.approx([0.0, 0.1, 0.2, 0.25])
         assert len(traj.mass_series) == 26
 
     def test_uniform_field_rotates_exactly(self):

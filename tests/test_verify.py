@@ -17,7 +17,7 @@ from svealab.solutions import (SolutionId, catalog_ids, eval_solution, instantia
                                make_solution, mapping_table, model_for)
 from svealab.verify import (CONVERGENCE_RATIO_MIN, DEFAULT_TOLERANCE, FLOOR_RESIDUAL,
                             MAPPING_TOLERANCE, ResidualReport, check_all_mappings,
-                            check_mapping, kg_residual, mapping_report, nls_residual,
+                            check_mapping, mapping_report, nls_residual,
                             residual_for, verification_report, verify_catalog, verify_entry)
 
 
@@ -126,7 +126,7 @@ class TestGridSizes:
             with pytest.raises(DomainError, match="at least 5"):
                 residual_for(make_solution(sid), n_points=n_points)
         with pytest.raises(DomainError, match="at least 5"):
-            verify_catalog([SolutionId.CUBIC_KG_SN], n_points=n_points)
+            verify_catalog(n_points=n_points)
 
     def test_smallest_residual_grid_runs(self):
         for sid in (SolutionId.CUBIC_KG_SN, SolutionId.SG_KINK, SolutionId.CUBIC_NLS_SN):
@@ -136,11 +136,6 @@ class TestGridSizes:
         pair = mapping_table()[0]
         with pytest.raises(DomainError, match="t_samples"):
             check_mapping(pair, t_samples=())
-        for sol in instantiate_pair(pair) + (make_solution(SolutionId.SG_KINK),):
-            model = model_for(sol)
-            residual = kg_residual if model.family.is_kg else nls_residual
-            with pytest.raises(DomainError, match="t_range"):
-                residual(model, sol, sol.window, 101, t_range=())
 
     @pytest.mark.parametrize("n_points", [1, 0, -2])
     def test_mapping_needs_both_window_ends(self, n_points):
@@ -197,7 +192,7 @@ class TestNonFiniteVerdicts:
 
     def test_nan_field_fails_every_kg_entry(self, monkeypatch):
         monkeypatch.setattr(verify, "eval_solution", _nan_field)
-        kg = [sid for sid in catalog_ids() if model_for(make_solution(sid)).family.is_kg]
+        kg = [sid for sid in catalog_ids() if not model_for(make_solution(sid)).family.is_nls]
         assert len(kg) == 11
         for sid in kg:
             rep = verify_entry(sid)
@@ -217,8 +212,7 @@ class TestNonFiniteVerdicts:
         relative = {251: coarse, 501: fine, 2001: 1e-9}
 
         def residual(sol, n_points=2001):
-            return ResidualReport(sol.sid.value, "grid", relative[n_points], 1.0,
-                                  relative[n_points])
+            return ResidualReport(sol.sid.value, "grid", relative[n_points], relative[n_points])
 
         monkeypatch.setattr(verify, "residual_for", residual)
         assert verify_entry(SolutionId.CUBIC_KG_SN).passed is False
