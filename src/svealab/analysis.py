@@ -5,9 +5,9 @@ Peak positions come from a numpy port of scipy's local-maximum rule
 (scipy.signal.find_peaks with height and distance), refined by 3-point
 parabolic interpolation.  peak_table runs it once per snapshot, at one
 threshold and separation; build that table once and pass it to every metric,
-each of which reads a trailing window of its rows (track assembly reads them
-all).  Structure counts are modal over the window, which rides out miscounts
-at breathing phase extremes.
+each of which reads its trailing WINDOW_FRACTION of rows (the count series
+and track assembly read them all).  Structure counts are modal over the
+window, which rides out miscounts at breathing phase extremes.
 The stability scan minimizes the breathing metric of psi0*sech(alpha*x)
 initial data over psi0: a coarse sweep brackets the minimum and a
 golden-section pass refines it.  Each width's search is a coroutine that
@@ -46,7 +46,6 @@ __all__ = [
     "detection_threshold",
     "require_threshold",
     "require_threshold_fraction",
-    "require_window",
     "PeakRow",
     "PeakTable",
     "peak_table",
@@ -58,14 +57,14 @@ __all__ = [
     "track_structures",
     "scan_stability",
     "stable_line_prediction",
-    "DEFAULT_WINDOW_FRACTION",
+    "WINDOW_FRACTION",
     "DEFAULT_MIN_SEPARATION",
     "DEFAULT_THRESHOLD_FRACTION",
     "TRACK_GATING_DISTANCE",
     "MAX_WIDENINGS",
 ]
 
-DEFAULT_WINDOW_FRACTION = 0.25
+WINDOW_FRACTION = 0.25
 DEFAULT_MIN_SEPARATION = 1.0
 # Detection threshold as a fraction of the trajectory's global max |psi|^2.
 DEFAULT_THRESHOLD_FRACTION = 0.02
@@ -89,10 +88,9 @@ class StabilityPoint:
     flags: str = ""
 
 
-# Range rules of the analysis settings; the command line applies them up front.
+# Range rules of the detection bar; the command line applies the fraction's up front.
 require_threshold = range_rule(lambda v: v > 0.0, "positive")
 require_threshold_fraction = range_rule(lambda v: 0.0 < v < 1.0, "in (0, 1)")
-require_window = range_rule(lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 def _local_peaks(y: np.ndarray, height: float, distance: int) -> np.ndarray:
@@ -175,10 +173,9 @@ class PeakTable:
 
     rows: tuple[PeakRow, ...]
 
-    def tail(self, fraction: float) -> tuple[PeakRow, ...]:
-        """The trailing max(1, ceil(fraction * N)) rows; fraction in (0, 1]."""
-        require_window("window fraction", fraction)
-        return self.rows[-max(1, int(math.ceil(fraction * len(self.rows)))):]
+    def tail(self) -> tuple[PeakRow, ...]:
+        """The trailing max(1, ceil(WINDOW_FRACTION * N)) rows."""
+        return self.rows[-max(1, int(math.ceil(WINDOW_FRACTION * len(self.rows)))):]
 
 
 def peak_table(traj: Trajectory, threshold: Optional[float] = None,
@@ -194,17 +191,17 @@ def peak_table(traj: Trajectory, threshold: Optional[float] = None,
         for s, top in zip(traj.snapshots, traj.peak_series)))
 
 
-def peak_count_series(table: PeakTable, window: float = 1.0) -> list[tuple[float, int]]:
-    """(time, peak count) per snapshot over the trailing window."""
-    return [(row.time, len(row.peaks)) for row in table.tail(window)]
+def peak_count_series(table: PeakTable) -> list[tuple[float, int]]:
+    """(time, peak count) per snapshot."""
+    return [(row.time, len(row.peaks)) for row in table.rows]
 
 
-def count_structures(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION) -> int:
+def count_structures(table: PeakTable) -> int:
     """Modal peak count over the trailing snapshot window.
 
     Ties between equally frequent counts resolve to the smaller count.
     """
-    freq = Counter(c for _, c in peak_count_series(table, window))
+    freq = Counter(len(row.peaks) for row in table.tail())
     best = max(freq.items(), key=lambda kv: (kv[1], -kv[0]))
     return int(best[0])
 
@@ -216,8 +213,7 @@ def splitting_alternations(counts: Sequence[int]) -> int:
     return sum(a != b for a, b in zip(split, split[1:]))
 
 
-def outer_position_blocks(table: PeakTable,
-                          window: float = DEFAULT_WINDOW_FRACTION) -> np.ndarray:
+def outer_position_blocks(table: PeakTable) -> np.ndarray:
     """Block-averaged mean |position| of off-center peaks over the window.
 
     Travelling structures breathe, so their instantaneous positions wobble
@@ -226,7 +222,7 @@ def outer_position_blocks(table: PeakTable,
     structure) are excluded.
     """
     per_snap = []
-    for row in table.tail(window):
+    for row in table.tail():
         outer = [abs(p.position) for p in row.peaks if abs(p.position) > _CORE_RADIUS]
         if outer:
             per_snap.append(float(np.mean(outer)))
@@ -235,12 +231,12 @@ def outer_position_blocks(table: PeakTable,
     return np.array([b.mean() for b in np.array_split(np.array(per_snap), _OUTER_BLOCKS)])
 
 
-def oscillation_metric(table: PeakTable, window: float = DEFAULT_WINDOW_FRACTION) -> float:
+def oscillation_metric(table: PeakTable) -> float:
     """(max - min)/mean over the window of the height of the peak nearest
     x = 0 (the snapshot's max |psi|^2 when nothing clears the threshold, e.g.
     plateau-only fields)."""
     h = np.array([min(row.peaks, key=lambda p: (abs(p.position), p.position)).height
-                  if row.peaks else row.max_intensity for row in table.tail(window)])
+                  if row.peaks else row.max_intensity for row in table.tail()])
     mean = float(np.mean(h))
     if mean <= 0.0:
         raise DomainError("degenerate trajectory: central-peak heights average to zero")
@@ -300,7 +296,7 @@ class ScanTemplate:
 
 def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> list[float]:
     """Breathing metric of each (alpha, psi0) cell, all propagated as one batch,
-    at the default peak separation and window.
+    at the default peak separation.
 
     A cell that diverges scores infinity.
     """

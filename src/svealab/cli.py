@@ -2,19 +2,18 @@
 runs, and stability scans.
 
 Subcommands: verify, map-check, run, scan.  Settings flow preset -> config
-file -> command-line flags, later sources winning.  Config files are INI
-sections (model, grid, run, analysis, scan, verify, map) holding flat
-key=value pairs; an unknown key (in [model], one the family's law does not
-read), a section the command does not read, or a file that is not UTF-8, is
-a config error.  SECTION_KEYS states each key once with the reader that types
-it; _section passes on only the keys set, so the library's defaults cover the
-rest.  Exit codes: 0 all checks passed, 1 checks failed, 2 usage or config
-error, 3 numerical divergence.
+file, the file winning.  Config files are INI sections (model, grid, run,
+analysis, scan, verify, map) holding flat key=value pairs; an unknown key (in
+[model], one the family's law does not read), a section the command does not
+read, or a file that is not UTF-8, is a config error.  SECTION_KEYS states
+each key once with the reader that types it; _section passes on only the keys
+set, so the library's defaults cover the rest.  Exit codes: 0 all checks
+passed, 1 checks failed, 2 usage or config error, 3 numerical divergence.
 
-main runs the steps every command shares, once: load the settings, merge
---threshold as the command's tolerance, check where the output directory
-goes, run the command body cmd_*(args, settings, out) -> exit code, write the
-manifest.  verify and map-check exit by the passed flag each check carries.
+main runs the steps every command shares, once: load the settings, check
+where the output directory goes, run the command body cmd_*(args, settings,
+out) -> exit code, write the manifest.  verify and map-check exit by the
+passed flag each check carries.
 
 Outputs land under --output, else $SVEA_LAB_OUTPUT, else ./artifacts, in a
 per-command directory that the first artifact written makes, so an error
@@ -29,16 +28,16 @@ import argparse
 import configparser
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import __version__
-from .analysis import (DEFAULT_MIN_SEPARATION, DEFAULT_WINDOW_FRACTION,
-                       ScanTemplate, count_structures, detection_threshold,
-                       oscillation_metric, peak_count_series, peak_table,
-                       require_threshold, require_threshold_fraction, require_window,
+from .analysis import (DEFAULT_MIN_SEPARATION, WINDOW_FRACTION, ScanTemplate,
+                       count_structures, detection_threshold, oscillation_metric,
+                       peak_count_series, peak_table, require_threshold_fraction,
                        scan_stability, splitting_alternations, track_structures)
 from .errors import ConfigError, DivergenceError, DomainError, PoleError, require_positive
 from .models import ModelSpec
@@ -56,15 +55,18 @@ EXIT_DIVERGED = 3
 
 _DETERMINISM_NOTE = "seed-free: no randomness anywhere; identical config reproduces outputs byte for byte"
 
+# The model of every run and scan preset.
+_BESSEL = {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"}
+
 PRESETS: dict[str, dict[str, dict[str, str]]] = {
     "case1": {
-        "model": {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"},
+        "model": _BESSEL,
         "grid": {"n": "2048", "length": "80.0"},
         "run": {"initial": "sech", "psi0": "15.0", "alpha": "1.0",
                 "dt": "1e-3", "t_final": "30.0", "snapshot_stride": "150"},
     },
     "case2": {
-        "model": {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"},
+        "model": _BESSEL,
         "grid": {"n": "2048", "length": "80.0"},
         "run": {"initial": "sech", "psi0": "22.0", "alpha": "1.0",
                 "dt": "1e-3", "t_final": "60.0", "snapshot_stride": "100"},
@@ -73,13 +75,13 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
         "analysis": {"min_separation": "3.0"},
     },
     "case3": {
-        "model": {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"},
+        "model": _BESSEL,
         "grid": {"n": "2048", "length": "80.0"},
         "run": {"initial": "sech", "psi0": "0.4", "alpha": "0.1",
                 "dt": "2e-3", "t_final": "200.0", "snapshot_stride": "500"},
     },
     "case4": {
-        "model": {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"},
+        "model": _BESSEL,
         "grid": {"n": "4096", "length": "120.0"},
         "run": {"initial": "supergaussian", "psi0": "10.0", "width": "10.0",
                 "order": "40", "dt": "1e-3", "t_final": "60.0",
@@ -89,25 +91,20 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
         "analysis": {"threshold_fraction": "0.25", "min_separation": "5.0"},
     },
     "uniform3": {
-        "model": {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"},
+        "model": _BESSEL,
         "grid": {"n": "256", "length": "40.0"},
         "run": {"initial": "uniform", "psi0": "3.0", "dt": "1e-3",
                 "t_final": "5.0", "snapshot_stride": "500"},
     },
     "scan-stable-line": {
-        "model": {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"},
+        "model": _BESSEL,
         "scan": {"alphas": "0.05, 0.1, 0.15", "psi0_lo": "0.1",
                  "psi0_hi": "1.1", "psi0_samples": "9", "n": "1024",
                  "length": "80.0", "dt": "2e-3", "t_final": "90.0",
                  "snapshot_stride": "500", "refine_iters": "6"},
     },
-    "verify-all": {
-        "verify": {"tolerance": "1e-6", "n_points": "2001"},
-    },
-    "map-all": {
-        "map": {"tolerance": "1e-10", "t_samples": "0, 1, 10",
-                "n_points": "801"},
-    },
+    "verify-all": {"verify": {"tolerance": "1e-6"}},
+    "map-all": {"map": {"tolerance": "1e-10"}},
 }
 
 
@@ -126,13 +123,12 @@ SECTION_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "grid": {"n": int, "length": float},
     "run": {"initial": str, "psi0": float, "alpha": float, "width": float, "order": int,
             "catalog_id": str, "dt": float, "t_final": float, "snapshot_stride": int},
-    "analysis": {"threshold": float, "threshold_fraction": float, "min_separation": float,
-                 "window": float},
+    "analysis": {"threshold_fraction": float, "min_separation": float},
     "scan": {"alphas": _floats, "psi0_lo": float, "psi0_hi": float, "psi0_samples": int,
              "n": int, "length": float, "dt": float, "t_final": float,
              "snapshot_stride": int, "refine_iters": int},
-    "verify": {"tolerance": float, "n_points": int},
-    "map": {"tolerance": float, "t_samples": _floats, "n_points": int},
+    "verify": {"tolerance": float},
+    "map": {"tolerance": float},
 }
 
 # The config sections each command reads.
@@ -267,12 +263,11 @@ def _write_manifest(out: Path, args, t_start: float, settings: dict) -> None:
         f"config: {config}\n"
         f"output_dir: {out}\n"
         f"jobs: {args.jobs}\n"
-        f"threshold: {args.threshold!r}\n"
         f"detune: {args.detune!r}\n"
         f"determinism: {_DETERMINISM_NOTE}\n"
         f"version: {__version__}\n"
         f"duration_s: {time.monotonic() - t_start:.3f}\n"
-        "settings (preset -> config -> flags):\n"
+        "settings (preset -> config):\n"
         + "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in kv.items())
                   for section, kv in settings.items())))
 
@@ -299,14 +294,11 @@ def cmd_run(args, settings: dict, out: Path) -> int:
     initial = _initial_from(settings, _grid_from(settings))
     analysis = _section(settings, "analysis")
     # checked by the rules analysis applies, before the propagation they follow
-    for key, rule in (("threshold", require_threshold),
-                      ("threshold_fraction", require_threshold_fraction),
-                      ("min_separation", require_positive), ("window", require_window)):
+    for key, rule in (("threshold_fraction", require_threshold_fraction),
+                      ("min_separation", require_positive)):
         if key in analysis:
             rule(f"[analysis] {key}", analysis[key])
-    threshold = analysis.get("threshold")
     min_sep = analysis.get("min_separation", DEFAULT_MIN_SEPARATION)
-    window = analysis.get("window", DEFAULT_WINDOW_FRACTION)
     code = EXIT_OK
     try:
         traj = propagate(initial, cfg)
@@ -315,18 +307,18 @@ def cmd_run(args, settings: dict, out: Path) -> int:
         traj = err.partial  # holds the initial state at least
         code = EXIT_DIVERGED
     write_trajectory(out, traj, cfg.dt)
-    if threshold is None and "threshold_fraction" in analysis:
-        threshold = detection_threshold(traj, analysis["threshold_fraction"])
+    threshold = (detection_threshold(traj, analysis["threshold_fraction"])
+                 if "threshold_fraction" in analysis else None)
     table = peak_table(traj, threshold, min_sep)
     tracks = track_structures(table)
     write_track_csv(out / "tracks.csv", tracks)
-    count = count_structures(table, window)
+    count = count_structures(table)
     alternations = splitting_alternations([c for _, c in peak_count_series(table)])
     summary = (
         f"count_structures: {count}\n"
         f"splitting_alternations: {alternations}\n"
-        f"oscillation_metric: {oscillation_metric(table, window):.6g}\n"
-        f"window_fraction: {window:g}\n"
+        f"oscillation_metric: {oscillation_metric(table):.6g}\n"
+        f"window_fraction: {WINDOW_FRACTION:g}\n"
         f"min_separation: {min_sep:g}\n"
         f"threshold: {'default' if threshold is None else format(threshold, 'g')}\n"
     )
@@ -360,6 +352,11 @@ def cmd_scan(args, settings: dict, out: Path) -> int:
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
+# A flag value argparse must read as a negative number, not as an option; its
+# own pattern takes no exponent, so "--detune -1e-3" would be a usage error.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def positive_int(raw: str) -> int:
     """The --jobs type: an integer >= 1."""
     value = int(raw)
@@ -375,11 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "quench-mapping checks, split-step propagation, stability scans.")
     parser.add_argument("--version", action="version", version=f"svealab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    # (command, body, the config section --threshold sets the tolerance of)
-    for name, fn, section in (("verify", cmd_verify, "verify"),
-                              ("map-check", cmd_map_check, "map"),
-                              ("run", cmd_run, None), ("scan", cmd_scan, None)):
+    for name, fn in (("verify", cmd_verify), ("map-check", cmd_map_check),
+                     ("run", cmd_run), ("scan", cmd_scan)):
         p = sub.add_parser(name)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
         p.add_argument("--output", help="output root (default $SVEA_LAB_OUTPUT or ./artifacts)")
@@ -387,13 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=positive_int, default=1,
                        help="read by scan only: split each batch of cells into at most "
                             "this many processes")
-        if section is not None:
-            p.add_argument("--threshold", type=float,
-                           help="pass/fail tolerance override")
         if name == "map-check":
             p.add_argument("--detune", type=float,
                            help="mapping diagnostic: shift the quench parameter")
-        p.set_defaults(fn=fn, section=section, threshold=None, detune=None)
+        p.set_defaults(fn=fn, detune=None)
     return parser
 
 
@@ -406,8 +399,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.monotonic()
     try:
         settings = load_settings(args.preset, args.config, args.command)
-        if args.threshold is not None:
-            settings = _merge(settings, {args.section: {"tolerance": repr(args.threshold)}})
         out = _output_dir(args)
         code = args.fn(args, settings, out)
         _write_manifest(out, args, t0, settings)

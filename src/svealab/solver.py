@@ -333,37 +333,38 @@ def propagate_batch(initials: Sequence[FieldState],
 
 # --- initial conditions ----------------------------------------------------
 
-def _require_finite_psi0(psi0: float) -> None:
-    # checked before the profile, where inf/inf would be a NaN and a warning
-    if not math.isfinite(psi0):
-        raise DomainError(f"amplitude psi0 must be finite, got {psi0!r}")
+def _amplitude_state(grid: Grid1D, psi0: float, values: np.ndarray) -> FieldState:
+    """psi0 times a profile as the state at t = 0.  Its power n*sum|psi|^2 (by
+    Parseval the stepper's) must be finite and > 0, or psi0 is refused."""
+    power = float(np.vdot(values, values).real) * grid.n
+    if not 0.0 < power < math.inf:  # NaN fails too
+        raise DomainError(f"amplitude psi0={psi0!r} gives the initial field a power "
+                          f"n*sum|psi|^2 of {power:g}; it must be finite and > 0")
+    return FieldState(grid, values, 0.0)
 
 
 def sech_profile(grid: Grid1D, psi0: float, alpha: float = 1.0) -> FieldState:
     """psi0 * sech(alpha * x); where cosh overflows, sech is 0."""
-    _require_finite_psi0(psi0)
     if not 0.0 < alpha < math.inf:  # NaN fails too
         raise DomainError(f"width parameter alpha must be finite and > 0, got {alpha}")
-    with np.errstate(over="ignore"):
-        return FieldState(grid, psi0 / np.cosh(alpha * grid.x), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/inf: psi0 fails below
+        return _amplitude_state(grid, psi0, psi0 / np.cosh(alpha * grid.x))
 
 
 def supergaussian_profile(grid: Grid1D, psi0: float, width: float,
                           order: int = 40) -> FieldState:
     """psi0 * exp(-(x/width)**(2*order)), 0 where the power overflows:
     step-like for large order."""
-    _require_finite_psi0(psi0)
     require_positive("supergaussian width", width)
     if order < 1:
         raise DomainError(f"supergaussian order must be >= 1, got {order}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf*0: psi0 fails below
         u = grid.x / width
-        return FieldState(grid, psi0 * np.exp(-(u ** (2 * int(order)))), 0.0)
+        return _amplitude_state(grid, psi0, psi0 * np.exp(-(u ** (2 * int(order)))))
 
 
 def uniform_profile(grid: Grid1D, psi0: float) -> FieldState:
-    _require_finite_psi0(psi0)
-    return FieldState(grid, np.full(grid.n, complex(psi0)), 0.0)
+    return _amplitude_state(grid, psi0, np.full(grid.n, complex(psi0)))
 
 
 def catalog_profile(grid: Grid1D, sol: AnalyticSolution) -> FieldState:

@@ -43,6 +43,7 @@ from .solutions import (
     make_solution,
     mapping_table,
     model_for,
+    phase_rate,
 )
 
 __all__ = [
@@ -76,8 +77,11 @@ _TOLERANCE_GRID = 2001
 
 _TIMES = (0.0, 0.4)
 
-# The 5-point stencils leave n_points - 4 interior points; a map window needs
-# both of its ends.
+# The grid and the times at which each quench row is compared.
+_MAP_POINTS = 801
+_MAP_TIMES = (0.0, 1.0, 10.0)
+
+# The 5-point stencils leave n_points - 4 interior points.
 _STENCIL_POINTS = 5
 
 
@@ -110,7 +114,6 @@ class MappingCheck:
     per_time: tuple[tuple[float, float], ...]
     max_abs_diff: float
     window: tuple[float, float]
-    n_points: int
     tolerance: float
     passed: bool
 
@@ -130,10 +133,9 @@ def _shifts(row: np.ndarray) -> list[np.ndarray]:
     return [row[k:row.size - 4 + k] for k in range(5)]
 
 
-def _grid(x_range: tuple[float, float], n_points: int,
-          minimum: int) -> tuple[np.ndarray, float]:
-    if int(n_points) < minimum:
-        raise DomainError(f"n_points must be at least {minimum}, got {n_points}")
+def _grid(x_range: tuple[float, float], n_points: int) -> tuple[np.ndarray, float]:
+    if int(n_points) < _STENCIL_POINTS:
+        raise DomainError(f"n_points must be at least {_STENCIL_POINTS}, got {n_points}")
     lo, hi = float(x_range[0]), float(x_range[1])
     x = np.linspace(lo, hi, int(n_points))
     return x, (hi - lo) / (int(n_points) - 1)
@@ -172,7 +174,7 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
     """Residual of d2_t(phi) - d2_x(phi) + N(phi) at interior grid points."""
     if model.family.is_nls:
         raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
-    x, h = _grid(x_range, n_points, _STENCIL_POINTS)
+    x, h = _grid(x_range, n_points)
     if sol.travelling:
         times = _TIMES
         fields = [(slab[2], _second(slab, h)[2:-2]) for slab in _slabs(sol, x, times, h)]
@@ -190,7 +192,7 @@ def nls_residual(model: ModelSpec, sol: AnalyticSolution,
     """Residual of i*d_t(psi) + D*d2_x(psi) - V(|psi|)*psi at interior points."""
     if not model.family.is_nls:
         raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
-    x, h = _grid(x_range, n_points, _STENCIL_POINTS)
+    x, h = _grid(x_range, n_points)
     samples = []
     for slab in _slabs(sol, x, _TIMES, h):
         center = slab[2]
@@ -209,14 +211,13 @@ def residual_for(sol: AnalyticSolution, n_points: int = _TOLERANCE_GRID) -> Resi
     return residual(model, sol, sol.window, n_points)
 
 
-def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE,
-                 n_points: int = _TOLERANCE_GRID) -> ConvergenceReport:
+def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE) -> ConvergenceReport:
     """Tolerance check on the fine grid plus the grid-doubling ratio check."""
     require_positive("tolerance", tolerance)
     sol = make_solution(sid)
     coarse = residual_for(sol, n_points=_RATIO_GRIDS[0])
     fine = residual_for(sol, n_points=_RATIO_GRIDS[1])
-    tol_rep = residual_for(sol, n_points=n_points)
+    tol_rep = residual_for(sol)
 
     at_floor = (coarse.relative_residual <= FLOOR_RESIDUAL
                 and fine.relative_residual <= FLOOR_RESIDUAL)
@@ -248,9 +249,8 @@ def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE,
     )
 
 
-def verify_catalog(tolerance: float = DEFAULT_TOLERANCE,
-                   n_points: int = _TOLERANCE_GRID) -> list[ConvergenceReport]:
-    return [verify_entry(sid, tolerance, n_points) for sid in catalog_ids()]
+def verify_catalog(tolerance: float = DEFAULT_TOLERANCE) -> list[ConvergenceReport]:
+    return [verify_entry(sid, tolerance) for sid in catalog_ids()]
 
 
 def verification_report(reports: Sequence[ConvergenceReport]) -> str:
@@ -267,26 +267,24 @@ def verification_report(reports: Sequence[ConvergenceReport]) -> str:
     return "\n".join(lines)
 
 
-def check_mapping(pair: MappingPair, n_points: int = 801,
-                  t_samples: Sequence[float] = (0.0, 1.0, 10.0),
-                  detune: float = 0.0,
+def check_mapping(pair: MappingPair, detune: float = 0.0,
                   tolerance: float = MAPPING_TOLERANCE) -> MappingCheck:
-    """Max pointwise |envelope - static field| over the window and t samples;
-    the row passes when that maximum is below tolerance.
+    """Max pointwise |envelope - static field| on _MAP_POINTS over the window
+    at the _MAP_TIMES; the row passes when that maximum is below tolerance.
 
     At detune = 0 the phase rate is quenched exactly and the result is
     t-independent; a nonzero detune is the diagnostic mode in which the
     difference grows like |1 - exp(i*theta*t)|.
     """
     require_positive("tolerance", tolerance)
-    times = tuple(t_samples)
-    if not times:
-        raise DomainError("t_samples needs at least one time")
     kg_sol, nls_sol = instantiate_pair(pair, detune=detune)
-    x, _ = _grid(pair.window, n_points, 2)
+    if math.isinf(phase_rate(nls_sol) * _MAP_TIMES[-1]):
+        raise DomainError(f"detune={detune!r} makes the phase of {pair.nls_id.value} "
+                          f"overflow by t={_MAP_TIMES[-1]:g}")
+    x, _ = _grid(pair.window, _MAP_POINTS)
     phi = np.asarray(eval_solution(kg_sol, x, 0.0), dtype=complex)
-    diffs = np.max(np.abs(_rows(nls_sol, x, times) - phi), axis=1)
-    per_time = tuple((float(t), float(d)) for t, d in zip(times, diffs))
+    diffs = np.max(np.abs(_rows(nls_sol, x, _MAP_TIMES) - phi), axis=1)
+    per_time = tuple((float(t), float(d)) for t, d in zip(_MAP_TIMES, diffs))
     worst = float(np.max(diffs))  # keeps a NaN
     return MappingCheck(
         kg_id=pair.kg_id.value,
@@ -295,17 +293,14 @@ def check_mapping(pair: MappingPair, n_points: int = 801,
         per_time=per_time,
         max_abs_diff=worst,
         window=pair.window,
-        n_points=n_points,
         tolerance=tolerance,
         passed=worst < tolerance,
     )
 
 
-def check_all_mappings(n_points: int = 801,
-                       t_samples: Sequence[float] = (0.0, 1.0, 10.0),
-                       detune: float = 0.0,
+def check_all_mappings(detune: float = 0.0,
                        tolerance: float = MAPPING_TOLERANCE) -> list[MappingCheck]:
-    return [check_mapping(p, n_points, t_samples, detune, tolerance) for p in mapping_table()]
+    return [check_mapping(p, detune, tolerance) for p in mapping_table()]
 
 
 def mapping_report(checks: Sequence[MappingCheck]) -> str:

@@ -164,8 +164,9 @@ class TestStructureCounting:
         g = Grid1D(512, 60.0)
         one = 1 / np.cosh(g.x)
         two = 1 / np.cosh(g.x - 8) + 1 / np.cosh(g.x + 8)
-        traj = synthetic_traj(g, [one, two, one, two])
-        n = count_structures(peak_table(traj, threshold=0.3, min_separation=2.0), window=1.0)
+        # the trailing quarter of 8 frames holds one of each
+        traj = synthetic_traj(g, [two] * 6 + [one, two])
+        n = count_structures(peak_table(traj, threshold=0.3, min_separation=2.0))
         assert n == 1
 
     def test_peak_count_series_shape(self):
@@ -204,10 +205,10 @@ class TestOscillationMetric:
 
     def test_breathing_peak_scores_swing_over_mean(self):
         g = Grid1D(256, 40.0)
-        frames = [a / np.cosh(g.x) for a in (1.0, 1.1, 0.9, 1.0, 1.1, 0.9, 1.0, 1.1)]
-        # trailing half: intensities 1.21, 0.81, 1.0, 1.21
+        frames = [a / np.cosh(g.x) for a in (1.0, 1.1, 0.9, 1.0) * 3 + (1.1, 0.9, 1.0, 1.1)]
+        # trailing quarter of 16 frames: intensities 1.21, 0.81, 1.0, 1.21
         traj = synthetic_traj(g, frames)
-        m = oscillation_metric(peak_table(traj), window=0.5)
+        m = oscillation_metric(peak_table(traj))
         swing = (1.21 - 0.81) / np.mean([1.21, 0.81, 1.0, 1.21])
         assert m == pytest.approx(swing, rel=1e-10)
 
@@ -216,13 +217,13 @@ class TestOuterBlocks:
     def test_receding_pair_gives_increasing_blocks(self):
         g = Grid1D(512, 120.0)
         frames = []
-        for i in range(16):
-            d = 10.0 + 0.5 * i
+        for i in range(64):
+            d = 4.0 + 0.125 * i
             frames.append(1.2 / np.cosh(g.x)
                           + 1 / np.cosh(g.x - d) + 1 / np.cosh(g.x + d))
+        # the trailing quarter holds the last 16 frames, d from 10 to 11.875
         traj = synthetic_traj(g, frames)
-        blocks = outer_position_blocks(peak_table(traj, threshold=0.3, min_separation=2.0),
-                                       window=1.0)
+        blocks = outer_position_blocks(peak_table(traj, threshold=0.3, min_separation=2.0))
         assert len(blocks) == 4
         assert np.all(np.diff(blocks) > 0)
         # the standing hump at the origin must not drag the average down
@@ -230,10 +231,10 @@ class TestOuterBlocks:
 
     def test_needs_at_least_two_blocks(self):
         g = Grid1D(256, 40.0)
-        # four blocks need four usable snapshots; the window holds three
-        traj = synthetic_traj(g, [1 / np.cosh(g.x - 8) + 1 / np.cosh(g.x + 8)] * 3)
+        # four blocks need four usable snapshots; the trailing quarter of 12 holds three
+        traj = synthetic_traj(g, [1 / np.cosh(g.x - 8) + 1 / np.cosh(g.x + 8)] * 12)
         with pytest.raises(DomainError, match="only 3 usable snapshots for 4 blocks"):
-            outer_position_blocks(peak_table(traj, threshold=0.3), window=1.0)
+            outer_position_blocks(peak_table(traj, threshold=0.3))
 
 
 class TestPeakTable:
@@ -250,18 +251,16 @@ class TestPeakTable:
         assert {(thr, sep) for _, thr, sep in calls} == {(detection_threshold(traj), 2.0)}
         assert [r.time for r in table.rows] == [s.time for s in traj.snapshots]
 
+    def test_window_is_the_trailing_quarter(self):
+        assert analysis.WINDOW_FRACTION == 0.25
+
     @pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_tail_keeps_the_trailing_window_rule(self, n, fraction):
+    def test_tail_keeps_the_trailing_window_rule(self, monkeypatch, n, fraction):
+        monkeypatch.setattr(analysis, "WINDOW_FRACTION", fraction)
         table = PeakTable(tuple(PeakRow(float(i), (), 1.0) for i in range(n)))
         k = max(1, int(np.ceil(fraction * n)))
-        assert table.tail(fraction) == table.rows[-k:]
-
-    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
-    def test_tail_rejects_fractions_outside_unit_interval(self, fraction):
-        table = PeakTable((PeakRow(0.0, (), 1.0),))
-        with pytest.raises(DomainError, match="window"):
-            table.tail(fraction)
+        assert table.tail() == table.rows[-k:]
 
     def test_empty_trajectory_rejected(self):
         traj = Trajectory(snapshots=(), mass_series=np.array([]), peak_series=np.array([]))
@@ -272,11 +271,13 @@ class TestPeakTable:
         # flat frames have no interior maxima, so each row falls back to its
         # max |psi|^2, which the table takes from traj.peak_series
         g = Grid1D(64, 20.0)
-        flat = synthetic_traj(g, [np.ones(64)] * 4)
-        traj = Trajectory(flat.snapshots, flat.mass_series, np.array([1.0, 2.0, 3.0, 4.0]))
+        flat = synthetic_traj(g, [np.ones(64)] * 16)
+        # the trailing quarter reads the last four entries
+        traj = Trajectory(flat.snapshots, flat.mass_series,
+                          np.array([9.0] * 12 + [1.0, 2.0, 3.0, 4.0]))
         table = peak_table(traj, threshold=0.5)
         assert all(not r.peaks for r in table.rows)
-        assert oscillation_metric(table, window=1.0) == pytest.approx((4.0 - 1.0) / 2.5)
+        assert oscillation_metric(table) == pytest.approx((4.0 - 1.0) / 2.5)
 
 
 class TestDetectionThreshold:

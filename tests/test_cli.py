@@ -136,9 +136,11 @@ class TestExitCodes:
     def test_verify_all_passes(self, outdir):
         assert main(["verify", "--preset", "verify-all"]) == EXIT_OK
 
-    def test_verify_impossible_threshold_fails(self, outdir):
+    def test_verify_impossible_threshold_fails(self, outdir, tmp_path):
+        ini = tmp_path / "strict.ini"
+        ini.write_text("[verify]\ntolerance = 1e-30\n")
         assert main(["verify", "--preset", "verify-all",
-                     "--threshold", "1e-30"]) == EXIT_CHECKS_FAILED
+                     "--config", str(ini)]) == EXIT_CHECKS_FAILED
 
     def test_map_check_passes(self, outdir):
         assert main(["map-check", "--preset", "map-all"]) == EXIT_OK
@@ -146,6 +148,11 @@ class TestExitCodes:
     def test_map_check_detuned_fails(self, outdir):
         assert main(["map-check", "--preset", "map-all",
                      "--detune", "0.05"]) == EXIT_CHECKS_FAILED
+
+    @pytest.mark.parametrize("detune", ["-1e-3", "-.5e-2", "-2E-1", "-0.05"])
+    def test_negative_detune_is_read_as_a_number(self, outdir, detune):
+        assert main(["map-check", "--preset", "map-all",
+                     "--detune", detune]) == EXIT_CHECKS_FAILED
 
     def test_missing_config_is_usage_error(self, outdir):
         assert main(["run", "--config", "/nonexistent/path.ini"]) == EXIT_USAGE
@@ -192,17 +199,6 @@ class TestExitCodes:
         assert main([command, "--config", str(ini), "--jobs", "0"]) == EXIT_USAGE
         assert "--jobs" in capsys.readouterr().err
         assert not (outdir / command).exists()
-
-    @pytest.mark.parametrize("command, section, n_points, minimum", [
-        ("verify", "verify", 3, 5), ("verify", "verify", -4, 5),
-        ("map-check", "map", 1, 2), ("map-check", "map", 0, 2),
-    ])
-    def test_grid_below_the_stencil_is_usage_error(self, outdir, tmp_path, capsys,
-                                                   command, section, n_points, minimum):
-        ini = tmp_path / "small.ini"
-        ini.write_text(f"[{section}]\nn_points = {n_points}\n")
-        assert main([command, "--config", str(ini)]) == EXIT_USAGE
-        assert f"at least {minimum}" in capsys.readouterr().err
 
 
 def _run_configs():
@@ -388,31 +384,31 @@ class TestManifest:
         assert main(["scan", "--config", str(ini), "--jobs", "2"]) == EXIT_OK
         text = (outdir / "scan" / "manifest.txt").read_text()
         assert f"config: {ini}\n" in text
-        for line in ("jobs: 2", "threshold: None", "detune: None", "[model]",
+        for line in ("jobs: 2", "detune: None", "[model]",
                      "family = bessel_nls", "[scan]", "alphas = 0.5", "refine_iters = 1"):
             assert line + "\n" in text, line
+        assert "threshold" not in text
 
     def test_map_check_manifest(self, outdir, tmp_path):
         ini = tmp_path / "map.ini"
-        ini.write_text("[map]\nt_samples = 0, 2\n")
-        argv = ["map-check", "--preset", "map-all", "--config", str(ini),
-                "--detune", "0.05", "--threshold", "1e-3"]
+        ini.write_text("[map]\ntolerance = 1e-3\n")
+        argv = ["map-check", "--preset", "map-all", "--config", str(ini), "--detune", "0.05"]
         assert main(argv) == EXIT_CHECKS_FAILED
         text = (outdir / "map-check-map-all" / "manifest.txt").read_text()
-        # preset -> config -> flags: the file's t_samples and the flag's tolerance win
-        for line in ("jobs: 1", "threshold: 0.001", "detune: 0.05", "[map]",
-                     "tolerance = 0.001", "t_samples = 0, 2", "n_points = 801"):
+        # preset -> config: the file's tolerance wins
+        for line in ("jobs: 1", "detune: 0.05", "[map]", "tolerance = 1e-3"):
             assert line + "\n" in text, line
+        assert "tolerance = 1e-10" not in text
 
 
 class TestOutOfRangeSettings:
-    """An out-of-range value exits 2 before any sweep or propagation runs."""
+    """An out-of-range value, or a key its section does not take, exits 2
+    before any sweep or propagation runs."""
 
     @pytest.mark.parametrize("section, key, value", [
         ("map", "t_samples", "0, nan"), ("map", "t_samples", "inf"),
         ("verify", "tolerance", "nan"), ("verify", "tolerance", "-1"),
         ("map", "tolerance", "0"), ("map", "tolerance", "inf"),
-        ("verify", "--threshold", "nan"), ("map", "--threshold", "-1"),
         ("analysis", "min_separation", "nan"), ("analysis", "min_separation", "-3"),
         ("analysis", "min_separation", "0"), ("scan", "refine_iters", "-1"),
         ("analysis", "window", "2"), ("analysis", "window", "0"),
@@ -432,11 +428,10 @@ class TestOutOfRangeSettings:
                    "scan": "scan"}[section]
         text = {"analysis": STRUCTURED_INI, "run": STRUCTURED_INI,
                 "scan": TINY_SCAN_INI}.get(section, "")
-        flag = key.startswith("--")
-        ini = _write_ini(tmp_path / "cfg.ini", text, section, **({} if flag else {key: value}))
-        assert main([command, "--config", str(ini)] + ([key, value] if flag else [])) == EXIT_USAGE
+        ini = _write_ini(tmp_path / "cfg.ini", text, section, **{key: value})
+        assert main([command, "--config", str(ini)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error:") and ("tolerance" if flag else key) in err
+        assert err.startswith("error:") and key in err
 
 
 class TestVerifyArtifacts:
@@ -521,11 +516,11 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("command, text, section", [
         ("run", STRUCTURED_INI, "scan"), ("scan", TINY_SCAN_INI, "grid"),
-        ("verify", "[verify]\nn_points = 101\n", "map"),
-        ("map-check", "[map]\nn_points = 101\n", "model")])
+        ("verify", "[verify]\ntolerance = 1e-6\n", "map"),
+        ("map-check", "[map]\ntolerance = 1e-10\n", "model")])
     def test_section_the_command_does_not_read_is_usage_error(self, outdir, tmp_path, capsys,
                                                               command, text, section):
-        extra = {"scan": "alphas = 0.5\n", "grid": "n = 64\n", "map": "n_points = 11\n",
+        extra = {"scan": "alphas = 0.5\n", "grid": "n = 64\n", "map": "tolerance = 1e-10\n",
                  "model": "family = cubic_nls\n"}[section]
         ini = tmp_path / "extra.ini"
         ini.write_text(text + f"\n[{section}]\n" + extra)
@@ -575,9 +570,8 @@ class TestConfigSchema:
                                     ("catalog", {"catalog_id": "bessel_uniform"}))]
         for command, settings in [("run", s) for s in runs] + [
                 ("scan", _sections(TINY_SCAN_INI)),
-                ("verify", {"verify": {"tolerance": "1e-6", "n_points": "101"}}),
-                ("map-check", {"map": {"tolerance": "1e-10", "t_samples": "0, 1",
-                                       "n_points": "11"}})]:
+                ("verify", {"verify": {"tolerance": "1e-6"}}),
+                ("map-check", {"map": {"tolerance": "1e-10"}})]:
             ini = tmp_path / "cfg.ini"
             ini.write_text(_ini_text(settings))
             assert main([command, "--config", str(ini)]) in (EXIT_OK, EXIT_CHECKS_FAILED), command
@@ -590,12 +584,13 @@ class TestFlagsPerCommand:
 
     @pytest.mark.parametrize("command, flag", [
         ("run", "--detune"), ("run", "--threshold"), ("scan", "--threshold"),
-        ("scan", "--detune"), ("verify", "--detune")])
+        ("scan", "--detune"), ("verify", "--detune"), ("verify", "--threshold"),
+        ("map-check", "--threshold")])
     def test_flag_the_command_does_not_read_is_usage_error(self, outdir, tmp_path, capsys,
                                                             command, flag):
         ini = tmp_path / "cfg.ini"
         ini.write_text(TINY_SCAN_INI if command == "scan" else STRUCTURED_INI)
-        argv = [command, "--config", str(ini)] if command != "verify" else [command]
+        argv = [command, "--config", str(ini)] if command in ("run", "scan") else [command]
         assert main(argv + [flag, "0.1"]) == EXIT_USAGE
         assert flag in capsys.readouterr().err
         assert not (outdir / command).exists()
@@ -603,19 +598,31 @@ class TestFlagsPerCommand:
     @pytest.mark.parametrize("command", ["verify", "map-check", "run", "scan"])
     def test_jobs_accepted_by_every_command(self, command):
         args = cli.build_parser().parse_args([command, "--jobs", "1"])
-        assert (args.jobs, args.threshold, args.detune) == (1, None, None)
+        assert (args.jobs, args.detune) == (1, None)
+
+
+def _python(*args):
+    """sys.executable run on args with this checkout's src first on the path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 class TestStartup:
     def test_cli_import_leaves_the_heavy_scipy_packages_out(self):
         # scipy serves fft and special only; signal would pull in stats and optimize
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
         probe = ("import sys, svealab.cli; print(' '.join(sorted(m for m in "
                  "('scipy.signal', 'scipy.stats', 'scipy.optimize') if m in sys.modules)))")
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True)
+        done = _python("-c", probe)
+        assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == ""
+
+    def test_module_entry_point(self):
+        done = _python("-m", "svealab", "--version")
+        assert (done.returncode, done.stdout) == (0, "svealab 0.1.0\n")
+        done = _python("-m", "svealab", "run", "--threshold", "1")
+        assert done.returncode == EXIT_USAGE
+        assert "--threshold" in done.stderr
 
 
 class TestTracedNames:

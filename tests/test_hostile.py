@@ -1,9 +1,12 @@
 """Hostile values for every config key and flag end in an exit code, never a traceback.
 
 Each (section, key) a command reads, [model] lambda and omega, and the
---threshold, --detune and --jobs flags are tried with every value of POOL on a
-tiny base config per command, through cli.main in process; a hypothesis test
-then sets two or three keys of one command at once.  Exit 2 must print
+--detune and --jobs flags are tried with every value of POOL on a tiny base
+config per command, through cli.main in process; so are the keys and the flag
+in UNREAD, which no command reads and each of which must exit 2.  A
+hypothesis test then sets two or three keys of run or scan at once, and
+another draws in-range values for every key of every command, which must run:
+exit 0 or 1 for the checks, 0 or 3 for run and scan.  Exit 2 must print
 "error:" and leave no output directory behind; exit 3 must print "diverged:".
 A RuntimeWarning escaping main fails the case too (pytest turns it into an
 error).
@@ -13,10 +16,13 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from svealab.cli import COMMAND_SECTIONS, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, SECTION_KEYS, main
+from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
+                         EXIT_USAGE, SECTION_KEYS, main)
+from svealab.models import Family
+from svealab.solutions import catalog_ids
 
 POOL = ("nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "", "abc", "1,,2")
 
@@ -31,12 +37,19 @@ BASE = {
              "scan": {"alphas": "0.5", "psi0_lo": "1.0", "psi0_hi": "3.0",
                       "psi0_samples": "3", "refine_iters": "1", "n": "16", "length": "48.0",
                       "dt": "0.02", "t_final": "0.2", "snapshot_stride": "5"}},
-    "verify": {"verify": {"n_points": "101"}},
-    "map-check": {"map": {"n_points": "11", "t_samples": "0, 1"}},
+    "verify": {"verify": {}},
+    "map-check": {"map": {}},
 }
 
 # [run] keys that only another kind of initial condition reads.
 _INITIAL_FOR = {"width": "supergaussian", "order": "supergaussian", "catalog_id": "catalog"}
+
+# Keys and a flag that configs and scripts written for earlier versions may
+# still carry; no command reads them, so each is refused like a typo.
+UNREAD = {("run", "analysis", "threshold"), ("run", "analysis", "window"),
+          ("verify", "verify", "n_points"), ("map-check", "map", "n_points"),
+          ("map-check", "map", "t_samples"),
+          ("verify", None, "--threshold"), ("map-check", None, "--threshold")}
 
 FLAGS = [("verify", "--threshold"), ("map-check", "--threshold"), ("map-check", "--detune")] + \
     [(command, "--jobs") for command in COMMAND_SECTIONS]
@@ -51,7 +64,8 @@ def _keys(command):
 
 def _config_cases():
     for command in COMMAND_SECTIONS:
-        for section, key in _keys(command):
+        unread = sorted((s, k) for c, s, k in UNREAD if c == command and s is not None)
+        for section, key in _keys(command) + unread:
             for value in POOL:
                 yield pytest.param(command, section, key, value,
                                    id=f"{command}-{section}-{key}-{value!r}")
@@ -75,6 +89,8 @@ def _with(command, changes):
 
 
 def _check(tmp_path, capsys, command, settings, flags=()):
+    """Run command on settings and flags; check how it ended and return
+    (exit code, stderr)."""
     ini = tmp_path / "cfg.ini"
     ini.write_text(_ini_text(settings))
     out = tmp_path / "out"
@@ -86,17 +102,22 @@ def _check(tmp_path, capsys, command, settings, flags=()):
         assert not out.exists(), sorted(p.name for p in out.rglob("*"))
     if code == EXIT_DIVERGED:
         assert "diverged:" in err
+    return code, err
 
 
 @pytest.mark.parametrize("command, section, key, value", list(_config_cases()))
 def test_config_value(tmp_path, capsys, command, section, key, value):
-    _check(tmp_path, capsys, command, _with(command, [(section, key, value)]))
+    code, err = _check(tmp_path, capsys, command, _with(command, [(section, key, value)]))
+    if (command, section, key) in UNREAD:
+        assert code == EXIT_USAGE and f"unknown key(s) {key} in [{section}]" in err
 
 
 @pytest.mark.parametrize("command, flag", FLAGS)
 @pytest.mark.parametrize("value", POOL, ids=repr)
 def test_flag_value(tmp_path, capsys, command, flag, value):
-    _check(tmp_path, capsys, command, BASE[command], [flag, value])
+    code, err = _check(tmp_path, capsys, command, BASE[command], [flag, value])
+    if (command, None, flag) in UNREAD:
+        assert code == EXIT_USAGE and flag in err
 
 
 # Values that used to end in a traceback or a RuntimeWarning, and how each ends.
@@ -136,11 +157,18 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
 
 # Key pairs that used to end in a RuntimeWarning or an error naming neither key.
 @pytest.mark.parametrize("changes, named", [
-    ({"run": {"psi0": "inf", "alpha": "1e308"}}, "psi0"),
-    ({"run": {"psi0": "inf", "initial": "supergaussian", "width": "1e-320"}}, "psi0"),
+    pytest.param({"run": {"psi0": "inf", "alpha": "1e308"}}, "psi0", id="sech-psi0-alpha"),
+    pytest.param({"run": {"psi0": "inf", "initial": "supergaussian", "width": "1e-320"}},
+                 "psi0", id="supergaussian-psi0-width"),
     # D = 5e307 is finite; D*dt*k**2 is not at this grid's largest |k|
-    ({"model": {"omega": "1e-308"}, "grid": {"length": "5.0"}}, "omega"),
-], ids=["sech-psi0-alpha", "supergaussian-psi0-width", "omega-length"])
+    pytest.param({"model": {"omega": "1e-308"}, "grid": {"length": "5.0"}}, "omega",
+                 id="omega-length"),
+    # each psi0 leaves the base grid's power n*sum|psi|^2 at 0 or at infinity
+    *[pytest.param({"run": {"initial": initial, "psi0": psi0}}, "psi0",
+                   id=f"{initial}-psi0-{psi0}")
+      for initial in ("sech", "uniform", "supergaussian")
+      for psi0 in ("0", "1e-320", "1e-170", "1e154", "1e308")],
+])
 def test_found_pair(tmp_path, capsys, changes, named):
     settings = _with("run", [(section, key, value) for section, kv in changes.items()
                              for key, value in kv.items()])
@@ -158,7 +186,8 @@ _IN_RANGE = ("0.5", "2", "16")
 
 @st.composite
 def _key_sets(draw):
-    command = draw(st.sampled_from(sorted(COMMAND_SECTIONS)))
+    # verify and map-check read one key each, so only run and scan have sets
+    command = draw(st.sampled_from(["run", "scan"]))
     keys = draw(st.lists(st.sampled_from(_keys(command)), min_size=2, max_size=3, unique=True))
     return command, [(section, key, draw(st.sampled_from(POOL + _IN_RANGE)))
                      for section, key in keys]
@@ -171,3 +200,96 @@ def test_config_key_set(capsys, case):
     command, changes = case
     with tempfile.TemporaryDirectory() as tmp:
         _check(Path(tmp), capsys, command, _with(command, changes))
+
+
+# --- in-range values ---------------------------------------------------------
+
+_NLS = [family for family in Family if family.is_nls]
+_DC_ENTRIES = {sid.value for sid in catalog_ids() if sid.value.endswith("_DC")}
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _optional(strategy):
+    """A key left out, so the library's default applies, or a drawn value."""
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def _horizon(draw):
+    """dt, a t_final of at most 20 steps of it, and a snapshot stride."""
+    dt = draw(st.sampled_from([1e-3, 5e-3, 1e-2]))
+    return {"dt": repr(dt), "t_final": repr(draw(st.integers(1, 20)) * dt),
+            "snapshot_stride": str(draw(st.integers(1, 20)))}
+
+
+def _model(family):
+    couplings = {"omega": _number(0.5, 2.0), "mass": _number(0.0, 2.0),
+                 "sigma": _number(0.5, 2.0)}
+    return st.fixed_dictionaries(
+        {"family": st.just(family.value), "lambda": st.sampled_from(["-1", "0.5", "1", "2"]),
+         **{key: couplings[key] for key in family.law.couplings}})
+
+
+# The [run] keys each kind of initial condition reads; catalog needs its id.
+_SHAPE_KEYS = {"sech": {"alpha": _optional(_number(0.2, 3.0))},
+               "supergaussian": {"width": _optional(_number(0.5, 10.0)),
+                                 "order": _optional(st.integers(1, 40).map(str))},
+               "uniform": {},
+               "catalog": {"catalog_id": st.sampled_from([sid.value for sid in catalog_ids()])}}
+
+
+@st.composite
+def _in_range(draw):
+    """A command and settings with every value inside its documented range,
+    on grids of at most 128 points; keys that size the work are always set."""
+    command = draw(st.sampled_from(sorted(COMMAND_SECTIONS)))
+    flags = []
+    if command == "run":
+        initial = draw(st.sampled_from(sorted(_SHAPE_KEYS)))
+        run = {"initial": initial, "psi0": draw(_optional(_number(0.1, 5.0))),
+               **{key: draw(value) for key, value in _SHAPE_KEYS[initial].items()},
+               **draw(_horizon())}
+        settings = {
+            "model": draw(_model(draw(st.sampled_from(_NLS)))),
+            "grid": {"n": str(draw(st.sampled_from([16, 32, 64, 128]))),
+                     "length": draw(_number(5.0, 80.0))},
+            "run": run,
+            "analysis": {"threshold_fraction": draw(_optional(_number(0.01, 0.99))),
+                         "min_separation": draw(_optional(_number(0.1, 10.0)))}}
+    elif command == "scan":
+        lo = draw(st.floats(0.1, 2.0))
+        scan = {"alphas": ", ".join(draw(st.lists(_number(0.1, 2.0), min_size=1, max_size=2))),
+                "psi0_lo": repr(lo), "psi0_hi": repr(lo + draw(st.floats(0.1, 3.0))),
+                "psi0_samples": str(draw(st.integers(3, 5))),
+                "refine_iters": str(draw(st.integers(0, 2))),
+                "n": str(draw(st.sampled_from([16, 32, 64]))),
+                "length": draw(_number(5.0, 80.0)), **draw(_horizon())}
+        settings = {"model": draw(_model(Family.BESSEL_NLS)), "scan": scan}
+    else:
+        section = "verify" if command == "verify" else "map"
+        settings = {section: {"tolerance": draw(_optional(_number(1e-12, 1.0)))}}
+        detune = draw(_optional(_number(-0.1, 0.1))) if command == "map-check" else None
+        flags = [] if detune is None else ["--detune", detune]
+    settings = {name: {k: v for k, v in kv.items() if v is not None}
+                for name, kv in settings.items()}
+    return command, settings, flags
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_in_range())
+def test_in_range_config(capsys, case):
+    command, settings, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _check(Path(tmp), capsys, command, settings, flags)
+    if code == EXIT_USAGE and "of a pole" in err:
+        # a dc entry sampled on a grid point at its pole is refused by design
+        assert settings["run"]["catalog_id"] in _DC_ENTRIES
+        reject()
+    if command in ("verify", "map-check"):
+        assert code in (EXIT_OK, EXIT_CHECKS_FAILED), err
+    else:
+        assert code in (EXIT_OK, EXIT_DIVERGED), err

@@ -252,7 +252,8 @@ class TestPropagation:
 
     @pytest.mark.parametrize("model", [CUBIC, BESSEL], ids=["cubic", "bessel"])
     def test_zero_field_is_rejected_before_stepping(self, model):
-        st = uniform_profile(Grid1D(64, 20.0), 0.0)
+        # the profiles refuse psi0 = 0 themselves; the stepper guards any state
+        st = FieldState(Grid1D(64, 20.0), np.zeros(64), 0.0)
         with pytest.raises(DomainError, match="mass"):
             propagate(st, RunConfig(model, dt=1e-3, t_final=0.1))
         with pytest.raises(DomainError, match="mass"):
@@ -461,4 +462,4 @@ class TestBatchedPropagation:
     def test_zero_row_is_rejected_before_stepping(self):
         cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.01)
         with pytest.raises(DomainError, match="mass"):
-            propagate_batch([sech_profile(_G, 1.0), uniform_profile(_G, 0.0)], cfg)
+            propagate_batch([sech_profile(_G, 1.0), FieldState(_G, np.zeros(_G.n), 0.0)], cfg)
