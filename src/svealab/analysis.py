@@ -238,8 +238,8 @@ def oscillation_metric(table: PeakTable) -> float:
     h = np.array([min(row.peaks, key=lambda p: (abs(p.position), p.position)).height
                   if row.peaks else row.max_intensity for row in table.tail()])
     mean = float(np.mean(h))
-    if mean <= 0.0:
-        raise DomainError("degenerate trajectory: central-peak heights average to zero")
+    if not mean > 0.0:  # NaN fails too; the scan's argmin would pick it
+        raise DomainError(f"degenerate trajectory: central-peak heights average to {mean:g}")
     return float((np.max(h) - np.min(h)) / mean)
 
 

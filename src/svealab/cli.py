@@ -131,6 +131,15 @@ SECTION_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "map": {"tolerance": float},
 }
 
+# The [run] keys each initial condition reads besides initial; every run
+# reads the other [run] keys.  _settle_initial_keys applies it.
+INITIAL_KEYS: dict[str, tuple[str, ...]] = {
+    "sech": ("psi0", "alpha"),
+    "supergaussian": ("psi0", "width", "order"),
+    "uniform": ("psi0",),
+    "catalog": ("catalog_id",),
+}
+
 # The config sections each command reads.
 COMMAND_SECTIONS: dict[str, tuple[str, ...]] = {
     "run": ("model", "grid", "run", "analysis"),
@@ -152,6 +161,7 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
     """The merged preset and config sections as raw strings, each checked;
     given a command, a section it does not read is a ConfigError too."""
     settings: dict[str, dict[str, str]] = {}
+    file_settings: dict[str, dict[str, str]] = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(
@@ -184,7 +194,25 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
         if unknown:
             raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{section}]; "
                               f"expected {', '.join(sorted(SECTION_KEYS[section]))}")
+    if "run" in settings:
+        _settle_initial_keys(settings["run"], file_settings.get("run", {}))
     return settings
+
+
+def _settle_initial_keys(run: dict, from_file: dict) -> None:
+    """Refuse the [run] keys the config file sets that the resolved initial
+    does not read; drop those the preset set, which go unread because the
+    config changed initial.  An unknown initial is left to _initial_from."""
+    kind = run.get("initial", "").strip().lower()
+    if kind not in INITIAL_KEYS:
+        return
+    others = {key for keys in INITIAL_KEYS.values() for key in keys} - set(INITIAL_KEYS[kind])
+    refused = sorted(others & set(from_file))
+    if refused:
+        raise ConfigError(f"[run] {', '.join(refused)}: not read by initial = {kind}, "
+                          f"which reads {', '.join(INITIAL_KEYS[kind])}")
+    for key in others & set(run):
+        del run[key]
 
 
 def _section(settings: dict, section: str) -> dict:
@@ -226,6 +254,12 @@ def _run_config(settings: dict) -> RunConfig:
 def _initial_from(settings: dict, grid: Grid1D):
     run = _section(settings, "run")
     kind = run.get("initial", "").strip().lower()
+    if kind == "catalog":
+        name = run.get("catalog_id", "")
+        try:
+            return catalog_profile(grid, make_solution(SolutionId(name.strip().upper())))
+        except ValueError as err:  # DomainError is one
+            raise ConfigError(f"bad [run] catalog_id {name!r}: {err}") from err
     psi0 = run.get("psi0", 1.0)
     if kind == "sech":
         return sech_profile(grid, psi0, **_pick(run, "alpha"))
@@ -233,12 +267,6 @@ def _initial_from(settings: dict, grid: Grid1D):
         return supergaussian_profile(grid, psi0, run.get("width", 10.0), **_pick(run, "order"))
     if kind == "uniform":
         return uniform_profile(grid, psi0)
-    if kind == "catalog":
-        name = run.get("catalog_id", "")
-        try:
-            return catalog_profile(grid, make_solution(SolutionId(name.strip().upper())))
-        except ValueError as err:  # DomainError is one
-            raise ConfigError(f"bad [run] catalog_id {name!r}: {err}") from err
     raise ConfigError(f"config needs [run] initial = sech|supergaussian|uniform|catalog, "
                       f"got {kind!r}")
 

@@ -13,7 +13,7 @@ one rotation per step for the whole stack, and a per-row projection.  A row
 that diverges is retired with its own DivergenceError and partial trajectory;
 the others keep stepping.  propagate() and step() are its B = 1 case, so
 there is one stepping routine: precomputed half-step multipliers and scalars,
-preallocated buffers, in-place out= ufuncs and overwrite_x transforms.
+preallocated buffers, in-place out= ufuncs and in-place transforms.
 Products keep their textbook operand order (complex products are not bitwise
 commutative under SIMD) and every operation is per row, so each row's output
 is byte for byte that of the allocating single-row form.  When the family law
@@ -32,6 +32,15 @@ times cos(theta) + i*sin(theta), from the same libm.  tests/test_solver.py
 checks the identity on the platform at hand for angles under
 STABILITY_GUARD, signed zeros and negative dt included.
 
+Every transform of the field goes through _transform, which calls scipy's
+pocketfft binding, scipy.fft._pocketfft.pypocketfft.c2c, with the arguments
+scipy.fft.fft/ifft end in: the last axis, no scaling forward, 1/n inverse,
+one worker.  The public functions spend about 4-5 us per call in Python
+(backend dispatch and argument normalisation) before pocketfft starts, a
+fifth of the call at n = 2048 and most of it at n = 64; the direct call skips
+that and gives the same bits.  tests/test_solver.py pins that identity, so a scipy that moves or
+changes the binding fails there first.
+
 A run takes at most MAX_STEPS steps; RunConfig refuses a longer one.
 
 The x grid is symmetric, x_j = -L/2 + j*L/n, and wavenumbers follow the
@@ -46,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import fft as _fft
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 from .errors import DivergenceError, DomainError, require_positive
 from .models import ModelSpec, nls_nonlinear_phase_rate
@@ -174,6 +184,12 @@ def peak_intensity(state: FieldState) -> float:
     return float(np.max(np.abs(state.values) ** 2))
 
 
+def _transform(a: np.ndarray, forward: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """scipy.fft.fft (forward) or ifft of complex a along its last axis, written
+    into out (which may be a itself) or a new array; bitwise the public call."""
+    return _pocketfft.c2c(a, (a.ndim - 1,), forward, 0 if forward else 2, out, 1)
+
+
 # Per-step unitarity correction larger than this means the update is not a
 # pure phase rotation plus rounding, i.e. an actual bug; refuse to absorb it.
 UNITARITY_GUARD = 1e-10
@@ -222,7 +238,7 @@ class _Stepper:
         """Step j of every live row; returns the (row, error) pairs it retired."""
         v_hat, half, work, rot, amp = self._views
         np.multiply(half, v_hat, out=work)
-        v = _fft.ifft(work, axis=-1, overwrite_x=True)
+        v = _transform(work, False, work)
         rate = nls_nonlinear_phase_rate(self.model, np.abs(v, out=amp))
         bad = {}  # row -> message, {t} standing for its time
         if self.guard_each_step:
@@ -235,7 +251,7 @@ class _Stepper:
         np.cos(theta, out=rot.real)
         np.sin(theta, out=rot.imag)
         np.multiply(v, rot, out=v)
-        np.multiply(half, _fft.fft(v, axis=-1, overwrite_x=True), out=v_hat)
+        np.multiply(half, _transform(v, True, v), out=v_hat)
         # Both sub-steps are unit-modulus rotations, so the exact flow keeps the
         # spectral power sum fixed; rescaling onto it removes the slow systematic
         # drift (~1e-16 per step) that cos, sin and the transform pair leave behind.
@@ -269,10 +285,11 @@ class _Stepper:
 
 def step(state: FieldState, model: ModelSpec, dt: float) -> FieldState:
     """One Strang step.  dt may be negative (time reversal)."""
-    stack = _Stepper([state.grid], model, dt, _fft.fft(state.values)[np.newaxis], [state.time])
+    stack = _Stepper([state.grid], model, dt, _transform(state.values, True)[np.newaxis],
+                     [state.time])
     for _, err in stack.advance(1):
         raise err
-    return FieldState(state.grid, _fft.ifft(stack.spectra[0]), state.time + dt)
+    return FieldState(state.grid, _transform(stack.spectra[0], False), state.time + dt)
 
 
 def propagate(initial: FieldState, cfg: RunConfig) -> Trajectory:
@@ -301,7 +318,7 @@ def propagate_batch(initials: Sequence[FieldState],
     if len({g.n for g in grids}) > 1:
         raise DomainError(f"batched rows must share n, got {sorted({g.n for g in grids})}")
     stack = _Stepper(grids, cfg.model, cfg.dt,
-                     np.array([_fft.fft(s.values) for s in initials]),
+                     np.array([_transform(s.values, True) for s in initials]),
                      [s.time for s in initials])
     n_steps = cfg.n_steps
 
@@ -323,7 +340,7 @@ def propagate_batch(initials: Sequence[FieldState],
             masses[i].append(float(np.vdot(row, row).real * parseval[i]))
         if j % cfg.snapshot_stride == 0 or j == n_steps:
             for i, row in zip(stack.rows, stack.spectra):
-                state = FieldState(grids[i], _fft.ifft(row), initials[i].time + j * cfg.dt)
+                state = FieldState(grids[i], _transform(row, False), initials[i].time + j * cfg.dt)
                 snaps[i].append(state)
                 peaks[i].append(peak_intensity(state))
     for i in stack.rows:

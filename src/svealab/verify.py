@@ -113,7 +113,6 @@ class MappingCheck:
     detune: float
     per_time: tuple[tuple[float, float], ...]
     max_abs_diff: float
-    window: tuple[float, float]
     tolerance: float
     passed: bool
 
@@ -292,7 +291,6 @@ def check_mapping(pair: MappingPair, detune: float = 0.0,
         detune=float(detune),
         per_time=per_time,
         max_abs_diff=worst,
-        window=pair.window,
         tolerance=tolerance,
         passed=worst < tolerance,
     )

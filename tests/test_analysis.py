@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks as scipy_find_peaks
 
 from svealab import analysis
-from svealab.analysis import (PeakRow, PeakTable, ScanTemplate, StabilityPoint, count_structures,
-                              detection_threshold, find_peaks, oscillation_metric,
-                              outer_position_blocks, peak_count_series, peak_table,
-                              scan_stability,
-                              splitting_alternations, stable_line_prediction, track_structures)
+from svealab.analysis import (Peak, PeakRow, PeakTable, ScanTemplate, StabilityPoint,
+                              count_structures, detection_threshold, find_peaks,
+                              oscillation_metric, outer_position_blocks, peak_count_series,
+                              peak_table, scan_stability, splitting_alternations,
+                              stable_line_prediction, track_structures)
 from svealab.errors import DomainError
 from svealab.models import Family, ModelSpec
 from svealab.solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate,
@@ -211,6 +211,15 @@ class TestOscillationMetric:
         m = oscillation_metric(peak_table(traj))
         swing = (1.21 - 0.81) / np.mean([1.21, 0.81, 1.0, 1.21])
         assert m == pytest.approx(swing, rel=1e-10)
+
+    def test_nan_height_is_a_domain_error(self):
+        # a NaN mean used to come back as the metric, which the scan's argmin
+        # then takes for the minimum
+        heights = [1.0] * 13 + [1.2, np.nan, 0.8]
+        table = PeakTable(tuple(PeakRow(float(i), (Peak(0.0, h, float(i)),), h)
+                                for i, h in enumerate(heights)))
+        with pytest.raises(DomainError, match="average to nan"):
+            oscillation_metric(table)
 
 
 class TestOuterBlocks:

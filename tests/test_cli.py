@@ -23,7 +23,7 @@ from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EX
 from svealab.errors import ConfigError
 from svealab.models import Family, ModelSpec
 from svealab.solutions import catalog_dump
-from svealab.solver import RunConfig, sech_profile, supergaussian_profile
+from svealab.solver import Grid1D, RunConfig, sech_profile, supergaussian_profile
 
 
 @pytest.fixture
@@ -123,6 +123,41 @@ def _sections(text):
 def _ini_text(sections):
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
                    for name, kv in sections.items())
+
+
+class _Recording(dict):
+    """A read section that records each (section, key) the CLI looks up or
+    passes on with ** (a dict subclass with its own __iter__ is unpacked
+    through keys() and __getitem__)."""
+
+    def __init__(self, read, section, values):
+        super().__init__(values)
+        self.read, self.section = read, section
+
+    def __iter__(self):
+        return super().__iter__()
+
+    def __contains__(self, key):
+        self.read.add((self.section, key))
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add((self.section, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add((self.section, key))
+        return super().get(key, default)
+
+
+def _record_reads(monkeypatch):
+    """The set that every (section, key) cli._section's callers read goes into."""
+    read = set()
+    real = cli._section
+    monkeypatch.setattr(cli, "_section",
+                        lambda settings, section: _Recording(read, section,
+                                                             real(settings, section)))
+    return read
 
 
 def _write_ini(path, text, section="run", **values):
@@ -534,40 +569,16 @@ class TestConfigSchema:
         assert "scan does not read [grid]" in capsys.readouterr().err
 
     def test_table_lists_exactly_the_keys_read(self, outdir, tmp_path, monkeypatch):
-        read = set()
-
-        class Recording(dict):
-            """A read section that records each key the CLI looks up or passes
-            on with ** (a dict subclass with its own __iter__ is unpacked
-            through keys() and __getitem__)."""
-
-            def __init__(self, section, values):
-                super().__init__(values)
-                self.section = section
-
-            def __iter__(self):
-                return super().__iter__()
-
-            def __contains__(self, key):
-                read.add((self.section, key))
-                return super().__contains__(key)
-
-            def __getitem__(self, key):
-                read.add((self.section, key))
-                return super().__getitem__(key)
-
-            def get(self, key, default=None):
-                read.add((self.section, key))
-                return super().get(key, default)
-
-        real = cli._section
-        monkeypatch.setattr(cli, "_section",
-                            lambda settings, section: Recording(section, real(settings, section)))
+        read = _record_reads(monkeypatch)
         tiny_run = _sections(STRUCTURED_INI)
         tiny_run["run"].update(t_final="0.1")
-        runs = [cli._merge(tiny_run, {"run": {"initial": kind, **extra}})
-                for kind, extra in (("sech", {}), ("supergaussian", {}),
-                                    ("catalog", {"catalog_id": "bessel_uniform"}))]
+        runs = []
+        for kind, extra in (("sech", {}), ("supergaussian", {}),
+                            ("catalog", {"catalog_id": "bessel_uniform"})):
+            settings = cli._merge(tiny_run, {"run": {"initial": kind, **extra}})
+            for key in {"psi0", "alpha"} - set(cli.INITIAL_KEYS[kind]):
+                del settings["run"][key]
+            runs.append(settings)
         for command, settings in [("run", s) for s in runs] + [
                 ("scan", _sections(TINY_SCAN_INI)),
                 ("verify", {"verify": {"tolerance": "1e-6"}}),
@@ -577,6 +588,35 @@ class TestConfigSchema:
             assert main([command, "--config", str(ini)]) in (EXIT_OK, EXIT_CHECKS_FAILED), command
         listed = {(section, key) for section, keys in SECTION_KEYS.items() for key in keys}
         assert read == listed
+
+    @pytest.mark.parametrize("kind", sorted(cli.INITIAL_KEYS))
+    def test_initial_keys_are_the_keys_each_initial_reads(self, kind, monkeypatch):
+        read = _record_reads(monkeypatch)
+        run = {"initial": kind, **({"catalog_id": "bessel_uniform"} if kind == "catalog" else {})}
+        cli._initial_from({"run": run}, Grid1D(64, 20.0))
+        assert read == {("run", key) for key in ("initial", *cli.INITIAL_KEYS[kind])}
+
+    @pytest.mark.parametrize("initial, extra, dropped", [
+        ("catalog", "catalog_id = bessel_uniform\n", {"psi0", "alpha"}),
+        ("supergaussian", "", {"alpha"}),
+        ("uniform", "", {"alpha"})])
+    def test_preset_keys_another_initial_does_not_read_are_dropped(
+            self, outdir, tmp_path, initial, extra, dropped):
+        ini = tmp_path / "initial.ini"
+        ini.write_text(f"[run]\ninitial = {initial}\n{extra}t_final = 0.01\n")
+        run = load_settings("case1", str(ini), "run")["run"]
+        assert run["initial"] == initial and not dropped & set(run)
+        assert main(["run", "--preset", "case1", "--config", str(ini)]) == EXIT_OK
+        manifest = (outdir / "run-case1" / "manifest.txt").read_text()
+        assert not [key for key in dropped if f"\n{key} = " in manifest]
+
+    def test_config_key_the_initial_does_not_read_is_usage_error(self, outdir, tmp_path,
+                                                                 capsys):
+        ini = tmp_path / "initial.ini"
+        ini.write_text("[run]\ninitial = catalog\ncatalog_id = bessel_uniform\npsi0 = 5\n")
+        assert main(["run", "--preset", "case1", "--config", str(ini)]) == EXIT_USAGE
+        assert "psi0: not read by initial = catalog" in capsys.readouterr().err
+        assert not (outdir / "run-case1").exists()
 
 
 class TestFlagsPerCommand:

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
-                         EXIT_USAGE, SECTION_KEYS, main)
+                         EXIT_USAGE, INITIAL_KEYS, SECTION_KEYS, main)
 from svealab.models import Family
 from svealab.solutions import catalog_ids
 
@@ -78,13 +78,16 @@ def _ini_text(settings):
 
 def _with(command, changes):
     """BASE[command] with each (section, key, value) of changes set, and the
-    initial condition a [run] shape key needs unless changes set one."""
+    initial condition a [run] shape key needs unless changes set one; BASE's
+    psi0 goes when the initial is a catalog entry, which does not read it."""
     settings = {name: dict(kv) for name, kv in BASE[command].items()}
     keys = {key for _, key, _ in changes}
     for section, key, value in changes:
         settings.setdefault(section, {})[key] = value
         if section == "run" and key in _INITIAL_FOR and "initial" not in keys:
             settings["run"]["initial"] = _INITIAL_FOR[key]
+    if settings.get("run", {}).get("initial") == "catalog" and "psi0" not in keys:
+        del settings["run"]["psi0"]
     return settings
 
 
@@ -168,6 +171,14 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
                    id=f"{initial}-psi0-{psi0}")
       for initial in ("sech", "uniform", "supergaussian")
       for psi0 in ("0", "1e-320", "1e-170", "1e154", "1e308")],
+    # a shape key the chosen initial does not read, which used to go unread
+    *[pytest.param({"run": {"initial": initial, key: value, **extra}}, key,
+                   id=f"{initial}-{key}")
+      for initial, extra in (("catalog", {"catalog_id": "bessel_uniform"}),
+                             ("sech", {}), ("supergaussian", {}), ("uniform", {}))
+      for key, value in (("psi0", "5"), ("alpha", "3"), ("width", "2"), ("order", "4"),
+                         ("catalog_id", "bessel_uniform"))
+      if key not in INITIAL_KEYS[initial]],
 ])
 def test_found_pair(tmp_path, capsys, changes, named):
     settings = _with("run", [(section, key, value) for section, kv in changes.items()
@@ -233,11 +244,13 @@ def _model(family):
          **{key: couplings[key] for key in family.law.couplings}})
 
 
-# The [run] keys each kind of initial condition reads; catalog needs its id.
-_SHAPE_KEYS = {"sech": {"alpha": _optional(_number(0.2, 3.0))},
-               "supergaussian": {"width": _optional(_number(0.5, 10.0)),
+# The [run] keys each kind of initial condition reads (any other is refused);
+# catalog needs its id.
+_PSI0 = _optional(_number(0.1, 5.0))
+_SHAPE_KEYS = {"sech": {"psi0": _PSI0, "alpha": _optional(_number(0.2, 3.0))},
+               "supergaussian": {"psi0": _PSI0, "width": _optional(_number(0.5, 10.0)),
                                  "order": _optional(st.integers(1, 40).map(str))},
-               "uniform": {},
+               "uniform": {"psi0": _PSI0},
                "catalog": {"catalog_id": st.sampled_from([sid.value for sid in catalog_ids()])}}
 
 
@@ -249,7 +262,7 @@ def _in_range(draw):
     flags = []
     if command == "run":
         initial = draw(st.sampled_from(sorted(_SHAPE_KEYS)))
-        run = {"initial": initial, "psi0": draw(_optional(_number(0.1, 5.0))),
+        run = {"initial": initial,
                **{key: draw(value) for key, value in _SHAPE_KEYS[initial].items()},
                **draw(_horizon())}
         settings = {

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from svealab.solutions import SolutionId, make_solution
 from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunConfig,
                             Trajectory, catalog_profile, mass, peak_intensity, propagate,
                             propagate_batch, sech_profile, step, supergaussian_profile,
-                            uniform_profile)
+                            uniform_profile, _transform)
 
 from oracles import K_VALUES, reference_propagate
 
@@ -376,6 +377,62 @@ def test_in_place_stepper_matches_textbook_step_bitwise(name):
     fast, ref = propagate(st, cfg), reference_propagate(st, cfg)
     assert len(fast.snapshots) == 8
     _assert_same_trajectory(fast, ref)
+
+
+class TestDirectTransform:
+    """_transform is the call scipy.fft.fft/ifft end in, so it gives their bits."""
+
+    @pytest.mark.parametrize("forward", [True, False])
+    @pytest.mark.parametrize("shape", ["1-D", "(1, n)", "(B, n)"])
+    @pytest.mark.parametrize("n", [16, 256, 1024, 2048, 4096])
+    def test_bitwise_the_public_transform(self, n, shape, forward):
+        rows = {"1-D": (), "(1, n)": (1,), "(B, n)": (3,)}[shape]
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((*rows, n)) + 1j * rng.standard_normal((*rows, n))
+        ref = (scipy.fft.fft if forward else scipy.fft.ifft)(a, axis=-1)
+        kept = a.copy()
+        got = _transform(a, forward)
+        assert got.tobytes() == ref.tobytes() and a.tobytes() == kept.tobytes()
+        assert _transform(a, forward, a) is a
+        assert a.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_reads_a_read_only_field(self, n):
+        values = sech_profile(Grid1D(n, 40.0), 2.0).values
+        assert not values.flags.writeable
+        spectrum = _transform(values, True)
+        assert spectrum.tobytes() == scipy.fft.fft(values).tobytes()
+        assert _transform(spectrum, False).tobytes() == scipy.fft.ifft(spectrum).tobytes()
+
+
+def test_each_step_looks_up_the_rate_once(monkeypatch):
+    # perfbench's tracer and the divergence tests wrap this module-level name
+    calls = []
+
+    def counted(model, amp):
+        calls.append(None)
+        return nls_nonlinear_phase_rate(model, amp)
+
+    monkeypatch.setattr("svealab.solver.nls_nonlinear_phase_rate", counted)
+    cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.025, snapshot_stride=10)
+    assert cfg.n_steps == 25
+    propagate(sech_profile(_G, 2.0), cfg)
+    assert len(calls) == 25
+
+
+def test_propagation_bypasses_the_public_transforms(monkeypatch):
+    cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.05, snapshot_stride=20)
+    initials = [sech_profile(_G, psi0) for psi0 in (1.0, 15.0)]
+    refs = [reference_propagate(st, cfg) for st in initials]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the solver called a public scipy.fft transform")
+
+    monkeypatch.setattr(scipy.fft, "fft", refused)
+    monkeypatch.setattr(scipy.fft, "ifft", refused)
+    for traj, ref in zip(propagate_batch(initials, cfg), refs):
+        _assert_same_trajectory(traj, ref)
+    step(initials[0], BESSEL, 1e-3)
 
 
 FOCUSING = ModelSpec(Family.CUBIC_NLS, lam=-1.0, omega=1.0)
