@@ -26,7 +26,7 @@ import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -179,16 +179,19 @@ class PeakTable:
 
 
 def peak_table(traj: Trajectory, threshold: Optional[float] = None,
-               min_separation: float = DEFAULT_MIN_SEPARATION) -> PeakTable:
+               min_separation: float = DEFAULT_MIN_SEPARATION,
+               snapshots: Optional[Iterable[FieldState]] = None) -> PeakTable:
     """One find_peaks pass per snapshot, at one threshold (default:
     detection_threshold(traj)).  The max |psi|^2 of each row is the
-    trajectory's peak_series entry."""
-    if not traj.snapshots:
+    trajectory's peak_series entry.  The snapshots are traj's unless given,
+    as a streamed run gives them: read back from disk one at a time."""
+    if not len(traj.times):
         raise DomainError("trajectory has no snapshots")
     thr = detection_threshold(traj) if threshold is None else float(threshold)
     return PeakTable(tuple(
         PeakRow(s.time, tuple(find_peaks(s, thr, min_separation)), float(top))
-        for s, top in zip(traj.snapshots, traj.peak_series)))
+        for s, top in zip(traj.snapshots if snapshots is None else snapshots,
+                          traj.peak_series)))
 
 
 def peak_count_series(table: PeakTable) -> list[tuple[float, int]]:

@@ -41,7 +41,7 @@ from .analysis import (DEFAULT_MIN_SEPARATION, WINDOW_FRACTION, ScanTemplate,
                        scan_stability, splitting_alternations, track_structures)
 from .errors import ConfigError, DivergenceError, DomainError, PoleError, require_positive
 from .models import ModelSpec
-from .fieldio import (atomic_write_text, write_scan_csv, write_track_csv,
+from .fieldio import (SnapshotStream, atomic_write_text, write_scan_csv, write_track_csv,
                       write_trajectory)
 from .solutions import SolutionId, make_solution
 from .solver import (Grid1D, RunConfig, catalog_profile, propagate,
@@ -328,16 +328,17 @@ def cmd_run(args, settings: dict, out: Path) -> int:
             rule(f"[analysis] {key}", analysis[key])
     min_sep = analysis.get("min_separation", DEFAULT_MIN_SEPARATION)
     code = EXIT_OK
+    snapshots = SnapshotStream(out)
     try:
-        traj = propagate(initial, cfg)
+        traj = propagate(initial, cfg, snapshots)
     except DivergenceError as err:
         print(f"diverged: {err}", file=sys.stderr)
         traj = err.partial  # holds the initial state at least
         code = EXIT_DIVERGED
-    write_trajectory(out, traj, cfg.dt)
+    write_trajectory(out, traj, cfg.dt)  # only diagnostics.csv: traj holds no snapshots
     threshold = (detection_threshold(traj, analysis["threshold_fraction"])
                  if "threshold_fraction" in analysis else None)
-    table = peak_table(traj, threshold, min_sep)
+    table = peak_table(traj, threshold, min_sep, snapshots.read_back())
     tracks = track_structures(table)
     write_track_csv(out / "tracks.csv", tracks)
     count = count_structures(table)
@@ -351,7 +352,7 @@ def cmd_run(args, settings: dict, out: Path) -> int:
         f"threshold: {'default' if threshold is None else format(threshold, 'g')}\n"
     )
     atomic_write_text(out / "analysis.txt", summary)
-    print(f"{len(traj.snapshots)} snapshots, {len(tracks)} peak tracks, "
+    print(f"{snapshots.count} snapshots, {len(tracks)} peak tracks, "
           f"count_structures {count} -> {out}")
     return code
 

@@ -5,7 +5,10 @@ as unsigned 64-bit, domain length and snapshot time as IEEE-754 doubles,
 then the field as n interleaved (re, im) double pairs.  A run directory
 holds one snapshot file per snapshot and diagnostics.csv, one row per
 snapshot in file order; the headers hold the times, so nothing lists them
-again.
+again.  SnapshotStream is the hand-off of a streamed run: it numbers the
+snapshots it receives in order and writes them out STREAM_BURST at a time,
+so a run holds at most that many fields, and reads them back one at a time
+afterwards.  write_trajectory writes a held trajectory through it.
 
 All writers go through an atomic temp-file + rename so a crashed run never
 leaves a half-written artifact; atomic_write_bytes makes the parent directory,
@@ -20,7 +23,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,11 +41,19 @@ __all__ = [
     "write_track_csv",
     "write_scan_csv",
     "write_trajectory",
+    "SnapshotStream",
+    "STREAM_BURST",
 ]
 
 SNAPSHOT_MAGIC = b"SVEA1"
 
 PathLike = Union[str, Path]
+
+# Snapshots a SnapshotStream holds before it writes them out in one burst:
+# 512 KB of fields at n = 2048.  On run case1, writing each snapshot as it
+# came cost about 4% of the pass time and bursts of 4 about 2%; bursts of
+# 16, 32 and 64 timed alike, and each doubling held about 0.5 MB more.
+STREAM_BURST = 16
 
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> None:
@@ -72,7 +83,9 @@ def write_snapshot(path: PathLike, state: FieldState) -> None:
     atomic_write_bytes(path, header + payload)
 
 
-def read_snapshot(path: PathLike) -> FieldState:
+def read_snapshot(path: PathLike, grid: Optional[Grid1D] = None) -> FieldState:
+    """The state a snapshot file holds.  grid, when it has the header's n and
+    length, is the state's grid instead of a new, equal one."""
     raw = Path(path).read_bytes()
     if raw[:5] != SNAPSHOT_MAGIC:
         raise DomainError(f"{path}: not a field snapshot (bad magic)")
@@ -82,7 +95,9 @@ def read_snapshot(path: PathLike) -> FieldState:
     values = np.frombuffer(raw[29:], dtype="<f8")
     if values.size != 2 * n:
         raise DomainError(f"{path}: payload holds {values.size//2} points, header says {n}")
-    return FieldState(Grid1D(int(n), float(length)), values.view("<c16").copy(), float(time))
+    if grid is None or (grid.n, grid.length) != (n, length):
+        grid = Grid1D(int(n), float(length))
+    return FieldState(grid, values.view("<c16"), float(time))  # FieldState copies
 
 
 def _fmt(x: float) -> str:
@@ -92,11 +107,11 @@ def _fmt(x: float) -> str:
 def write_mass_csv(path: PathLike, traj: Trajectory, dt: float) -> None:
     """Snapshot-aligned diagnostics: step index, time, mass, peak |psi|^2."""
     lines = ["step,time,mass,peak"]
-    t0 = traj.snapshots[0].time
-    for state, peak in zip(traj.snapshots, traj.peak_series):
-        step = int(round((state.time - t0) / dt))
+    t0 = traj.times[0]
+    for time, peak in zip(traj.times, traj.peak_series):
+        step = int(round((time - t0) / dt))
         mass_val = traj.mass_series[min(step, len(traj.mass_series) - 1)]
-        lines.append(f"{step},{_fmt(state.time)},{_fmt(mass_val)},{_fmt(peak)}")
+        lines.append(f"{step},{_fmt(time)},{_fmt(mass_val)},{_fmt(peak)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -122,10 +137,45 @@ def write_scan_csv(path: PathLike, points: Sequence[StabilityPoint]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+class SnapshotStream:
+    """snapshot_NNNNN.svea under out_dir for each state received, numbered
+    from 0 in order.  Received states wait until STREAM_BURST of them are
+    pending, then go out together; flush() writes what is pending."""
+
+    def __init__(self, out_dir: PathLike):
+        self.out = Path(out_dir)
+        self.count = 0  # states received
+        self._pending: list[FieldState] = []
+        self._grid: Optional[Grid1D] = None  # of the last state received
+
+    def _path(self, i: int) -> Path:
+        return self.out / f"snapshot_{i:05d}.svea"
+
+    def __call__(self, state: FieldState) -> None:
+        self._pending.append(state)
+        self._grid = state.grid
+        self.count += 1
+        if len(self._pending) == STREAM_BURST:
+            self.flush()
+
+    def flush(self) -> None:
+        first = self.count - len(self._pending)
+        for i, state in enumerate(self._pending, first):
+            write_snapshot(self._path(i), state)
+        self._pending.clear()
+
+    def read_back(self) -> Iterator[FieldState]:
+        """Every snapshot received, flushed and read back in order, one at a time."""
+        self.flush()
+        return (read_snapshot(self._path(i), self._grid) for i in range(self.count))
+
+
 def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> None:
-    """Write snapshot_NNNNN.svea per snapshot and diagnostics.csv, whose rows
-    follow the snapshots in file order."""
-    out = Path(out_dir)
-    for i, state in enumerate(traj.snapshots):
-        write_snapshot(out / f"snapshot_{i:05d}.svea", state)
-    write_mass_csv(out / "diagnostics.csv", traj, dt)
+    """Write snapshot_NNNNN.svea per snapshot held and diagnostics.csv, whose
+    rows follow the snapshots in file order.  A streamed trajectory holds no
+    snapshots; its SnapshotStream has written them."""
+    stream = SnapshotStream(out_dir)
+    for state in traj.snapshots:
+        stream(state)
+    stream.flush()
+    write_mass_csv(stream.out / "diagnostics.csv", traj, dt)

@@ -41,7 +41,14 @@ fifth of the call at n = 2048 and most of it at n = 64; the direct call skips
 that and gives the same bits.  tests/test_solver.py pins that identity, so a scipy that moves or
 changes the binding fails there first.
 
-A run takes at most MAX_STEPS steps; RunConfig refuses a longer one.
+A run takes at most MAX_STEPS steps; RunConfig refuses a longer one.  Each
+row's mass series is a float64 array of n_steps + 1, preallocated and filled
+in place.  Snapshots stay on the returned Trajectory unless the caller passes
+a hand-off, on_snapshot(row, state).  Then each snapshot goes to it as it is
+made and the trajectory keeps only the snapshot times, peak intensities and
+masses, so the run's memory does not grow with its snapshot count.  The
+initial snapshot goes only once the stepper is built, so a run the stepper
+refuses hands nothing over.
 
 The x grid is symmetric, x_j = -L/2 + j*L/n, and wavenumbers follow the
 standard FFT ordering k_j = 2*pi*j/L.
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -163,11 +170,18 @@ class RunConfig:
 @dataclass(frozen=True)
 class Trajectory:
     """Propagation record: snapshots at stride multiples (plus the final step),
-    mass at every step, and the peak intensity max |psi|^2 per snapshot."""
+    mass at every step, and the peak intensity max |psi|^2 and time of each
+    snapshot.  times defaults to the snapshots' own; a streamed run, whose
+    snapshots went to a hand-off, holds none and gives its times here."""
 
     snapshots: tuple[FieldState, ...]
     mass_series: np.ndarray
     peak_series: np.ndarray
+    times: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.times is None:
+            object.__setattr__(self, "times", np.array([s.time for s in self.snapshots]))
 
     @property
     def final(self) -> FieldState:
@@ -292,25 +306,31 @@ def step(state: FieldState, model: ModelSpec, dt: float) -> FieldState:
     return FieldState(state.grid, _transform(stack.spectra[0], False), state.time + dt)
 
 
-def propagate(initial: FieldState, cfg: RunConfig) -> Trajectory:
-    """Repeated stepping with per-step mass recording and stride snapshots.
+def propagate(initial: FieldState, cfg: RunConfig,
+              on_snapshot: Optional[Callable[[FieldState], None]] = None) -> Trajectory:
+    """Repeated stepping with per-step mass recording and stride snapshots,
+    kept on the trajectory or, given on_snapshot, handed to it as made.
 
     On divergence the partial trajectory (snapshots up to the last healthy
     step) rides on the raised error.
     """
-    result, = propagate_batch([initial], cfg)
+    result, = propagate_batch([initial], cfg,
+                              None if on_snapshot is None else lambda _, s: on_snapshot(s))
     if isinstance(result, DivergenceError):
         raise result
     return result
 
 
-def propagate_batch(initials: Sequence[FieldState],
-                    cfg: RunConfig) -> list[Trajectory | DivergenceError]:
+def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
+                    on_snapshot: Optional[Callable[[int, FieldState], None]] = None,
+                    ) -> list[Trajectory | DivergenceError]:
     """propagate() for a stack of initial states that share n, stepped together.
 
     Each entry of the result is the row's Trajectory, bitwise that of its solo
     run, or the DivergenceError it raised there, partial trajectory attached;
-    a diverged row leaves the stack and the others keep stepping.
+    a diverged row leaves the stack and the others keep stepping.  Given
+    on_snapshot, each snapshot goes to on_snapshot(row, state), row its index
+    in initials, and the trajectories hold none.
     """
     if not initials:
         raise DomainError("propagate_batch needs at least one initial state")
@@ -326,25 +346,37 @@ def propagate_batch(initials: Sequence[FieldState],
     # (Parseval), so only one transform pair per step touches the state.
     parseval = [g.spacing / g.n for g in grids]
 
-    snaps = [[s] for s in initials]
-    peaks = [[peak_intensity(s)] for s in initials]
-    masses = [[target * p] for target, p in zip(stack.targets, parseval)]
+    masses = np.empty((len(initials), n_steps + 1))
+    snaps, times, peaks = ([[] for _ in initials] for _ in range(3))
+    keep = on_snapshot or (lambda i, state: snaps[i].append(state))
+
+    def record(i: int, state: FieldState) -> None:
+        times[i].append(state.time)
+        peaks[i].append(peak_intensity(state))
+        keep(i, state)
+
+    def trajectory(i: int, n_masses: int) -> Trajectory:
+        return Trajectory(tuple(snaps[i]), masses[i, :n_masses], np.array(peaks[i]),
+                          np.array(times[i]))
+
+    for i, state in enumerate(initials):
+        masses[i, 0] = stack.targets[i] * parseval[i]
+        record(i, state)
     results: list = [None] * len(initials)
     for j in range(1, n_steps + 1):
         for i, err in stack.advance(j):
-            err.partial = Trajectory(tuple(snaps[i]), np.array(masses[i]), np.array(peaks[i]))
+            err.partial = trajectory(i, j)
             results[i] = err
         if not stack.rows:
             break
         for i, row in zip(stack.rows, stack.spectra):
-            masses[i].append(float(np.vdot(row, row).real * parseval[i]))
+            masses[i, j] = np.vdot(row, row).real * parseval[i]
         if j % cfg.snapshot_stride == 0 or j == n_steps:
             for i, row in zip(stack.rows, stack.spectra):
-                state = FieldState(grids[i], _transform(row, False), initials[i].time + j * cfg.dt)
-                snaps[i].append(state)
-                peaks[i].append(peak_intensity(state))
+                record(i, FieldState(grids[i], _transform(row, False),
+                                     initials[i].time + j * cfg.dt))
     for i in stack.rows:
-        results[i] = Trajectory(tuple(snaps[i]), np.array(masses[i]), np.array(peaks[i]))
+        results[i] = trajectory(i, n_steps + 1)
     return results
 
 

@@ -224,7 +224,7 @@ def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE) -> Conve
         ratio = order = math.nan  # never converged: NaN >= anything is False
     elif fine.relative_residual > 0.0:
         ratio = coarse.relative_residual / fine.relative_residual
-        order = math.log2(ratio) if ratio > 0.0 else math.inf
+        order = math.log2(ratio) if ratio > 0.0 else -math.inf  # coarse exact, fine not
     else:
         ratio = math.inf
         order = math.inf

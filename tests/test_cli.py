@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy
@@ -17,13 +18,17 @@ import pytest
 import scipy
 
 from svealab import analysis, cli, solutions, verify
-from svealab.analysis import ScanTemplate, scan_stability
+from svealab.analysis import (DEFAULT_MIN_SEPARATION, WINDOW_FRACTION, ScanTemplate,
+                              count_structures, detection_threshold, oscillation_metric,
+                              peak_count_series, peak_table, scan_stability,
+                              splitting_alternations, track_structures)
 from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
                          EXIT_USAGE, PRESETS, SECTION_KEYS, _model_from, load_settings, main)
-from svealab.errors import ConfigError
+from svealab.errors import ConfigError, DivergenceError
+from svealab.fieldio import STREAM_BURST, write_track_csv, write_trajectory
 from svealab.models import Family, ModelSpec
 from svealab.solutions import catalog_dump
-from svealab.solver import Grid1D, RunConfig, sech_profile, supergaussian_profile
+from svealab.solver import Grid1D, RunConfig, propagate, sech_profile, supergaussian_profile
 
 
 @pytest.fixture
@@ -308,6 +313,104 @@ class TestDivergentRun:
         # the initial state is always on disk even when the step guard trips
         assert list(out.glob("*.svea"))
         assert (out / "diagnostics.csv").exists()
+
+
+# A focusing pulse that compresses until the rotation guard trips at t = 0.049,
+# after 25 snapshots.
+LATE_DIVERGENT_INI = """\
+[model]
+family = cubic_nls
+lambda = -1.0
+omega = 1.0
+
+[grid]
+n = 256
+length = 20.0
+
+[run]
+initial = sech
+psi0 = 10.0
+dt = 1e-3
+t_final = 1.0
+snapshot_stride = 2
+"""
+
+
+def _held_run(ini, out):
+    """What run wrote before it streamed its snapshots: propagate holding every
+    snapshot, write_trajectory, then the analysis over the held trajectory."""
+    settings = load_settings(None, str(ini), "run")
+    cfg = cli._run_config(settings)
+    initial = cli._initial_from(settings, cli._grid_from(settings))
+    options = cli._section(settings, "analysis")
+    min_sep = options.get("min_separation", DEFAULT_MIN_SEPARATION)
+    code = EXIT_OK
+    try:
+        traj = propagate(initial, cfg)
+    except DivergenceError as err:
+        traj, code = err.partial, EXIT_DIVERGED
+    write_trajectory(out, traj, cfg.dt)
+    threshold = (detection_threshold(traj, options["threshold_fraction"])
+                 if "threshold_fraction" in options else None)
+    table = peak_table(traj, threshold, min_sep)
+    write_track_csv(out / "tracks.csv", track_structures(table))
+    alternations = splitting_alternations([c for _, c in peak_count_series(table)])
+    (out / "analysis.txt").write_bytes((
+        f"count_structures: {count_structures(table)}\n"
+        f"splitting_alternations: {alternations}\n"
+        f"oscillation_metric: {oscillation_metric(table):.6g}\n"
+        f"window_fraction: {WINDOW_FRACTION:g}\n"
+        f"min_separation: {min_sep:g}\n"
+        f"threshold: {'default' if threshold is None else format(threshold, 'g')}\n"
+    ).encode())
+    return code
+
+
+class TestStreamedRun:
+    """run writes its snapshots as they are made; every artifact is the one
+    the held trajectory gives."""
+
+    # 37 snapshots: two full bursts of STREAM_BURST and a partial one
+    _SECH = _ini_text({**_sections(STRUCTURED_INI),
+                       "run": {**_sections(STRUCTURED_INI)["run"], "snapshot_stride": "17"}})
+
+    @pytest.mark.parametrize("text, code, n_snapshots", [
+        (_SECH, EXIT_OK, 37),
+        (_SECH + "[analysis]\nthreshold_fraction = 0.3\nmin_separation = 2.0\n", EXIT_OK, 37),
+        (LATE_DIVERGENT_INI, EXIT_DIVERGED, 25),
+    ], ids=["sech", "threshold-fraction", "diverging"])
+    def test_artifacts_equal_the_held_run(self, tmp_path, text, code, n_snapshots):
+        assert n_snapshots > STREAM_BURST
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        assert main(["run", "--config", str(ini), "--output", str(tmp_path / "out")]) == code
+        assert _held_run(ini, tmp_path / "held") == code
+        streamed = tmp_path / "out" / "run"
+        names = sorted(p.name for p in (tmp_path / "held").iterdir())
+        assert names == sorted(p.name for p in streamed.iterdir() if p.name != "manifest.txt")
+        assert sum(name.endswith(".svea") for name in names) == n_snapshots
+        for name in names:
+            assert (streamed / name).read_bytes() == (tmp_path / "held" / name).read_bytes(), name
+
+    def test_peak_memory_does_not_grow_with_the_snapshot_count(self, tmp_path):
+        # 2001 against 21 snapshots of a 256-point field: holding them all is
+        # 7.7 MiB more.  Each snapshot's peak-table row, tracks and CSV lines
+        # stay, about 0.6 KiB apiece at the peak, hence the 2 MiB.
+        def peak(stride):
+            ini = _write_ini(tmp_path / f"{stride}.ini", STRUCTURED_INI, t_final=2.0,
+                             snapshot_stride=stride)
+            argv = ["run", "--config", str(ini), "--output", str(tmp_path / str(stride))]
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # warm-up: lazy imports and caches are not the run's
+        few, many = peak(100), peak(1)
+        assert len(list((tmp_path / "1" / "run").glob("*.svea"))) == 2001
+        assert many - few < 2 * 2**20
 
 
 class TestRunArtifacts:

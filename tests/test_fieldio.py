@@ -5,11 +5,11 @@ import pytest
 
 from svealab.analysis import Peak, StabilityPoint
 from svealab.errors import DomainError
-from svealab.fieldio import (SNAPSHOT_MAGIC, atomic_write_bytes, read_snapshot, write_mass_csv,
-                             write_scan_csv, write_snapshot, write_track_csv,
-                             write_trajectory)
+from svealab.fieldio import (SNAPSHOT_MAGIC, STREAM_BURST, SnapshotStream, atomic_write_bytes,
+                             read_snapshot, write_mass_csv, write_scan_csv, write_snapshot,
+                             write_track_csv, write_trajectory)
 from svealab.models import Family, ModelSpec
-from svealab.solver import Grid1D, RunConfig, propagate, sech_profile
+from svealab.solver import FieldState, Grid1D, RunConfig, Trajectory, propagate, sech_profile
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,17 @@ class TestSnapshotFormat:
         assert back.grid.n == state.grid.n
         assert back.grid.length == state.grid.length
         assert back.time == state.time
+
+    def test_matching_grid_is_reused_and_another_is_not(self, tmp_path, short_traj):
+        state = short_traj.final
+        p = tmp_path / "f.svea"
+        write_snapshot(p, state)
+        assert read_snapshot(p, state.grid).grid is state.grid
+        other = Grid1D(state.grid.n, 2.0 * state.grid.length)
+        back = read_snapshot(p, other)
+        assert (back.grid.n, back.grid.length) == (state.grid.n, state.grid.length)
+        assert back.values.tobytes() == state.values.tobytes()
+        assert not back.values.flags.writeable
 
     def test_magic_guard(self, tmp_path):
         p = tmp_path / "bad.svea"
@@ -105,3 +116,51 @@ class TestTrajectoryBundle:
         times = [read_snapshot(p).time
                  for p in sorted((tmp_path / "out").glob("*.svea"))]
         assert times == [s.time for s in short_traj.snapshots]
+
+
+class TestSnapshotStream:
+    def _states(self, count):
+        grid = Grid1D(16, 4.0)
+        return [FieldState(grid, np.full(16, complex(i, -i)), 0.5 * i) for i in range(count)]
+
+    def test_writes_in_bursts_and_on_flush(self, tmp_path):
+        stream = SnapshotStream(tmp_path / "out")
+        states = self._states(STREAM_BURST + 3)
+        for state in states[:STREAM_BURST - 1]:
+            stream(state)
+        assert not (tmp_path / "out").exists()  # nothing written before the first burst
+        stream(states[STREAM_BURST - 1])
+        assert len(list((tmp_path / "out").glob("*.svea"))) == STREAM_BURST
+        for state in states[STREAM_BURST:]:
+            stream(state)
+        assert len(list((tmp_path / "out").glob("*.svea"))) == STREAM_BURST
+        stream.flush()
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == [f"snapshot_{i:05d}.svea" for i in range(len(states))]
+        assert stream.count == len(states)
+
+    def test_read_back_is_bitwise_and_in_order(self, tmp_path):
+        stream = SnapshotStream(tmp_path)
+        states = self._states(STREAM_BURST + 5)
+        for state in states:
+            stream(state)
+        back = list(stream.read_back())  # flushes the pending five first
+        assert all(s.grid is states[0].grid for s in back)
+        assert [s.time for s in back] == [s.time for s in states]
+        assert [s.values.tobytes() for s in back] == [s.values.tobytes() for s in states]
+
+    def test_write_trajectory_files_match_a_stream_of_its_snapshots(self, tmp_path,
+                                                                     short_traj):
+        write_trajectory(tmp_path / "held", short_traj, dt=1e-3)
+        stream = SnapshotStream(tmp_path / "streamed")
+        for state in short_traj.snapshots:
+            stream(state)
+        stream.flush()
+        streamed = Trajectory((), short_traj.mass_series, short_traj.peak_series,
+                              short_traj.times)
+        write_trajectory(tmp_path / "streamed", streamed, dt=1e-3)
+        names = sorted(p.name for p in (tmp_path / "held").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "streamed").iterdir())
+        for name in names:
+            assert (tmp_path / "held" / name).read_bytes() == \
+                (tmp_path / "streamed" / name).read_bytes(), name

@@ -438,6 +438,55 @@ def test_propagation_bypasses_the_public_transforms(monkeypatch):
 FOCUSING = ModelSpec(Family.CUBIC_NLS, lam=-1.0, omega=1.0)
 
 
+class TestSnapshotHandOff:
+    """Given on_snapshot, each snapshot goes to it and the trajectory holds
+    only times, peak intensities and masses, each bitwise the held run's."""
+
+    def test_streamed_run_hands_over_the_held_snapshots(self):
+        model, st, dt = _BITWISE_CASES["bessel-mixed"]
+        cfg = RunConfig(model, dt=dt, t_final=200 * dt, snapshot_stride=30)
+        handed = []
+        streamed = propagate(st, cfg, handed.append)
+        assert streamed.snapshots == ()
+        ref = reference_propagate(st, cfg)
+        _assert_same_trajectory(Trajectory(tuple(handed), streamed.mass_series,
+                                           streamed.peak_series), ref)
+        assert streamed.times.tobytes() == propagate(st, cfg).times.tobytes()
+        assert streamed.times.tolist() == [s.time for s in ref.snapshots]
+
+    def test_mass_series_is_one_float64_entry_per_step(self):
+        model, st, dt = _BITWISE_CASES["cubic"]
+        traj = propagate(st, RunConfig(model, dt=dt, t_final=40 * dt, snapshot_stride=7))
+        assert traj.mass_series.dtype == np.float64 and traj.mass_series.shape == (41,)
+        assert traj.times.tolist() == [s.time for s in traj.snapshots]
+
+    def test_batch_hands_each_row_its_own_snapshots(self):
+        # rows 1 and 3 diverge mid-run: each hands over exactly the snapshots
+        # its partial trajectory would hold
+        cfg = RunConfig(FOCUSING, dt=0.02, t_final=2.0, snapshot_stride=10)
+        initials = [sech_profile(_G, psi0) for psi0 in (2.0, 3.0, 1.5, 4.0)]
+        handed = {i: [] for i in range(len(initials))}
+        streamed = propagate_batch(initials, cfg, lambda i, s: handed[i].append(s))
+        for i, (got, held) in enumerate(zip(streamed, propagate_batch(initials, cfg))):
+            if isinstance(held, DivergenceError):
+                assert isinstance(got, DivergenceError) and got.time == held.time
+                got, held = got.partial, held.partial
+            assert got.snapshots == ()
+            assert got.times.tobytes() == held.times.tobytes()
+            _assert_same_trajectory(
+                Trajectory(tuple(handed[i]), got.mass_series, got.peak_series), held)
+        assert [len(handed[i]) for i in range(4)] == [11, 2, 11, 1]
+
+    def test_run_refused_by_the_stepper_hands_nothing_over(self):
+        # D*dt*k**2 overflows: the DomainError comes before the initial snapshot
+        handed = []
+        model = ModelSpec(Family.BESSEL_NLS, omega=1e-308)
+        with pytest.raises(DomainError, match="omega"):
+            propagate(sech_profile(Grid1D(64, 5.0), 2.0),
+                      RunConfig(model, dt=0.01, t_final=0.1), handed.append)
+        assert handed == []
+
+
 class TestBatchedPropagation:
     """Every row of a propagate_batch stack is bitwise its solo textbook run."""
 

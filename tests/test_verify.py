@@ -168,6 +168,16 @@ def _nan_field(sol, x, t):
     return np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), complex(math.nan, 0.0))
 
 
+def _residuals(monkeypatch, coarse, fine, tolerance_grid):
+    """Make verify_entry read these relative residuals on its three grids."""
+    relative = {251: coarse, 501: fine, 2001: tolerance_grid}
+
+    def residual(sol, n_points=2001):
+        return ResidualReport(sol.sid.value, "grid", relative[n_points], relative[n_points])
+
+    monkeypatch.setattr(verify, "residual_for", residual)
+
+
 class TestNonFiniteVerdicts:
     """A NaN or an infinity fails the check it reaches; no fold drops it."""
 
@@ -193,17 +203,42 @@ class TestNonFiniteVerdicts:
         assert math.isnan(rep.ratio) and math.isnan(rep.order)
         assert rep.note == "doubling ratio nan (order nan)"
 
+    # the last three leave one grid at the rounding floor: a NaN on the other
+    # must not pass the floor rule
     @pytest.mark.parametrize("coarse, fine", [(math.inf, 1e-3), (math.nan, 1e-3),
-                                              (1e-3, math.nan), (1e-3, math.inf)])
+                                              (1e-3, math.nan), (1e-3, math.inf),
+                                              (math.nan, 0.0), (0.0, math.nan),
+                                              (math.nan, 1e-14)])
     def test_non_finite_ratio_grid_is_not_converged(self, monkeypatch, coarse, fine):
         # the tolerance grid is well within tolerance: only the ratio rule can fail
-        relative = {251: coarse, 501: fine, 2001: 1e-9}
+        _residuals(monkeypatch, coarse, fine, 1e-9)
+        rep = verify_entry(SolutionId.CUBIC_KG_SN)
+        assert rep.passed is False
+        assert rep.note == "doubling ratio nan (order nan)"
 
-        def residual(sol, n_points=2001):
-            return ResidualReport(sol.sid.value, "grid", relative[n_points], relative[n_points])
+    def test_nan_tolerance_grid_residual_fails_at_the_floor(self, monkeypatch):
+        # both ratio grids at the rounding floor converge; only `within` can fail
+        _residuals(monkeypatch, 1e-14, 1e-14, math.nan)
+        rep = verify_entry(SolutionId.CUBIC_KG_SN)
+        assert rep.note == "residual at rounding floor on both grids"
+        assert rep.passed is False
+        assert verification_report([rep]).splitlines()[-1] == "0/1 catalog entries verified"
 
-        monkeypatch.setattr(verify, "residual_for", residual)
-        assert verify_entry(SolutionId.CUBIC_KG_SN).passed is False
+    def test_exact_coarse_grid_has_order_minus_infinity(self, monkeypatch):
+        # ratio 0: the coarse grid is exact and the fine one is not
+        _residuals(monkeypatch, 0.0, 1e-3, 1e-9)
+        rep = verify_entry(SolutionId.CUBIC_KG_SN)
+        assert rep.ratio == 0.0 and rep.order == -math.inf
+        assert rep.note == "doubling ratio 0.0 (order -inf)"
+        assert rep.passed is False
+
+    def test_nan_field_fails_every_mapping_row(self, monkeypatch):
+        monkeypatch.setattr(verify, "eval_solution", _nan_field)
+        checks = check_all_mappings()
+        assert checks and all(math.isnan(c.max_abs_diff) for c in checks)
+        assert not any(c.passed for c in checks)
+        assert mapping_report(checks).splitlines()[-1] == \
+            f"0/{len(checks)} mapping rows within {MAPPING_TOLERANCE:g}"
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tolerance):
