@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 from .errors import (ConfigError, ConstraintError, DivergenceError,
                      DomainError, FamilyMismatchError, PoleError)
 from .models import Family, ModelSpec, kg_force, nls_nonlinear_phase_rate
-from .solutions import (AnalyticSolution, MappingPair, SolutionId, catalog_dump,
-                        catalog_ids, eval_solution, instantiate_pair,
-                        make_solution, mapping_table, model_for, phase_rate)
-from .solver import (FieldState, Grid1D, RunConfig, Trajectory, mass,
-                     propagate, sech_profile, step, supergaussian_profile,
-                     uniform_profile)
+from .solutions import (AnalyticSolution, MappingPair, SolutionId, catalog_ids,
+                        eval_solution, instantiate_pair, make_solution,
+                        mapping_table, model_for, phase_rate)
+from .solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate,
+                     sech_profile, supergaussian_profile, uniform_profile)
 from .verify import (check_all_mappings, check_mapping, kg_residual,
                      nls_residual, residual_for, verify_catalog, verify_entry)
 from .analysis import (Peak, PeakTable, ScanTemplate, StabilityPoint, count_structures,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
+import signal
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -409,7 +410,10 @@ def scan_stability(alphas: Sequence[float],
     alphas = [float(a) for a in alphas]
     searches = [_search(a, lo, hi, n_samples, refine_iters) for a in alphas]
     points: list = [None] * len(searches)
-    executor = (ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"))
+    # Ctrl-C reaches the workers too; they ignore it and the caller handles it
+    executor = (ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn"),
+                                    initializer=signal.signal,
+                                    initargs=(signal.SIGINT, signal.SIG_IGN))
                 if jobs > 1 else contextlib.nullcontext())
     with executor as pool:
         wanted = {i: next(s) for i, s in enumerate(searches)}

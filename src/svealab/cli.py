@@ -8,7 +8,8 @@ analysis, scan, verify, map) holding flat key=value pairs; an unknown key (in
 read, or a file that is not UTF-8, is a config error.  SECTION_KEYS states
 each key once with the reader that types it; _section passes on only the keys
 set, so the library's defaults cover the rest.  Exit codes: 0 all checks
-passed, 1 checks failed, 2 usage or config error, 3 numerical divergence.
+passed, 1 checks failed, 2 usage or config error, 3 numerical divergence,
+130 interrupted.
 
 main runs the steps every command shares, once: load the settings, check
 where the output directory goes, run the command body cmd_*(args, settings,
@@ -52,6 +53,7 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _DETERMINISM_NOTE = "seed-free: no randomness anywhere; identical config reproduces outputs byte for byte"
 
@@ -335,6 +337,9 @@ def cmd_run(args, settings: dict, out: Path) -> int:
         print(f"diverged: {err}", file=sys.stderr)
         traj = err.partial  # holds the initial state at least
         code = EXIT_DIVERGED
+    except KeyboardInterrupt:
+        snapshots.flush()  # every snapshot handed over reaches disk
+        raise
     write_trajectory(out, traj, cfg.dt)  # only diagnostics.csv: traj holds no snapshots
     threshold = (detection_threshold(traj, analysis["threshold_fraction"])
                  if "threshold_fraction" in analysis else None)
@@ -438,6 +443,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DivergenceError as err:
         print(f"diverged: {err}", file=sys.stderr)
         return EXIT_DIVERGED
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

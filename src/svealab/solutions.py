@@ -2,15 +2,14 @@
 
 Twenty-one catalog entries: exact solutions of the four second-order field
 equations and of their envelope reductions.  Each entry is one record that
-states every fact about it once: formula, default parameters, validity text,
-constraint check, residual window, profile (amplitude times x-profile) and,
-for envelope entries, phase rate theta.  An entry evaluates as
-profile * exp(i*theta*t), with theta = 0 for static fields.  The validity
-text states the entry's domain for catalog_dump; evaluation does not enforce
-it, since the mapping checks quench the sn/cn entries outside it, and only
-SG_KINK's |nu| < 1 is checked (by its constraint check).  The mapping
-table records, for nine KG/envelope pairs, the parameters at which theta
-vanishes and the envelope profile collapses onto the static field solution.
+states every fact about it once: formula, default parameters, constraint
+check, residual window, profile (amplitude times x-profile) and, for envelope
+entries, phase rate theta.  An entry evaluates as profile * exp(i*theta*t),
+with theta = 0 for static fields.  Evaluation checks no domain beyond the
+constraints (SG_KINK's includes |nu| < 1), since the mapping checks quench
+the sn/cn entries at m outside their usual ranges.  The mapping table
+records, for nine KG/envelope pairs, the parameters at which theta vanishes
+and the envelope profile collapses onto the static field solution.
 
 Conventions: sn/cn/dn/dc take the parameter m = k**2 (see specfn); sign
 choices default to + and are passed as tuples of +1/-1 reading the printed
@@ -26,6 +25,7 @@ from enum import Enum
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import ellipk
 
 from .errors import ConstraintError, DomainError, FamilyMismatchError
 from .models import Family, ModelSpec, nls_nonlinear_phase_rate
@@ -42,7 +42,6 @@ __all__ = [
     "mapping_table",
     "instantiate_pair",
     "catalog_ids",
-    "catalog_dump",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -97,13 +96,13 @@ class AnalyticSolution:
 class _Entry:
     family: Family
     formula: str
-    validity: str
     defaults: dict
     n_signs: int
     profile: Callable  # (p, s, x, t) -> amplitude times x-profile
-    # x-window of the residual check; narrower ones keep clear of dc poles, of
-    # the log-singular edges of the imaginary sine-Gordon profile and of the
-    # touch-zero kinks of the cubic-quintic root (those two span a single arch)
+    # x-window of the residual check; narrower ones keep clear of dc poles and
+    # of the log-singular edges of the imaginary sine-Gordon profile.  The
+    # cubic-quintic windows span a single arch only because the report bytes
+    # were recorded on them; the signed root is smooth across its zeros.
     window: tuple[float, float] = (-3.0, 3.0)
     theta: Optional[Callable[[dict], float]] = None  # phase rate; None for static fields
     # fills derived parameters and says how the stated constraint fails, or None
@@ -141,8 +140,17 @@ def _ones(x):
 
 
 def _cq_root(p, b, m, x):
-    sn = jacobi_elliptic(np.asarray(x, dtype=float), m).sn
-    return np.sqrt(np.asarray(3.0 * p["sigma"] / (8.0 * p["lam"]) + b * sn, dtype=complex))
+    """sqrt(3*sigma/(8*lambda) + b*sn(x|m)) on its smooth branch.  The radicand
+    touches zero where sn = -1, at x = -K + 4K*j, and the root changes sign
+    there instead of kinking, so it is negated where sin(pi*(x + K)/(4K)) < 0.
+    sn reaches -1 only for m < 1."""
+    x = np.asarray(x, dtype=float)
+    sn = jacobi_elliptic(x, m).sn
+    root = np.sqrt(np.asarray(3.0 * p["sigma"] / (8.0 * p["lam"]) + b * sn, dtype=complex))
+    if m >= 1.0:
+        return root
+    k = float(ellipk(m))
+    return np.where(np.sin(np.pi * (x + k) / (4.0 * k)) < 0.0, -root, root)
 
 
 def _sg_kink(p, s, x, t):
@@ -180,7 +188,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_KG_SN: _Entry(
         Family.CUBIC_KG,
         "phi = +/- i*c*sqrt(2/lambda) * sn(c*x | -1)",
-        "all real x; purely imaginary",
         {"c": 1.0, "lam": 1.0},
         1,
         profile=lambda p, s, x, t: (s[0] * 1j * p["c"] * math.sqrt(2.0 / p["lam"])
@@ -189,7 +196,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_KG_CN: _Entry(
         Family.CUBIC_KG,
         "phi = +/- (i*c/sqrt(lambda)) * cn(c*x | 1/2)",
-        "all real x; purely imaginary",
         {"c": 1.0, "lam": 1.0},
         1,
         profile=lambda p, s, x, t: (s[0] * 1j * p["c"] / math.sqrt(p["lam"])
@@ -198,7 +204,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_KG_DC: _Entry(
         Family.CUBIC_KG,
         "phi = +/- c*sqrt(2/lambda) * dc(c*x | -1)",
-        "real x away from the poles of dc",
         {"c": 1.0, "lam": 1.0},
         1,
         window=(-1.0, 1.0),
@@ -207,7 +212,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_NLS_SN: _Entry(
         Family.CUBIC_NLS,
         "psi = +/- c*sqrt(2*m/lambda) * sn(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
-        "m > 0",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
         1,
         profile=_sn_wave,
@@ -216,7 +220,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_NLS_CN: _Entry(
         Family.CUBIC_NLS,
         "psi = +/- i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(-i*(1-2*m)*c**2*t/omega)",
-        "m < 0",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -0.5},
         1,
         profile=_cn_wave,
@@ -225,7 +228,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_NLS_DC: _Entry(
         Family.CUBIC_NLS,
         "psi = +/- c*sqrt(2/lambda) * dc(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
-        "any real m, x away from the poles of dc",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
         1,
         window=(-1.5, 1.5),
@@ -235,7 +237,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_KG_KINK: _Entry(
         Family.DOUBLE_WELL_KG,
         "phi = +/- (mass/sqrt(lambda)) * tanh(+/- (mass/sqrt(2))*(x - x0))",
-        "all real x",
         {"mass": 1.0, "lam": 1.0, "x0": 0.0},
         2,
         window=(-5.0, 5.0),
@@ -245,7 +246,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_KG_SN: _Entry(
         Family.DOUBLE_WELL_KG,
         "phi = +/- sqrt(2*(mass**2 - c**2)/lambda) * sn(c*x | (mass**2 - c**2)/c**2)",
-        "mass**2 > c**2 for a real profile",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
         1,
         profile=lambda p, s, x, t: (
@@ -255,7 +255,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_KG_CN: _Entry(
         Family.DOUBLE_WELL_KG,
         "phi = +/- i*sqrt((c**2 - mass**2)/lambda) * cn(c*x | (c**2 - mass**2)/(2*c**2))",
-        "c**2 > mass**2 for an imaginary profile",
         {"mass": 0.6, "c": 1.0, "lam": 1.0},
         1,
         profile=lambda p, s, x, t: (
@@ -265,7 +264,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_KG_DC: _Entry(
         Family.DOUBLE_WELL_KG,
         "phi = +/- c*sqrt(2/lambda) * dc(c*x | (mass**2 - c**2)/c**2)",
-        "real x away from the poles of dc",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
         1,
         window=(-1.3, 1.3),
@@ -274,7 +272,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_KG_CONST: _Entry(
         Family.DOUBLE_WELL_KG,
         "phi = +/- mass/sqrt(lambda)",
-        "all real x (vacuum state)",
         {"mass": 1.0, "lam": 1.0},
         1,
         profile=lambda p, s, x, t: s[0] * p["mass"] / math.sqrt(p["lam"]) * _ones(x),
@@ -282,7 +279,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_NLS_TANH: _Entry(
         Family.DOUBLE_WELL_NLS,
         "psi = +/- c*sqrt(2/lambda) * tanh(+/- c*(x - x0)) * exp(i*(mass**2 - 2*c**2)*t/omega)",
-        "all real x",
         {"c": 0.7, "mass": 1.0, "lam": 1.0, "omega": 1.0, "x0": 0.0},
         2,
         window=(-5.0, 5.0),
@@ -293,7 +289,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_NLS_SN: _Entry(
         Family.DOUBLE_WELL_NLS,
         "psi = +/- c*sqrt(2*m/lambda) * sn(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
-        "m > 0",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         1,
         profile=_sn_wave,
@@ -302,7 +297,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_NLS_CN: _Entry(
         Family.DOUBLE_WELL_NLS,
         "psi = +/- i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(i*(mass**2 - (1-2*m)*c**2)*t/omega)",
-        "m < 0",
         {"m": -0.5, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         1,
         profile=_cn_wave,
@@ -311,7 +305,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_NLS_DC: _Entry(
         Family.DOUBLE_WELL_NLS,
         "psi = +/- c*sqrt(2/lambda) * dc(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
-        "any real m, x away from the poles of dc",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         1,
         window=(-1.5, 1.5),
@@ -321,7 +314,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.DW_NLS_CONST: _Entry(
         Family.DOUBLE_WELL_NLS,
         "psi = +/- a * exp(i*(mass**2 - a**2*lambda)*t/omega)",
-        "all real x (uniform)",
         {"a": 1.0, "mass": 1.0, "lam": 1.0, "omega": 1.0},
         1,
         profile=lambda p, s, x, t: s[0] * p["a"] * _ones(x),
@@ -330,7 +322,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CQ_KG_SN: _Entry(
         Family.CUBIC_QUINTIC_KG,
         "phi = sqrt(3*sigma/(8*lambda) + sqrt(3/(20*lambda)) * sn(x | 1/5))",
-        "real where the radicand is >= 0; requires 15*sigma**2 = 16*lambda",
         {"sigma": 1.0, "lam": 15.0 / 16.0},
         0,
         window=(-1.5, 4.8),
@@ -342,7 +333,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
         Family.CUBIC_QUINTIC_NLS,
         "psi = sqrt(3*sigma/(8*lambda) + sqrt(3*m/(4*lambda)) * sn(x | m))"
         " * exp(-i*((1 + m - 9*sigma**2/(8*lambda))/4)*t)",
-        "m > 0; requires 16*m*lambda = 3*sigma**2",
         {"m": 0.3, "lam": 1.0, "sigma": math.sqrt(1.6)},
         0,
         window=(-1.55, 4.95),
@@ -354,7 +344,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.SG_KINK: _Entry(
         Family.SINE_GORDON_KG,
         "phi = 4*arctan(exp(lambda*gamma*(x - nu*t) + delta))",
-        "|nu| < 1, gamma = 1/sqrt(1 - nu**2)",
         {"lam": 1.0, "nu": 0.5, "delta": 0.0},
         0,
         window=(-5.0, 5.0),
@@ -367,7 +356,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.SG_IMAG: _Entry(
         Family.SINE_GORDON_KG,
         "phi = +/- 2*arctan(+/- i*sn(+/- x/sqrt(2) | -1))   [lambda = 1]",
-        "purely imaginary; bounded for |x| < sqrt(2)*K(1/2), log-singular at the edges",
         {},
         3,
         window=(-1.45, 1.45),
@@ -376,7 +364,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.BESSEL_UNIFORM: _Entry(
         Family.BESSEL_NLS,
         "psi = psi0 * exp(-i*lambda**2*J1(psi0)*t/(omega*psi0))",
-        "psi0 >= 0 (uniform in x)",
         {"psi0": 3.0, "omega": 1.0, "lam": 1.0},
         0,
         window=(-15.0, 15.0),
@@ -457,8 +444,7 @@ class MappingPair:
     """One row of the quench table: envelope entry collapsing onto a static field entry.
 
     nls_params(detune) gives the envelope parameters, quenched at detune = 0.
-    window, the x-range of the pointwise comparison, avoids dc poles and the
-    branch points of the cubic-quintic root.
+    window, the x-range of the pointwise comparison, avoids dc poles.
     """
 
     kg_id: SolutionId
@@ -527,22 +513,3 @@ def instantiate_pair(pair: MappingPair, detune: float = 0.0):
         raise DomainError(f"detune={detune!r} takes {pair.nls_id.value} out of its "
                           f"domain: {err}") from err
     return make_solution(pair.kg_id, **pair.kg_params), nls
-
-
-# --- catalog dump ----------------------------------------------------------
-
-def catalog_dump() -> str:
-    """Structured text rendering of the catalog, one record per solution."""
-    blocks = []
-    for sid, entry in _CATALOG.items():
-        params = ", ".join(f"{k}={v!r}" for k, v in entry.defaults.items()) or "none"
-        constraints = "; ".join(entry.constraints) or "none"
-        blocks.append(
-            f"id: {sid.value}\n"
-            f"family: {entry.family.value}\n"
-            f"formula: {entry.formula}\n"
-            f"default params: {params}\n"
-            f"validity: {entry.validity}\n"
-            f"constraints: {constraints}\n"
-        )
-    return "\n".join(blocks)

@@ -1,57 +1,26 @@
 """Split-step spectral propagator for the envelope equations.
 
-Strang splitting on a periodic grid: half a linear step applied as a
-multiplier exp(-i*D*k^2*dt/2) on the spectrum, then the full nonlinear
-rotation exp(-i*V(|psi|)*dt) pointwise, then the second linear half.  The
-nonlinear sub-step is exact because it leaves |psi| untouched, so both
-sub-steps preserve the discrete L2 norm to rounding and the overall scheme
-is second order in dt.
+Strang splitting on a periodic grid, x_j = -L/2 + j*L/n, with wavenumbers
+k_j = 2*pi*j/L in FFT order.  propagate_batch() is the one stepping routine
+and propagate() its B = 1 case.  Every operation is per row and products keep
+their textbook operand order (complex products are not bitwise commutative
+under SIMD), so each row's output is byte for byte that of its solo run.
 
-propagate_batch() steps a (B, n) stack of initial states that share n, each
-on its own grid length: one transform pair (axis=-1), one rate evaluation and
-one rotation per step for the whole stack, and a per-row projection.  A row
-that diverges is retired with its own DivergenceError and partial trajectory;
-the others keep stepping.  propagate() and step() are its B = 1 case, so
-there is one stepping routine: precomputed half-step multipliers and scalars,
-preallocated buffers, in-place out= ufuncs and in-place transforms.
-Products keep their textbook operand order (complex products are not bitwise
-commutative under SIMD) and every operation is per row, so each row's output
-is byte for byte that of the allocating single-row form.  When the family law
-bounds the rate (Bessel) and dt*sup|V| < STABILITY_GUARD, the rotation guard
-passes once per run; other runs check each row's max|V| every step.  A
-non-finite field shows in the projection's power sum.
+The rotation is built as cos(theta) + i*sin(theta), which is bitwise
+exp(-1j*dt*V), the textbook form the tests keep as reference: -1j*dt is the
+complex (+0, -dt), so its product with V is (+-0) + i*(+0 + (-dt)*V) exactly,
+and theta = (-dt)*V + 0.0 gives a -0 angle the same +0.  tests/test_solver.py
+checks the identity on the platform at hand.
 
-The nonlinear half builds no complex exp: once the rate V is computed the
-amplitude buffer is free, so theta = (-dt)*V + 0.0 goes there, and the rotation
-is built as cos(theta) + i*sin(theta) straight into the real and imaginary
-parts of a complex buffer.  This is bitwise exp(-1j*dt*V), the textbook form
-the tests keep as reference.  -1j*dt is the complex (+0, -dt), so its product
-with V is (+-0) + i*(+0 + (-dt)*V) exactly; the +0 turns a -0 angle into +0,
-which is why theta adds it too.  The complex exp of that is exp(+-0) = 1
-times cos(theta) + i*sin(theta), from the same libm.  tests/test_solver.py
-checks the identity on the platform at hand for angles under
-STABILITY_GUARD, signed zeros and negative dt included.
+_transform calls scipy's pocketfft binding with the arguments scipy.fft.fft
+and ifft end in.  The public functions spend 4-5 us per call in Python before
+pocketfft starts, a fifth of the call at n = 2048; tests/test_solver.py pins
+the identity, so a scipy that moves or changes the binding fails there first.
 
-Every transform of the field goes through _transform, which calls scipy's
-pocketfft binding, scipy.fft._pocketfft.pypocketfft.c2c, with the arguments
-scipy.fft.fft/ifft end in: the last axis, no scaling forward, 1/n inverse,
-one worker.  The public functions spend about 4-5 us per call in Python
-(backend dispatch and argument normalisation) before pocketfft starts, a
-fifth of the call at n = 2048 and most of it at n = 64; the direct call skips
-that and gives the same bits.  tests/test_solver.py pins that identity, so a scipy that moves or
-changes the binding fails there first.
-
-A run takes at most MAX_STEPS steps; RunConfig refuses a longer one.  Each
-row's mass series is a float64 array of n_steps + 1, preallocated and filled
-in place.  Snapshots stay on the returned Trajectory unless the caller passes
-a hand-off, on_snapshot(row, state).  Then each snapshot goes to it as it is
-made and the trajectory keeps only the snapshot times, peak intensities and
-masses, so the run's memory does not grow with its snapshot count.  The
-initial snapshot goes only once the stepper is built, so a run the stepper
-refuses hands nothing over.
-
-The x grid is symmetric, x_j = -L/2 + j*L/n, and wavenumbers follow the
-standard FFT ordering k_j = 2*pi*j/L.
+Given on_snapshot, each snapshot goes to it as it is made, and the trajectory
+keeps only the snapshot times, peak intensities and masses, so a run's memory
+does not grow with its snapshot count.  The initial snapshot goes only once
+the stepper is built, so a run the stepper refuses hands nothing over.
 """
 
 from __future__ import annotations
@@ -73,10 +42,8 @@ __all__ = [
     "FieldState",
     "RunConfig",
     "Trajectory",
-    "step",
     "propagate",
     "propagate_batch",
-    "mass",
     "peak_intensity",
     "sech_profile",
     "supergaussian_profile",
@@ -188,12 +155,6 @@ class Trajectory:
         return self.snapshots[-1]
 
 
-def mass(state: FieldState) -> float:
-    """Discrete L2 norm sum |psi_j|^2 * dx."""
-    v = state.values
-    return float(np.vdot(v, v).real * state.grid.spacing)
-
-
 def peak_intensity(state: FieldState) -> float:
     return float(np.max(np.abs(state.values) ** 2))
 
@@ -295,15 +256,6 @@ class _Stepper:
                                             for seq in (self.rows, self.targets, self.t0))
         self._live(len(keep))
         return retired
-
-
-def step(state: FieldState, model: ModelSpec, dt: float) -> FieldState:
-    """One Strang step.  dt may be negative (time reversal)."""
-    stack = _Stepper([state.grid], model, dt, _transform(state.values, True)[np.newaxis],
-                     [state.time])
-    for _, err in stack.advance(1):
-        raise err
-    return FieldState(state.grid, _transform(stack.spectra[0], False), state.time + dt)
 
 
 def propagate(initial: FieldState, cfg: RunConfig,

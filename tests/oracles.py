@@ -61,6 +61,8 @@ SN_EXTENDED = {
 
 # complete elliptic integral K(m)
 K_VALUES = {
+    0.2: 1.6596235986105280,
+    0.3: 1.7138894481787910555,
     0.36: 1.7507538029157525204,
     0.6: 1.9495677498060258587,
 }

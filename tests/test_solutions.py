@@ -1,13 +1,15 @@
-"""Closed-form catalog: construction, evaluation, validity, quench table."""
+"""Closed-form catalog: construction, evaluation, constraints, quench table."""
 
 import numpy as np
 import pytest
 
 from svealab.errors import ConstraintError, DomainError
 from svealab.models import Family, nls_nonlinear_phase_rate
-from svealab.solutions import (SolutionId, catalog_dump, catalog_ids, eval_solution,
+from svealab.solutions import (SolutionId, catalog_ids, eval_solution,
                                instantiate_pair, make_solution, mapping_table, model_for,
                                phase_rate)
+
+from oracles import K_VALUES
 
 
 def test_catalog_has_twentyone_entries():
@@ -59,6 +61,22 @@ class TestPointValues:
         assert eval_solution(sol, 0.0, 0.0) == pytest.approx(np.pi)
         assert eval_solution(sol, 60.0, 0.0) == pytest.approx(2.0 * np.pi, abs=1e-8)
         assert eval_solution(sol, -60.0, 0.0) == pytest.approx(0.0, abs=1e-8)
+
+    @pytest.mark.parametrize("sid, m", [(SolutionId.CQ_KG_SN, 0.2), (SolutionId.CQ_NLS_SN, 0.3)])
+    def test_cubic_quintic_root_changes_sign_at_its_zeros(self, sid, m):
+        # the radicand touches zero at x = -K + 4K*j and the signed root passes
+        # through it, so the profile is antiperiodic over 4K
+        sol = make_solution(sid)
+        x = np.linspace(-1.5, 4.9, 9)
+        shifted = eval_solution(sol, x + 4.0 * K_VALUES[m])
+        assert np.allclose(shifted, -np.asarray(eval_solution(sol, x)), atol=1e-12)
+
+    def test_cubic_quintic_root_at_m_one_stays_principal(self):
+        # sn(x|1) = tanh(x) never reaches -1 and K(1) is infinite
+        sol = make_solution(SolutionId.CQ_NLS_SN, m=1.0, sigma=np.sqrt(16.0 / 3.0))
+        x = np.linspace(-5.0, 5.0, 11)
+        principal = np.sqrt(np.sqrt(0.75) * (1.0 + np.tanh(x)))
+        assert np.allclose(eval_solution(sol, x, 0.0), principal, rtol=1e-12, atol=0.0)
 
     def test_uniform_phase_rotation(self):
         sol = make_solution(SolutionId.BESSEL_UNIFORM)
@@ -124,11 +142,3 @@ def test_uniform_phase_rate_matches_model_term():
     assert phase_rate(sol) == pytest.approx(
         -nls_nonlinear_phase_rate(model, amp), rel=1e-13)
 
-
-def test_formula_text_and_dump_cover_catalog():
-    blocks = catalog_dump().split("\n\n")
-    assert len(blocks) == len(catalog_ids())
-    for sid, block in zip(catalog_ids(), blocks):
-        lines = block.splitlines()
-        assert lines[0] == f"id: {sid.value}"
-        assert lines[2].startswith("formula: ") and len(lines[2]) > len("formula: ")
