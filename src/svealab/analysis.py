@@ -298,14 +298,13 @@ class ScanTemplate:
         return Grid1D(self.grid_n, length)
 
 
-def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> list[float]:
-    """Breathing metric of each (alpha, psi0) cell, all propagated as one batch,
-    at the default peak separation.
+def _evaluate(template: ScanTemplate, cfg: RunConfig,
+              cells: Sequence[tuple[float, float]]) -> list[float]:
+    """Breathing metric of each (alpha, psi0) cell, all propagated as one batch
+    under cfg, at the default peak separation.
 
     A cell that diverges scores infinity.
     """
-    cfg = RunConfig(template.model, dt=template.dt, t_final=template.t_final,
-                    snapshot_stride=template.snapshot_stride)
     initials = [sech_profile(template.grid_for(alpha), psi0, alpha) for alpha, psi0 in cells]
     return [math.inf if isinstance(traj, DivergenceError) else
             oscillation_metric(peak_table(traj))
@@ -406,6 +405,8 @@ def scan_stability(alphas: Sequence[float],
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
     for alpha in alphas:
         template.grid_for(alpha)  # a DomainError if its domain overflows
+    cfg = RunConfig(template.model, dt=template.dt, t_final=template.t_final,
+                    snapshot_stride=template.snapshot_stride)
 
     alphas = [float(a) for a in alphas]
     searches = [_search(a, lo, hi, n_samples, refine_iters) for a in alphas]
@@ -423,7 +424,7 @@ def scan_stability(alphas: Sequence[float],
             edges = [len(cells) * b // n_blocks for b in range(n_blocks + 1)]
             blocks = [cells[e0:e1] for e0, e1 in zip(edges, edges[1:])]
             metrics = (m for block in (pool.map if pool else map)(
-                _evaluate, [template] * n_blocks, blocks) for m in block)
+                _evaluate, [template] * n_blocks, [cfg] * n_blocks, blocks) for m in block)
             for i, psi0s in list(wanted.items()):
                 try:
                     wanted[i] = searches[i].send([next(metrics) for _ in psi0s])

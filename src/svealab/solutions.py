@@ -5,15 +5,17 @@ equations and of their envelope reductions.  Each entry is one record that
 states every fact about it once: formula, default parameters, constraint
 check, residual window, profile (amplitude times x-profile) and, for envelope
 entries, phase rate theta.  An entry evaluates as profile * exp(i*theta*t),
-with theta = 0 for static fields.  Evaluation checks no domain beyond the
-constraints (SG_KINK's includes |nu| < 1), since the mapping checks quench
+with theta = 0 for static fields.  Evaluation checks no domain beyond each
+entry's constraint (SG_KINK's includes |nu| < 1), since the mapping checks quench
 the sn/cn entries at m outside their usual ranges.  The mapping table
 records, for nine KG/envelope pairs, the parameters at which theta vanishes
 and the envelope profile collapses onto the static field solution.
 
-Conventions: sn/cn/dn/dc take the parameter m = k**2 (see specfn); sign
-choices default to + and are passed as tuples of +1/-1 reading the printed
-formula left to right.
+Conventions: sn/cn/dn/dc take the parameter m = k**2 (see specfn).  The
+source writes most solutions as +/- families.  Every equation here is
+invariant under phi -> -phi, and the inner +/- of the tanh and imaginary
+sine-Gordon solutions flips an odd function, so each family is held by its
++ branch.
 """
 
 from __future__ import annotations
@@ -75,11 +77,10 @@ class SolutionId(Enum):
 
 @dataclass(frozen=True)
 class AnalyticSolution:
-    """A catalog entry bound to concrete parameter values and sign choices."""
+    """A catalog entry bound to concrete parameter values."""
 
     sid: SolutionId
     params: dict
-    signs: tuple[int, ...]
 
     @property
     def window(self) -> tuple[float, float]:
@@ -97,8 +98,7 @@ class _Entry:
     family: Family
     formula: str
     defaults: dict
-    n_signs: int
-    profile: Callable  # (p, s, x, t) -> amplitude times x-profile
+    profile: Callable  # (p, x, t) -> amplitude times x-profile
     # x-window of the residual check; narrower ones keep clear of dc poles and
     # of the log-singular edges of the imaginary sine-Gordon profile.  The
     # cubic-quintic windows span a single arch only because the report bytes
@@ -107,7 +107,7 @@ class _Entry:
     theta: Optional[Callable[[dict], float]] = None  # phase rate; None for static fields
     # fills derived parameters and says how the stated constraint fails, or None
     check: Optional[Callable[[dict], Optional[str]]] = None
-    constraints: tuple[str, ...] = ()
+    constraint: str = ""
     optional: tuple[str, ...] = ()  # parameters accepted beyond the defaults
     travelling: bool = False  # profile moves in t beyond the phase factor
 
@@ -121,18 +121,18 @@ def _csqrt(z: float) -> complex:
 
 # --- shared profiles and checks ---------------------------------------------
 
-def _sn_wave(p, s, x, t):
-    amp = s[0] * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
+def _sn_wave(p, x, t):
+    amp = p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
     return amp * jacobi_elliptic(p["c"] * x, p["m"]).sn
 
 
-def _cn_wave(p, s, x, t):
-    amp = s[0] * 1j * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
+def _cn_wave(p, x, t):
+    amp = 1j * p["c"] * _csqrt(2.0 * p["m"] / p["lam"])
     return amp * jacobi_elliptic(p["c"] * x, p["m"]).cn
 
 
-def _dc_wave(p, s, x, m):
-    return s[0] * p["c"] * math.sqrt(2.0 / p["lam"]) * jacobi_dc(p["c"] * x, m)
+def _dc_wave(p, x, m):
+    return p["c"] * math.sqrt(2.0 / p["lam"]) * jacobi_dc(p["c"] * x, m)
 
 
 def _ones(x):
@@ -153,17 +153,17 @@ def _cq_root(p, b, m, x):
     return np.where(np.sin(np.pi * (x + k) / (4.0 * k)) < 0.0, -root, root)
 
 
-def _sg_kink(p, s, x, t):
+def _sg_kink(p, x, t):
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     # arctan saturates; the cap avoids exp overflow
     arg = np.minimum(p["lam"] * p["gamma"] * (x - p["nu"] * t) + p["delta"], 500.0)
     return 4.0 * np.arctan(np.exp(arg))
 
 
-def _sg_imag(p, s, x, t):
-    sn = jacobi_elliptic(s[2] * np.asarray(x, dtype=float) / _SQ2, -1.0).sn
+def _sg_imag(p, x, t):
+    sn = jacobi_elliptic(np.asarray(x, dtype=float) / _SQ2, -1.0).sn
     with np.errstate(divide="ignore", invalid="ignore"):
-        return s[0] * 2.0 * np.arctan(s[1] * 1j * np.asarray(sn, dtype=complex))
+        return 2.0 * np.arctan(1j * np.asarray(sn, dtype=complex))
 
 
 def _balance(lhs: float, rhs: float) -> Optional[str]:
@@ -187,177 +187,157 @@ def _bessel_check(p: dict) -> None:
 _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_KG_SN: _Entry(
         Family.CUBIC_KG,
-        "phi = +/- i*c*sqrt(2/lambda) * sn(c*x | -1)",
+        "phi = i*c*sqrt(2/lambda) * sn(c*x | -1)",
         {"c": 1.0, "lam": 1.0},
-        1,
-        profile=lambda p, s, x, t: (s[0] * 1j * p["c"] * math.sqrt(2.0 / p["lam"])
-                                    * jacobi_elliptic(p["c"] * x, -1.0).sn),
+        profile=lambda p, x, t: (1j * p["c"] * math.sqrt(2.0 / p["lam"])
+                                 * jacobi_elliptic(p["c"] * x, -1.0).sn),
     ),
     SolutionId.CUBIC_KG_CN: _Entry(
         Family.CUBIC_KG,
-        "phi = +/- (i*c/sqrt(lambda)) * cn(c*x | 1/2)",
+        "phi = (i*c/sqrt(lambda)) * cn(c*x | 1/2)",
         {"c": 1.0, "lam": 1.0},
-        1,
-        profile=lambda p, s, x, t: (s[0] * 1j * p["c"] / math.sqrt(p["lam"])
-                                    * jacobi_elliptic(p["c"] * x, 0.5).cn),
+        profile=lambda p, x, t: (1j * p["c"] / math.sqrt(p["lam"])
+                                 * jacobi_elliptic(p["c"] * x, 0.5).cn),
     ),
     SolutionId.CUBIC_KG_DC: _Entry(
         Family.CUBIC_KG,
-        "phi = +/- c*sqrt(2/lambda) * dc(c*x | -1)",
+        "phi = c*sqrt(2/lambda) * dc(c*x | -1)",
         {"c": 1.0, "lam": 1.0},
-        1,
         window=(-1.0, 1.0),
-        profile=lambda p, s, x, t: _dc_wave(p, s, x, -1.0),
+        profile=lambda p, x, t: _dc_wave(p, x, -1.0),
     ),
     SolutionId.CUBIC_NLS_SN: _Entry(
         Family.CUBIC_NLS,
-        "psi = +/- c*sqrt(2*m/lambda) * sn(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
+        "psi = c*sqrt(2*m/lambda) * sn(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
-        1,
         profile=_sn_wave,
         theta=lambda p: -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"],
     ),
     SolutionId.CUBIC_NLS_CN: _Entry(
         Family.CUBIC_NLS,
-        "psi = +/- i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(-i*(1-2*m)*c**2*t/omega)",
+        "psi = i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(-i*(1-2*m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -0.5},
-        1,
         profile=_cn_wave,
         theta=lambda p: -(1.0 - 2.0 * p["m"]) * p["c"] ** 2 / p["omega"],
     ),
     SolutionId.CUBIC_NLS_DC: _Entry(
         Family.CUBIC_NLS,
-        "psi = +/- c*sqrt(2/lambda) * dc(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
+        "psi = c*sqrt(2/lambda) * dc(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
-        1,
         window=(-1.5, 1.5),
-        profile=lambda p, s, x, t: _dc_wave(p, s, x, p["m"]),
+        profile=lambda p, x, t: _dc_wave(p, x, p["m"]),
         theta=lambda p: -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"],
     ),
     SolutionId.DW_KG_KINK: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = +/- (mass/sqrt(lambda)) * tanh(+/- (mass/sqrt(2))*(x - x0))",
+        "phi = (mass/sqrt(lambda)) * tanh((mass/sqrt(2))*(x - x0))",
         {"mass": 1.0, "lam": 1.0, "x0": 0.0},
-        2,
         window=(-5.0, 5.0),
-        profile=lambda p, s, x, t: (s[0] * p["mass"] / math.sqrt(p["lam"]) * np.tanh(
-            s[1] * (p["mass"] / _SQ2) * (np.asarray(x, dtype=float) - p["x0"]))),
+        profile=lambda p, x, t: (p["mass"] / math.sqrt(p["lam"]) * np.tanh(
+            (p["mass"] / _SQ2) * (np.asarray(x, dtype=float) - p["x0"]))),
     ),
     SolutionId.DW_KG_SN: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = +/- sqrt(2*(mass**2 - c**2)/lambda) * sn(c*x | (mass**2 - c**2)/c**2)",
+        "phi = sqrt(2*(mass**2 - c**2)/lambda) * sn(c*x | (mass**2 - c**2)/c**2)",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
-        1,
-        profile=lambda p, s, x, t: (
-            s[0] * _csqrt(2.0 * (p["mass"] ** 2 - p["c"] ** 2) / p["lam"]) * jacobi_elliptic(
+        profile=lambda p, x, t: (
+            _csqrt(2.0 * (p["mass"] ** 2 - p["c"] ** 2) / p["lam"]) * jacobi_elliptic(
                 p["c"] * x, (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2).sn),
     ),
     SolutionId.DW_KG_CN: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = +/- i*sqrt((c**2 - mass**2)/lambda) * cn(c*x | (c**2 - mass**2)/(2*c**2))",
+        "phi = i*sqrt((c**2 - mass**2)/lambda) * cn(c*x | (c**2 - mass**2)/(2*c**2))",
         {"mass": 0.6, "c": 1.0, "lam": 1.0},
-        1,
-        profile=lambda p, s, x, t: (
-            s[0] * 1j * _csqrt((p["c"] ** 2 - p["mass"] ** 2) / p["lam"]) * jacobi_elliptic(
+        profile=lambda p, x, t: (
+            1j * _csqrt((p["c"] ** 2 - p["mass"] ** 2) / p["lam"]) * jacobi_elliptic(
                 p["c"] * x, (p["c"] ** 2 - p["mass"] ** 2) / (2.0 * p["c"] ** 2)).cn),
     ),
     SolutionId.DW_KG_DC: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = +/- c*sqrt(2/lambda) * dc(c*x | (mass**2 - c**2)/c**2)",
+        "phi = c*sqrt(2/lambda) * dc(c*x | (mass**2 - c**2)/c**2)",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
-        1,
         window=(-1.3, 1.3),
-        profile=lambda p, s, x, t: _dc_wave(p, s, x, (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2),
+        profile=lambda p, x, t: _dc_wave(p, x, (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2),
     ),
     SolutionId.DW_KG_CONST: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = +/- mass/sqrt(lambda)",
+        "phi = mass/sqrt(lambda)",
         {"mass": 1.0, "lam": 1.0},
-        1,
-        profile=lambda p, s, x, t: s[0] * p["mass"] / math.sqrt(p["lam"]) * _ones(x),
+        profile=lambda p, x, t: p["mass"] / math.sqrt(p["lam"]) * _ones(x),
     ),
     SolutionId.DW_NLS_TANH: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = +/- c*sqrt(2/lambda) * tanh(+/- c*(x - x0)) * exp(i*(mass**2 - 2*c**2)*t/omega)",
+        "psi = c*sqrt(2/lambda) * tanh(c*(x - x0)) * exp(i*(mass**2 - 2*c**2)*t/omega)",
         {"c": 0.7, "mass": 1.0, "lam": 1.0, "omega": 1.0, "x0": 0.0},
-        2,
         window=(-5.0, 5.0),
-        profile=lambda p, s, x, t: (s[0] * p["c"] * math.sqrt(2.0 / p["lam"]) * np.tanh(
-            s[1] * p["c"] * (np.asarray(x, dtype=float) - p["x0"]))),
+        profile=lambda p, x, t: (p["c"] * math.sqrt(2.0 / p["lam"]) * np.tanh(
+            p["c"] * (np.asarray(x, dtype=float) - p["x0"]))),
         theta=lambda p: (p["mass"] ** 2 - 2.0 * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_SN: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = +/- c*sqrt(2*m/lambda) * sn(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
+        "psi = c*sqrt(2*m/lambda) * sn(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
-        1,
         profile=_sn_wave,
         theta=lambda p: (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_CN: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = +/- i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(i*(mass**2 - (1-2*m)*c**2)*t/omega)",
+        "psi = i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(i*(mass**2 - (1-2*m)*c**2)*t/omega)",
         {"m": -0.5, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
-        1,
         profile=_cn_wave,
         theta=lambda p: (p["mass"] ** 2 - (1.0 - 2.0 * p["m"]) * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_DC: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = +/- c*sqrt(2/lambda) * dc(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
+        "psi = c*sqrt(2/lambda) * dc(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
-        1,
         window=(-1.5, 1.5),
-        profile=lambda p, s, x, t: _dc_wave(p, s, x, p["m"]),
+        profile=lambda p, x, t: _dc_wave(p, x, p["m"]),
         theta=lambda p: (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_CONST: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = +/- a * exp(i*(mass**2 - a**2*lambda)*t/omega)",
+        "psi = a * exp(i*(mass**2 - a**2*lambda)*t/omega)",
         {"a": 1.0, "mass": 1.0, "lam": 1.0, "omega": 1.0},
-        1,
-        profile=lambda p, s, x, t: s[0] * p["a"] * _ones(x),
+        profile=lambda p, x, t: p["a"] * _ones(x),
         theta=lambda p: (p["mass"] ** 2 - p["a"] ** 2 * p["lam"]) / p["omega"],
     ),
     SolutionId.CQ_KG_SN: _Entry(
         Family.CUBIC_QUINTIC_KG,
         "phi = sqrt(3*sigma/(8*lambda) + sqrt(3/(20*lambda)) * sn(x | 1/5))",
         {"sigma": 1.0, "lam": 15.0 / 16.0},
-        0,
         window=(-1.5, 4.8),
-        profile=lambda p, s, x, t: _cq_root(p, math.sqrt(3.0 / (20.0 * p["lam"])), 0.2, x),
+        profile=lambda p, x, t: _cq_root(p, math.sqrt(3.0 / (20.0 * p["lam"])), 0.2, x),
         check=lambda p: _balance(15.0 * p["sigma"] ** 2, 16.0 * p["lam"]),
-        constraints=("15*sigma**2 = 16*lambda",),
+        constraint="15*sigma**2 = 16*lambda",
     ),
     SolutionId.CQ_NLS_SN: _Entry(
         Family.CUBIC_QUINTIC_NLS,
         "psi = sqrt(3*sigma/(8*lambda) + sqrt(3*m/(4*lambda)) * sn(x | m))"
         " * exp(-i*((1 + m - 9*sigma**2/(8*lambda))/4)*t)",
         {"m": 0.3, "lam": 1.0, "sigma": math.sqrt(1.6)},
-        0,
         window=(-1.55, 4.95),
-        profile=lambda p, s, x, t: _cq_root(p, _csqrt(3.0 * p["m"] / (4.0 * p["lam"])), p["m"], x),
+        profile=lambda p, x, t: _cq_root(p, _csqrt(3.0 * p["m"] / (4.0 * p["lam"])), p["m"], x),
         theta=lambda p: -(1.0 + p["m"] - 9.0 * p["sigma"] ** 2 / (8.0 * p["lam"])) / 4.0,
         check=lambda p: _balance(16.0 * p["m"] * p["lam"], 3.0 * p["sigma"] ** 2),
-        constraints=("16*m*lambda = 3*sigma**2",),
+        constraint="16*m*lambda = 3*sigma**2",
     ),
     SolutionId.SG_KINK: _Entry(
         Family.SINE_GORDON_KG,
         "phi = 4*arctan(exp(lambda*gamma*(x - nu*t) + delta))",
         {"lam": 1.0, "nu": 0.5, "delta": 0.0},
-        0,
         window=(-5.0, 5.0),
         profile=_sg_kink,
         check=_sg_kink_check,
-        constraints=("gamma**2*(1 - nu**2) = 1",),
+        constraint="gamma**2*(1 - nu**2) = 1",
         optional=("gamma",),
         travelling=True,
     ),
     SolutionId.SG_IMAG: _Entry(
         Family.SINE_GORDON_KG,
-        "phi = +/- 2*arctan(+/- i*sn(+/- x/sqrt(2) | -1))   [lambda = 1]",
+        "phi = 2*arctan(i*sn(x/sqrt(2) | -1))   [lambda = 1]",
         {},
-        3,
         window=(-1.45, 1.45),
         profile=_sg_imag,
     ),
@@ -365,9 +345,8 @@ _CATALOG: dict[SolutionId, _Entry] = {
         Family.BESSEL_NLS,
         "psi = psi0 * exp(-i*lambda**2*J1(psi0)*t/(omega*psi0))",
         {"psi0": 3.0, "omega": 1.0, "lam": 1.0},
-        0,
         window=(-15.0, 15.0),
-        profile=lambda p, s, x, t: p["psi0"] * _ones(x),
+        profile=lambda p, x, t: p["psi0"] * _ones(x),
         theta=lambda p: -float(nls_nonlinear_phase_rate(
             ModelSpec(Family.BESSEL_NLS, lam=p["lam"], omega=p["omega"]), p["psi0"])),
         check=_bessel_check,
@@ -379,8 +358,8 @@ def catalog_ids() -> tuple[SolutionId, ...]:
     return tuple(_CATALOG.keys())
 
 
-def make_solution(sid: SolutionId, signs: Optional[tuple[int, ...]] = None, **overrides) -> AnalyticSolution:
-    """Bind a catalog entry to parameters, filling defaults and checking constraints."""
+def make_solution(sid: SolutionId, **overrides) -> AnalyticSolution:
+    """Bind a catalog entry to parameters, filling defaults and checking its constraint."""
     entry = _CATALOG[sid]
     params = dict(entry.defaults)
     for key, val in overrides.items():
@@ -396,15 +375,8 @@ def make_solution(sid: SolutionId, signs: Optional[tuple[int, ...]] = None, **ov
         raise DomainError(f"{sid.value} requires omega > 0")
     failure = entry.check(params) if entry.check is not None else None
     if failure is not None:
-        raise ConstraintError(f"{sid.value} requires {entry.constraints[0]}, {failure}")
-    if signs is None:
-        signs = (1,) * entry.n_signs
-    signs = tuple(int(s) for s in signs)
-    if len(signs) != entry.n_signs or any(s not in (-1, 1) for s in signs):
-        raise DomainError(
-            f"{sid.value} takes {entry.n_signs} sign choices of +/-1, got {signs!r}"
-        )
-    return AnalyticSolution(sid=sid, params=params, signs=signs)
+        raise ConstraintError(f"{sid.value} requires {entry.constraint}, {failure}")
+    return AnalyticSolution(sid=sid, params=params)
 
 
 def eval_solution(sol: AnalyticSolution, x: ArrayLike, t: ArrayLike = 0.0):
@@ -416,7 +388,7 @@ def eval_solution(sol: AnalyticSolution, x: ArrayLike, t: ArrayLike = 0.0):
     entry = _CATALOG[sol.sid]
     theta = 0.0 if entry.theta is None else entry.theta(sol.params)
     phase = np.exp(1j * theta * np.asarray(t, dtype=float))
-    out = np.asarray(entry.profile(sol.params, sol.signs, x, t) * phase, dtype=complex)
+    out = np.asarray(entry.profile(sol.params, x, t) * phase, dtype=complex)
     return complex(out) if out.ndim == 0 else out
 
 

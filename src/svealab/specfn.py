@@ -85,10 +85,7 @@ def jacobi_elliptic(u: ArrayLike, m: float) -> EllipticTriple:
 
 
 def _nearest_cn_zero(u: float, m: float) -> float:
-    """Location of the real zero of cn(.|m) nearest to u, or nan if none exist."""
-    if m >= 1.0:
-        # m = 1: cn = sech > 0; m > 1: cn(u|m) = dn(v|1/m) >= sqrt(1-1/m) > 0.
-        return math.nan
+    """Location of the real zero of cn(.|m) nearest to u, for m < 1 (cn has none for m >= 1)."""
     # scipy's ellipk takes the parameter m, same slot convention as ellipj.
     if m >= 0.0:
         first, scale = float(_sp.ellipk(m)), 1.0

@@ -313,6 +313,13 @@ class TestDivergentRun:
         assert list(out.glob("*.svea"))
         assert (out / "diagnostics.csv").exists()
 
+    def test_unitarity_defect_exits_3(self, outdir, tmp_path, capsys, leaky_forward):
+        ini = tmp_path / "run.ini"
+        ini.write_text(STRUCTURED_INI)
+        assert main(["run", "--config", str(ini)]) == EXIT_DIVERGED
+        assert capsys.readouterr().err.startswith("diverged: unitarity defect")
+        assert len(list((outdir / "run").glob("*.svea"))) == 1
+
 
 # A focusing pulse that compresses until the rotation guard trips at t = 0.049,
 # after 25 snapshots.
@@ -610,6 +617,18 @@ class TestOutOfRangeSettings:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
+    @pytest.mark.parametrize("dt", ["1e-320", "1e-300"])
+    def test_scan_rejected_before_the_pool_opens(self, outdir, tmp_path, capsys, monkeypatch,
+                                                 dt):
+        def pool(*args, **kwargs):
+            raise AssertionError("the process pool opened before the settings were checked")
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", pool)
+        ini = _write_ini(tmp_path / "cfg.ini", TINY_SCAN_INI, "scan", dt=dt)
+        assert main(["scan", "--config", str(ini), "--jobs", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dt" in err
+
 
 class TestVerifyArtifacts:
     def test_report_written(self, outdir):
@@ -824,8 +843,68 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _field_digest(sols, window) -> str:
+    """sha256 of each solution's field on 2001 points over window at t = 0 and 0.4."""
+    x = numpy.linspace(*window, 2001)
+    digest = hashlib.sha256()
+    for sol in sols:
+        for t in (0.0, 0.4):
+            digest.update(solutions.eval_solution(sol, x, t).tobytes())
+    return digest.hexdigest()
+
+
+_ENTRY_FIELDS = {
+    "CUBIC_KG_SN": "3f03b82d8e74e66c70e5f401bb219f6d98b5daf8fe8dfd5c5dc8fa16b2df0fd7",
+    "CUBIC_KG_CN": "311bc817518f4890dfb22aea7f2e955e33ea7d4ac7006f6ea5b14a16ed180664",
+    "CUBIC_KG_DC": "398504aea39c0b746da07ad82e078a3c551955f06c9a7155acaa62e0d8e8834a",
+    "CUBIC_NLS_SN": "5235c35b8fbfda2bb304f42bddd901ec2bc84a7003a0fe822c64be54146f0802",
+    "CUBIC_NLS_CN": "0eb6914c4003d87be7c0df81043a5f7b274656f4c97206ea5bfaa8254f354a87",
+    "CUBIC_NLS_DC": "2e808fe21b584e5730b9c87e6eafe62670e5744c822cf7c4fc10d4e018cece96",
+    "DW_KG_KINK": "73ec5e0c2e998a990dbfc764c167fa2c9dd6a07666a270e0a6f74fa6ba2f6703",
+    "DW_KG_SN": "8b7e2e60d7724f9d14572fa91aef70b6060d99c18d670554055bf78a51fc2174",
+    "DW_KG_CN": "730e5c915c4d66a3341ccd4b0e5c7c423c567fabb948b6a35e1c883b54663cd1",
+    "DW_KG_DC": "7c81075132e70f0ca7c9a108e3948dfd781f174ae4913d5e1c0bf7fa92c22ee0",
+    "DW_KG_CONST": "22c82e76b26f2d40188f6cb7269add8141b4d0a7c7257bedcf8760b5afac7057",
+    "DW_NLS_TANH": "a26dddf271b09c19827933e8d8080acfcac692943296a70bdacecf26554d4e05",
+    "DW_NLS_SN": "8eab077575f3dcd1314d748f32e3c7cd95c4f994dae709f671e4c169a7e50805",
+    "DW_NLS_CN": "2be2639b8498a845a0da3c4cfbc52f9f3958a3148768e9c6cf500c81a5094c14",
+    "DW_NLS_DC": "0547843a64056e09be9f6f84cbabf7806be4eeab39a74bfbae5a690dff6fdf01",
+    "DW_NLS_CONST": "22c82e76b26f2d40188f6cb7269add8141b4d0a7c7257bedcf8760b5afac7057",
+    "CQ_KG_SN": "893cde956d7a2bd93611983fbe362e99ccf1c8c7a97de3e67481d0a98b4c896a",
+    "CQ_NLS_SN": "1e50ccc0c8592d6fb35fa03e627e84004304a435af0ef9f481936d34b0a91155",
+    "SG_KINK": "0bc8ff34bc48de2183b30d9807526402f9abb2e6ac5df01d7362dd1721e01e83",
+    "SG_IMAG": "92ed8c1d6184c1adcf93a0873d0fc173a40d588ad00075bb4f1cb6afdcaa8283",
+    "BESSEL_UNIFORM": "f8c3f53dc5c0e4d9ae2eebcdff61f86659156e332ea0a2851d9a8a474a7fa46e",
+}
+
+# keyed by (envelope entry, detune); each digest covers the static partner, then the envelope
+_PAIR_FIELDS = {
+    ("CUBIC_NLS_SN", 0.0): "8b275d89ee53f8a6a5d7a7479768dc134379c1532e93f42ffca433a0a32fab22",
+    ("CUBIC_NLS_SN", 0.05): "030bf1ad198d695b055f2fb3d8b31677335b8f51920547dbefe54457c2b7720d",
+    ("CUBIC_NLS_CN", 0.0): "e3ae31fff268edfa2228d3cfe02345a06f38b51282c324b44c9f2844d0167add",
+    ("CUBIC_NLS_CN", 0.05): "1fdbdee619e24bf0338aa0ab9b05365d6fae34bd18b18b9cf77774c39e6fc310",
+    ("CUBIC_NLS_DC", 0.0): "81cb7137e7ec66d3a3c134d9def537b52a67d150f386efdf008fcc95c3560d2e",
+    ("CUBIC_NLS_DC", 0.05): "dded401c84dc7c8f982a0b0a232b60509d6d378c2c0fb88cd89ab5ee22a44b5d",
+    ("DW_NLS_TANH", 0.0): "7003e1888c2b7df3b88f5368d5ea0c3ef98ec8aab3697f3ce3828b722bd457c4",
+    ("DW_NLS_TANH", 0.05): "b80fdd69977ca484e96a64d685a0303129b511c75a04ba9aa7eea6191d69b403",
+    ("DW_NLS_SN", 0.0): "e3914a771dd03b58c43d4a97c391f85f90d91aca5b7960a8f1bc1e78e76dc9df",
+    ("DW_NLS_SN", 0.05): "5d9ccd2926da6367d934f6ec7157e103b7ff47cba940a05f7d9f63c65badee63",
+    ("DW_NLS_CN", 0.0): "16fd0d50a8689a53e26357c055efa4f2e047d09bcbd3b6978d94a1f2c1a8f211",
+    ("DW_NLS_CN", 0.05): "2146d33d349cf2cf43863c1b679805e9be4e19300c0df117900ae00571796cf8",
+    ("DW_NLS_DC", 0.0): "c8844e677a937fa04cf302ed4d0c14604d3b933b7bb9de1f37b33dfe26318eaa",
+    ("DW_NLS_DC", 0.05): "fa3cee587b43170b679acecee85e4795da69a3bb0e1d02f587ac9081107dc057",
+    ("DW_NLS_CONST", 0.0): "744804e47baea58ccb211491a8c4951fa649ba9404249fb32a1e9c61073b6154",
+    ("DW_NLS_CONST", 0.05): "88d8182ad2beddc794a03e4d38c183022e390bb2a6d086eb9cf69a5650f11c2a",
+    ("CQ_NLS_SN", 0.0): "77e13349364faf37d6df64de1621928257554b3fd302636b5688e41fb5e75757",
+    ("CQ_NLS_SN", 0.05): "1501c74dd67f7893f20d861dc0799ce9f96f48bc573c79fc44a5fa864d6a49ca",
+}
+
+_FIELDS_RECORDED = pytest.mark.skipif(not _SAME_STACK, reason=(
+    f"field digests were recorded with numpy {_RECORDED['numpy']}, scipy {_RECORDED['scipy']}"))
+
+
 class TestCatalogBytes:
-    """The catalog's reports are pinned byte for byte."""
+    """The catalog's reports and fields are pinned byte for byte."""
 
     @pytest.mark.skipif(not _SAME_STACK, reason=(
         f"report digests were recorded with numpy {_RECORDED['numpy']}, "
@@ -842,6 +921,19 @@ class TestCatalogBytes:
         assert main(argv) == code
         report = outdir / f"{argv[0]}-{argv[2]}" / "report.txt"
         assert _sha256(report.read_bytes()) == digest
+
+    @_FIELDS_RECORDED
+    @pytest.mark.parametrize("sid", solutions.catalog_ids(), ids=lambda sid: sid.value)
+    def test_entry_field(self, sid):
+        sol = solutions.make_solution(sid)
+        assert _field_digest([sol], sol.window) == _ENTRY_FIELDS[sid.value]
+
+    @_FIELDS_RECORDED
+    @pytest.mark.parametrize("detune", [0.0, 0.05])
+    @pytest.mark.parametrize("pair", solutions.mapping_table(), ids=lambda pair: pair.nls_id.value)
+    def test_pair_fields(self, pair, detune):
+        fields = _field_digest(solutions.instantiate_pair(pair, detune), pair.window)
+        assert fields == _PAIR_FIELDS[(pair.nls_id.value, detune)]
 
 
 class TestCatalogCost:

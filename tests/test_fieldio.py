@@ -102,6 +102,13 @@ class TestTrajectoryBundle:
         assert target.read_bytes() == b"svea"
         assert sorted(p.name for p in target.parent.iterdir()) == ["data.bin"]
 
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            atomic_write_bytes(target, b"svea")
+        assert target.is_dir() and not list(tmp_path.glob("*.tmp"))
+
     def test_directory_contents(self, tmp_path, short_traj):
         write_trajectory(tmp_path / "out", short_traj, dt=1e-3)
         names = sorted(p.name for p in (tmp_path / "out").iterdir())

@@ -30,6 +30,9 @@ def test_every_entry_constructs_and_evaluates():
 def test_unknown_parameter_rejected():
     with pytest.raises(DomainError):
         make_solution(SolutionId.CUBIC_NLS_SN, wavelength=2.0)
+    # each +/- family is held by its + branch; there is no sign choice to make
+    with pytest.raises(DomainError, match="signs"):
+        make_solution(SolutionId.DW_KG_KINK, signs=(1, -1))
 
 
 def test_constraint_violation_rejected():

@@ -325,6 +325,19 @@ class TestDivergenceGuard:
         assert err.value.time == pytest.approx(3e-3)
         assert len(err.value.partial.mass_series) == 3
 
+    def test_unitarity_defect_raises_with_partial(self, leaky_forward):
+        # the first step's power sum lands off its target by far more than
+        # UNITARITY_GUARD
+        st = sech_profile(Grid1D(64, 20.0), 1.0)
+        with pytest.raises(DivergenceError) as err:
+            propagate(st, RunConfig(CUBIC, dt=1e-3, t_final=0.01))
+        assert str(err.value).startswith("unitarity defect")
+        assert err.value.time == pytest.approx(1e-3)
+        partial = err.value.partial
+        assert len(partial.snapshots) == 1 and len(partial.mass_series) == 1
+        assert partial.snapshots[0].time == 0.0
+        assert partial.snapshots[0].values.tobytes() == st.values.tobytes()
+
 
 def _structured(grid, base, bump):
     return FieldState(grid, (base + bump / np.cosh(grid.x)).astype(complex))
