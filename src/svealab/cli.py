@@ -44,7 +44,7 @@ from .errors import ConfigError, DivergenceError, DomainError, PoleError, requir
 from .models import ModelSpec
 from .fieldio import (SnapshotStream, atomic_write_text, write_scan_csv, write_track_csv,
                       write_trajectory)
-from .solutions import SolutionId, make_solution
+from .solutions import SolutionId, make_solution, require_whole_periods
 from .solver import (Grid1D, RunConfig, catalog_profile, propagate,
                      sech_profile, supergaussian_profile, uniform_profile)
 from .verify import check_all_mappings, mapping_report, verification_report, verify_catalog
@@ -259,7 +259,9 @@ def _initial_from(settings: dict, grid: Grid1D):
     if kind == "catalog":
         name = run.get("catalog_id", "")
         try:
-            return catalog_profile(grid, make_solution(SolutionId(name.strip().upper())))
+            sol = make_solution(SolutionId(name.strip().upper()))
+            require_whole_periods(sol, grid.length)
+            return catalog_profile(grid, sol)
         except ValueError as err:  # DomainError is one
             raise ConfigError(f"bad [run] catalog_id {name!r}: {err}") from err
     psi0 = run.get("psi0", 1.0)

@@ -57,9 +57,12 @@ STREAM_BURST = 16
 
 
 def atomic_write_bytes(path: PathLike, data: bytes) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # str paths throughout: a pathlib.Path interns each of its parts, so one
+    # Path per snapshot file grows the interpreter's interned-string table
+    parent, name = os.path.split(os.fspath(path))
+    parent = parent or "."
+    os.makedirs(parent, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=parent, prefix=name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -86,7 +89,8 @@ def write_snapshot(path: PathLike, state: FieldState) -> None:
 def read_snapshot(path: PathLike, grid: Optional[Grid1D] = None) -> FieldState:
     """The state a snapshot file holds.  grid, when it has the header's n and
     length, is the state's grid instead of a new, equal one."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if raw[:5] != SNAPSHOT_MAGIC:
         raise DomainError(f"{path}: not a field snapshot (bad magic)")
     if len(raw) < 29:
@@ -143,13 +147,13 @@ class SnapshotStream:
     pending, then go out together; flush() writes what is pending."""
 
     def __init__(self, out_dir: PathLike):
-        self.out = Path(out_dir)
+        self.out = os.fspath(out_dir)
         self.count = 0  # states received
         self._pending: list[FieldState] = []
         self._grid: Optional[Grid1D] = None  # of the last state received
 
-    def _path(self, i: int) -> Path:
-        return self.out / f"snapshot_{i:05d}.svea"
+    def _path(self, i: int) -> str:
+        return os.path.join(self.out, f"snapshot_{i:05d}.svea")
 
     def __call__(self, state: FieldState) -> None:
         self._pending.append(state)
@@ -178,4 +182,4 @@ def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> None:
     for state in traj.snapshots:
         stream(state)
     stream.flush()
-    write_mass_csv(stream.out / "diagnostics.csv", traj, dt)
+    write_mass_csv(os.path.join(stream.out, "diagnostics.csv"), traj, dt)

@@ -4,8 +4,9 @@ Twenty-one catalog entries: exact solutions of the four second-order field
 equations and of their envelope reductions.  Each entry is one record that
 states every fact about it once: formula, default parameters, constraint
 check, residual window, profile (amplitude times x-profile) and, for envelope
-entries, phase rate theta.  An entry evaluates as profile * exp(i*theta*t),
-with theta = 0 for static fields.  Evaluation checks no domain beyond each
+entries, phase rate theta and x-period.  An entry evaluates as
+profile * exp(i*theta*t) (eval_profile times phase_factor), with theta = 0
+for static fields.  Evaluation checks no domain beyond each
 entry's constraint (SG_KINK's includes |nu| < 1), since the mapping checks quench
 the sn/cn entries at m outside their usual ranges.  The mapping table
 records, for nine KG/envelope pairs, the parameters at which theta vanishes
@@ -39,7 +40,10 @@ __all__ = [
     "MappingPair",
     "make_solution",
     "eval_solution",
+    "eval_profile",
+    "phase_factor",
     "phase_rate",
+    "require_whole_periods",
     "model_for",
     "mapping_table",
     "instantiate_pair",
@@ -110,6 +114,10 @@ class _Entry:
     constraint: str = ""
     optional: tuple[str, ...] = ()  # parameters accepted beyond the defaults
     travelling: bool = False  # profile moves in t beyond the phase factor
+    # x-period of an envelope profile: a periodic grid holds the entry when its
+    # length is a whole number of periods; 0.0 for a uniform profile (any
+    # length), inf when there is none (real dc poles, the antiperiodic tanh).
+    period: Callable[[dict], float] = lambda p: math.inf
 
 
 _SQ2 = math.sqrt(2.0)
@@ -133,6 +141,18 @@ def _cn_wave(p, x, t):
 
 def _dc_wave(p, x, m):
     return p["c"] * math.sqrt(2.0 / p["lam"]) * jacobi_dc(p["c"] * x, m)
+
+
+def _quarter_period(m: float) -> float:
+    """K(m), the quarter period of sn(.|m) and cn(.|m) for m < 1.  For m < 0
+    scipy's ellipk is K(mu)/sqrt(1 - m), mu = -m/(1 - m): the period that
+    specfn's A&S 16.10 evaluation has.  inf from m = 1 on: not covered."""
+    return float(ellipk(m)) if m < 1.0 else math.inf
+
+
+def _wave_period(p) -> float:
+    """4K(m)/c; at c = 0 the wave is the zero field, which any length holds."""
+    return 4.0 * _quarter_period(p["m"]) / abs(p["c"]) if p["c"] else 0.0
 
 
 def _ones(x):
@@ -211,6 +231,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "psi = c*sqrt(2*m/lambda) * sn(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
         profile=_sn_wave,
+        period=_wave_period,
         theta=lambda p: -(1.0 + p["m"]) * p["c"] ** 2 / p["omega"],
     ),
     SolutionId.CUBIC_NLS_CN: _Entry(
@@ -218,6 +239,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "psi = i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(-i*(1-2*m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -0.5},
         profile=_cn_wave,
+        period=_wave_period,
         theta=lambda p: -(1.0 - 2.0 * p["m"]) * p["c"] ** 2 / p["omega"],
     ),
     SolutionId.CUBIC_NLS_DC: _Entry(
@@ -279,6 +301,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "psi = c*sqrt(2*m/lambda) * sn(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         profile=_sn_wave,
+        period=_wave_period,
         theta=lambda p: (p["mass"] ** 2 - (1.0 + p["m"]) * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_CN: _Entry(
@@ -286,6 +309,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "psi = i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(i*(mass**2 - (1-2*m)*c**2)*t/omega)",
         {"m": -0.5, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         profile=_cn_wave,
+        period=_wave_period,
         theta=lambda p: (p["mass"] ** 2 - (1.0 - 2.0 * p["m"]) * p["c"] ** 2) / p["omega"],
     ),
     SolutionId.DW_NLS_DC: _Entry(
@@ -301,6 +325,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         "psi = a * exp(i*(mass**2 - a**2*lambda)*t/omega)",
         {"a": 1.0, "mass": 1.0, "lam": 1.0, "omega": 1.0},
         profile=lambda p, x, t: p["a"] * _ones(x),
+        period=lambda p: 0.0,
         theta=lambda p: (p["mass"] ** 2 - p["a"] ** 2 * p["lam"]) / p["omega"],
     ),
     SolutionId.CQ_KG_SN: _Entry(
@@ -319,6 +344,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         {"m": 0.3, "lam": 1.0, "sigma": math.sqrt(1.6)},
         window=(-1.55, 4.95),
         profile=lambda p, x, t: _cq_root(p, _csqrt(3.0 * p["m"] / (4.0 * p["lam"])), p["m"], x),
+        period=lambda p: 8.0 * _quarter_period(p["m"]),  # the signed root flips each 4K
         theta=lambda p: -(1.0 + p["m"] - 9.0 * p["sigma"] ** 2 / (8.0 * p["lam"])) / 4.0,
         check=lambda p: _balance(16.0 * p["m"] * p["lam"], 3.0 * p["sigma"] ** 2),
         constraint="16*m*lambda = 3*sigma**2",
@@ -347,6 +373,7 @@ _CATALOG: dict[SolutionId, _Entry] = {
         {"psi0": 3.0, "omega": 1.0, "lam": 1.0},
         window=(-15.0, 15.0),
         profile=lambda p, x, t: p["psi0"] * _ones(x),
+        period=lambda p: 0.0,
         theta=lambda p: -float(nls_nonlinear_phase_rate(
             ModelSpec(Family.BESSEL_NLS, lam=p["lam"], omega=p["omega"]), p["psi0"])),
         check=_bessel_check,
@@ -379,16 +406,26 @@ def make_solution(sid: SolutionId, **overrides) -> AnalyticSolution:
     return AnalyticSolution(sid=sid, params=params)
 
 
+def eval_profile(sol: AnalyticSolution, x: ArrayLike, t: ArrayLike = 0.0):
+    """The amplitude times x-profile at position(s) x, real or complex: the
+    solution without its phase factor.  Only a travelling entry reads t."""
+    return _CATALOG[sol.sid].profile(sol.params, x, t)
+
+
+def phase_factor(sol: AnalyticSolution, t: ArrayLike):
+    """exp(i*theta*t) at time(s) t, with theta = 0 for a static field."""
+    theta = _CATALOG[sol.sid].theta
+    return np.exp(1j * (0.0 if theta is None else theta(sol.params)) * np.asarray(t, dtype=float))
+
+
 def eval_solution(sol: AnalyticSolution, x: ArrayLike, t: ArrayLike = 0.0):
     """Evaluate the solution at position(s) x and time(s) t; complex output.
 
     x and t broadcast against each other, so a (5,1) time column against an
     (n,) grid yields the (5,n) space-time slab the residual stencils need.
+    The value is eval_profile(sol, x, t) * phase_factor(sol, t).
     """
-    entry = _CATALOG[sol.sid]
-    theta = 0.0 if entry.theta is None else entry.theta(sol.params)
-    phase = np.exp(1j * theta * np.asarray(t, dtype=float))
-    out = np.asarray(entry.profile(sol.params, x, t) * phase, dtype=complex)
+    out = np.asarray(eval_profile(sol, x, t) * phase_factor(sol, t), dtype=complex)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -398,6 +435,31 @@ def phase_rate(sol: AnalyticSolution) -> float:
     if theta is None:
         raise FamilyMismatchError(f"{sol.sid.value} is not an envelope solution; no phase rate")
     return theta(sol.params)
+
+
+def _x_period(sol: AnalyticSolution) -> float:
+    """The x-period of an envelope solution's profile: 0.0 when it is uniform,
+    so that every length holds a whole number of periods, and inf when it has
+    none (or at an elliptic m >= 1, which the period facts do not cover)."""
+    return _CATALOG[sol.sid].period(sol.params)
+
+
+def require_whole_periods(sol: AnalyticSolution, length: float) -> None:
+    """A DomainError unless a periodic grid of this length holds the envelope
+    solution: a whole number of its x-periods, to rel _CONSTRAINT_RTOL.  A
+    static KG field is not checked: no envelope run keeps it."""
+    if not _CATALOG[sol.sid].family.is_nls:
+        return
+    period = _x_period(sol)
+    if period == 0.0:
+        return
+    if math.isinf(period):
+        raise DomainError(f"{sol.sid.value} has no x-period, so a periodic grid "
+                          "cannot hold it")
+    whole = max(1, round(length / period)) * period
+    if abs(length - whole) > _CONSTRAINT_RTOL * length:
+        raise DomainError(f"{sol.sid.value} has x-period {period!r}; length {length!r} is "
+                          f"not a whole number of periods (nearest {whole!r})")
 
 
 def model_for(sol: AnalyticSolution) -> ModelSpec:

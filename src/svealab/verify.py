@@ -10,11 +10,15 @@ the ratio is meaningless.  Entries whose residual is identically zero
 (vacuum constants, the uniform envelope) pass through the floor rule
 instead.
 
-Each profile is evaluated once per grid: a check passes its grid as a row
-and every time it needs (for the stencils, t0 + tau*[-2..2] for every t0)
-as a column to one eval_solution call and splits the result back into
-per-time rows.  The profile is elementwise in x and the phase elementwise in
-t, so each value is the product the per-time calls would form.
+Each profile is evaluated once per entry.  The ratio grids are every 4th and
+8th point of the tolerance grid, bit for bit (each spacing is the finer one
+times a power of two), so a profile that does not travel is evaluated on the
+tolerance grid alone; each grid takes its points of it and multiplies its
+own phase factors, one per time it needs (for the stencils, t0 +
+tau*[-2..2] for every t0) as a column against the grid's row.  The profile
+is elementwise in x and the phase elementwise in t, so each value is the
+product eval_solution forms on that grid, and the stencils run over the
+whole (T, 5, n) time stack at once.
 
 Each check carries its own verdict: ConvergenceReport.passed and
 MappingCheck.passed are set once, where the check runs, and the reports only
@@ -38,11 +42,13 @@ from .solutions import (
     MappingPair,
     SolutionId,
     catalog_ids,
+    eval_profile,
     eval_solution,
     instantiate_pair,
     make_solution,
     mapping_table,
     model_for,
+    phase_factor,
     phase_rate,
 )
 
@@ -119,7 +125,8 @@ class MappingCheck:
 
 def _second(f, h: float) -> np.ndarray:
     """The 4th-order second difference of five samples f[0..4] spaced h apart:
-    the rows of a time slab, or the _shifts of an x row."""
+    the times of a (T, 5, n) slab stack with its axes 0 and 1 swapped, or the
+    _shifts of its x rows."""
     return (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)
 
 
@@ -127,9 +134,10 @@ def _first(f, h: float) -> np.ndarray:
     return (f[0] - 8.0 * f[1] + 8.0 * f[3] - f[4]) / (12.0 * h)
 
 
-def _shifts(row: np.ndarray) -> list[np.ndarray]:
-    """The five stencil neighbours of each interior point of row, as views."""
-    return [row[k:row.size - 4 + k] for k in range(5)]
+def _shifts(rows: np.ndarray) -> list[np.ndarray]:
+    """The five x-stencil neighbours of each interior point of every row, as views."""
+    n = rows.shape[-1]
+    return [rows[..., k:n - 4 + k] for k in range(5)]
 
 
 def _grid(x_range: tuple[float, float], n_points: int) -> tuple[np.ndarray, float]:
@@ -145,27 +153,51 @@ def _grid_text(x_range, n_points, t_range) -> str:
     return f"x in [{x_range[0]:g},{x_range[1]:g}], n={n_points}, t in {{{ts}}}"
 
 
-def _rows(sol: AnalyticSolution, x: np.ndarray,
-          times: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The field on the grid x at every time, one evaluation: row i is time i."""
+def _rows(sol: AnalyticSolution, x: np.ndarray, times: Sequence[float] | np.ndarray,
+          profile: np.ndarray | None = None) -> np.ndarray:
+    """The field on the grid x at every time, one product: row i is time i.
+    profile, if given, is eval_profile(sol, x[None, :]) of an entry that does
+    not travel."""
     t = np.reshape(np.asarray(times, dtype=float), (-1, 1))
-    return np.asarray(eval_solution(sol, x[None, :], t), dtype=complex)
+    if profile is None:
+        profile = eval_profile(sol, x[None, :], t)
+    return np.asarray(profile * phase_factor(sol, t), dtype=complex)
 
 
-def _slabs(sol: AnalyticSolution, x: np.ndarray, times: tuple[float, ...],
-           tau: float) -> np.ndarray:
-    """The (5, n) space-time slab at t0 + tau*[-2..2] for every t0 in times."""
+def _slabs(sol: AnalyticSolution, x: np.ndarray, times: tuple[float, ...], tau: float,
+           profile: np.ndarray | None = None) -> np.ndarray:
+    """The (T, 5, n) stack of space-time slabs at t0 + tau*[-2..2] for every t0
+    in times."""
     t = np.asarray(times, dtype=float)[:, None] + tau * np.arange(-2.0, 3.0)
-    return _rows(sol, x, t).reshape(len(times), 5, x.size)
+    return _rows(sol, x, t, profile).reshape(len(times), 5, x.size)
 
 
-def _report(sol: AnalyticSolution, grid: str,
-            samples: Sequence[tuple[np.ndarray, np.ndarray]]) -> ResidualReport:
-    """The worst |residual| and |field| over the (residual, field) time
-    samples.  np.max keeps a NaN where Python's max would drop it."""
-    worst, norm = map(float, np.max(
-        [(np.max(np.abs(res)), np.max(np.abs(field))) for res, field in samples], axis=0))
-    return ResidualReport(sol.sid.value, grid, worst, worst / max(norm, 1.0))
+def _residual(model: ModelSpec, sol: AnalyticSolution, x_range: tuple[float, float],
+              n_points: int, profile: np.ndarray | None = None) -> ResidualReport:
+    """The residual of model's equation at the interior points of the grid,
+    for every time at once: the worst |residual| over all of them, and over
+    the largest |field| for the relative value.  np.max keeps a NaN."""
+    x, h = _grid(x_range, n_points)
+    if model.family.is_nls or sol.travelling:
+        times = _TIMES
+        slabs = _slabs(sol, x, times, h, profile)
+        center = slabs[:, 2]
+    else:  # a static field is the same at every time
+        times = _TIMES[:1]
+        center = _rows(sol, x, times, profile)
+    core = center[:, 2:-2]
+    psi_xx = _second(_shifts(center), h)
+    if model.family.is_nls:
+        psi_t = _first(slabs.swapaxes(0, 1), h)[:, 2:-2]
+        v = nls_nonlinear_phase_rate(model, np.abs(core))
+        res = 1j * psi_t + model.dispersion * psi_xx - v * core
+    else:
+        phi_tt = (_second(slabs.swapaxes(0, 1), h)[:, 2:-2] if sol.travelling
+                  else np.zeros_like(core))
+        res = phi_tt - psi_xx + kg_force(model, core)
+    worst, norm = float(np.max(np.abs(res))), float(np.max(np.abs(center)))
+    return ResidualReport(sol.sid.value, _grid_text(x_range, n_points, times),
+                          worst, worst / max(norm, 1.0))
 
 
 def kg_residual(model: ModelSpec, sol: AnalyticSolution,
@@ -173,17 +205,7 @@ def kg_residual(model: ModelSpec, sol: AnalyticSolution,
     """Residual of d2_t(phi) - d2_x(phi) + N(phi) at interior grid points."""
     if model.family.is_nls:
         raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
-    x, h = _grid(x_range, n_points)
-    if sol.travelling:
-        times = _TIMES
-        fields = [(slab[2], _second(slab, h)[2:-2]) for slab in _slabs(sol, x, times, h)]
-    else:  # a static field is the same at every time
-        times = _TIMES[:1]
-        fields = [(np.asarray(eval_solution(sol, x, times[0]), dtype=complex),
-                   np.zeros(x.size - 4, dtype=complex))]
-    samples = [(phi_tt - _second(_shifts(center), h) + kg_force(model, center[2:-2]), center)
-               for center, phi_tt in fields]
-    return _report(sol, _grid_text(x_range, n_points, times), samples)
+    return _residual(model, sol, x_range, n_points)
 
 
 def nls_residual(model: ModelSpec, sol: AnalyticSolution,
@@ -191,32 +213,35 @@ def nls_residual(model: ModelSpec, sol: AnalyticSolution,
     """Residual of i*d_t(psi) + D*d2_x(psi) - V(|psi|)*psi at interior points."""
     if not model.family.is_nls:
         raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
-    x, h = _grid(x_range, n_points)
-    samples = []
-    for slab in _slabs(sol, x, _TIMES, h):
-        center = slab[2]
-        psi_t = _first(slab, h)[2:-2]
-        psi_xx = _second(_shifts(center), h)
-        core = center[2:-2]
-        v = nls_nonlinear_phase_rate(model, np.abs(core))
-        samples.append((1j * psi_t + model.dispersion * psi_xx - v * core, center))
-    return _report(sol, _grid_text(x_range, n_points, _TIMES), samples)
+    return _residual(model, sol, x_range, n_points)
 
 
 def residual_for(sol: AnalyticSolution, n_points: int = _TOLERANCE_GRID) -> ResidualReport:
-    """Dispatch to the KG or NLS residual on the entry's curated window."""
+    """The KG or NLS residual on the entry's curated window."""
+    return _residual(model_for(sol), sol, sol.window, n_points)
+
+
+def _nested_residuals(sol: AnalyticSolution) -> list[ResidualReport]:
+    """The residual on each ratio grid, then on the tolerance grid.  Each
+    ratio grid is every k-th point of the tolerance grid, bit for bit, so a
+    profile that does not travel is evaluated once, on the tolerance grid,
+    and each grid takes its points of it and forms its own phase factors."""
     model = model_for(sol)
-    residual = nls_residual if model.family.is_nls else kg_residual
-    return residual(model, sol, sol.window, n_points)
+    profile = None
+    if not sol.travelling:
+        x, _ = _grid(sol.window, _TOLERANCE_GRID)
+        profile = eval_profile(sol, x[None, :])
+    reports = []
+    for n in (*_RATIO_GRIDS, _TOLERANCE_GRID):
+        part = None if profile is None else profile[:, ::(_TOLERANCE_GRID - 1) // (n - 1)]
+        reports.append(_residual(model, sol, sol.window, n, part))
+    return reports
 
 
 def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE) -> ConvergenceReport:
     """Tolerance check on the fine grid plus the grid-doubling ratio check."""
     require_positive("tolerance", tolerance)
-    sol = make_solution(sid)
-    coarse = residual_for(sol, n_points=_RATIO_GRIDS[0])
-    fine = residual_for(sol, n_points=_RATIO_GRIDS[1])
-    tol_rep = residual_for(sol)
+    coarse, fine, tol_rep = _nested_residuals(make_solution(sid))
 
     at_floor = (coarse.relative_residual <= FLOOR_RESIDUAL
                 and fine.relative_residual <= FLOOR_RESIDUAL)

@@ -16,7 +16,7 @@ import numpy
 import pytest
 import scipy
 
-from svealab import analysis, cli, solutions, verify
+from svealab import analysis, cli, solutions, specfn, verify
 from svealab.analysis import (DEFAULT_MIN_SEPARATION, WINDOW_FRACTION, ScanTemplate,
                               count_structures, detection_threshold, oscillation_metric,
                               peak_count_series, peak_table, scan_stability,
@@ -771,6 +771,21 @@ class TestConfigSchema:
         manifest = (outdir / "run-case1" / "manifest.txt").read_text()
         assert not [key for key in dropped if f"\n{key} = " in manifest]
 
+    @pytest.mark.parametrize("name, length, code", [
+        ("dw_nls_tanh", 20.0, EXIT_USAGE), ("cubic_nls_dc", 20.0, EXIT_USAGE),
+        ("dw_nls_dc", 20.0, EXIT_USAGE), ("cubic_nls_sn", 20.0, EXIT_USAGE),
+        ("cubic_nls_sn", 8.0 * float(scipy.special.ellipk(0.6)), EXIT_OK),
+        ("cubic_kg_sn", 20.0, EXIT_OK)])
+    def test_catalog_initial_needs_a_whole_number_of_periods(self, outdir, tmp_path, capsys,
+                                                             name, length, code):
+        ini = tmp_path / "catalog.ini"
+        ini.write_text("[model]\nfamily = cubic_nls\n[grid]\nn = 128\n"
+                       f"length = {length!r}\n[run]\ninitial = catalog\ncatalog_id = {name}\n"
+                       "dt = 0.002\nt_final = 0.1\nsnapshot_stride = 10\n")
+        assert main(["run", "--config", str(ini)]) == code
+        if code == EXIT_USAGE:
+            assert f"bad [run] catalog_id {name!r}" in capsys.readouterr().err
+
     def test_config_key_the_initial_does_not_read_is_usage_error(self, outdir, tmp_path,
                                                                  capsys):
         ini = tmp_path / "initial.ini"
@@ -937,27 +952,38 @@ class TestCatalogBytes:
 
 
 class TestCatalogCost:
-    """verify-all and map-all evaluate each profile once per grid."""
+    """verify-all and map-all evaluate each profile once per entry: the 20
+    entries that do not travel on their tolerance grid only, SG_KINK once per
+    grid, and each mapping row once per side."""
 
     def test_elliptic_and_eval_calls_per_pass(self, outdir, monkeypatch):
         calls = collections.Counter()
 
-        def counted(module, name):
+        def counted(module, name, points=False):
             original = getattr(module, name)
 
             def call(*args, **kwargs):
                 calls[name] += 1
+                if points:
+                    calls[name + " points"] += numpy.size(args[0])
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, call)
 
         counted(solutions, "jacobi_elliptic")
         counted(solutions, "jacobi_dc")
+        counted(specfn._sp, "ellipj", points=True)
+        counted(verify, "eval_profile")
         counted(verify, "eval_solution")
         assert main(["verify", "--preset", "verify-all"]) == EXIT_OK
         assert main(["map-check", "--preset", "map-all"]) == EXIT_OK
-        # one evaluation per time sample instead: 94 elliptic and 132 eval calls
-        assert calls["jacobi_elliptic"] + calls["jacobi_dc"] == 59
-        assert calls["eval_solution"] == 81
+        # one evaluation per time sample: 94 elliptic calls and 132 evaluations;
+        # one per grid: 59 elliptic calls of 52,509 points and 81 evaluations
+        assert calls["jacobi_elliptic"] + calls["jacobi_dc"] == 29
+        assert calls["ellipj"] == 29
+        assert calls["ellipj points"] == 15 * 2001 + 14 * 801 == 41_229
+        # 20 tolerance grids, SG_KINK's 3 grids and 9 envelope rows; 9 static rows
+        assert calls["eval_profile"] == 32
+        assert calls["eval_solution"] == 9
 
 
 class TestScanBytes:

@@ -6,12 +6,14 @@ config per command, through cli.main in process; so are the keys and the flag
 in UNREAD, which no command reads and each of which must exit 2.  A
 hypothesis test then sets two or three keys of run or scan at once, and
 another draws in-range values for every key of every command, which must run:
-exit 0 or 1 for the checks, 0 or 3 for run and scan.  Exit 2 must print
+exit 0 or 1 for the checks, 0 or 3 for run and scan (a catalog run's grid
+holds a whole number of the entry's x-periods).  Exit 2 must print
 "error:" and leave no output directory behind; exit 3 must print "diverged:".
 A RuntimeWarning escaping main fails the case too (pytest turns it into an
 error).
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
                          EXIT_USAGE, INITIAL_KEYS, SECTION_KEYS, main)
 from svealab.models import Family
-from svealab.solutions import catalog_ids
+from svealab.solutions import catalog_ids, make_solution, model_for, _x_period
 
 POOL = ("nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "", "abc", "1,,2")
 
@@ -171,6 +173,11 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
                    id=f"{initial}-psi0-{psi0}")
       for initial in ("sech", "uniform", "supergaussian")
       for psi0 in ("0", "1e-320", "1e-170", "1e154", "1e308")],
+    # an envelope entry the base grid (length 20) cannot hold: one with no
+    # x-period, and CUBIC_NLS_SN, whose period 4K(0.6) = 7.798 does not divide 20
+    *[pytest.param({"run": {"initial": "catalog", "catalog_id": name}}, "catalog_id",
+                   id=f"catalog-{name}")
+      for name in ("dw_nls_tanh", "cubic_nls_dc", "dw_nls_dc", "cubic_nls_sn")],
     # a shape key the chosen initial does not read, which used to go unread
     *[pytest.param({"run": {"initial": initial, key: value, **extra}}, key,
                    id=f"{initial}-{key}")
@@ -219,6 +226,18 @@ _NLS = [family for family in Family if family.is_nls]
 _DC_ENTRIES = {sid.value for sid in catalog_ids() if sid.value.endswith("_DC")}
 
 
+def _period(sid):
+    """The entry's x-period, which a catalog run's grid must hold a whole
+    number of; None for a static KG field, which is not checked."""
+    sol = make_solution(sid)
+    return _x_period(sol) if model_for(sol).family.is_nls else None
+
+
+# Entries with no period are refused (found_pair cases), so none is drawn here.
+_PERIODS = {sid.value: period for sid in catalog_ids()
+            if (period := _period(sid)) is None or math.isfinite(period)}
+
+
 def _number(lo, hi):
     return st.floats(lo, hi).map(repr)
 
@@ -251,7 +270,7 @@ _SHAPE_KEYS = {"sech": {"psi0": _PSI0, "alpha": _optional(_number(0.2, 3.0))},
                "supergaussian": {"psi0": _PSI0, "width": _optional(_number(0.5, 10.0)),
                                  "order": _optional(st.integers(1, 40).map(str))},
                "uniform": {"psi0": _PSI0},
-               "catalog": {"catalog_id": st.sampled_from([sid.value for sid in catalog_ids()])}}
+               "catalog": {"catalog_id": st.sampled_from(sorted(_PERIODS))}}
 
 
 @st.composite
@@ -265,10 +284,14 @@ def _in_range(draw):
         run = {"initial": initial,
                **{key: draw(value) for key, value in _SHAPE_KEYS[initial].items()},
                **draw(_horizon())}
+        period = _PERIODS.get(run.get("catalog_id"))
+        if period:  # a whole number of the entry's periods, up to about 80
+            length = repr(draw(st.integers(1, max(1, round(80.0 / period)))) * period)
+        else:
+            length = draw(_number(5.0, 80.0))
         settings = {
             "model": draw(_model(draw(st.sampled_from(_NLS)))),
-            "grid": {"n": str(draw(st.sampled_from([16, 32, 64, 128]))),
-                     "length": draw(_number(5.0, 80.0))},
+            "grid": {"n": str(draw(st.sampled_from([16, 32, 64, 128]))), "length": length},
             "run": run,
             "analysis": {"threshold_fraction": draw(_optional(_number(0.01, 0.99))),
                          "min_separation": draw(_optional(_number(0.1, 10.0)))}}

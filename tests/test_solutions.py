@@ -1,13 +1,16 @@
 """Closed-form catalog: construction, evaluation, constraints, quench table."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ellipk
 
 from svealab.errors import ConstraintError, DomainError
 from svealab.models import Family, nls_nonlinear_phase_rate
-from svealab.solutions import (SolutionId, catalog_ids, eval_solution,
+from svealab.solutions import (SolutionId, catalog_ids, eval_profile, eval_solution,
                                instantiate_pair, make_solution, mapping_table, model_for,
-                               phase_rate)
+                               phase_factor, phase_rate, require_whole_periods, _x_period)
 
 from oracles import K_VALUES
 
@@ -145,3 +148,52 @@ def test_uniform_phase_rate_matches_model_term():
     assert phase_rate(sol) == pytest.approx(
         -nls_nonlinear_phase_rate(model, amp), rel=1e-13)
 
+
+
+def test_solution_is_profile_times_phase_factor():
+    x, t = np.linspace(-2.0, 2.0, 9)[None, :], np.array([[0.0], [0.3], [1.7]])
+    for sid in catalog_ids():
+        sol = make_solution(sid)
+        product = np.asarray(eval_profile(sol, x, t) * phase_factor(sol, t), dtype=complex)
+        assert eval_solution(sol, x, t).tobytes() == product.tobytes(), sid
+
+
+class TestPeriods:
+    """Each envelope entry states its x-period once; a periodic grid must hold
+    a whole number of them."""
+
+    ENVELOPE = [sid for sid in catalog_ids() if model_for(make_solution(sid)).family.is_nls]
+    PERIODIC = [sid for sid in ENVELOPE if 0.0 < _x_period(make_solution(sid)) < math.inf]
+
+    def test_period_facts(self):
+        periods = {sid.value: _x_period(make_solution(sid)) for sid in self.ENVELOPE}
+        assert periods["CUBIC_NLS_SN"] == periods["DW_NLS_SN"] == 4.0 * ellipk(0.6)
+        # cn at m = -1/2 through A&S 16.10: mu = 1/3, scaled by 1/sqrt(1 - m)
+        assert periods["CUBIC_NLS_CN"] == pytest.approx(4.0 * ellipk(1.0 / 3.0) / math.sqrt(1.5),
+                                                        rel=1e-15)
+        assert periods["CQ_NLS_SN"] == 8.0 * ellipk(0.3)
+        assert periods["DW_NLS_CONST"] == periods["BESSEL_UNIFORM"] == 0.0
+        assert [name for name, period in periods.items() if math.isinf(period)] == \
+            ["CUBIC_NLS_DC", "DW_NLS_TANH", "DW_NLS_DC"]
+
+    @pytest.mark.parametrize("sid", PERIODIC, ids=lambda sid: sid.value)
+    def test_profile_repeats_after_its_period(self, sid):
+        sol = make_solution(sid)
+        period = _x_period(sol)
+        x = np.linspace(-period, period, 41)
+        assert np.max(np.abs(eval_profile(sol, x + period) - eval_profile(sol, x))) < 1e-12
+        # and not after a half period: the period is not a multiple of a shorter one
+        assert np.max(np.abs(eval_profile(sol, x + period / 2) - eval_profile(sol, x))) > 0.1
+
+    def test_kg_entry_is_not_checked(self):
+        # a static KG field is no envelope initial; its sn profile is off length 20
+        sol = make_solution(SolutionId.CUBIC_KG_SN)
+        require_whole_periods(sol, 20.0)
+
+    @pytest.mark.parametrize("whole", [1, 2, 5])
+    def test_whole_number_of_periods_is_held(self, whole):
+        sol = make_solution(SolutionId.CUBIC_NLS_SN)
+        period = _x_period(sol)
+        require_whole_periods(sol, whole * period * (1.0 + 5e-10))
+        with pytest.raises(DomainError, match=f"nearest {whole * period!r}"):
+            require_whole_periods(sol, whole * period * (1.0 + 2e-9))

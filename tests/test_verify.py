@@ -164,7 +164,54 @@ class TestBatchedEvaluation:
             assert check_mapping(pair, detune=detune).per_time == tuple(per_time)
 
 
-def _nan_field(sol, x, t):
+class TestNestedGrids:
+    """verify_entry evaluates a profile that does not travel once, on the
+    tolerance grid, and takes each ratio grid as every k-th point of it."""
+
+    @pytest.mark.parametrize("sid", catalog_ids(), ids=lambda sid: sid.value)
+    def test_ratio_grids_are_strided_tolerance_grids(self, sid):
+        lo, hi = make_solution(sid).window
+        fine = np.linspace(lo, hi, 2001)
+        for n, stride in ((501, 4), (251, 8)):
+            assert fine[::stride].tobytes() == np.linspace(lo, hi, n).tobytes(), n
+
+    @pytest.mark.parametrize("sid", catalog_ids(), ids=lambda sid: sid.value)
+    def test_every_field_is_the_closed_form_on_a_fresh_grid(self, monkeypatch, sid):
+        built = []
+        rows_of = verify._rows
+
+        def spy(sol, x, times, profile=None):
+            rows = rows_of(sol, x, times, profile)
+            built.append((x.size, np.reshape(np.asarray(times, dtype=float), (-1, 1)), rows))
+            return rows
+
+        monkeypatch.setattr(verify, "_rows", spy)
+        sol = make_solution(sid)
+        verify_entry(sid)
+        assert sorted(n for n, _, _ in built) == [251, 501, 2001]
+        lo, hi = sol.window
+        for n, t, rows in built:
+            oracle = np.asarray(eval_solution(sol, np.linspace(lo, hi, n)[None, :], t),
+                                dtype=complex)
+            assert rows.shape == oracle.shape, n
+            assert np.array_equal(rows.view(np.int64), oracle.view(np.int64)), n
+
+    def test_each_residual_is_the_per_time_residual(self):
+        # the stencils run once over every time sample; row by row they must
+        # give the same worst value as each time alone
+        for sid in (SolutionId.CUBIC_NLS_SN, SolutionId.SG_KINK, SolutionId.BESSEL_UNIFORM):
+            sol = make_solution(sid)
+            model = model_for(sol)
+            whole = verify._residual(model, sol, sol.window, 251)
+            with pytest.MonkeyPatch.context() as mp:
+                per_time = []
+                for t0 in verify._TIMES:
+                    mp.setattr(verify, "_TIMES", (t0,))
+                    per_time.append(verify._residual(model, sol, sol.window, 251))
+            assert whole.max_abs_residual == max(r.max_abs_residual for r in per_time), sid
+
+
+def _nan_field(sol, x, t=0.0):
     return np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), complex(math.nan, 0.0))
 
 
@@ -172,10 +219,10 @@ def _residuals(monkeypatch, coarse, fine, tolerance_grid):
     """Make verify_entry read these relative residuals on its three grids."""
     relative = {251: coarse, 501: fine, 2001: tolerance_grid}
 
-    def residual(sol, n_points=2001):
+    def residual(model, sol, x_range, n_points, profile=None):
         return ResidualReport(sol.sid.value, "grid", relative[n_points], relative[n_points])
 
-    monkeypatch.setattr(verify, "residual_for", residual)
+    monkeypatch.setattr(verify, "_residual", residual)
 
 
 class TestNonFiniteVerdicts:
@@ -189,7 +236,7 @@ class TestNonFiniteVerdicts:
         assert mapping_report([c]).splitlines()[-1] == f"0/1 mapping rows within {MAPPING_TOLERANCE:g}"
 
     def test_nan_field_fails_every_kg_entry(self, monkeypatch):
-        monkeypatch.setattr(verify, "eval_solution", _nan_field)
+        monkeypatch.setattr(verify, "eval_profile", _nan_field)
         kg = [sid for sid in catalog_ids() if not model_for(make_solution(sid)).family.is_nls]
         assert len(kg) == 11
         for sid in kg:
@@ -198,7 +245,7 @@ class TestNonFiniteVerdicts:
             assert math.isnan(rep.tolerance_report.relative_residual), sid
 
     def test_nan_residual_has_no_doubling_ratio(self, monkeypatch):
-        monkeypatch.setattr(verify, "eval_solution", _nan_field)
+        monkeypatch.setattr(verify, "eval_profile", _nan_field)
         rep = verify_entry(SolutionId.CUBIC_KG_SN)
         assert math.isnan(rep.ratio) and math.isnan(rep.order)
         assert rep.note == "doubling ratio nan (order nan)"
@@ -242,7 +289,8 @@ class TestNonFiniteVerdicts:
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, monkeypatch, tolerance):
-        monkeypatch.setattr(verify, "eval_solution", None)  # a call would fail
+        monkeypatch.setattr(verify, "eval_profile", None)  # a call would fail
+        monkeypatch.setattr(verify, "eval_solution", None)
         with pytest.raises(DomainError, match="tolerance"):
             verify_entry(SolutionId.CUBIC_KG_SN, tolerance=tolerance)
         with pytest.raises(DomainError, match="tolerance"):
