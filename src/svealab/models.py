@@ -76,8 +76,10 @@ def _unbounded(model: "ModelSpec") -> float:
 
 
 class FamilyLaw(NamedTuple):
-    """One family's equation: term is N(model, phi) for a field family, V(model,
-    amp, lo) with lo = min(amp) for an envelope one; rate_bound is sup|V|."""
+    """One family's equation: term is N(model, phi) for a field family; for an
+    envelope one, term(model) binds the model's constants into rate(amp, out),
+    which writes V(amp) into out and returns it.  amp must be real, finite and
+    >= 0, out a float array of its shape.  rate_bound is sup|V|."""
 
     envelope: bool
     couplings: tuple[str, ...]  # ModelSpec fields read beyond lam
@@ -151,17 +153,44 @@ class ModelSpec:
         return cls(family, **values)
 
 
-def _bessel_rate(amp: np.ndarray, lo: float) -> np.ndarray:
-    # J1(z)/z.  When some z is under the cutover (lo = min z), those entries,
-    # including any 0/0 at z = 0, are overwritten by the series.
-    if lo >= BESSEL_RATE_CUTOVER:
-        return _sp.j1(amp) / amp
-    with np.errstate(invalid="ignore"):
-        out = np.asarray(_sp.j1(amp) / amp)  # a 0-d input divides to a scalar
-    small = amp < BESSEL_RATE_CUTOVER
-    z = amp[small]
-    out[small] = 0.5 - z * z / 16.0
-    return out
+def _cubic_rate(m: ModelSpec) -> Callable:
+    c = m.lam / m.omega
+    return lambda amp, out: np.multiply(c, np.square(amp, out=out), out=out)
+
+
+def _double_well_rate(m: ModelSpec) -> Callable:
+    c, shift = m.lam / m.omega, m.mass**2 / m.lam
+    return lambda amp, out: np.multiply(
+        c, np.subtract(np.square(amp, out=out), shift, out=out), out=out)
+
+
+def _cubic_quintic_rate(m: ModelSpec) -> Callable:
+    lam, quadratic = m.lam, -m.sigma
+
+    def rate(amp, out):
+        # lambda*|psi|**4 in place; the sigma term is the one temporary
+        np.multiply(lam, np.power(amp, 4, out=out), out=out)
+        return np.add(quadratic * np.square(amp), out, out=out)
+    return rate
+
+
+def _bessel_rate(m: ModelSpec) -> Callable:
+    c = m.lam**2 / m.omega
+
+    def rate(amp, out):
+        # J1(z)/z.  When some z is under the cutover, those entries, including
+        # any 0/0 at z = 0, are overwritten by the series.
+        _sp.j1(amp, out=out)
+        if amp.min(initial=math.inf) >= BESSEL_RATE_CUTOVER:
+            np.divide(out, amp, out=out)
+        else:
+            with np.errstate(invalid="ignore"):
+                np.divide(out, amp, out=out)
+            small = amp < BESSEL_RATE_CUTOVER
+            z = amp[small]
+            out[small] = 0.5 - z * z / 16.0
+        return np.multiply(c, out, out=out)
+    return rate
 
 
 _LAWS: dict[Family, FamilyLaw] = {
@@ -173,17 +202,13 @@ _LAWS: dict[Family, FamilyLaw] = {
                                        lambda m, phi: -m.sigma * phi**3 + m.lam * phi**5),
     Family.SINE_GORDON_KG: FamilyLaw(False, (), lambda m: 1.0,
                                      lambda m, phi: m.lam**2 * np.sin(phi)),
-    Family.CUBIC_NLS: FamilyLaw(True, ("omega",), lambda m: 1.0 / m.omega,
-                                lambda m, a, lo: (m.lam / m.omega) * a**2),
-    Family.DOUBLE_WELL_NLS: FamilyLaw(
-        True, ("mass", "omega"), lambda m: 1.0 / m.omega,
-        lambda m, a, lo: (m.lam / m.omega) * (a**2 - m.mass**2 / m.lam)),
-    Family.CUBIC_QUINTIC_NLS: FamilyLaw(True, ("sigma",), lambda m: 1.0,
-                                        lambda m, a, lo: -m.sigma * a**2 + m.lam * a**4),
-    Family.BESSEL_NLS: FamilyLaw(
-        True, ("omega",), lambda m: 1.0 / (2.0 * m.omega),
-        lambda m, a, lo: (m.lam**2 / m.omega) * _bessel_rate(a, lo),
-        rate_bound=lambda m: abs(m.lam**2 / m.omega) / 2.0),
+    Family.CUBIC_NLS: FamilyLaw(True, ("omega",), lambda m: 1.0 / m.omega, _cubic_rate),
+    Family.DOUBLE_WELL_NLS: FamilyLaw(True, ("mass", "omega"), lambda m: 1.0 / m.omega,
+                                      _double_well_rate),
+    Family.CUBIC_QUINTIC_NLS: FamilyLaw(True, ("sigma",), lambda m: 1.0, _cubic_quintic_rate),
+    Family.BESSEL_NLS: FamilyLaw(True, ("omega",), lambda m: 1.0 / (2.0 * m.omega),
+                                 _bessel_rate,
+                                 rate_bound=lambda m: abs(m.lam**2 / m.omega) / 2.0),
 }
 
 
@@ -205,7 +230,6 @@ def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLik
     Vectorized over amplitude; amplitudes must be real and >= 0.
     """
     amp = np.asarray(amplitude, dtype=float)
-    scalar = amp.ndim == 0
     lo, hi = amp.min(initial=math.inf), amp.max(initial=0.0)
     if not (lo >= 0.0 and hi < math.inf):  # NaN fails both comparisons
         raise DomainError(f"amplitude must be {'>= 0' if np.all(np.isfinite(amp)) else 'finite'}")
@@ -213,6 +237,6 @@ def nls_nonlinear_phase_rate(model: ModelSpec, amplitude: ArrayLike) -> ArrayLik
     if not law.envelope:
         raise FamilyMismatchError(
             f"nls_nonlinear_phase_rate needs an NLS family, got {model.family.value}")
-    out = law.term(model, amp, lo)
-    return float(out) if scalar else out
+    out = law.term(model)(amp, np.empty_like(amp))
+    return float(out) if amp.ndim == 0 else out
 

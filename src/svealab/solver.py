@@ -21,6 +21,9 @@ Given on_snapshot, each snapshot goes to it as it is made, and the trajectory
 keeps only the snapshot times, peak intensities and masses, so a run's memory
 does not grow with its snapshot count.  The initial snapshot goes only once
 the stepper is built, so a run the stepper refuses hands nothing over.
+
+The stepper binds its family's rate once per run; nls_nonlinear_phase_rate is
+the validated public entry point, re-exported here for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -34,7 +37,10 @@ from scipy import fft as _fft
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 from .errors import DivergenceError, DomainError, require_positive
-from .models import ModelSpec, nls_nonlinear_phase_rate
+from .models import ModelSpec
+# Not called here since the stepper binds its family's rate; perfbench/tracing.py
+# wraps this name on this module, so it stays importable from it.
+from .models import nls_nonlinear_phase_rate  # noqa: F401
 from .solutions import AnalyticSolution, eval_solution
 
 __all__ = [
@@ -175,7 +181,8 @@ class _Stepper:
 
     Rows share n but not their grid length, so each row gets its own half-step
     multiplier.  Everything run-constant is settled once: the multipliers, the
-    projection targets, the rate-bound guard decision and the (B, n) buffers.
+    projection targets, the rate-bound guard decision, the family's rate bound
+    to the model, and the (B, n) buffers.
     `rows` holds the input index of each row still stepping and `spectra` its
     live view.  advance(j) retires every row that trips the rotation guard, the
     non-finite check or the unitarity check, each with its own DivergenceError,
@@ -191,7 +198,7 @@ class _Stepper:
             if not 0.0 < target < math.inf:
                 raise DomainError("initial state needs a positive finite mass, "
                                   f"got power {target:g}")
-        self.model, self.dt, self.t0 = model, dt, list(t0)
+        self.dt, self.t0 = dt, list(t0)
         self.rows = list(range(len(v_hat)))
         with np.errstate(over="ignore", invalid="ignore"):
             half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
@@ -200,9 +207,14 @@ class _Stepper:
             raise DomainError(f"the dispersion half step overflows: D={model.dispersion!r} "
                               f"(omega={model.omega!r}) times dt={dt!r} times k**2; "
                               "raise omega or lower dt")
-        self.guard_each_step = not abs(dt) * model.family.law.rate_bound(model) < STABILITY_GUARD
+        law = model.family.law
+        self.guard_each_step = not abs(dt) * law.rate_bound(model) < STABILITY_GUARD
+        # amp = |v| needs no check: it is >= 0, and finite because the power
+        # sum check retires a row the step before it turns non-finite
+        self._rate = law.term(model)
         self._full = (v_hat, half, np.empty(v_hat.shape, complex),
-                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape))
+                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape),
+                      np.empty(v_hat.shape))
         self._live(len(self.rows))
 
     def _live(self, m: int) -> None:
@@ -211,10 +223,10 @@ class _Stepper:
 
     def advance(self, j: int) -> Sequence[tuple[int, DivergenceError]]:
         """Step j of every live row; returns the (row, error) pairs it retired."""
-        v_hat, half, work, rot, amp = self._views
+        v_hat, half, work, rot, amp, rate = self._views
         np.multiply(half, v_hat, out=work)
         v = _transform(work, False, work)
-        rate = nls_nonlinear_phase_rate(self.model, np.abs(v, out=amp))
+        self._rate(np.abs(v, out=amp), rate)
         bad = {}  # row -> message, {t} standing for its time
         if self.guard_each_step:
             peak = abs(self.dt) * np.max(np.abs(rate), axis=-1)

@@ -10,7 +10,9 @@ live route that shares no code with the implementation under test.
 reference_propagate is the textbook Strang step the solver's in-place
 stepper must reproduce bit for bit: every product allocates, the guard
 dt*max|V| and the finite check run on every step.  reference_bessel_rate is
-the masked J1(z)/z form the rate's fast path must reproduce.
+the masked J1(z)/z form the rate's fast path must reproduce, and
+reference_phase_rate each envelope family's V as the allocating textbook
+expression the in-place rates must reproduce.
 """
 
 import math
@@ -21,7 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import j1
 
 from svealab.errors import DivergenceError
-from svealab.models import BESSEL_RATE_CUTOVER, nls_nonlinear_phase_rate
+from svealab.models import BESSEL_RATE_CUTOVER, Family, nls_nonlinear_phase_rate
 from svealab.solver import (STABILITY_GUARD, UNITARITY_GUARD, FieldState, Trajectory,
                             peak_intensity)
 
@@ -82,6 +84,17 @@ def reference_bessel_rate(amp):
     safe = np.where(small, 1.0, amp)
     z2 = amp * amp
     return np.where(small, 0.5 - z2 / 16.0 + z2 * z2 / 384.0, j1(safe) / safe)
+
+
+def reference_phase_rate(model, amp):
+    """V(amp) of an envelope family, one allocating expression per law."""
+    m, a = model, amp
+    return {
+        Family.CUBIC_NLS: lambda: (m.lam / m.omega) * a**2,
+        Family.DOUBLE_WELL_NLS: lambda: (m.lam / m.omega) * (a**2 - m.mass**2 / m.lam),
+        Family.CUBIC_QUINTIC_NLS: lambda: -m.sigma * a**2 + m.lam * a**4,
+        Family.BESSEL_NLS: lambda: (m.lam**2 / m.omega) * reference_bessel_rate(a),
+    }[m.family]()
 
 
 def _reference_step(v_hat, half, model, dt, t, target):

@@ -7,7 +7,7 @@ from svealab.errors import DomainError
 from svealab.models import (BESSEL_RATE_CUTOVER, Family, ModelSpec, kg_force,
                             nls_nonlinear_phase_rate)
 
-from oracles import J1_VALUES, reference_bessel_rate
+from oracles import FIRST_J1_ZERO, J1_VALUES, reference_bessel_rate, reference_phase_rate
 
 
 def test_family_partition():
@@ -178,3 +178,31 @@ class TestPhaseRate:
         assert out.shape == amps.shape
         assert np.all(np.isfinite(out))
 
+
+# 0, subnormals, the smallest normal, either side of the series cutover and
+# of J1's first zero
+_EDGE_AMPLITUDES = np.array([
+    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 5e-5,
+    np.nextafter(BESSEL_RATE_CUTOVER, 0.0), BESSEL_RATE_CUTOVER,
+    np.nextafter(BESSEL_RATE_CUTOVER, 1.0), 2e-4, 1.0,
+    np.nextafter(FIRST_J1_ZERO, 0.0), FIRST_J1_ZERO, np.nextafter(FIRST_J1_ZERO, 5.0),
+    10.0, 14.0])
+
+
+@pytest.mark.parametrize("shape", [(16,), (3, 16)], ids=["(n,)", "(B, n)"])
+@pytest.mark.parametrize("family", [f for f in Family if f.is_nls], ids=lambda f: f.value)
+def test_bound_rate_in_a_reused_buffer_is_the_public_rate_bitwise(family, shape):
+    # the rate the stepper binds once per run, writing into one buffer, against
+    # the validated entry point and the textbook expression; the buffer keeps
+    # each call's output, so a series entry left from the call before shows
+    model = ModelSpec(family, lam=1.3, mass=0.6, sigma=0.5, omega=0.7)
+    rate = family.law.term(model)
+    rng = np.random.default_rng(7)
+    edges = (_EDGE_AMPLITUDES if len(shape) == 1 else
+             np.array([rng.permutation(_EDGE_AMPLITUDES) for _ in range(shape[0])]))
+    direct = np.broadcast_to(np.linspace(2e-4, 14.0, 16), shape).copy()
+    out = np.full(shape, np.nan)
+    for amp in (edges, edges[..., ::-1].copy(), direct, edges):
+        assert rate(amp, out) is out
+        assert out.tobytes() == nls_nonlinear_phase_rate(model, amp).tobytes()
+        assert out.tobytes() == reference_phase_rate(model, amp).tobytes()

@@ -8,9 +8,10 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svealab import models
 from svealab.errors import DivergenceError, DomainError
 from svealab.models import BESSEL_RATE_CUTOVER, Family, ModelSpec, nls_nonlinear_phase_rate
-from svealab.solutions import SolutionId, eval_solution, make_solution, model_for
+from svealab.solutions import SolutionId, _x_period, eval_solution, make_solution, model_for
 from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunConfig,
                             Trajectory, catalog_profile, peak_intensity, propagate,
                             propagate_batch, sech_profile, supergaussian_profile,
@@ -20,6 +21,29 @@ from oracles import K_VALUES, reference_propagate
 
 CUBIC = ModelSpec(Family.CUBIC_NLS, lam=1.0, omega=1.0)
 BESSEL = ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0)
+
+
+def _spy_on_bessel_rate(monkeypatch, poison=None):
+    """Swap in a Bessel law whose term records each model it binds and each
+    call of the rate it returns; poison(rate, call), if given, then edits the
+    rate just written.  Returns the bound models and the calls."""
+    law = Family.BESSEL_NLS.law
+    binds, calls = [], []
+
+    def term(model):
+        binds.append(model)
+        bound = law.term(model)
+
+        def rate(amp, out):
+            calls.append(None)
+            bound(amp, out)
+            if poison is not None:
+                poison(out, len(calls))
+            return out
+        return rate
+
+    monkeypatch.setitem(models._LAWS, Family.BESSEL_NLS, law._replace(term=term))
+    return binds, calls
 
 
 class TestGrid:
@@ -208,19 +232,28 @@ class TestPropagation:
         drift = np.max(np.abs(np.abs(traj.final.values) - np.abs(st.values)))
         assert drift < 1e-5
 
-    def test_cubic_quintic_entry_follows_its_closed_form(self):
-        # the signed root is smooth across the radicand's zeros, so the run
-        # converges to the closed form at second order; the principal root's
-        # kinks left an O(1) error by t = 4
-        sol = make_solution(SolutionId.CQ_NLS_SN)
-        g = Grid1D(128, 16.0 * K_VALUES[0.3])  # two periods of 8K
+    @pytest.mark.parametrize("sid", [
+        SolutionId.CUBIC_NLS_SN, SolutionId.CUBIC_NLS_CN, SolutionId.DW_NLS_SN,
+        SolutionId.DW_NLS_CN, SolutionId.CQ_NLS_SN, SolutionId.DW_NLS_CONST,
+        SolutionId.BESSEL_UNIFORM], ids=lambda sid: sid.value)
+    def test_periodic_envelope_entry_follows_its_closed_form(self, sid):
+        # every envelope law, run under its own model on two x-periods, tracks
+        # the closed form at second order (CQ_NLS_SN: the signed root is
+        # smooth across the radicand's zeros; the principal root's kinks left
+        # an O(1) error by t = 4); a uniform entry only rotates its phase
+        sol = make_solution(sid)
+        period = _x_period(sol)
+        g = Grid1D(128, 2.0 * period if period else 20.0)  # 0.0: any length holds it
         st = catalog_profile(g, sol)
         exact = eval_solution(sol, g.x, 4.0)
         errs = [np.max(np.abs(propagate(st, RunConfig(model_for(sol), dt=dt, t_final=4.0,
                                                       snapshot_stride=4000)).final.values
                               - exact)) for dt in (2e-3, 1e-3)]
-        assert errs[1] <= 2.6e-6
-        assert math.log2(errs[0] / errs[1]) >= 1.8
+        if period == 0.0:
+            assert max(errs) <= 1e-12
+        else:
+            assert errs[1] <= 2.6e-6
+            assert math.log2(errs[0] / errs[1]) >= 1.8
 
     def test_second_order_in_dt(self):
         g = Grid1D(512, 40.0)
@@ -308,16 +341,11 @@ class TestDivergenceGuard:
         # An infinite rate on the third step poisons the field with NaN; the
         # Bessel bound has switched the rotation guard off, so only the
         # projection's power sum can see it.
-        calls = []
-
-        def poisoned(model, amp):
-            calls.append(None)
-            rate = nls_nonlinear_phase_rate(model, amp)
-            if len(calls) == 3:
+        def poison(rate, call):
+            if call == 3:
                 rate[0] = np.inf
-            return rate
 
-        monkeypatch.setattr("svealab.solver.nls_nonlinear_phase_rate", poisoned)
+        _spy_on_bessel_rate(monkeypatch, poison)
         with pytest.raises(DivergenceError, match="non-finite") as err, \
                 np.errstate(invalid="ignore"):
             propagate(sech_profile(Grid1D(64, 20.0), 1.0),
@@ -427,18 +455,14 @@ class TestDirectTransform:
         assert _transform(spectrum, False).tobytes() == scipy.fft.ifft(spectrum).tobytes()
 
 
-def test_each_step_looks_up_the_rate_once(monkeypatch):
-    # perfbench's tracer and the divergence tests wrap this module-level name
-    calls = []
-
-    def counted(model, amp):
-        calls.append(None)
-        return nls_nonlinear_phase_rate(model, amp)
-
-    monkeypatch.setattr("svealab.solver.nls_nonlinear_phase_rate", counted)
+def test_rate_is_bound_once_per_run_and_called_once_per_step(monkeypatch):
+    # the stepper binds its family's rate when it is built and never calls
+    # nls_nonlinear_phase_rate, the name perfbench's tracer wraps
+    binds, calls = _spy_on_bessel_rate(monkeypatch)
     cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.025, snapshot_stride=10)
     assert cfg.n_steps == 25
     propagate(sech_profile(_G, 2.0), cfg)
+    assert binds == [BESSEL]
     assert len(calls) == 25
 
 
@@ -552,18 +576,13 @@ class TestBatchedPropagation:
     def test_non_finite_row_is_retired_alone(self, monkeypatch):
         # row 1's rate turns infinite on the third step; the Bessel bound has
         # switched the rotation guard off, so only its power sum sees it
-        calls = []
-
-        def poisoned(model, amp):
-            calls.append(None)
-            rate = nls_nonlinear_phase_rate(model, amp)
-            if len(calls) == 3:
+        def poison(rate, call):
+            if call == 3:
                 rate[1, 0] = np.inf
-            return rate
 
         cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.01, snapshot_stride=4)
         initials = [sech_profile(_G, psi0) for psi0 in (1.0, 2.0, 3.0)]
-        monkeypatch.setattr("svealab.solver.nls_nonlinear_phase_rate", poisoned)
+        _spy_on_bessel_rate(monkeypatch, poison)
         with np.errstate(invalid="ignore"):
             first, bad, last = propagate_batch(initials, cfg)
         assert isinstance(bad, DivergenceError) and "non-finite" in str(bad)
