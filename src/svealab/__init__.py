@@ -17,8 +17,7 @@ from .solutions import (AnalyticSolution, MappingPair, SolutionId, catalog_ids,
                         mapping_table, model_for, phase_rate)
 from .solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate,
                      sech_profile, supergaussian_profile, uniform_profile)
-from .verify import (check_all_mappings, check_mapping, kg_residual,
-                     nls_residual, residual_for, verify_catalog, verify_entry)
+from .verify import check_all_mappings, check_mapping, verify_catalog, verify_entry
 from .analysis import (Peak, PeakTable, ScanTemplate, StabilityPoint, count_structures,
                        find_peaks, oscillation_metric, peak_table, scan_stability,
                        stable_line_prediction, track_structures)

@@ -20,17 +20,7 @@ require_positive = range_rule(lambda v: 0.0 < v < math.inf, "finite and > 0")  #
 
 
 class PoleError(ValueError):
-    """Evaluation requested too close to a pole of dc = dn/cn.
-
-    Attributes:
-        location: argument u at the offending point.
-        distance: distance from u to the nearest pole.
-    """
-
-    def __init__(self, message: str, location: float, distance: float):
-        super().__init__(message)
-        self.location = location
-        self.distance = distance
+    """Evaluation requested too close to a pole of dc = dn/cn; the message names u."""
 
 
 class FamilyMismatchError(ValueError):

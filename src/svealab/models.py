@@ -111,10 +111,16 @@ class ModelSpec:
             if not math.isfinite(value):
                 raise DomainError(f"{key} must be finite, got {value!r}")
         law = self.family.law
-        try:  # the Bessel law squares lambda in floats
+        try:  # binding squares lambda (Bessel) or mass and divides by lambda (double well)
             bound = law.rate_bound(self)
+            if law.envelope:
+                law.term(self)
         except OverflowError as err:
-            raise DomainError(f"lambda={self.lam!r} is too large: lambda**2 overflows") from err
+            key, value = ("mass", self.mass) if "mass" in law.couplings else ("lambda", self.lam)
+            raise DomainError(f"{key}={value!r} is too large: {key}**2 overflows") from err
+        except ZeroDivisionError as err:
+            raise DomainError(f"lambda must be nonzero for {self.family.value}, "
+                              f"got {self.lam!r}") from err
         # 1/omega and lambda**2/omega overflow to inf for a tiny omega
         if not math.isfinite(self.dispersion):
             raise DomainError(f"omega={self.omega!r} is too small: the dispersion "

@@ -7,7 +7,7 @@ check, residual window, profile (amplitude times x-profile) and, for envelope
 entries, phase rate theta and x-period.  An entry evaluates as
 profile * exp(i*theta*t) (eval_profile times phase_factor), with theta = 0
 for static fields.  Evaluation checks no domain beyond each
-entry's constraint (SG_KINK's includes |nu| < 1), since the mapping checks quench
+entry's check (SG_KINK's is |nu| < 1), since the mapping checks quench
 the sn/cn entries at m outside their usual ranges.  The mapping table
 records, for nine KG/envelope pairs, the parameters at which theta vanishes
 and the envelope profile collapses onto the static field solution.
@@ -109,10 +109,9 @@ class _Entry:
     # were recorded on them; the signed root is smooth across its zeros.
     window: tuple[float, float] = (-3.0, 3.0)
     theta: Optional[Callable[[dict], float]] = None  # phase rate; None for static fields
-    # fills derived parameters and says how the stated constraint fails, or None
+    # says how the stated constraint fails, or None
     check: Optional[Callable[[dict], Optional[str]]] = None
     constraint: str = ""
-    optional: tuple[str, ...] = ()  # parameters accepted beyond the defaults
     travelling: bool = False  # profile moves in t beyond the phase factor
     # x-period of an envelope profile: a periodic grid holds the entry when its
     # length is a whole number of periods; 0.0 for a uniform profile (any
@@ -169,14 +168,15 @@ def _cq_root(p, b, m, x):
     root = np.sqrt(np.asarray(3.0 * p["sigma"] / (8.0 * p["lam"]) + b * sn, dtype=complex))
     if m >= 1.0:
         return root
-    k = float(ellipk(m))
+    k = _quarter_period(m)
     return np.where(np.sin(np.pi * (x + k) / (4.0 * k)) < 0.0, -root, root)
 
 
 def _sg_kink(p, x, t):
     x, t = np.asarray(x, dtype=float), np.asarray(t, dtype=float)
     # arctan saturates; the cap avoids exp overflow
-    arg = np.minimum(p["lam"] * p["gamma"] * (x - p["nu"] * t) + p["delta"], 500.0)
+    gamma = 1.0 / math.sqrt(1.0 - p["nu"] ** 2)
+    arg = np.minimum(p["lam"] * gamma * (x - p["nu"] * t) + p["delta"], 500.0)
     return 4.0 * np.arctan(np.exp(arg))
 
 
@@ -191,12 +191,9 @@ def _balance(lhs: float, rhs: float) -> Optional[str]:
     return f"got {lhs} vs {rhs}" if off else None
 
 
-def _sg_kink_check(p: dict) -> Optional[str]:
+def _sg_kink_check(p: dict) -> None:
     if not abs(p["nu"]) < 1.0:
         raise DomainError(f"SG_KINK needs |nu| < 1, got {p['nu']}")
-    p.setdefault("gamma", 1.0 / math.sqrt(1.0 - p["nu"] ** 2))
-    err = abs(p["gamma"] ** 2 * (1.0 - p["nu"] ** 2) - 1.0)
-    return f"off by {err:.3e}" if err > _CONSTRAINT_RTOL else None
 
 
 def _bessel_check(p: dict) -> None:
@@ -351,13 +348,11 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.SG_KINK: _Entry(
         Family.SINE_GORDON_KG,
-        "phi = 4*arctan(exp(lambda*gamma*(x - nu*t) + delta))",
+        "phi = 4*arctan(exp(lambda*gamma*(x - nu*t) + delta)), gamma = 1/sqrt(1 - nu**2)",
         {"lam": 1.0, "nu": 0.5, "delta": 0.0},
         window=(-5.0, 5.0),
         profile=_sg_kink,
         check=_sg_kink_check,
-        constraint="gamma**2*(1 - nu**2) = 1",
-        optional=("gamma",),
         travelling=True,
     ),
     SolutionId.SG_IMAG: _Entry(
@@ -390,7 +385,7 @@ def make_solution(sid: SolutionId, **overrides) -> AnalyticSolution:
     entry = _CATALOG[sid]
     params = dict(entry.defaults)
     for key, val in overrides.items():
-        if key not in entry.defaults and key not in entry.optional:
+        if key not in entry.defaults:
             raise DomainError(f"{sid.value} has no parameter {key!r}")
         params[key] = float(val)
     for key, val in params.items():

@@ -84,42 +84,20 @@ def jacobi_elliptic(u: ArrayLike, m: float) -> EllipticTriple:
     return EllipticTriple(s, c, d)
 
 
-def _nearest_cn_zero(u: float, m: float) -> float:
-    """Location of the real zero of cn(.|m) nearest to u, for m < 1 (cn has none for m >= 1)."""
-    # scipy's ellipk takes the parameter m, same slot convention as ellipj.
-    if m >= 0.0:
-        first, scale = float(_sp.ellipk(m)), 1.0
-    else:
-        mu = -m / (1.0 - m)
-        first, scale = float(_sp.ellipk(mu)), 1.0 / math.sqrt(1.0 - m)
-    # zeros at scale*(2j+1)*K
-    spacing = first * scale
-    j = round((u / spacing - 1.0) / 2.0)
-    return spacing * (2 * j + 1)
-
-
 def jacobi_dc(u: ArrayLike, m: float) -> ArrayLike:
     """dc(u|m) = dn/cn, raising PoleError when any point sits on a pole.
 
-    Poles are the zeros of cn; the error carries the offending location and
-    its distance to the nearest pole so grid-based callers can reposition.
+    Poles are the zeros of cn; the error names the first offending u in
+    row-major order.
     """
     trip = jacobi_elliptic(u, m)
     cn = np.asarray(trip.cn, dtype=float)
     if m < 1.0:
         bad = np.abs(cn) < DC_POLE_THRESHOLD
         if np.any(bad):
-            uu = np.asarray(u, dtype=float)
-            idx = int(np.argmax(bad)) if cn.ndim else 0
-            loc = float(uu.ravel()[idx]) if cn.ndim else float(uu)
-            pole = _nearest_cn_zero(loc, m)
-            dist = abs(loc - pole)
-            raise PoleError(
-                f"dc(u|m={m}) evaluated within {DC_POLE_THRESHOLD} of a pole: "
-                f"u = {loc}, nearest pole at {pole} (distance {dist:.3e})",
-                location=loc,
-                distance=dist,
-            )
+            loc = float(np.asarray(u, dtype=float)[bad].flat[0])
+            raise PoleError(f"dc(u|m={m}) evaluated within {DC_POLE_THRESHOLD} of a pole: "
+                            f"u = {loc}")
     return np.asarray(trip.dn) / np.asarray(trip.cn) if cn.ndim else trip.dn / trip.cn
 
 

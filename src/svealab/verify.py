@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, FamilyMismatchError, require_positive
+from .errors import DomainError, require_positive
 from .models import ModelSpec, kg_force, nls_nonlinear_phase_rate
 from .solutions import (
     AnalyticSolution,
@@ -56,9 +56,6 @@ __all__ = [
     "ResidualReport",
     "ConvergenceReport",
     "MappingCheck",
-    "kg_residual",
-    "nls_residual",
-    "residual_for",
     "verify_entry",
     "verify_catalog",
     "verification_report",
@@ -198,27 +195,6 @@ def _residual(model: ModelSpec, sol: AnalyticSolution, x_range: tuple[float, flo
     worst, norm = float(np.max(np.abs(res))), float(np.max(np.abs(center)))
     return ResidualReport(sol.sid.value, _grid_text(x_range, n_points, times),
                           worst, worst / max(norm, 1.0))
-
-
-def kg_residual(model: ModelSpec, sol: AnalyticSolution,
-                x_range: tuple[float, float], n_points: int) -> ResidualReport:
-    """Residual of d2_t(phi) - d2_x(phi) + N(phi) at interior grid points."""
-    if model.family.is_nls:
-        raise FamilyMismatchError(f"kg_residual needs a KG model, got {model.family.value}")
-    return _residual(model, sol, x_range, n_points)
-
-
-def nls_residual(model: ModelSpec, sol: AnalyticSolution,
-                 x_range: tuple[float, float], n_points: int) -> ResidualReport:
-    """Residual of i*d_t(psi) + D*d2_x(psi) - V(|psi|)*psi at interior points."""
-    if not model.family.is_nls:
-        raise FamilyMismatchError(f"nls_residual needs an NLS model, got {model.family.value}")
-    return _residual(model, sol, x_range, n_points)
-
-
-def residual_for(sol: AnalyticSolution, n_points: int = _TOLERANCE_GRID) -> ResidualReport:
-    """The KG or NLS residual on the entry's curated window."""
-    return _residual(model_for(sol), sol, sol.window, n_points)
 
 
 def _nested_residuals(sol: AnalyticSolution) -> list[ResidualReport]:

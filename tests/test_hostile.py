@@ -168,6 +168,11 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
     # D = 5e307 is finite; D*dt*k**2 is not at this grid's largest |k|
     pytest.param({"model": {"omega": "1e-308"}, "grid": {"length": "5.0"}}, "omega",
                  id="omega-length"),
+    # the double-well shift mass**2/lambda divides by lambda and squares mass
+    pytest.param({"model": {"family": "double_well_nls", "lambda": "0"}}, "lambda",
+                 id="double-well-lambda-0"),
+    pytest.param({"model": {"family": "double_well_nls", "mass": "1e200"}}, "mass",
+                 id="double-well-mass-1e200"),
     # each psi0 leaves the base grid's power n*sum|psi|^2 at 0 or at infinity
     *[pytest.param({"run": {"initial": initial, "psi0": psi0}}, "psi0",
                    id=f"{initial}-psi0-{psi0}")

@@ -36,14 +36,15 @@ def test_unknown_parameter_rejected():
     # each +/- family is held by its + branch; there is no sign choice to make
     with pytest.raises(DomainError, match="signs"):
         make_solution(SolutionId.DW_KG_KINK, signs=(1, -1))
+    # SG_KINK derives gamma = 1/sqrt(1 - nu**2); there is no gamma to set
+    with pytest.raises(DomainError, match="gamma"):
+        make_solution(SolutionId.SG_KINK, nu=0.5, gamma=3.0)
 
 
 def test_constraint_violation_rejected():
     # coefficient relations are checked, not silently recomputed
     with pytest.raises(ConstraintError):
         make_solution(SolutionId.CQ_KG_SN, sigma=2.0, lam=1.0)
-    with pytest.raises(ConstraintError):
-        make_solution(SolutionId.SG_KINK, nu=0.5, gamma=3.0)
 
 
 def test_kink_speed_bound_enforced():

@@ -17,8 +17,8 @@ from svealab.solutions import (SolutionId, catalog_ids, eval_solution, instantia
                                make_solution, mapping_table, model_for)
 from svealab.verify import (CONVERGENCE_RATIO_MIN, DEFAULT_TOLERANCE, FLOOR_RESIDUAL,
                             MAPPING_TOLERANCE, ResidualReport, check_all_mappings,
-                            check_mapping, mapping_report, nls_residual,
-                            residual_for, verification_report, verify_catalog, verify_entry)
+                            check_mapping, mapping_report, verification_report,
+                            verify_catalog, verify_entry)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ class TestMappings:
         # static profile must satisfy the dynamic equation as well
         row = [p for p in mapping_table() if p.nls_id is SolutionId.CQ_NLS_SN][0]
         _, nls = instantiate_pair(row)
-        res = nls_residual(model_for(nls), nls, (-1.2, 1.2), 801)
+        res = verify._residual(model_for(nls), nls, (-1.2, 1.2), 801)
         assert res.relative_residual < DEFAULT_TOLERANCE
 
     def test_report_text(self, checks):
@@ -113,8 +113,8 @@ def test_static_residual_flags_wrong_coefficient():
     sol = make_solution(SolutionId.CUBIC_NLS_SN)
     model = model_for(sol)
     wrong = type(model)(model.family, lam=model.lam * 1.5, omega=model.omega)
-    ok = nls_residual(model, sol, (-3.0, 3.0), 801)
-    bad = nls_residual(wrong, sol, (-3.0, 3.0), 801)
+    ok = verify._residual(model, sol, (-3.0, 3.0), 801)
+    bad = verify._residual(wrong, sol, (-3.0, 3.0), 801)
     assert bad.relative_residual > 100.0 * ok.relative_residual
 
 
@@ -124,12 +124,15 @@ class TestGridSizes:
     @pytest.mark.parametrize("n_points", [4, 3, 0, -4])
     def test_residual_needs_the_stencil(self, n_points):
         for sid in (SolutionId.CUBIC_KG_SN, SolutionId.SG_KINK, SolutionId.CUBIC_NLS_SN):
+            sol = make_solution(sid)
             with pytest.raises(DomainError, match="at least 5"):
-                residual_for(make_solution(sid), n_points=n_points)
+                verify._residual(model_for(sol), sol, sol.window, n_points)
 
     def test_smallest_residual_grid_runs(self):
         for sid in (SolutionId.CUBIC_KG_SN, SolutionId.SG_KINK, SolutionId.CUBIC_NLS_SN):
-            assert np.isfinite(residual_for(make_solution(sid), n_points=5).max_abs_residual)
+            sol = make_solution(sid)
+            report = verify._residual(model_for(sol), sol, sol.window, 5)
+            assert np.isfinite(report.max_abs_residual)
 
 
 class TestBatchedEvaluation:
