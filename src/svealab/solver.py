@@ -176,6 +176,13 @@ def _transform(a: np.ndarray, forward: bool, out: np.ndarray | None = None) -> n
 UNITARITY_GUARD = 1e-10
 
 
+def _power_floor(n: int) -> float:
+    """The least power sum|v_hat|^2 = n*sum|psi|^2 a field of n points may
+    start with: n roundings of a subnormal square (2**-1074 each) held to
+    UNITARITY_GUARD.  Below it the sum's rounding alone trips the guard."""
+    return n * 2.0**-1074 / UNITARITY_GUARD
+
+
 class _Stepper:
     """Strang steps of a (B, n) spectrum stack, in place, one transform pair per step.
 
@@ -187,6 +194,7 @@ class _Stepper:
     live view.  advance(j) retires every row that trips the rotation guard, the
     non-finite check or the unitarity check, each with its own DivergenceError,
     and compacts the stack so the other rows keep stepping.
+    Each row must start with a finite power of at least _power_floor(n).
     """
 
     def __init__(self, grids: Sequence[Grid1D], model: ModelSpec, dt: float,
@@ -194,9 +202,11 @@ class _Stepper:
         if not model.family.is_nls:
             raise DomainError(f"solver handles envelope families only, got {model.family.value}")
         self.targets = [float(np.vdot(row, row).real) for row in v_hat]
+        floor = _power_floor(v_hat.shape[-1])
         for target in self.targets:
-            if not 0.0 < target < math.inf:
-                raise DomainError("initial state needs a positive finite mass, "
+            if not floor <= target < math.inf:  # NaN fails too
+                raise DomainError(f"initial state needs a finite mass whose power is at "
+                                  f"least {floor:g} (n*2**-1074/{UNITARITY_GUARD:g}), "
                                   f"got power {target:g}")
         self.dt, self.t0 = dt, list(t0)
         self.rows = list(range(len(v_hat)))
@@ -348,11 +358,14 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
 
 def _amplitude_state(grid: Grid1D, psi0: float, values: np.ndarray) -> FieldState:
     """psi0 times a profile as the state at t = 0.  Its power n*sum|psi|^2 (by
-    Parseval the stepper's) must be finite and > 0, or psi0 is refused."""
+    Parseval the stepper's) must be finite and at least _power_floor(n), or
+    psi0 is refused."""
     power = float(np.vdot(values, values).real) * grid.n
-    if not 0.0 < power < math.inf:  # NaN fails too
+    floor = _power_floor(grid.n)
+    if not floor <= power < math.inf:  # NaN fails too
         raise DomainError(f"amplitude psi0={psi0!r} gives the initial field a power "
-                          f"n*sum|psi|^2 of {power:g}; it must be finite and > 0")
+                          f"n*sum|psi|^2 of {power:g}; it must be finite and at least "
+                          f"{floor:g} (n*2**-1074/{UNITARITY_GUARD:g})")
     return FieldState(grid, values, 0.0)
 
 

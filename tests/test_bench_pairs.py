@@ -1,7 +1,11 @@
-"""tools/bench_pairs.py: the per-metric summary of alternating pairs."""
+"""tools/bench_pairs.py: the export of both sides and the per-metric summary
+of alternating pairs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -66,3 +70,70 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
     assert row["bound_check"] == "unresolved"
     # unless every change run beats every parent run
     assert _row(parent, [0.5] * 6)["bound_check"] == "within"
+
+
+# --- export of both sides ----------------------------------------------------
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com",
+                           *args], cwd=repo, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A committed repository holding a perfbench file, a tracked file and a
+    .gitignore that names the benchmark's outputs."""
+    root = tmp_path / "repo"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("print('v1')\n")
+    (root / "notes.txt").write_text("parent\n")
+    (root / ".gitignore").write_text("/perfbench/_work/\n")
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "parent")
+    return root
+
+
+def _export(repo, tmp_path):
+    """export_sides against HEAD, with the repository's status and staged
+    entries checked to be the same before and after it."""
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    before = (_git(repo, "status", "--porcelain"), _git(repo, "ls-files", "--stage"))
+    sides = bench_pairs.export_sides(repo, "HEAD", scratch)
+    assert (_git(repo, "status", "--porcelain"), _git(repo, "ls-files", "--stage")) == before
+    return sides, scratch
+
+
+def test_a_clean_tree_exports_the_parent_tree_twice(repo, tmp_path):
+    sides, scratch = _export(repo, tmp_path)
+    head = _git(repo, "rev-parse", "HEAD^{tree}")
+    assert sides == {"parent_tree": head, "change_tree": head, "change_tree_dirty": False,
+                     "benchmark_identical": True}
+    for side in bench_pairs.SIDES:
+        assert (scratch / side / "notes.txt").read_text() == "parent\n"
+        assert (scratch / side / "perfbench" / "run.py").is_file()
+
+
+def test_the_change_side_holds_edits_and_untracked_files(repo, tmp_path):
+    (repo / "notes.txt").write_text("change\n")
+    (repo / "new.txt").write_text("untracked\n")
+    (repo / "perfbench" / "_work").mkdir()
+    (repo / "perfbench" / "_work" / "out.json").write_text("{}\n")
+    sides, scratch = _export(repo, tmp_path)
+    assert sides["parent_tree"] == _git(repo, "rev-parse", "HEAD^{tree}")
+    assert sides["change_tree_dirty"] and sides["benchmark_identical"]
+    assert (scratch / "parent" / "notes.txt").read_text() == "parent\n"
+    assert not (scratch / "parent" / "new.txt").exists()
+    assert (scratch / "change" / "notes.txt").read_text() == "change\n"
+    assert (scratch / "change" / "new.txt").read_text() == "untracked\n"
+    # what .gitignore names stays behind
+    assert not (scratch / "change" / "perfbench" / "_work").exists()
+
+
+def test_an_edit_under_perfbench_makes_the_benchmarks_differ(repo, tmp_path):
+    (repo / "perfbench" / "run.py").write_text("print('v2')\n")
+    sides, scratch = _export(repo, tmp_path)
+    assert sides["change_tree_dirty"] and not sides["benchmark_identical"]
+    assert (scratch / "change" / "perfbench" / "run.py").read_text() == "print('v2')\n"

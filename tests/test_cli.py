@@ -27,7 +27,8 @@ from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED,
 from svealab.errors import ConfigError, DivergenceError
 from svealab.fieldio import STREAM_BURST, write_track_csv, write_trajectory
 from svealab.models import Family, ModelSpec
-from svealab.solver import Grid1D, RunConfig, propagate, sech_profile, supergaussian_profile
+from svealab.solver import (Grid1D, RunConfig, propagate, sech_profile, supergaussian_profile,
+                            _power_floor)
 
 
 @pytest.fixture
@@ -287,6 +288,21 @@ class TestShippedHorizons:
             t_final=_setting(settings, "scan", "t_final", 90.0),
             snapshot_stride=_setting(settings, "scan", "snapshot_stride", 500))
         RunConfig(model, dt=template.dt, t_final=template.t_final)
+
+    @pytest.mark.parametrize("name, settings", list(_run_configs()) + list(_scan_configs()))
+    def test_initial_states_clear_the_power_floor(self, name, settings):
+        # by a margin no benchmark jitter of psi0 can close; a scan's lowest
+        # cell is psi0_lo/4 (its widest widening) on its widest grid
+        if "run" in settings:
+            states = [cli._initial_from(settings, cli._grid_from(settings))]
+        else:
+            scan = cli._section(settings, "scan")
+            template = cli._scan_template(settings, _model_from(settings))
+            states = [sech_profile(template.grid_for(alpha), 0.25 * scan["psi0_lo"], alpha)
+                      for alpha in scan["alphas"]]
+        for state in states:
+            power = float(numpy.vdot(state.values, state.values).real) * state.grid.n
+            assert power > 1e200 * _power_floor(state.grid.n)
 
     def test_scan_refines_six_times_unless_configured(self):
         # every CLI scan without [scan] refine_iters has run six iterations

@@ -178,6 +178,11 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
                    id=f"{initial}-psi0-{psi0}")
       for initial in ("sech", "uniform", "supergaussian")
       for psi0 in ("0", "1e-320", "1e-170", "1e154", "1e308")],
+    # a power sum of subnormal squares, whose rounding alone tripped the
+    # unitarity guard at t = 0.004: exit 3 where a refusal was due
+    pytest.param({"grid": {"n": "256", "length": "40"},
+                  "run": {"psi0": "1e-158", "alpha": "1", "dt": "1e-3", "t_final": "0.05"}},
+                 "psi0", id="sech-psi0-under-the-power-floor"),
     # an envelope entry the base grid (length 20) cannot hold: one with no
     # x-period, and CUBIC_NLS_SN, whose period 4K(0.6) = 7.798 does not divide 20
     *[pytest.param({"run": {"initial": "catalog", "catalog_id": name}}, "catalog_id",

@@ -15,7 +15,7 @@ from svealab.solutions import SolutionId, _x_period, eval_solution, make_solutio
 from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunConfig,
                             Trajectory, catalog_profile, peak_intensity, propagate,
                             propagate_batch, sech_profile, supergaussian_profile,
-                            uniform_profile, _transform)
+                            uniform_profile, _power_floor, _transform)
 
 from oracles import K_VALUES, reference_propagate
 
@@ -301,6 +301,32 @@ class TestPropagation:
         st = FieldState(Grid1D(64, 20.0), np.zeros(64), 0.0)
         with pytest.raises(DomainError, match="mass"):
             propagate(st, RunConfig(model, dt=1e-3, t_final=0.1))
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_a_field_too_faint_for_the_unitarity_guard_is_refused(self, n):
+        # psi0 from 1e-153 to 1e-161 in half decades: under the floor the power
+        # sum is subnormal squares whose rounding alone trips UNITARITY_GUARD
+        # (every field that diverged so sat at power/floor <= 0.026); each
+        # refused field is refused by the stepper too, each accepted one steps
+        g = Grid1D(n, 40.0)
+        cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.2)
+        refused = 0
+        for make in (sech_profile, uniform_profile,
+                     lambda g, psi0: supergaussian_profile(g, psi0, 10.0)):
+            shape = make(g, 1.0).values
+            for k in range(17):
+                psi0 = 10.0 ** (-153 - k / 2)
+                try:
+                    state = make(g, psi0)
+                except DomainError as err:
+                    assert "psi0" in str(err)
+                    with pytest.raises(DomainError, match="mass"):
+                        propagate(FieldState(g, psi0 * shape, 0.0), cfg)
+                    refused += 1
+                    continue
+                assert float(np.vdot(state.values, state.values).real) * n >= _power_floor(n)
+                propagate(state, cfg)
+        assert 0 < refused < 3 * 17  # the sweep straddles the floor
 
     def test_kg_model_rejected(self):
         g = Grid1D(64, 20.0)

@@ -4,23 +4,28 @@
         --case catalog:0 --case catalog:1 --pairs 10 --seconds 20 \\
         --change "what the change does"
 
-Each pair runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0``
-once on each side, one run at a time: the parent side from a ``git archive``
-of the parent revision, the change side from the working tree.  Odd-numbered
-pairs run the parent first, even-numbered ones the change.  The file holds
-every run's metrics, each side's quartiles, the median change of each metric,
-how many pairs the change won, and two verdicts.  A gain may be claimed when
-the change wins at least nine pairs in ten, its median is better by more than
-the parent's interquartile range, and it fails no larger share of operations.
-The bound check reads "within" or "beyond" the benchmark's bound on the
-median change, or "unresolved" when the parent's interquartile range is wider
-than the bound, unless every change run beats every parent run.
+Both sides are exported alike, by ``git archive`` into sibling directories
+``parent`` and ``change`` of one temporary directory: the parent revision's
+tree, and the working tree's, written through a throwaway index
+(``GIT_INDEX_FILE=<tmp>/index git add -A && git write-tree``) that keeps the
+untracked files .gitignore does not name and leaves the repository's own index
+and files alone.  ``--parent HEAD`` on a clean tree is thus an A/A run.  Each
+pair runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` once
+per side, one run at a time, the parent first in odd-numbered pairs.  The file
+records both tree ids, whether their perfbench subtrees are the same, every
+run's metrics, each side's quartiles, the median change of each metric, how
+many pairs the change won, and two verdicts.  A gain may be claimed when the
+change wins at least nine pairs in ten, its median is better by more than the
+parent's interquartile range, and it fails no larger share of operations.  The
+bound check reads "within" or "beyond" the benchmark's bound on the median
+change, or "unresolved" when the parent's interquartile range is wider than
+the bound, unless every change run beats every parent run.
 """
 
 from __future__ import annotations
 
 import argparse
-import filecmp
+import io
 import json
 import os
 import shutil
@@ -35,37 +40,30 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def _git(root: Path, *args: str, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=root, env=env, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def export_parent(rev: str, into: Path) -> Path:
-    """The tree of rev, unpacked under into from a git archive."""
-    tree = into / "parent"
-    archive = into / "parent.tar"
-    with open(archive, "wb") as fh:
-        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=fh)
-    with tarfile.open(archive) as tar:
-        # the "data" filter, where this Python has it, refuses links out of tree
-        tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    archive.unlink()
-    return tree
-
-
-def same_benchmark(a: Path, b: Path) -> bool:
-    """Whether both trees hold the same perfbench files (outputs aside)."""
-    cmp = filecmp.dircmp(a / "perfbench", b / "perfbench", ignore=["_work", "_out", "__pycache__"])
-    pending = [cmp]
-    while pending:
-        d = pending.pop()
-        if d.left_only or d.right_only or d.diff_files or d.funny_files:
-            return False
-        _, mismatch, errors = filecmp.cmpfiles(d.left, d.right, d.common_files, shallow=False)
-        if mismatch or errors:
-            return False
-        pending.extend(d.subdirs.values())
-    return True
+def export_sides(root: Path, parent: str, scratch: Path) -> dict:
+    """The parent's tree and the working tree's, each unpacked from a git
+    archive into scratch/<side>; returns what the BENCH file records of them."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(scratch / "index")}
+    _git(root, "add", "-A", env=env)
+    trees = {"parent": _git(root, "rev-parse", f"{parent}^{{tree}}"),
+             "change": _git(root, "write-tree", env=env)}
+    for side, tree in trees.items():
+        archive = subprocess.run(["git", "archive", tree], cwd=root, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            # the "data" filter, where this Python has it, refuses links out of tree
+            tar.extractall(scratch / side,
+                           **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return {"parent_tree": trees["parent"], "change_tree": trees["change"],
+            "change_tree_dirty": trees["change"] != _git(root, "rev-parse", "HEAD^{tree}"),
+            # _work/, _out/ and __pycache__/ are ignored, so never in a tree
+            "benchmark_identical": len({_git(root, "rev-parse", f"{tree}:perfbench")
+                                        for tree in trees.values()}) == 1}
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -154,30 +152,27 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     target = ROOT / f"BENCH_{args.name}.json"
-    parent_rev = _git("rev-parse", args.parent)
     doc = {
         "change": args.change,
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0",
         "protocol": "alternating parent/change pairs, odd-numbered pairs parent first, one run "
-                    "at a time; the parent from a git archive of its revision, the change "
-                    "from the working tree (tools/bench_pairs.py)",
-        "parent": parent_rev,
-        "change_base": _git("rev-parse", "HEAD"),
-        "change_tree_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
-        "cases": {},
+                    "at a time; both sides git archives in sibling directories, the parent of "
+                    "its revision's tree, the change of the working tree's (untracked files "
+                    "kept); --parent HEAD on a clean tree is an A/A run (tools/bench_pairs.py)",
+        "parent": _git(ROOT, "rev-parse", args.parent),
+        "change_base": _git(ROOT, "rev-parse", "HEAD"),
     }
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        trees = {"parent": export_parent(parent_rev, scratch), "change": ROOT}
-        doc["benchmark_identical"] = same_benchmark(trees["parent"], trees["change"])
+        doc.update(export_sides(ROOT, args.parent, scratch), cases={})
         for workload, seed in cases:
             runs = []
             for pair in range(1, args.pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 record = {"pair": pair, "first": order[0]}
                 for side in order:
-                    record[side] = run_once(trees[side], workload, seed, args.seconds)
+                    record[side] = run_once(scratch / side, workload, seed, args.seconds)
                     doc.setdefault("machine", record[side].pop("machine", None))
                 runs.append(record)
                 print(f"{workload} seed {seed} pair {pair}: " + ", ".join(
