@@ -399,6 +399,10 @@ def scan_stability(alphas: Sequence[float],
     if not (0.0 < lo < hi < math.inf and n_samples >= 3):
         raise DomainError(f"bad psi0 range {psi0_range!r}: need 0 < psi0_lo < psi0_hi < inf "
                           "and psi0_samples >= 3")
+    try:
+        np.empty(n_samples)  # the size of each coarse sweep's samples
+    except (MemoryError, ValueError) as err:  # ValueError: past numpy's size limit
+        raise DomainError(f"psi0_samples={n_samples} is too large to allocate") from err
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     if refine_iters < 0:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import os
 import re
@@ -401,7 +402,13 @@ def positive_int(raw: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call
+    to main: building it costs more than parsing an argv with it, so a process
+    that calls main more than once (a benchmark loop, a test suite, a script)
+    saves a build per call.  Each subparser binds its cmd_* here, at the first
+    call.  Parsing leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="svealab",
         description="Envelope-reduction laboratory: catalog verification, "

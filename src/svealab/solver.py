@@ -87,9 +87,14 @@ class Grid1D:
             raise DomainError(f"grid length {length!r} makes wavenumbers whose squares overflow")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "length", length)
+        try:
+            wavenumbers = 2.0 * np.pi * _fft.fftfreq(n, d=dx)
+            x = -0.5 * length + dx * np.arange(n)
+        except (MemoryError, ValueError) as err:  # ValueError: past numpy's size limit
+            raise DomainError(f"grid size n={n} is too large to allocate") from err
         object.__setattr__(self, "spacing", dx)
-        object.__setattr__(self, "wavenumbers", 2.0 * np.pi * _fft.fftfreq(n, d=dx))
-        object.__setattr__(self, "x", -0.5 * length + dx * np.arange(n))
+        object.__setattr__(self, "wavenumbers", wavenumbers)
+        object.__setattr__(self, "x", x)
 
 
 @dataclass(frozen=True)

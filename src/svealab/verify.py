@@ -29,6 +29,7 @@ converged, and a tolerance must be finite and > 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -137,11 +138,17 @@ def _shifts(rows: np.ndarray) -> list[np.ndarray]:
     return [rows[..., k:n - 4 + k] for k in range(5)]
 
 
+@functools.cache
 def _grid(x_range: tuple[float, float], n_points: int) -> tuple[np.ndarray, float]:
+    """The n_points of x_range and their spacing, built once per (window,
+    size) and shared: one catalog pass asks for 31 distinct grids 92 times,
+    and a process that runs more passes asks for none anew.  x is read-only,
+    so no caller can change a grid another one holds."""
     if int(n_points) < _STENCIL_POINTS:
         raise DomainError(f"n_points must be at least {_STENCIL_POINTS}, got {n_points}")
     lo, hi = float(x_range[0]), float(x_range[1])
     x = np.linspace(lo, hi, int(n_points))
+    x.flags.writeable = False
     return x, (hi - lo) / (int(n_points) - 1)
 
 

@@ -96,12 +96,15 @@ def repo(tmp_path):
 
 
 def _export(repo, tmp_path):
-    """export_sides against HEAD, with the repository's status and staged
-    entries checked to be the same before and after it."""
+    """Both sides against HEAD, each extracted into scratch/<side>, with the
+    repository's status and staged entries checked to be the same before and
+    after."""
     scratch = tmp_path / "scratch"
     scratch.mkdir()
     before = (_git(repo, "status", "--porcelain"), _git(repo, "ls-files", "--stage"))
-    sides = bench_pairs.export_sides(repo, "HEAD", scratch)
+    sides = bench_pairs.side_trees(repo, "HEAD", scratch)
+    for side in bench_pairs.SIDES:
+        bench_pairs.extract(repo, sides[f"{side}_tree"], scratch / side)
     assert (_git(repo, "status", "--porcelain"), _git(repo, "ls-files", "--stage")) == before
     return sides, scratch
 
@@ -137,3 +140,13 @@ def test_an_edit_under_perfbench_makes_the_benchmarks_differ(repo, tmp_path):
     sides, scratch = _export(repo, tmp_path)
     assert sides["change_tree_dirty"] and not sides["benchmark_identical"]
     assert (scratch / "change" / "perfbench" / "run.py").read_text() == "print('v2')\n"
+
+
+def test_an_extraction_replaces_what_a_run_left(repo, tmp_path):
+    sides, scratch = _export(repo, tmp_path)
+    left = scratch / "parent" / "perfbench" / "_work"
+    left.mkdir()
+    (scratch / "parent" / "notes.txt").write_text("edited by a run\n")
+    bench_pairs.extract(repo, sides["parent_tree"], scratch / "parent")
+    assert not left.exists()
+    assert (scratch / "parent" / "notes.txt").read_text() == "parent\n"

@@ -1002,6 +1002,65 @@ class TestCatalogCost:
         assert calls["eval_solution"] == 9
 
 
+class _CountedLinspace:
+    """numpy as verify sees it, with its linspace calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(numpy, name)
+
+    def linspace(self, *args, **kwargs):
+        self.calls += 1
+        return numpy.linspace(*args, **kwargs)
+
+
+class TestBuiltOnce:
+    """The parser and the verify grids are built once and shared: main runs
+    the same from the shared parser, and a grid cannot be changed."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_gives_the_same_reports(self, tmp_path, capsys):
+        def report(argv, name):
+            out = tmp_path / name
+            assert main([*argv, "--output", str(out)]) == EXIT_OK
+            return (out / f"{argv[0]}-{argv[2]}" / "report.txt").read_bytes()
+
+        first = report(["verify", "--preset", "verify-all"], "first")
+        assert main(["verify", "--preset", "nope", "--output", str(tmp_path / "bad")]) \
+            == EXIT_USAGE
+        assert "unknown preset 'nope'" in capsys.readouterr().err
+        mapped = report(["map-check", "--preset", "map-all"], "map")
+        again = report(["verify", "--preset", "verify-all"], "again")
+        assert again == first
+        if _SAME_STACK:
+            recorded = _RECORDED["workloads"]["catalog"]
+            assert _sha256(first) == recorded["verify-verify-all/report.txt"]
+            assert _sha256(mapped) == recorded["map-check-map-all/report.txt"]
+
+    def test_one_linspace_per_grid(self, outdir, monkeypatch):
+        counted = _CountedLinspace()
+        monkeypatch.setattr(verify, "np", counted)
+        verify._grid.cache_clear()
+
+        def catalog_pass():
+            assert main(["verify", "--preset", "verify-all"]) == EXIT_OK
+            assert main(["map-check", "--preset", "map-all"]) == EXIT_OK
+
+        catalog_pass()  # asks for 92 grids, 31 of them distinct
+        assert counted.calls == 31
+        catalog_pass()
+        assert counted.calls == 31
+
+    def test_a_grid_refuses_writes(self):
+        x, _ = verify._grid((-1.0, 1.0), 11)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+
+
 class TestScanBytes:
     """The benchmark's short scan is pinned byte for byte."""
 

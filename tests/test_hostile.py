@@ -28,6 +28,9 @@ from svealab.solutions import catalog_ids, make_solution, model_for, _x_period
 
 POOL = ("nan", "inf", "-inf", "-1", "0", "1e308", "1e-320", "", "abc", "1,,2")
 
+# Sizes refused before any page is touched: 2**57 and 2**62.
+OVERSIZED = (str(2 ** 57), str(2 ** 62))
+
 _MODEL = {"family": "bessel_nls", "lambda": "1.0", "omega": "1.0"}
 
 # About 10 steps at n=64 for a run, n=16 for the scan.
@@ -148,16 +151,25 @@ def test_flag_value(tmp_path, capsys, command, flag, value):
     ("run", "run", "width", "nan", EXIT_USAGE),
     ("run", "run", "width", "inf", EXIT_USAGE),
     ("scan", "scan", "alphas", "1e-320", EXIT_USAGE),
+    # a size no array can have: 2**57 float64 values are 1 EiB, past every
+    # 64-bit user address space, and 2**62 is past numpy's own size limit, so
+    # neither touches a page
+    *[pytest.param(command, section, key, value, EXIT_USAGE,
+                   id=f"oversized-{command}-{section}-{key}-{value}")
+      for command, section, key in (("run", "grid", "n"), ("scan", "scan", "n"),
+                                    ("scan", "scan", "psi0_samples"))
+      for value in OVERSIZED],
 ])
 def test_found_value(tmp_path, capsys, command, section, key, value, code):
     settings = _with(command, [(section, key, value)] if section else [])
     flags = [] if section else [key, value]
-    ini = tmp_path / "cfg.ini"
-    ini.write_text(_ini_text(settings))
-    assert main([command, "--config", str(ini), "--output", str(tmp_path / "out"),
-                 *flags]) == code
+    got, err = _check(tmp_path, capsys, command, settings, flags)
+    assert got == code
     if code == EXIT_USAGE:
-        assert key.lstrip("-") in capsys.readouterr().err
+        assert key.lstrip("-") in err
+        assert err.count("error:") == 1, err
+    if value in OVERSIZED:
+        assert f"{key}={value} is too large to allocate" in err
 
 
 # Key pairs that used to end in a RuntimeWarning or an error naming neither key.

@@ -11,7 +11,10 @@ tree, and the working tree's, written through a throwaway index
 untracked files .gitignore does not name and leaves the repository's own index
 and files alone.  ``--parent HEAD`` on a clean tree is thus an A/A run.  Each
 pair runs ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` once
-per side, one run at a time, the parent first in odd-numbered pairs.  The file
+per side, one run at a time, the parent first in odd-numbered pairs.  Both
+sides are exported afresh before every pair, in the order that pair runs them:
+with the parent always extracted first, the change side of an A/A run won 2 of
+10 catalog pairs, and 5 of 10 with the order reversed.  The file
 records both tree ids, whether their perfbench subtrees are the same, every
 run's metrics, each side's quartiles, the median change of each metric, how
 many pairs the change won, and two verdicts.  A gain may be claimed when the
@@ -45,25 +48,28 @@ def _git(root: Path, *args: str, env=None) -> str:
                           text=True).stdout.strip()
 
 
-def export_sides(root: Path, parent: str, scratch: Path) -> dict:
-    """The parent's tree and the working tree's, each unpacked from a git
-    archive into scratch/<side>; returns what the BENCH file records of them."""
+def side_trees(root: Path, parent: str, scratch: Path) -> dict:
+    """The tree ids of the parent and of the working tree, and what the BENCH
+    file records of them."""
     env = {**os.environ, "GIT_INDEX_FILE": str(scratch / "index")}
     _git(root, "add", "-A", env=env)
     trees = {"parent": _git(root, "rev-parse", f"{parent}^{{tree}}"),
              "change": _git(root, "write-tree", env=env)}
-    for side, tree in trees.items():
-        archive = subprocess.run(["git", "archive", tree], cwd=root, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            # the "data" filter, where this Python has it, refuses links out of tree
-            tar.extractall(scratch / side,
-                           **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     return {"parent_tree": trees["parent"], "change_tree": trees["change"],
             "change_tree_dirty": trees["change"] != _git(root, "rev-parse", "HEAD^{tree}"),
             # _work/, _out/ and __pycache__/ are ignored, so never in a tree
             "benchmark_identical": len({_git(root, "rev-parse", f"{tree}:perfbench")
                                         for tree in trees.values()}) == 1}
+
+
+def extract(root: Path, tree: str, dest: Path) -> None:
+    """dest, emptied, then unpacked from a git archive of tree."""
+    shutil.rmtree(dest, ignore_errors=True)
+    archive = subprocess.run(["git", "archive", tree], cwd=root, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter, where this Python has it, refuses links out of tree
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -158,19 +164,22 @@ def main(argv=None) -> int:
         "protocol": "alternating parent/change pairs, odd-numbered pairs parent first, one run "
                     "at a time; both sides git archives in sibling directories, the parent of "
                     "its revision's tree, the change of the working tree's (untracked files "
-                    "kept); --parent HEAD on a clean tree is an A/A run (tools/bench_pairs.py)",
+                    "kept), exported afresh before each pair in the order it runs them; "
+                    "--parent HEAD on a clean tree is an A/A run (tools/bench_pairs.py)",
         "parent": _git(ROOT, "rev-parse", args.parent),
         "change_base": _git(ROOT, "rev-parse", "HEAD"),
     }
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
-        doc.update(export_sides(ROOT, args.parent, scratch), cases={})
+        doc.update(side_trees(ROOT, args.parent, scratch), cases={})
         for workload, seed in cases:
             runs = []
             for pair in range(1, args.pairs + 1):
                 order = SIDES if pair % 2 else SIDES[::-1]
                 record = {"pair": pair, "first": order[0]}
+                for side in order:
+                    extract(ROOT, doc[f"{side}_tree"], scratch / side)
                 for side in order:
                     record[side] = run_once(scratch / side, workload, seed, args.seconds)
                     doc.setdefault("machine", record[side].pop("machine", None))
