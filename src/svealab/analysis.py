@@ -355,7 +355,8 @@ def _search(alpha: float, lo: float, hi: float, n_samples: int, refine_iters: in
             if metrics[k] < best_metric:
                 best_psi0, best_metric = float(samples[k]), float(metrics[k])
             break
-        if attempt == MAX_WIDENINGS:
+        # a low minimum already at the clamp lo/4 cannot widen any further
+        if attempt == MAX_WIDENINGS or (k == 0 and a_lo == lo * 0.25):
             best_psi0, best_metric = float(samples[k]), float(metrics[k])
             flags.append("minimum stayed on range boundary")
             break

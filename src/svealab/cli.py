@@ -113,8 +113,8 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
 
 def _floats(raw: str) -> tuple[float, ...]:
     """The comma-list reader: a non-empty list of finite numbers."""
-    values = tuple(float(v) for v in raw.split(",") if v.strip())
-    if not values or not all(map(math.isfinite, values)):
+    values = tuple(float(v) for v in raw.split(","))  # an empty item fails here
+    if not all(map(math.isfinite, values)):
         raise ValueError(raw)
     return values
 

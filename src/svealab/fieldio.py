@@ -23,7 +23,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -86,9 +86,8 @@ def write_snapshot(path: PathLike, state: FieldState) -> None:
     atomic_write_bytes(path, header + payload)
 
 
-def read_snapshot(path: PathLike, grid: Optional[Grid1D] = None) -> FieldState:
-    """The state a snapshot file holds.  grid, when it has the header's n and
-    length, is the state's grid instead of a new, equal one."""
+def read_snapshot(path: PathLike) -> FieldState:
+    """The state a snapshot file holds, on the grid its header names."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:5] != SNAPSHOT_MAGIC:
@@ -99,8 +98,7 @@ def read_snapshot(path: PathLike, grid: Optional[Grid1D] = None) -> FieldState:
     values = np.frombuffer(raw[29:], dtype="<f8")
     if values.size != 2 * n:
         raise DomainError(f"{path}: payload holds {values.size//2} points, header says {n}")
-    if grid is None or (grid.n, grid.length) != (n, length):
-        grid = Grid1D(int(n), float(length))
+    grid = Grid1D(int(n), float(length))
     return FieldState(grid, values.view("<c16"), float(time))  # FieldState copies
 
 
@@ -150,14 +148,12 @@ class SnapshotStream:
         self.out = os.fspath(out_dir)
         self.count = 0  # states received
         self._pending: list[FieldState] = []
-        self._grid: Optional[Grid1D] = None  # of the last state received
 
     def _path(self, i: int) -> str:
         return os.path.join(self.out, f"snapshot_{i:05d}.svea")
 
     def __call__(self, state: FieldState) -> None:
         self._pending.append(state)
-        self._grid = state.grid
         self.count += 1
         if len(self._pending) == STREAM_BURST:
             self.flush()
@@ -171,7 +167,7 @@ class SnapshotStream:
     def read_back(self) -> Iterator[FieldState]:
         """Every snapshot received, flushed and read back in order, one at a time."""
         self.flush()
-        return (read_snapshot(self._path(i), self._grid) for i in range(self.count))
+        return (read_snapshot(self._path(i)) for i in range(self.count))
 
 
 def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> None:

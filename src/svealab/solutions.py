@@ -1,9 +1,10 @@
 """Closed-form solution catalog and the quench mapping table.
 
 Twenty-one catalog entries: exact solutions of the four second-order field
-equations and of their envelope reductions.  Each entry is one record that
-states every fact about it once: formula, default parameters, constraint
-check, residual window, profile (amplitude times x-profile) and, for envelope
+equations and of their envelope reductions, as the source paper (arXiv
+2105.04498) writes them in closed form.  Each entry is one record that
+states every fact about it once: default parameters, constraint check,
+residual window, profile (amplitude times x-profile) and, for envelope
 entries, phase rate theta and x-period.  An entry evaluates as
 profile * exp(i*theta*t) (eval_profile times phase_factor), with theta = 0
 for static fields.  Evaluation checks no domain beyond each
@@ -100,7 +101,6 @@ class AnalyticSolution:
 @dataclass(frozen=True)
 class _Entry:
     family: Family
-    formula: str
     defaults: dict
     profile: Callable  # (p, x, t) -> amplitude times x-profile
     # x-window of the residual check; narrower ones keep clear of dc poles and
@@ -109,9 +109,8 @@ class _Entry:
     # were recorded on them; the signed root is smooth across its zeros.
     window: tuple[float, float] = (-3.0, 3.0)
     theta: Optional[Callable[[dict], float]] = None  # phase rate; None for static fields
-    # says how the stated constraint fails, or None
-    check: Optional[Callable[[dict], Optional[str]]] = None
-    constraint: str = ""
+    # raises a typed error naming the rule the parameters break
+    check: Optional[Callable[[dict], None]] = None
     travelling: bool = False  # profile moves in t beyond the phase factor
     # x-period of an envelope profile: a periodic grid holds the entry when its
     # length is a whole number of periods; 0.0 for a uniform profile (any
@@ -186,9 +185,10 @@ def _sg_imag(p, x, t):
         return 2.0 * np.arctan(1j * np.asarray(sn, dtype=complex))
 
 
-def _balance(lhs: float, rhs: float) -> Optional[str]:
-    off = abs(lhs - rhs) > _CONSTRAINT_RTOL * max(abs(lhs), abs(rhs))
-    return f"got {lhs} vs {rhs}" if off else None
+def _balance(sid: str, relation: str, lhs: float, rhs: float) -> None:
+    """A ConstraintError unless the two sides of relation agree to _CONSTRAINT_RTOL."""
+    if abs(lhs - rhs) > _CONSTRAINT_RTOL * max(abs(lhs), abs(rhs)):
+        raise ConstraintError(f"{sid} requires {relation}, got {lhs} vs {rhs}")
 
 
 def _sg_kink_check(p: dict) -> None:
@@ -204,28 +204,24 @@ def _bessel_check(p: dict) -> None:
 _CATALOG: dict[SolutionId, _Entry] = {
     SolutionId.CUBIC_KG_SN: _Entry(
         Family.CUBIC_KG,
-        "phi = i*c*sqrt(2/lambda) * sn(c*x | -1)",
         {"c": 1.0, "lam": 1.0},
         profile=lambda p, x, t: (1j * p["c"] * math.sqrt(2.0 / p["lam"])
                                  * jacobi_elliptic(p["c"] * x, -1.0).sn),
     ),
     SolutionId.CUBIC_KG_CN: _Entry(
         Family.CUBIC_KG,
-        "phi = (i*c/sqrt(lambda)) * cn(c*x | 1/2)",
         {"c": 1.0, "lam": 1.0},
         profile=lambda p, x, t: (1j * p["c"] / math.sqrt(p["lam"])
                                  * jacobi_elliptic(p["c"] * x, 0.5).cn),
     ),
     SolutionId.CUBIC_KG_DC: _Entry(
         Family.CUBIC_KG,
-        "phi = c*sqrt(2/lambda) * dc(c*x | -1)",
         {"c": 1.0, "lam": 1.0},
         window=(-1.0, 1.0),
         profile=lambda p, x, t: _dc_wave(p, x, -1.0),
     ),
     SolutionId.CUBIC_NLS_SN: _Entry(
         Family.CUBIC_NLS,
-        "psi = c*sqrt(2*m/lambda) * sn(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
         profile=_sn_wave,
         period=_wave_period,
@@ -233,7 +229,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.CUBIC_NLS_CN: _Entry(
         Family.CUBIC_NLS,
-        "psi = i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(-i*(1-2*m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": -0.5},
         profile=_cn_wave,
         period=_wave_period,
@@ -241,7 +236,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.CUBIC_NLS_DC: _Entry(
         Family.CUBIC_NLS,
-        "psi = c*sqrt(2/lambda) * dc(c*x | m) * exp(-i*(1+m)*c**2*t/omega)",
         {"c": 1.0, "lam": 1.0, "omega": 1.0, "m": 0.6},
         window=(-1.5, 1.5),
         profile=lambda p, x, t: _dc_wave(p, x, p["m"]),
@@ -249,7 +243,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_KG_KINK: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = (mass/sqrt(lambda)) * tanh((mass/sqrt(2))*(x - x0))",
         {"mass": 1.0, "lam": 1.0, "x0": 0.0},
         window=(-5.0, 5.0),
         profile=lambda p, x, t: (p["mass"] / math.sqrt(p["lam"]) * np.tanh(
@@ -257,7 +250,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_KG_SN: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = sqrt(2*(mass**2 - c**2)/lambda) * sn(c*x | (mass**2 - c**2)/c**2)",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
         profile=lambda p, x, t: (
             _csqrt(2.0 * (p["mass"] ** 2 - p["c"] ** 2) / p["lam"]) * jacobi_elliptic(
@@ -265,7 +257,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_KG_CN: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = i*sqrt((c**2 - mass**2)/lambda) * cn(c*x | (c**2 - mass**2)/(2*c**2))",
         {"mass": 0.6, "c": 1.0, "lam": 1.0},
         profile=lambda p, x, t: (
             1j * _csqrt((p["c"] ** 2 - p["mass"] ** 2) / p["lam"]) * jacobi_elliptic(
@@ -273,20 +264,17 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_KG_DC: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = c*sqrt(2/lambda) * dc(c*x | (mass**2 - c**2)/c**2)",
         {"mass": 1.2, "c": 1.0, "lam": 1.0},
         window=(-1.3, 1.3),
         profile=lambda p, x, t: _dc_wave(p, x, (p["mass"] ** 2 - p["c"] ** 2) / p["c"] ** 2),
     ),
     SolutionId.DW_KG_CONST: _Entry(
         Family.DOUBLE_WELL_KG,
-        "phi = mass/sqrt(lambda)",
         {"mass": 1.0, "lam": 1.0},
         profile=lambda p, x, t: p["mass"] / math.sqrt(p["lam"]) * _ones(x),
     ),
     SolutionId.DW_NLS_TANH: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = c*sqrt(2/lambda) * tanh(c*(x - x0)) * exp(i*(mass**2 - 2*c**2)*t/omega)",
         {"c": 0.7, "mass": 1.0, "lam": 1.0, "omega": 1.0, "x0": 0.0},
         window=(-5.0, 5.0),
         profile=lambda p, x, t: (p["c"] * math.sqrt(2.0 / p["lam"]) * np.tanh(
@@ -295,7 +283,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_NLS_SN: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = c*sqrt(2*m/lambda) * sn(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         profile=_sn_wave,
         period=_wave_period,
@@ -303,7 +290,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_NLS_CN: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = i*c*sqrt(2*m/lambda) * cn(c*x | m) * exp(i*(mass**2 - (1-2*m)*c**2)*t/omega)",
         {"m": -0.5, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         profile=_cn_wave,
         period=_wave_period,
@@ -311,7 +297,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_NLS_DC: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = c*sqrt(2/lambda) * dc(c*x | m) * exp(i*(mass**2 - (1+m)*c**2)*t/omega)",
         {"m": 0.6, "mass": 1.0, "c": 1.0, "lam": 1.0, "omega": 1.0},
         window=(-1.5, 1.5),
         profile=lambda p, x, t: _dc_wave(p, x, p["m"]),
@@ -319,7 +304,6 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.DW_NLS_CONST: _Entry(
         Family.DOUBLE_WELL_NLS,
-        "psi = a * exp(i*(mass**2 - a**2*lambda)*t/omega)",
         {"a": 1.0, "mass": 1.0, "lam": 1.0, "omega": 1.0},
         profile=lambda p, x, t: p["a"] * _ones(x),
         period=lambda p: 0.0,
@@ -327,28 +311,24 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.CQ_KG_SN: _Entry(
         Family.CUBIC_QUINTIC_KG,
-        "phi = sqrt(3*sigma/(8*lambda) + sqrt(3/(20*lambda)) * sn(x | 1/5))",
         {"sigma": 1.0, "lam": 15.0 / 16.0},
         window=(-1.5, 4.8),
         profile=lambda p, x, t: _cq_root(p, math.sqrt(3.0 / (20.0 * p["lam"])), 0.2, x),
-        check=lambda p: _balance(15.0 * p["sigma"] ** 2, 16.0 * p["lam"]),
-        constraint="15*sigma**2 = 16*lambda",
+        check=lambda p: _balance("CQ_KG_SN", "15*sigma**2 = 16*lambda",
+                                 15.0 * p["sigma"] ** 2, 16.0 * p["lam"]),
     ),
     SolutionId.CQ_NLS_SN: _Entry(
         Family.CUBIC_QUINTIC_NLS,
-        "psi = sqrt(3*sigma/(8*lambda) + sqrt(3*m/(4*lambda)) * sn(x | m))"
-        " * exp(-i*((1 + m - 9*sigma**2/(8*lambda))/4)*t)",
         {"m": 0.3, "lam": 1.0, "sigma": math.sqrt(1.6)},
         window=(-1.55, 4.95),
         profile=lambda p, x, t: _cq_root(p, _csqrt(3.0 * p["m"] / (4.0 * p["lam"])), p["m"], x),
         period=lambda p: 8.0 * _quarter_period(p["m"]),  # the signed root flips each 4K
         theta=lambda p: -(1.0 + p["m"] - 9.0 * p["sigma"] ** 2 / (8.0 * p["lam"])) / 4.0,
-        check=lambda p: _balance(16.0 * p["m"] * p["lam"], 3.0 * p["sigma"] ** 2),
-        constraint="16*m*lambda = 3*sigma**2",
+        check=lambda p: _balance("CQ_NLS_SN", "16*m*lambda = 3*sigma**2",
+                                 16.0 * p["m"] * p["lam"], 3.0 * p["sigma"] ** 2),
     ),
     SolutionId.SG_KINK: _Entry(
         Family.SINE_GORDON_KG,
-        "phi = 4*arctan(exp(lambda*gamma*(x - nu*t) + delta)), gamma = 1/sqrt(1 - nu**2)",
         {"lam": 1.0, "nu": 0.5, "delta": 0.0},
         window=(-5.0, 5.0),
         profile=_sg_kink,
@@ -357,14 +337,12 @@ _CATALOG: dict[SolutionId, _Entry] = {
     ),
     SolutionId.SG_IMAG: _Entry(
         Family.SINE_GORDON_KG,
-        "phi = 2*arctan(i*sn(x/sqrt(2) | -1))   [lambda = 1]",
         {},
         window=(-1.45, 1.45),
         profile=_sg_imag,
     ),
     SolutionId.BESSEL_UNIFORM: _Entry(
         Family.BESSEL_NLS,
-        "psi = psi0 * exp(-i*lambda**2*J1(psi0)*t/(omega*psi0))",
         {"psi0": 3.0, "omega": 1.0, "lam": 1.0},
         window=(-15.0, 15.0),
         profile=lambda p, x, t: p["psi0"] * _ones(x),
@@ -395,9 +373,8 @@ def make_solution(sid: SolutionId, **overrides) -> AnalyticSolution:
         raise DomainError(f"{sid.value} requires lambda > 0")
     if "omega" in params and params["omega"] <= 0.0:
         raise DomainError(f"{sid.value} requires omega > 0")
-    failure = entry.check(params) if entry.check is not None else None
-    if failure is not None:
-        raise ConstraintError(f"{sid.value} requires {entry.constraint}, {failure}")
+    if entry.check is not None:
+        entry.check(params)
     return AnalyticSolution(sid=sid, params=params)
 
 
@@ -539,6 +516,7 @@ def instantiate_pair(pair: MappingPair, detune: float = 0.0):
         if not math.isfinite(phase_rate(nls)):
             raise ValueError("its phase rate is not finite")
     except (ValueError, OverflowError) as err:  # e.g. a square root of a negative
+        reason = "a parameter overflows" if isinstance(err, OverflowError) else err
         raise DomainError(f"detune={detune!r} takes {pair.nls_id.value} out of its "
-                          f"domain: {err}") from err
+                          f"domain: {reason}") from err
     return make_solution(pair.kg_id, **pair.kg_params), nls

@@ -21,9 +21,6 @@ Given on_snapshot, each snapshot goes to it as it is made, and the trajectory
 keeps only the snapshot times, peak intensities and masses, so a run's memory
 does not grow with its snapshot count.  The initial snapshot goes only once
 the stepper is built, so a run the stepper refuses hands nothing over.
-
-The stepper binds its family's rate once per run; nls_nonlinear_phase_rate is
-the validated public entry point, re-exported here for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -149,17 +146,13 @@ class RunConfig:
 class Trajectory:
     """Propagation record: snapshots at stride multiples (plus the final step),
     mass at every step, and the peak intensity max |psi|^2 and time of each
-    snapshot.  times defaults to the snapshots' own; a streamed run, whose
-    snapshots went to a hand-off, holds none and gives its times here."""
+    snapshot.  A streamed run, whose snapshots went to a hand-off, holds no
+    snapshots but still their times."""
 
     snapshots: tuple[FieldState, ...]
     mass_series: np.ndarray
     peak_series: np.ndarray
-    times: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.times is None:
-            object.__setattr__(self, "times", np.array([s.time for s in self.snapshots]))
+    times: np.ndarray
 
     @property
     def final(self) -> FieldState:
@@ -196,14 +189,15 @@ class _Stepper:
     projection targets, the rate-bound guard decision, the family's rate bound
     to the model, and the (B, n) buffers.
     `rows` holds the input index of each row still stepping and `spectra` its
-    live view.  advance(j) retires every row that trips the rotation guard, the
-    non-finite check or the unitarity check, each with its own DivergenceError,
-    and compacts the stack so the other rows keep stepping.
+    live view.  advance() takes one step and retires every row that trips the
+    rotation guard, the non-finite check or the unitarity check, compacting
+    the stack so the other rows keep stepping; it returns why each retired row
+    left, and the caller, which keeps the run's clock, supplies the time.
     Each row must start with a finite power of at least _power_floor(n).
     """
 
     def __init__(self, grids: Sequence[Grid1D], model: ModelSpec, dt: float,
-                 v_hat: np.ndarray, t0: Sequence[float]):
+                 v_hat: np.ndarray):
         if not model.family.is_nls:
             raise DomainError(f"solver handles envelope families only, got {model.family.value}")
         self.targets = [float(np.vdot(row, row).real) for row in v_hat]
@@ -213,7 +207,7 @@ class _Stepper:
                 raise DomainError(f"initial state needs a finite mass whose power is at "
                                   f"least {floor:g} (n*2**-1074/{UNITARITY_GUARD:g}), "
                                   f"got power {target:g}")
-        self.dt, self.t0 = dt, list(t0)
+        self.dt = dt
         self.rows = list(range(len(v_hat)))
         with np.errstate(over="ignore", invalid="ignore"):
             half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
@@ -236,13 +230,14 @@ class _Stepper:
         self._views = tuple(a[:m] for a in self._full)
         self.spectra = list(self._views[0])
 
-    def advance(self, j: int) -> Sequence[tuple[int, DivergenceError]]:
-        """Step j of every live row; returns the (row, error) pairs it retired."""
+    def advance(self) -> dict[int, str]:
+        """One step of every live row; returns {input row: reason} for the rows
+        it retired, {t} in each reason standing for the row's time."""
         v_hat, half, work, rot, amp, rate = self._views
         np.multiply(half, v_hat, out=work)
         v = _transform(work, False, work)
         self._rate(np.abs(v, out=amp), rate)
-        bad = {}  # row -> message, {t} standing for its time
+        bad = {}  # live row -> reason
         if self.guard_each_step:
             peak = abs(self.dt) * np.max(np.abs(rate), axis=-1)
             for k in np.flatnonzero(peak >= STABILITY_GUARD):
@@ -269,18 +264,14 @@ class _Stepper:
                 bad[k] = f"unitarity defect {abs(scale - 1.0):.3e} at t={{t:g}}"
                 continue
             np.multiply(row, scale, out=row)
-        return self._retire(bad, j) if bad else ()
+        return self._retire(bad) if bad else {}
 
-    def _retire(self, bad: dict, j: int) -> list[tuple[int, DivergenceError]]:
-        retired = []
-        for k in sorted(bad):
-            t = self.t0[k] + j * self.dt
-            retired.append((self.rows[k], DivergenceError(bad[k].format(t=t), time=t)))
+    def _retire(self, bad: dict) -> dict[int, str]:
+        retired = {self.rows[k]: reason for k, reason in bad.items()}
         keep = [k for k in range(len(self.rows)) if k not in bad]
         for a in self._full[:2]:
             a[:len(keep)] = a[keep]
-        self.rows, self.targets, self.t0 = ([seq[k] for k in keep]
-                                            for seq in (self.rows, self.targets, self.t0))
+        self.rows, self.targets = ([seq[k] for k in keep] for seq in (self.rows, self.targets))
         self._live(len(keep))
         return retired
 
@@ -317,8 +308,7 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
     if len({g.n for g in grids}) > 1:
         raise DomainError(f"batched rows must share n, got {sorted({g.n for g in grids})}")
     stack = _Stepper(grids, cfg.model, cfg.dt,
-                     np.array([_transform(s.values, True) for s in initials]),
-                     [s.time for s in initials])
+                     np.array([_transform(s.values, True) for s in initials]))
     n_steps = cfg.n_steps
 
     # Kept spectral between steps: the discrete mass is read off the spectrum
@@ -343,9 +333,9 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
         record(i, state)
     results: list = [None] * len(initials)
     for j in range(1, n_steps + 1):
-        for i, err in stack.advance(j):
-            err.partial = trajectory(i, j)
-            results[i] = err
+        for i, reason in stack.advance().items():
+            t = initials[i].time + j * cfg.dt
+            results[i] = DivergenceError(reason.format(t=t), t, trajectory(i, j))
         if not stack.rows:
             break
         for i, row in zip(stack.rows, stack.spectra):

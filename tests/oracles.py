@@ -127,4 +127,5 @@ def reference_propagate(initial, cfg):
         if j % cfg.snapshot_stride == 0 or j == n_steps:
             snaps.append(FieldState(grid, fft.ifft(v_hat), t))
             peaks.append(peak_intensity(snaps[-1]))
-    return Trajectory(tuple(snaps), np.array(masses), np.array(peaks))
+    return Trajectory(tuple(snaps), np.array(masses), np.array(peaks),
+                      np.array([s.time for s in snaps]))

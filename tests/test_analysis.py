@@ -1,5 +1,6 @@
 """Peak detection, structure counting, and the stability scan."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,8 @@ def synthetic_traj(grid, frames, dt=1.0):
                   for i, v in enumerate(frames))
     masses = np.array([np.sum(np.abs(s.values) ** 2) * grid.spacing for s in snaps])
     peaks = np.array([np.max(np.abs(s.values) ** 2) for s in snaps])
-    return Trajectory(snapshots=snaps, mass_series=masses, peak_series=peaks)
+    return Trajectory(snapshots=snaps, mass_series=masses, peak_series=peaks,
+                      times=np.array([s.time for s in snaps]))
 
 
 class TestFindPeaks:
@@ -272,7 +274,8 @@ class TestPeakTable:
         assert table.tail() == table.rows[-k:]
 
     def test_empty_trajectory_rejected(self):
-        traj = Trajectory(snapshots=(), mass_series=np.array([]), peak_series=np.array([]))
+        traj = Trajectory(snapshots=(), mass_series=np.array([]), peak_series=np.array([]),
+                          times=np.array([]))
         with pytest.raises(DomainError, match="no snapshots"):
             peak_table(traj, threshold=0.5)
 
@@ -283,7 +286,7 @@ class TestPeakTable:
         flat = synthetic_traj(g, [np.ones(64)] * 16)
         # the trailing quarter reads the last four entries
         traj = Trajectory(flat.snapshots, flat.mass_series,
-                          np.array([9.0] * 12 + [1.0, 2.0, 3.0, 4.0]))
+                          np.array([9.0] * 12 + [1.0, 2.0, 3.0, 4.0]), flat.times)
         table = peak_table(traj, threshold=0.5)
         assert all(not r.peaks for r in table.rows)
         assert oscillation_metric(table) == pytest.approx((4.0 - 1.0) / 2.5)
@@ -322,6 +325,8 @@ class TestStabilityScan:
         amp, k = stable_line_prediction(0.1)
         assert amp == pytest.approx(0.4)
         assert k == pytest.approx(-0.495)
+        with pytest.raises(DomainError, match="alpha must be positive, got 0.0"):
+            stable_line_prediction(0.0)
 
     def test_validation(self):
         tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0))
@@ -395,6 +400,31 @@ class TestLockstepScan:
         assert point.flags == expected.flags
         assert point.psi0_opt == pytest.approx(expected.psi0_opt, rel=1e-12)
         assert point.metric_value == pytest.approx(expected.metric_value, rel=1e-9)
+
+    def test_widening_stops_at_its_clamp(self, monkeypatch):
+        # the minimum stays at the low end: the first widening reaches the
+        # clamp psi0_lo/4, so a second would rescan the same three cells
+        cells, evaluate = [], analysis._evaluate
+
+        def counting(template, cfg, block):
+            cells.extend(block)
+            return evaluate(template, cfg, block)
+        monkeypatch.setattr(analysis, "_evaluate", counting)
+        tmpl = ScanTemplate(_SMALL.model, grid_n=16, grid_length=48.0, dt=0.02, t_final=0.2,
+                            snapshot_stride=5)
+        point, = scan_stability([0.5], (1.0, 3.0, 3), tmpl, refine_iters=1)
+        assert point == StabilityPoint(0.5, 0.25, 0.0, "widened low to 0.25; "
+                                       "minimum stayed on range boundary")
+        assert [psi0 for _, psi0 in cells] == [1.0, 2.0, 3.0, 0.25, 1.625, 3.0]
+
+    def test_divergent_cells_are_skipped_and_counted(self):
+        search = analysis._search(0.5, 1.0, 3.0, 5, refine_iters=0)
+        assert next(search) == [1.0, 1.5, 2.0, 2.5, 3.0]
+        golden = search.send([math.inf, 0.4, 0.2, 0.3, math.inf])
+        assert len(golden) == 2 and all(1.5 < p < 2.5 for p in golden)
+        with pytest.raises(StopIteration) as done:
+            search.send([0.25, 0.35])
+        assert done.value.value == StabilityPoint(0.5, 2.0, 0.2, "2 divergent cells skipped")
 
     def test_all_cells_diverged(self):
         # lambda=10 at dt=0.012 leaves the rotation guard on, and every sech

@@ -698,6 +698,13 @@ class TestConfigSchema:
         assert main(["run", "--config", str(ini)]) == EXIT_USAGE
         assert "[analyss]" in capsys.readouterr().err
 
+    def test_unknown_section_refused_without_a_command(self, tmp_path):
+        # the form the benchmark loads its configs in: no command to name
+        ini = tmp_path / "bogus.ini"
+        ini.write_text("[bogus]\nkey = 1\n")
+        with pytest.raises(ConfigError, match=r"unknown config section \[bogus\]"):
+            load_settings(None, str(ini))
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_accepted(self, name):
         command = _PRESET_COMMANDS.get(name, "run")
@@ -859,7 +866,7 @@ class TestStartup:
 
 
 class TestScanAlphas:
-    @pytest.mark.parametrize("alphas", ["0", "0.1, abc", "0.1, -0.2", "nan"])
+    @pytest.mark.parametrize("alphas", ["0", "0.1, abc", "0.1, -0.2", "nan", "0.1,,0.2", "0.1,"])
     def test_bad_alphas_are_usage_errors(self, outdir, tmp_path, capsys, alphas):
         ini = _write_ini(tmp_path / "scan.ini", TINY_SCAN_INI, "scan", alphas=alphas)
         assert main(["scan", "--config", str(ini), "--jobs", "1"]) == EXIT_USAGE

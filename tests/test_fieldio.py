@@ -26,21 +26,11 @@ class TestSnapshotFormat:
         p = tmp_path / "f.svea"
         write_snapshot(p, state)
         back = read_snapshot(p)
-        assert np.array_equal(back.values, state.values)
+        assert back.values.tobytes() == state.values.tobytes()
+        assert not back.values.flags.writeable
         assert back.grid.n == state.grid.n
         assert back.grid.length == state.grid.length
         assert back.time == state.time
-
-    def test_matching_grid_is_reused_and_another_is_not(self, tmp_path, short_traj):
-        state = short_traj.final
-        p = tmp_path / "f.svea"
-        write_snapshot(p, state)
-        assert read_snapshot(p, state.grid).grid is state.grid
-        other = Grid1D(state.grid.n, 2.0 * state.grid.length)
-        back = read_snapshot(p, other)
-        assert (back.grid.n, back.grid.length) == (state.grid.n, state.grid.length)
-        assert back.values.tobytes() == state.values.tobytes()
-        assert not back.values.flags.writeable
 
     def test_magic_guard(self, tmp_path):
         p = tmp_path / "bad.svea"
@@ -152,7 +142,6 @@ class TestSnapshotStream:
         for state in states:
             stream(state)
         back = list(stream.read_back())  # flushes the pending five first
-        assert all(s.grid is states[0].grid for s in back)
         assert [s.time for s in back] == [s.time for s in states]
         assert [s.values.tobytes() for s in back] == [s.values.tobytes() for s in states]
 

@@ -151,6 +151,7 @@ def test_flag_value(tmp_path, capsys, command, flag, value):
     ("run", "run", "width", "nan", EXIT_USAGE),
     ("run", "run", "width", "inf", EXIT_USAGE),
     ("scan", "scan", "alphas", "1e-320", EXIT_USAGE),
+    ("scan", "scan", "alphas", "1,,2", EXIT_USAGE),  # an empty item is not a number
     # a size no array can have: 2**57 float64 values are 1 EiB, past every
     # 64-bit user address space, and 2**62 is past numpy's own size limit, so
     # neither touches a page
@@ -170,6 +171,18 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
         assert err.count("error:") == 1, err
     if value in OVERSIZED:
         assert f"{key}={value} is too large to allocate" in err
+
+
+# The tanh row's envelope c is 1 + detune: at 1e154 its phase rate overflows
+# to inf, and at 1e155 c**2 raises OverflowError, whose own text is an errno
+# tuple.
+@pytest.mark.parametrize("detune, reason", [("1e154", "its phase rate is not finite"),
+                                            ("1e155", "a parameter overflows")])
+def test_detune_out_of_domain_says_why(tmp_path, capsys, detune, reason):
+    code, err = _check(tmp_path, capsys, "map-check", BASE["map-check"], ["--detune", detune])
+    assert code == EXIT_USAGE  # _check has found no output directory
+    assert f"error: detune={float(detune)!r} takes DW_NLS_TANH out of its domain: " \
+        f"{reason}\n" in err
 
 
 # Key pairs that used to end in a RuntimeWarning or an error naming neither key.

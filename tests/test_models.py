@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from svealab.errors import DomainError
+from svealab.errors import DomainError, FamilyMismatchError
 from svealab.models import (BESSEL_RATE_CUTOVER, Family, ModelSpec, kg_force,
                             nls_nonlinear_phase_rate)
 
@@ -110,8 +110,16 @@ class TestKgForce:
         z = 1.0 + 0.5j
         assert kg_force(m, z) == pytest.approx(z**3)
 
+    def test_envelope_family_rejected(self):
+        with pytest.raises(FamilyMismatchError, match="kg_force needs a KG family"):
+            kg_force(ModelSpec(Family.BESSEL_NLS), 1.0)
+
 
 class TestPhaseRate:
+    def test_field_family_rejected(self):
+        with pytest.raises(FamilyMismatchError, match="needs an NLS family, got cubic_kg"):
+            nls_nonlinear_phase_rate(ModelSpec(Family.CUBIC_KG), 1.0)
+
     def test_cubic(self):
         m = ModelSpec(Family.CUBIC_NLS, lam=2.0, omega=4.0)
         assert nls_nonlinear_phase_rate(m, 3.0) == pytest.approx(2.0 * 9.0 / 4.0)

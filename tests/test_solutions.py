@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from svealab.errors import ConstraintError, DomainError
+from svealab.errors import ConstraintError, DomainError, FamilyMismatchError
 from svealab.models import Family, nls_nonlinear_phase_rate
 from svealab.solutions import (SolutionId, catalog_ids, eval_profile, eval_solution,
                                instantiate_pair, make_solution, mapping_table, model_for,
@@ -42,9 +42,31 @@ def test_unknown_parameter_rejected():
 
 
 def test_constraint_violation_rejected():
-    # coefficient relations are checked, not silently recomputed
-    with pytest.raises(ConstraintError):
+    # coefficient relations are checked, not silently recomputed; each message
+    # names the relation and both of its sides
+    with pytest.raises(ConstraintError) as err:
         make_solution(SolutionId.CQ_KG_SN, sigma=2.0, lam=1.0)
+    assert str(err.value) == "CQ_KG_SN requires 15*sigma**2 = 16*lambda, got 60.0 vs 16.0"
+    with pytest.raises(ConstraintError) as err:
+        make_solution(SolutionId.CQ_NLS_SN, m=0.5)
+    assert str(err.value) == \
+        "CQ_NLS_SN requires 16*m*lambda = 3*sigma**2, got 8.0 vs 4.800000000000001"
+
+
+@pytest.mark.parametrize("sid, overrides, message", [
+    (SolutionId.CUBIC_NLS_SN, {"lam": -1.0}, "CUBIC_NLS_SN requires lambda > 0"),
+    (SolutionId.CUBIC_NLS_SN, {"omega": 0.0}, "CUBIC_NLS_SN requires omega > 0"),
+    (SolutionId.BESSEL_UNIFORM, {"psi0": -1.0}, "BESSEL_UNIFORM requires psi0 >= 0"),
+])
+def test_parameter_out_of_domain_rejected(sid, overrides, message):
+    with pytest.raises(DomainError) as err:
+        make_solution(sid, **overrides)
+    assert str(err.value) == message
+
+
+def test_static_field_has_no_phase_rate():
+    with pytest.raises(FamilyMismatchError, match="CUBIC_KG_SN is not an envelope solution"):
+        phase_rate(make_solution(SolutionId.CUBIC_KG_SN))
 
 
 def test_kink_speed_bound_enforced():

@@ -422,6 +422,7 @@ def _assert_same_trajectory(fast, ref):
         assert a.values.tobytes() == b.values.tobytes()
     assert fast.mass_series.tobytes() == ref.mass_series.tobytes()
     assert fast.peak_series.tobytes() == ref.peak_series.tobytes()
+    assert fast.times.tobytes() == ref.times.tobytes()
 
 
 _EDGE_RATES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-300]
@@ -521,7 +522,7 @@ class TestSnapshotHandOff:
         assert streamed.snapshots == ()
         ref = reference_propagate(st, cfg)
         _assert_same_trajectory(Trajectory(tuple(handed), streamed.mass_series,
-                                           streamed.peak_series), ref)
+                                           streamed.peak_series, streamed.times), ref)
         assert streamed.times.tobytes() == propagate(st, cfg).times.tobytes()
         assert streamed.times.tolist() == [s.time for s in ref.snapshots]
 
@@ -545,7 +546,8 @@ class TestSnapshotHandOff:
             assert got.snapshots == ()
             assert got.times.tobytes() == held.times.tobytes()
             _assert_same_trajectory(
-                Trajectory(tuple(handed[i]), got.mass_series, got.peak_series), held)
+                Trajectory(tuple(handed[i]), got.mass_series, got.peak_series, got.times),
+                held)
         assert [len(handed[i]) for i in range(4)] == [11, 2, 11, 1]
 
     def test_run_refused_by_the_stepper_hands_nothing_over(self):

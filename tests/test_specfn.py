@@ -62,6 +62,10 @@ class TestJacobiElliptic:
         with pytest.raises(DomainError):
             jacobi_elliptic(np.inf, 0.5)
 
+    def test_rejects_non_finite_parameter(self):
+        with pytest.raises(DomainError, match="m must be finite, got nan"):
+            jacobi_elliptic(0.5, np.nan)
+
 
 class TestJacobiDc:
     def test_equals_dn_over_cn(self):
@@ -114,3 +118,11 @@ class TestHyp0f1Two:
     def test_identity_with_j1(self, x):
         assert 0.5 * x * hyp0f1_two(-0.25 * x * x) == pytest.approx(
             float(bessel_j1(x)), abs=1e-13)
+
+    def test_rejects_non_finite_argument(self):
+        with pytest.raises(DomainError, match="z must be finite, got inf"):
+            hyp0f1_two(np.inf)
+
+    def test_series_that_does_not_settle_is_refused(self):
+        with pytest.raises(DomainError, match="did not converge in 500 terms"):
+            hyp0f1_two(1e6)
