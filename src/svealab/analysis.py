@@ -39,32 +39,6 @@ from .solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate_batch,
 # this name on this module, so it stays importable from it.
 from .solver import propagate  # noqa: F401
 
-__all__ = [
-    "Peak",
-    "StabilityPoint",
-    "ScanTemplate",
-    "find_peaks",
-    "detection_threshold",
-    "require_threshold",
-    "require_threshold_fraction",
-    "PeakRow",
-    "PeakTable",
-    "peak_table",
-    "peak_count_series",
-    "count_structures",
-    "splitting_alternations",
-    "oscillation_metric",
-    "outer_position_blocks",
-    "track_structures",
-    "scan_stability",
-    "stable_line_prediction",
-    "WINDOW_FRACTION",
-    "DEFAULT_MIN_SEPARATION",
-    "DEFAULT_THRESHOLD_FRACTION",
-    "TRACK_GATING_DISTANCE",
-    "MAX_WIDENINGS",
-]
-
 WINDOW_FRACTION = 0.25
 DEFAULT_MIN_SEPARATION = 1.0
 # Detection threshold as a fraction of the trajectory's global max |psi|^2.

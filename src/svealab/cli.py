@@ -449,9 +449,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, PoleError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergenceError as err:
-        print(f"diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -31,20 +31,6 @@ from .analysis import Peak, StabilityPoint, stable_line_prediction
 from .errors import DomainError
 from .solver import FieldState, Grid1D, Trajectory
 
-__all__ = [
-    "SNAPSHOT_MAGIC",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "write_snapshot",
-    "read_snapshot",
-    "write_mass_csv",
-    "write_track_csv",
-    "write_scan_csv",
-    "write_trajectory",
-    "SnapshotStream",
-    "STREAM_BURST",
-]
-
 SNAPSHOT_MAGIC = b"SVEA1"
 
 PathLike = Union[str, Path]

@@ -35,15 +35,6 @@ from scipy import special as _sp
 
 from .errors import DomainError, FamilyMismatchError
 
-__all__ = [
-    "Family",
-    "FamilyLaw",
-    "ModelSpec",
-    "kg_force",
-    "nls_nonlinear_phase_rate",
-    "BESSEL_RATE_CUTOVER",
-]
-
 ArrayLike = Union[float, complex, np.ndarray]
 
 # Below this |psi| the Bessel rate switches to its even Taylor series

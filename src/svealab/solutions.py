@@ -35,22 +35,6 @@ from .errors import ConstraintError, DomainError, FamilyMismatchError
 from .models import Family, ModelSpec, nls_nonlinear_phase_rate
 from .specfn import jacobi_dc, jacobi_elliptic
 
-__all__ = [
-    "SolutionId",
-    "AnalyticSolution",
-    "MappingPair",
-    "make_solution",
-    "eval_solution",
-    "eval_profile",
-    "phase_factor",
-    "phase_rate",
-    "require_whole_periods",
-    "model_for",
-    "mapping_table",
-    "instantiate_pair",
-    "catalog_ids",
-]
-
 ArrayLike = Union[float, np.ndarray]
 
 _CONSTRAINT_RTOL = 1e-9

@@ -40,22 +40,6 @@ from .models import ModelSpec
 from .models import nls_nonlinear_phase_rate  # noqa: F401
 from .solutions import AnalyticSolution, eval_solution
 
-__all__ = [
-    "Grid1D",
-    "FieldState",
-    "RunConfig",
-    "Trajectory",
-    "propagate",
-    "propagate_batch",
-    "peak_intensity",
-    "sech_profile",
-    "supergaussian_profile",
-    "uniform_profile",
-    "catalog_profile",
-    "STABILITY_GUARD",
-    "MAX_STEPS",
-]
-
 # Nonlinear rotation per step must stay under this angle (radians).
 STABILITY_GUARD = 0.5
 
@@ -156,6 +140,9 @@ class Trajectory:
 
     @property
     def final(self) -> FieldState:
+        if not self.snapshots:  # a held run keeps its initial state at least
+            raise DomainError("a streamed trajectory holds no snapshots: "
+                              "they went to the hand-off")
         return self.snapshots[-1]
 
 

@@ -23,15 +23,6 @@ from scipy import special as _sp
 
 from .errors import DomainError, PoleError
 
-__all__ = [
-    "EllipticTriple",
-    "jacobi_elliptic",
-    "jacobi_dc",
-    "bessel_j1",
-    "hyp0f1_two",
-    "DC_POLE_THRESHOLD",
-]
-
 ArrayLike = Union[float, np.ndarray]
 
 # |cn| below this is treated as "on a pole" of dc = dn/cn.

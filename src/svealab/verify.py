@@ -53,22 +53,6 @@ from .solutions import (
     phase_rate,
 )
 
-__all__ = [
-    "ResidualReport",
-    "ConvergenceReport",
-    "MappingCheck",
-    "verify_entry",
-    "verify_catalog",
-    "verification_report",
-    "check_mapping",
-    "check_all_mappings",
-    "mapping_report",
-    "DEFAULT_TOLERANCE",
-    "MAPPING_TOLERANCE",
-    "CONVERGENCE_RATIO_MIN",
-    "FLOOR_RESIDUAL",
-]
-
 DEFAULT_TOLERANCE = 1e-6
 MAPPING_TOLERANCE = 1e-10
 CONVERGENCE_RATIO_MIN = 8.0

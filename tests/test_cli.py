@@ -333,7 +333,9 @@ class TestDivergentRun:
         ini = tmp_path / "run.ini"
         ini.write_text(STRUCTURED_INI)
         assert main(["run", "--config", str(ini)]) == EXIT_DIVERGED
-        assert capsys.readouterr().err.startswith("diverged: unitarity defect")
+        err = capsys.readouterr().err
+        assert err.startswith("diverged: unitarity defect")
+        assert err.count("diverged:") == 1
         assert len(list((outdir / "run").glob("*.svea"))) == 1
 
 
@@ -863,6 +865,33 @@ class TestStartup:
         done = _python("-m", "svealab", "run", "--threshold", "1")
         assert done.returncode == EXIT_USAGE
         assert "--threshold" in done.stderr
+
+    def test_package_import_leaves_numpy_and_scipy_out(self):
+        probe = ("import sys, svealab; print(' '.join(sorted(m for m in ('numpy', 'scipy') "
+                 "if m in sys.modules)))")
+        done = _python("-c", probe)
+        assert (done.returncode, done.stdout.strip()) == (0, ""), done.stderr
+
+    @pytest.mark.parametrize("launch", [
+        'runpy.run_module("svealab", run_name="__main__")',  # python -m svealab
+        "from svealab.__main__ import run; sys.exit(run())",  # the svealab script
+    ], ids=["module", "script"])
+    def test_interrupt_during_startup_exits_130(self, launch):
+        # Ctrl-C while cli is still importing numpy
+        script = f"""
+import runpy, sys
+
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            raise KeyboardInterrupt
+
+sys.meta_path.insert(0, Interrupt())
+{launch}
+"""
+        done = _python("-c", script)
+        assert (done.returncode, done.stderr) == (EXIT_INTERRUPTED, "interrupted\n")
+        assert "Traceback" not in done.stdout + done.stderr
 
 
 class TestScanAlphas:

@@ -559,6 +559,13 @@ class TestSnapshotHandOff:
                       RunConfig(model, dt=0.01, t_final=0.1), handed.append)
         assert handed == []
 
+    def test_final_of_a_streamed_run_is_a_domain_error(self):
+        traj = propagate(sech_profile(Grid1D(16, 8.0), 1.0),
+                         RunConfig(ModelSpec(Family.CUBIC_NLS), dt=0.01, t_final=0.02,
+                                   snapshot_stride=1), lambda s: None)
+        with pytest.raises(DomainError, match="streamed trajectory holds no snapshots"):
+            traj.final
+
 
 class TestBatchedPropagation:
     """Every row of a propagate_batch stack is bitwise its solo textbook run."""
