@@ -452,7 +452,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

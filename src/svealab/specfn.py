@@ -10,11 +10,14 @@ evaluations.
 Arbitrary real m is supported.  scipy covers 0 <= m <= 1; m < 0 goes through
 the negative-parameter transformation and m > 1 through the reciprocal-
 parameter transformation (A&S 16.10, 16.11), both of which keep sn, cn, dn
-real on the real axis.
+real on the real axis.  Within one shared_elliptic() scope, as in one verify
+sweep, each distinct (u, m) is evaluated once, keyed on u's values, not shape.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from typing import NamedTuple, Union
 
@@ -28,6 +31,8 @@ ArrayLike = Union[float, np.ndarray]
 # |cn| below this is treated as "on a pole" of dc = dn/cn.
 DC_POLE_THRESHOLD = 1e-10
 
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar("memo", default=None)
+
 
 class EllipticTriple(NamedTuple):
     sn: ArrayLike
@@ -40,6 +45,29 @@ def _checked_array(u, name: str) -> tuple[np.ndarray, bool]:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite, got {u!r}")
     return arr, arr.ndim == 0
+
+
+@contextlib.contextmanager
+def shared_elliptic():
+    """Evaluate each distinct (u, m) once in the block, as read-only arrays."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _ellipj(u: np.ndarray, m: float):
+    """scipy's sn, cn, dn for 0 <= m <= 1, through the open scope's memo if any."""
+    memo = _MEMO.get()
+    if memo is None:
+        return _sp.ellipj(u, m)[:3]
+    key = (m.hex(), u.tobytes())  # the exact bits: hex keeps -0.0 apart from 0.0
+    if key not in memo:
+        memo[key] = _sp.ellipj(u.ravel(), m)[:3]
+        for a in memo[key]:
+            a.flags.writeable = False
+    return [a.reshape(u.shape) for a in memo[key]]
 
 
 def jacobi_elliptic(u: ArrayLike, m: float) -> EllipticTriple:
@@ -56,18 +84,18 @@ def jacobi_elliptic(u: ArrayLike, m: float) -> EllipticTriple:
         raise DomainError(f"m must be finite, got {m!r}")
 
     if 0.0 <= m <= 1.0:
-        s, c, d, _ = _sp.ellipj(uu, m)
+        s, c, d = _ellipj(uu, m)
     elif m < 0.0:
         # A&S 16.10: m < 0 maps to mu = -m/(1-m) in (0,1).
         mu = -m / (1.0 - m)
         v = uu * math.sqrt(1.0 - m)
-        s, c, d, _ = _sp.ellipj(v, mu)
+        s, c, d = _ellipj(v, mu)
         s, c, d = s / (d * math.sqrt(1.0 - m)), c / d, 1.0 / d
     else:
         # A&S 16.11: m > 1 maps to mu = 1/m; sn and the roles of cn/dn swap scale.
         mu = 1.0 / m
         v = uu * math.sqrt(m)
-        s, c, d, _ = _sp.ellipj(v, mu)
+        s, c, d = _ellipj(v, mu)
         s, c, d = s / math.sqrt(m), d, c
 
     if scalar:

@@ -20,6 +20,9 @@ is elementwise in x and the phase elementwise in t, so each value is the
 product eval_solution forms on that grid, and the stencils run over the
 whole (T, 5, n) time stack at once.
 
+One sweep (verify_catalog, check_all_mappings) evaluates each distinct
+elliptic (u, m) once: DW_NLS shares CUBIC_NLS's, a quench envelope its field's.
+
 Each check carries its own verdict: ConvergenceReport.passed and
 MappingCheck.passed are set once, where the check runs, and the reports only
 print them.  Worst values are NaN-propagating maxima, so a non-finite
@@ -52,6 +55,7 @@ from .solutions import (
     phase_factor,
     phase_rate,
 )
+from .specfn import shared_elliptic
 
 DEFAULT_TOLERANCE = 1e-6
 MAPPING_TOLERANCE = 1e-10
@@ -241,7 +245,8 @@ def verify_entry(sid: SolutionId, tolerance: float = DEFAULT_TOLERANCE) -> Conve
 
 
 def verify_catalog(tolerance: float = DEFAULT_TOLERANCE) -> list[ConvergenceReport]:
-    return [verify_entry(sid, tolerance) for sid in catalog_ids()]
+    with shared_elliptic():
+        return [verify_entry(sid, tolerance) for sid in catalog_ids()]
 
 
 def verification_report(reports: Sequence[ConvergenceReport]) -> str:
@@ -290,7 +295,8 @@ def check_mapping(pair: MappingPair, detune: float = 0.0,
 
 def check_all_mappings(detune: float = 0.0,
                        tolerance: float = MAPPING_TOLERANCE) -> list[MappingCheck]:
-    return [check_mapping(p, detune, tolerance) for p in mapping_table()]
+    with shared_elliptic():
+        return [check_mapping(p, detune, tolerance) for p in mapping_table()]
 
 
 def mapping_report(checks: Sequence[MappingCheck]) -> str:

@@ -6,12 +6,13 @@ on the fine grid, and the time-(in)dependence structure of the quench
 comparison.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from svealab import verify
+from svealab import specfn, verify
 from svealab.errors import DomainError
 from svealab.solutions import (SolutionId, catalog_ids, eval_solution, instantiate_pair,
                                make_solution, mapping_table, model_for)
@@ -305,3 +306,59 @@ class TestNonFiniteVerdicts:
                               tolerance=2.0 * strict.max_abs_diff)
         assert (strict.passed, loose.passed) == (False, True)
         assert loose.tolerance == 2.0 * strict.max_abs_diff
+
+
+def _bits(report):
+    """Every field of a report, floats as their bytes: equal means bitwise
+    equal, and a NaN equals the same NaN."""
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v
+                 for v in _flat(dataclasses.astuple(report)))
+
+
+def _flat(fields):
+    for v in fields:
+        yield from _flat(v) if isinstance(v, tuple) else (v,)
+
+
+class TestSharedElliptic:
+    """A sweep shares its elliptic evaluations; each entry or row alone is the
+    reference."""
+
+    def test_catalog_sweep_is_each_entry_alone(self):
+        swept = verify_catalog()
+        alone = [verify_entry(sid) for sid in catalog_ids()]
+        assert [_bits(r) for r in swept] == [_bits(r) for r in alone]
+
+    @pytest.mark.parametrize("detune", [0.0, 0.05])
+    def test_mapping_sweep_is_each_row_alone(self, detune):
+        swept = check_all_mappings(detune)
+        alone = [check_mapping(p, detune) for p in mapping_table()]
+        assert [_bits(c) for c in swept] == [_bits(c) for c in alone]
+
+    def test_handed_out_arrays_are_read_only(self):
+        x = np.linspace(-2.0, 2.0, 11)
+        with specfn.shared_elliptic():
+            for arr in (*specfn.jacobi_elliptic(x, 0.5), *specfn.jacobi_elliptic(x, 0.5)):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        specfn.jacobi_elliptic(x, 0.5).sn[0] = 0.0  # no scope, no sharing
+
+    @pytest.mark.parametrize("m", [0.5, -1.0, 2.0])
+    def test_shapes_with_the_same_values_share_one_evaluation(self, monkeypatch, m):
+        x = verify._grid((-4.0, 4.0), 801)[0]
+        fresh = [specfn.jacobi_elliptic(u, m) for u in (x, x[None, :])]
+        calls = []
+        ellipj = specfn._sp.ellipj
+        monkeypatch.setattr(specfn._sp, "ellipj", lambda *a: calls.append(a) or ellipj(*a))
+        with specfn.shared_elliptic():
+            shared = [specfn.jacobi_elliptic(u, m) for u in (x, x[None, :])]
+            assert len(calls) == 1
+            specfn.jacobi_elliptic(-x, m)
+            specfn.jacobi_elliptic(x, 0.25)
+            assert len(calls) == 3
+        for one, other in zip(fresh, shared):
+            for a, b in zip(one, other):
+                assert a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+        specfn.jacobi_elliptic(x, m)
+        assert len(calls) == 4  # the memo died with its scope
