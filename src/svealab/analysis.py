@@ -1,21 +1,5 @@
 """Post-processing: peak detection, structure counting, breathing metrics,
-and the amplitude-width stability scan.
-
-Peak positions come from a numpy port of scipy's local-maximum rule
-(scipy.signal.find_peaks with height and distance), refined by 3-point
-parabolic interpolation.  peak_table runs it once per snapshot, at one
-threshold and separation; build that table once and pass it to every metric,
-each of which reads its trailing WINDOW_FRACTION of rows (the count series
-and track assembly read them all).  Structure counts are modal over the
-window, which rides out miscounts at breathing phase extremes.
-The stability scan minimizes the breathing metric of psi0*sech(alpha*x)
-initial data over psi0: a coarse sweep brackets the minimum and a
-golden-section pass refines it.  Each width's search is a coroutine that
-asks for the psi0 values it needs next; the widths advance in lockstep, and
-each round propagates all requested cells as one propagate_batch stack
-(split into at most `jobs` blocks across processes).  Batched rows are bitwise
-their solo runs, so the result is independent of batching and `jobs`.
-Everything is deterministic.
+and the amplitude-width stability scan.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -98,7 +82,8 @@ def _local_peaks(y: np.ndarray, height: float, distance: int) -> np.ndarray:
 
 def find_peaks(state: FieldState, threshold: float,
                min_separation: float = DEFAULT_MIN_SEPARATION) -> list[Peak]:
-    """Local maxima of |psi|^2 above threshold, separated by min_separation.
+    """Local maxima of |psi|^2 above threshold, separated by min_separation,
+    each placed by 3-point parabolic refinement.
 
     A field whose |psi|^2 holds a NaN or an infinity is a DomainError.
     """
@@ -175,7 +160,8 @@ def peak_count_series(table: PeakTable) -> list[tuple[float, int]]:
 
 
 def count_structures(table: PeakTable) -> int:
-    """Modal peak count over the trailing snapshot window.
+    """Modal peak count over the trailing snapshot window, which rides out
+    miscounts at breathing phase extremes.
 
     Ties between equally frequent counts resolve to the smaller count.
     """
@@ -420,6 +406,5 @@ def stable_line_prediction(alpha: float) -> tuple[float, float]:
     equation into a focusing cubic one whose sech soliton has exactly this
     amplitude-width ratio (for omega = lambda = 1).
     """
-    if not alpha > 0.0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    require_positive("alpha", alpha)
     return 4.0 * alpha, (alpha * alpha - 1.0) / 2.0

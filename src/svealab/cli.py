@@ -7,9 +7,7 @@ analysis, scan, verify, map) holding flat key=value pairs; an unknown key (in
 [model], one the family's law does not read), a section the command does not
 read, or a file that is not UTF-8, is a config error.  SECTION_KEYS states
 each key once with the reader that types it; _section passes on only the keys
-set, so the library's defaults cover the rest.  Exit codes: 0 all checks
-passed, 1 checks failed, 2 usage or config error, 3 numerical divergence,
-130 interrupted.
+set, so the library's defaults cover the rest.
 
 main runs the steps every command shares, once: load the settings, check
 where the output directory goes, run the command body cmd_*(args, settings,
@@ -45,9 +43,9 @@ from .errors import ConfigError, DivergenceError, DomainError, PoleError, requir
 from .models import ModelSpec
 from .fieldio import (SnapshotStream, atomic_write_text, write_scan_csv, write_track_csv,
                       write_trajectory)
-from .solutions import SolutionId, make_solution, require_whole_periods
-from .solver import (Grid1D, RunConfig, catalog_profile, propagate,
-                     sech_profile, supergaussian_profile, uniform_profile)
+from .solutions import SolutionId, eval_solution, make_solution, require_whole_periods
+from .solver import (FieldState, Grid1D, RunConfig, propagate, sech_profile,
+                     supergaussian_profile, uniform_profile)
 from .verify import check_all_mappings, mapping_report, verification_report, verify_catalog
 
 EXIT_OK = 0
@@ -134,13 +132,26 @@ SECTION_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "map": {"tolerance": float},
 }
 
-# The [run] keys each initial condition reads besides initial; every run
-# reads the other [run] keys.  _settle_initial_keys applies it.
-INITIAL_KEYS: dict[str, tuple[str, ...]] = {
-    "sech": ("psi0", "alpha"),
-    "supergaussian": ("psi0", "width", "order"),
-    "uniform": ("psi0",),
-    "catalog": ("catalog_id",),
+
+def _catalog_state(grid: Grid1D, catalog_id: str = "") -> FieldState:
+    """The catalog entry catalog_id at t = 0 on a grid that holds a whole
+    number of its x-periods."""
+    try:
+        sol = make_solution(SolutionId(catalog_id.strip().upper()))
+        require_whole_periods(sol, grid.length)
+        return FieldState(grid, eval_solution(sol, grid.x, 0.0))
+    except ValueError as err:  # DomainError is one
+        raise ConfigError(f"bad [run] catalog_id {catalog_id!r}: {err}") from err
+
+
+# Each initial condition's builder and the [run] keys it reads besides
+# initial, each named as the builder's parameter; a key left out takes the
+# builder's default.  Every run reads the other [run] keys.
+INITIALS: dict[str, tuple[Callable[..., FieldState], tuple[str, ...]]] = {
+    "sech": (sech_profile, ("psi0", "alpha")),
+    "supergaussian": (supergaussian_profile, ("psi0", "width", "order")),
+    "uniform": (uniform_profile, ("psi0",)),
+    "catalog": (_catalog_state, ("catalog_id",)),
 }
 
 # The config sections each command reads.
@@ -207,13 +218,14 @@ def _settle_initial_keys(run: dict, from_file: dict) -> None:
     does not read; drop those the preset set, which go unread because the
     config changed initial.  An unknown initial is left to _initial_from."""
     kind = run.get("initial", "").strip().lower()
-    if kind not in INITIAL_KEYS:
+    if kind not in INITIALS:
         return
-    others = {key for keys in INITIAL_KEYS.values() for key in keys} - set(INITIAL_KEYS[kind])
+    reads = INITIALS[kind][1]
+    others = {key for _, keys in INITIALS.values() for key in keys} - set(reads)
     refused = sorted(others & set(from_file))
     if refused:
         raise ConfigError(f"[run] {', '.join(refused)}: not read by initial = {kind}, "
-                          f"which reads {', '.join(INITIAL_KEYS[kind])}")
+                          f"which reads {', '.join(reads)}")
     for key in others & set(run):
         del run[key]
 
@@ -254,26 +266,13 @@ def _run_config(settings: dict) -> RunConfig:
                      **_pick(_section(settings, "run"), "dt", "t_final", "snapshot_stride"))
 
 
-def _initial_from(settings: dict, grid: Grid1D):
+def _initial_from(settings: dict, grid: Grid1D) -> FieldState:
     run = _section(settings, "run")
     kind = run.get("initial", "").strip().lower()
-    if kind == "catalog":
-        name = run.get("catalog_id", "")
-        try:
-            sol = make_solution(SolutionId(name.strip().upper()))
-            require_whole_periods(sol, grid.length)
-            return catalog_profile(grid, sol)
-        except ValueError as err:  # DomainError is one
-            raise ConfigError(f"bad [run] catalog_id {name!r}: {err}") from err
-    psi0 = run.get("psi0", 1.0)
-    if kind == "sech":
-        return sech_profile(grid, psi0, **_pick(run, "alpha"))
-    if kind == "supergaussian":
-        return supergaussian_profile(grid, psi0, run.get("width", 10.0), **_pick(run, "order"))
-    if kind == "uniform":
-        return uniform_profile(grid, psi0)
-    raise ConfigError(f"config needs [run] initial = sech|supergaussian|uniform|catalog, "
-                      f"got {kind!r}")
+    if kind not in INITIALS:
+        raise ConfigError(f"config needs [run] initial = {'|'.join(INITIALS)}, got {kind!r}")
+    build, keys = INITIALS[kind]
+    return build(grid, **_pick(run, *keys))
 
 
 def _output_dir(args) -> Path:

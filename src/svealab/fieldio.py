@@ -32,6 +32,7 @@ from .errors import DomainError
 from .solver import FieldState, Grid1D, Trajectory
 
 SNAPSHOT_MAGIC = b"SVEA1"
+_HEADER = struct.Struct("<Qdd")
 
 PathLike = Union[str, Path]
 
@@ -66,8 +67,7 @@ def atomic_write_text(path: PathLike, text: str) -> None:
 
 
 def write_snapshot(path: PathLike, state: FieldState) -> None:
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<Qdd", state.grid.n, state.grid.length, state.time)
+    header = SNAPSHOT_MAGIC + _HEADER.pack(state.grid.n, state.grid.length, state.time)
     payload = np.ascontiguousarray(state.values, dtype="<c16").view("<f8").tobytes()
     atomic_write_bytes(path, header + payload)
 
@@ -76,12 +76,14 @@ def read_snapshot(path: PathLike) -> FieldState:
     """The state a snapshot file holds, on the grid its header names."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw[:5] != SNAPSHOT_MAGIC:
+    start = len(SNAPSHOT_MAGIC)
+    end = start + _HEADER.size
+    if raw[:start] != SNAPSHOT_MAGIC:
         raise DomainError(f"{path}: not a field snapshot (bad magic)")
-    if len(raw) < 29:
-        raise DomainError(f"{path}: truncated header ({len(raw)} of 29 bytes)")
-    n, length, time = struct.unpack("<Qdd", raw[5:29])
-    values = np.frombuffer(raw[29:], dtype="<f8")
+    if len(raw) < end:
+        raise DomainError(f"{path}: truncated header ({len(raw)} of {end} bytes)")
+    n, length, time = _HEADER.unpack(raw[start:end])
+    values = np.frombuffer(raw[end:], dtype="<f8")
     if values.size != 2 * n:
         raise DomainError(f"{path}: payload holds {values.size//2} points, header says {n}")
     grid = Grid1D(int(n), float(length))

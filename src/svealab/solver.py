@@ -5,22 +5,6 @@ k_j = 2*pi*j/L in FFT order.  propagate_batch() is the one stepping routine
 and propagate() its B = 1 case.  Every operation is per row and products keep
 their textbook operand order (complex products are not bitwise commutative
 under SIMD), so each row's output is byte for byte that of its solo run.
-
-The rotation is built as cos(theta) + i*sin(theta), which is bitwise
-exp(-1j*dt*V), the textbook form the tests keep as reference: -1j*dt is the
-complex (+0, -dt), so its product with V is (+-0) + i*(+0 + (-dt)*V) exactly,
-and theta = (-dt)*V + 0.0 gives a -0 angle the same +0.  tests/test_solver.py
-checks the identity on the platform at hand.
-
-_transform calls scipy's pocketfft binding with the arguments scipy.fft.fft
-and ifft end in.  The public functions spend 4-5 us per call in Python before
-pocketfft starts, a fifth of the call at n = 2048; tests/test_solver.py pins
-the identity, so a scipy that moves or changes the binding fails there first.
-
-Given on_snapshot, each snapshot goes to it as it is made, and the trajectory
-keeps only the snapshot times, peak intensities and masses, so a run's memory
-does not grow with its snapshot count.  The initial snapshot goes only once
-the stepper is built, so a run the stepper refuses hands nothing over.
 """
 
 from __future__ import annotations
@@ -38,7 +22,6 @@ from .models import ModelSpec
 # Not called here since the stepper binds its family's rate; perfbench/tracing.py
 # wraps this name on this module, so it stays importable from it.
 from .models import nls_nonlinear_phase_rate  # noqa: F401
-from .solutions import AnalyticSolution, eval_solution
 
 # Nonlinear rotation per step must stay under this angle (radians).
 STABILITY_GUARD = 0.5
@@ -152,7 +135,12 @@ def peak_intensity(state: FieldState) -> float:
 
 def _transform(a: np.ndarray, forward: bool, out: np.ndarray | None = None) -> np.ndarray:
     """scipy.fft.fft (forward) or ifft of complex a along its last axis, written
-    into out (which may be a itself) or a new array; bitwise the public call."""
+    into out (which may be a itself) or a new array; bitwise the public call.
+
+    The call is the one scipy.fft.fft and ifft end in: they spend 4-5 us in
+    Python before pocketfft starts, a fifth of the call at n = 2048.
+    tests/test_solver.py pins the identity, so a scipy that moves or changes
+    the binding fails there first."""
     return _pocketfft.c2c(a, (a.ndim - 1,), forward, 0 if forward else 2, out, 1)
 
 
@@ -230,7 +218,10 @@ class _Stepper:
             for k in np.flatnonzero(peak >= STABILITY_GUARD):
                 bad[int(k)] = (f"nonlinear rotation exceeded guard {STABILITY_GUARD} "
                                "at t={t:g}; reduce dt")
-        # + 0.0 gives a zero angle the sign it has in exp(-1j*dt*V)'s argument
+        # cos(theta) + i*sin(theta) is bitwise exp(-1j*dt*V): -1j*dt is the
+        # complex (+0, -dt), so its product with V is (+-0) + i*(+0 + (-dt)*V)
+        # exactly, and + 0.0 gives a -0 angle the same +0; tests/test_solver.py
+        # checks the identity on the platform at hand
         theta = np.add(np.multiply(-self.dt, rate, out=amp), 0.0, out=amp)
         np.cos(theta, out=rot.real)
         np.sin(theta, out=rot.imag)
@@ -269,7 +260,10 @@ def propagate(initial: FieldState, cfg: RunConfig,
     kept on the trajectory or, given on_snapshot, handed to it as made.
 
     On divergence the partial trajectory (snapshots up to the last healthy
-    step) rides on the raised error.
+    step) rides on the raised error.  Given on_snapshot, the trajectory keeps
+    only the snapshot times, peak intensities and masses, so a run's memory
+    does not grow with its snapshot count; the initial snapshot goes only once
+    the stepper is built, so a run the stepper refuses hands nothing over.
     """
     result, = propagate_batch([initial], cfg,
                               None if on_snapshot is None else lambda _, s: on_snapshot(s))
@@ -351,15 +345,14 @@ def _amplitude_state(grid: Grid1D, psi0: float, values: np.ndarray) -> FieldStat
     return FieldState(grid, values, 0.0)
 
 
-def sech_profile(grid: Grid1D, psi0: float, alpha: float = 1.0) -> FieldState:
+def sech_profile(grid: Grid1D, psi0: float = 1.0, alpha: float = 1.0) -> FieldState:
     """psi0 * sech(alpha * x); where cosh overflows, sech is 0."""
-    if not 0.0 < alpha < math.inf:  # NaN fails too
-        raise DomainError(f"width parameter alpha must be finite and > 0, got {alpha}")
+    require_positive("alpha", alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # inf/inf: psi0 fails below
         return _amplitude_state(grid, psi0, psi0 / np.cosh(alpha * grid.x))
 
 
-def supergaussian_profile(grid: Grid1D, psi0: float, width: float,
+def supergaussian_profile(grid: Grid1D, psi0: float = 1.0, width: float = 10.0,
                           order: int = 40) -> FieldState:
     """psi0 * exp(-(x/width)**(2*order)), 0 where the power overflows:
     step-like for large order."""
@@ -371,10 +364,5 @@ def supergaussian_profile(grid: Grid1D, psi0: float, width: float,
         return _amplitude_state(grid, psi0, psi0 * np.exp(-(u ** (2 * int(order)))))
 
 
-def uniform_profile(grid: Grid1D, psi0: float) -> FieldState:
+def uniform_profile(grid: Grid1D, psi0: float = 1.0) -> FieldState:
     return _amplitude_state(grid, psi0, np.full(grid.n, complex(psi0)))
-
-
-def catalog_profile(grid: Grid1D, sol: AnalyticSolution) -> FieldState:
-    """Sample a catalog solution at t = 0 onto the grid as initial data."""
-    return FieldState(grid, np.asarray(eval_solution(sol, grid.x, 0.0), dtype=complex), 0.0)

@@ -10,16 +10,6 @@ the ratio is meaningless.  Entries whose residual is identically zero
 (vacuum constants, the uniform envelope) pass through the floor rule
 instead.
 
-Each profile is evaluated once per entry.  The ratio grids are every 4th and
-8th point of the tolerance grid, bit for bit (each spacing is the finer one
-times a power of two), so a profile that does not travel is evaluated on the
-tolerance grid alone; each grid takes its points of it and multiplies its
-own phase factors, one per time it needs (for the stencils, t0 +
-tau*[-2..2] for every t0) as a column against the grid's row.  The profile
-is elementwise in x and the phase elementwise in t, so each value is the
-product eval_solution forms on that grid, and the stencils run over the
-whole (T, 5, n) time stack at once.
-
 One sweep (verify_catalog, check_all_mappings) evaluates each distinct
 elliptic (u, m) once: DW_NLS shares CUBIC_NLS's, a quench envelope its field's.
 
@@ -194,9 +184,12 @@ def _residual(model: ModelSpec, sol: AnalyticSolution, x_range: tuple[float, flo
 
 def _nested_residuals(sol: AnalyticSolution) -> list[ResidualReport]:
     """The residual on each ratio grid, then on the tolerance grid.  Each
-    ratio grid is every k-th point of the tolerance grid, bit for bit, so a
-    profile that does not travel is evaluated once, on the tolerance grid,
-    and each grid takes its points of it and forms its own phase factors."""
+    ratio grid is every k-th point of the tolerance grid, bit for bit (its
+    spacing is the finer one's times a power of two), so a profile that does
+    not travel is evaluated once, on the tolerance grid, and each grid takes
+    its points of it and forms its own phase factors.  The profile is
+    elementwise in x and the phase in t, so each value is the product
+    eval_solution forms on that grid."""
     model = model_for(sol)
     profile = None
     if not sol.travelling:
@@ -249,18 +242,17 @@ def verify_catalog(tolerance: float = DEFAULT_TOLERANCE) -> list[ConvergenceRepo
         return [verify_entry(sid, tolerance) for sid in catalog_ids()]
 
 
+def _tally(rows: Sequence[str], checks: Sequence, summary: str) -> str:
+    """Each check's row with its verdict, then "n/N summary"."""
+    verdicts = ["PASS" if c.passed else "FAIL" for c in checks]
+    return "\n".join([*(f"{row} {v}" for row, v in zip(rows, verdicts)),
+                      f"{verdicts.count('PASS')}/{len(checks)} {summary}"])
+
+
 def verification_report(reports: Sequence[ConvergenceReport]) -> str:
-    lines = []
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(
-            f"{r.solution_id:<16} {r.tolerance_report.grid:<44} "
-            f"rel_residual={r.tolerance_report.relative_residual:.3e} "
-            f"[{r.note}] {status}"
-        )
-    n_pass = sum(r.passed for r in reports)
-    lines.append(f"{n_pass}/{len(reports)} catalog entries verified")
-    return "\n".join(lines)
+    return _tally([f"{r.solution_id:<16} {r.tolerance_report.grid:<44} "
+                   f"rel_residual={r.tolerance_report.relative_residual:.3e} [{r.note}]"
+                   for r in reports], reports, "catalog entries verified")
 
 
 def check_mapping(pair: MappingPair, detune: float = 0.0,
@@ -300,15 +292,8 @@ def check_all_mappings(detune: float = 0.0,
 
 
 def mapping_report(checks: Sequence[MappingCheck]) -> str:
-    lines = []
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        times = ", ".join(f"t={t:g}: {d:.3e}" for t, d in c.per_time)
-        lines.append(
-            f"{c.kg_id:<14} <- {c.nls_id:<14} detune={c.detune:g} "
-            f"max|psi-phi|={c.max_abs_diff:.3e} ({times}) {status}"
-        )
-    n_pass = sum(c.passed for c in checks)
     tolerance = checks[0].tolerance if checks else MAPPING_TOLERANCE
-    lines.append(f"{n_pass}/{len(checks)} mapping rows within {tolerance:g}")
-    return "\n".join(lines)
+    return _tally([f"{c.kg_id:<14} <- {c.nls_id:<14} detune={c.detune:g} "
+                   f"max|psi-phi|={c.max_abs_diff:.3e} "
+                   f"({', '.join(f't={t:g}: {d:.3e}' for t, d in c.per_time)})"
+                   for c in checks], checks, f"mapping rows within {tolerance:g}")

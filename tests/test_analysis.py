@@ -325,8 +325,16 @@ class TestStabilityScan:
         amp, k = stable_line_prediction(0.1)
         assert amp == pytest.approx(0.4)
         assert k == pytest.approx(-0.495)
-        with pytest.raises(DomainError, match="alpha must be positive, got 0.0"):
+        with pytest.raises(DomainError, match="alpha must be finite and > 0, got 0.0"):
             stable_line_prediction(0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_alpha_has_one_rule(self, alpha):
+        # the profile the scan starts from and the line it is compared with
+        with pytest.raises(DomainError, match="alpha must be finite and > 0"):
+            sech_profile(Grid1D(32, 10.0), 1.0, alpha)
+        with pytest.raises(DomainError, match="alpha must be finite and > 0"):
+            stable_line_prediction(alpha)
 
     def test_validation(self):
         tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0))

@@ -763,7 +763,7 @@ class TestConfigSchema:
         for kind, extra in (("sech", {}), ("supergaussian", {}),
                             ("catalog", {"catalog_id": "bessel_uniform"})):
             settings = cli._merge(tiny_run, {"run": {"initial": kind, **extra}})
-            for key in {"psi0", "alpha"} - set(cli.INITIAL_KEYS[kind]):
+            for key in {"psi0", "alpha"} - set(cli.INITIALS[kind][1]):
                 del settings["run"][key]
             runs.append(settings)
         for command, settings in [("run", s) for s in runs] + [
@@ -776,12 +776,23 @@ class TestConfigSchema:
         listed = {(section, key) for section, keys in SECTION_KEYS.items() for key in keys}
         assert read == listed
 
-    @pytest.mark.parametrize("kind", sorted(cli.INITIAL_KEYS))
+    @pytest.mark.parametrize("kind", sorted(cli.INITIALS))
     def test_initial_keys_are_the_keys_each_initial_reads(self, kind, monkeypatch):
         read = _record_reads(monkeypatch)
         run = {"initial": kind, **({"catalog_id": "bessel_uniform"} if kind == "catalog" else {})}
         cli._initial_from({"run": run}, Grid1D(64, 20.0))
-        assert read == {("run", key) for key in ("initial", *cli.INITIAL_KEYS[kind])}
+        assert read == {("run", key) for key in ("initial", *cli.INITIALS[kind][1])}
+
+    @pytest.mark.parametrize("kind", sorted(cli.INITIALS))
+    def test_a_key_left_out_takes_the_builders_default(self, kind):
+        build, keys = cli.INITIALS[kind]
+        assert set(keys) <= set(inspect.signature(build).parameters)
+        grid = Grid1D(64, 20.0)
+        # a catalog initial has no default entry
+        extra = {"catalog_id": "bessel_uniform"} if kind == "catalog" else {}
+        expected = build(grid, *extra.values())
+        state = cli._initial_from({"run": {"initial": kind, **extra}}, grid)
+        assert (state.values.tobytes(), state.time) == (expected.values.tobytes(), 0.0)
 
     @pytest.mark.parametrize("initial, extra, dropped", [
         ("catalog", "catalog_id = bessel_uniform\n", {"psi0", "alpha"}),
@@ -859,6 +870,15 @@ class TestStartup:
         done = _python("-c", probe)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == ""
+
+    @pytest.mark.parametrize("module", ["solver", "analysis", "fieldio"])
+    def test_run_half_loads_without_the_catalog_half(self, module):
+        # only cli joins the propagation stack to the catalog
+        probe = (f"import sys, svealab.{module}; print(' '.join(sorted(m for m in "
+                 "('svealab.solutions', 'svealab.specfn', 'svealab.verify') "
+                 "if m in sys.modules)))")
+        done = _python("-c", probe)
+        assert (done.returncode, done.stdout.strip()) == (0, ""), done.stderr
 
     def test_module_entry_point(self):
         done = _python("-m", "svealab", "--version")

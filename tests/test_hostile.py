@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED, EXIT_OK,
-                         EXIT_USAGE, INITIAL_KEYS, SECTION_KEYS, main)
+                         EXIT_USAGE, INITIALS, SECTION_KEYS, main)
 from svealab.models import Family
 from svealab.solutions import catalog_ids, make_solution, model_for, _x_period
 
@@ -220,7 +220,7 @@ def test_detune_out_of_domain_says_why(tmp_path, capsys, detune, reason):
                              ("sech", {}), ("supergaussian", {}), ("uniform", {}))
       for key, value in (("psi0", "5"), ("alpha", "3"), ("width", "2"), ("order", "4"),
                          ("catalog_id", "bessel_uniform"))
-      if key not in INITIAL_KEYS[initial]],
+      if key not in INITIALS[initial][1]],
 ])
 def test_found_pair(tmp_path, capsys, changes, named):
     settings = _with("run", [(section, key, value) for section, kv in changes.items()

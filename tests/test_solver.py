@@ -13,9 +13,9 @@ from svealab.errors import DivergenceError, DomainError
 from svealab.models import BESSEL_RATE_CUTOVER, Family, ModelSpec, nls_nonlinear_phase_rate
 from svealab.solutions import SolutionId, _x_period, eval_solution, make_solution, model_for
 from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunConfig,
-                            Trajectory, catalog_profile, peak_intensity, propagate,
-                            propagate_batch, sech_profile, supergaussian_profile,
-                            uniform_profile, _power_floor, _transform)
+                            Trajectory, peak_intensity, propagate, propagate_batch,
+                            sech_profile, supergaussian_profile, uniform_profile,
+                            _power_floor, _transform)
 
 from oracles import K_VALUES, reference_propagate
 
@@ -196,7 +196,7 @@ class TestProfiles:
     def test_catalog_profile_matches_closed_form(self):
         sol = make_solution(SolutionId.CUBIC_NLS_CN)
         g = Grid1D(64, 8.0)
-        st = catalog_profile(g, sol)
+        st = FieldState(g, eval_solution(sol, g.x, 0.0))
         assert np.allclose(st.values, np.asarray(eval_solution(sol, g.x, 0.0)), rtol=1e-13)
 
 
@@ -227,7 +227,7 @@ class TestPropagation:
         sol = make_solution(SolutionId.CUBIC_NLS_SN)
         length = 4.0 * K_VALUES[0.6]
         g = Grid1D(256, length)
-        st = catalog_profile(g, sol)
+        st = FieldState(g, eval_solution(sol, g.x, 0.0))
         traj = propagate(st, RunConfig(CUBIC, dt=1e-3, t_final=5.0, snapshot_stride=1000))
         drift = np.max(np.abs(np.abs(traj.final.values) - np.abs(st.values)))
         assert drift < 1e-5
@@ -244,7 +244,7 @@ class TestPropagation:
         sol = make_solution(sid)
         period = _x_period(sol)
         g = Grid1D(128, 2.0 * period if period else 20.0)  # 0.0: any length holds it
-        st = catalog_profile(g, sol)
+        st = FieldState(g, eval_solution(sol, g.x, 0.0))
         exact = eval_solution(sol, g.x, 4.0)
         errs = [np.max(np.abs(propagate(st, RunConfig(model_for(sol), dt=dt, t_final=4.0,
                                                       snapshot_stride=4000)).final.values
