@@ -15,8 +15,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, range_rule, require_positive
-from .models import Family, ModelSpec
+from .errors import (DivergenceError, DomainError, range_rule, require_integer,
+                     require_positive)
+from .models import Family
 from .solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate_batch,
                      sech_profile)
 # Not called here since the scan batches its cells; perfbench/tracing.py wraps
@@ -239,15 +240,15 @@ def track_structures(table: PeakTable) -> list[list[Peak]]:
 # --- stability scan --------------------------------------------------------
 
 @dataclass(frozen=True)
-class ScanTemplate:
-    """Everything a scan cell needs except the (alpha, psi0) coordinates."""
+class ScanTemplate(RunConfig):
+    """The run every scan cell makes, and the grid it makes it on: everything
+    a cell needs except its (alpha, psi0) coordinates."""
 
-    model: ModelSpec
-    grid_n: int = 1024
-    grid_length: float = 80.0
     dt: float = 2e-3
     t_final: float = 90.0
     snapshot_stride: int = 500
+    grid_n: int = 1024
+    grid_length: float = 80.0
 
     def grid_for(self, alpha: float) -> Grid1D:
         # Wide profiles need a domain several widths across.
@@ -258,17 +259,16 @@ class ScanTemplate:
         return Grid1D(self.grid_n, length)
 
 
-def _evaluate(template: ScanTemplate, cfg: RunConfig,
-              cells: Sequence[tuple[float, float]]) -> list[float]:
+def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> list[float]:
     """Breathing metric of each (alpha, psi0) cell, all propagated as one batch
-    under cfg, at the default peak separation.
+    under the template, at the default peak separation.
 
     A cell that diverges scores infinity.
     """
     initials = [sech_profile(template.grid_for(alpha), psi0, alpha) for alpha, psi0 in cells]
     return [math.inf if isinstance(traj, DivergenceError) else
             oscillation_metric(peak_table(traj))
-            for traj in propagate_batch(initials, cfg)]
+            for traj in propagate_batch(initials, template)]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -356,7 +356,8 @@ def scan_stability(alphas: Sequence[float],
         raise DomainError(f"alphas must be finite and > 0, got {bad!r}")
     if template.model.family is not Family.BESSEL_NLS:
         raise DomainError("stability scan is defined for the Bessel envelope model")
-    lo, hi, n_samples = float(psi0_range[0]), float(psi0_range[1]), int(psi0_range[2])
+    lo, hi = float(psi0_range[0]), float(psi0_range[1])
+    n_samples = require_integer("psi0_samples", psi0_range[2])
     if not (0.0 < lo < hi < math.inf and n_samples >= 3):
         raise DomainError(f"bad psi0 range {psi0_range!r}: need 0 < psi0_lo < psi0_hi < inf "
                           "and psi0_samples >= 3")
@@ -364,14 +365,14 @@ def scan_stability(alphas: Sequence[float],
         np.empty(n_samples)  # the size of each coarse sweep's samples
     except (MemoryError, ValueError) as err:  # ValueError: past numpy's size limit
         raise DomainError(f"psi0_samples={n_samples} is too large to allocate") from err
+    jobs = require_integer("jobs", jobs)
+    refine_iters = require_integer("refine_iters", refine_iters)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     if refine_iters < 0:
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
     for alpha in alphas:
         template.grid_for(alpha)  # a DomainError if its domain overflows
-    cfg = RunConfig(template.model, dt=template.dt, t_final=template.t_final,
-                    snapshot_stride=template.snapshot_stride)
 
     alphas = [float(a) for a in alphas]
     searches = [_search(a, lo, hi, n_samples, refine_iters) for a in alphas]
@@ -389,7 +390,7 @@ def scan_stability(alphas: Sequence[float],
             edges = [len(cells) * b // n_blocks for b in range(n_blocks + 1)]
             blocks = [cells[e0:e1] for e0, e1 in zip(edges, edges[1:])]
             metrics = (m for block in (pool.map if pool else map)(
-                _evaluate, [template] * n_blocks, [cfg] * n_blocks, blocks) for m in block)
+                _evaluate, [template] * n_blocks, blocks) for m in block)
             for i, psi0s in list(wanted.items()):
                 try:
                     wanted[i] = searches[i].send([next(metrics) for _ in psi0s])

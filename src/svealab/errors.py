@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the range rules that raise them."""
 
 import math
+import operator
 
 
 class DomainError(ValueError):
@@ -17,6 +18,15 @@ def range_rule(holds, text: str):
 
 
 require_positive = range_rule(lambda v: 0.0 < v < math.inf, "finite and > 0")  # NaN fails
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int, or a DomainError naming it unless it is one (numpy
+    integers are; 2.0 and 2.9 are not): nothing is truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class PoleError(ValueError):

@@ -86,7 +86,7 @@ def read_snapshot(path: PathLike) -> FieldState:
     values = np.frombuffer(raw[end:], dtype="<f8")
     if values.size != 2 * n:
         raise DomainError(f"{path}: payload holds {values.size//2} points, header says {n}")
-    grid = Grid1D(int(n), float(length))
+    grid = Grid1D(n, length)
     return FieldState(grid, values.view("<c16"), float(time))  # FieldState copies
 
 

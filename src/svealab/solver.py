@@ -17,10 +17,10 @@ import numpy as np
 from scipy import fft as _fft
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
-from .errors import DivergenceError, DomainError, require_positive
+from .errors import DivergenceError, DomainError, require_integer, require_positive
 from .models import ModelSpec
-# Not called here since the stepper binds its family's rate; perfbench/tracing.py
-# wraps this name on this module, so it stays importable from it.
+# Not called here since propagate_batch binds its family's rate once per run;
+# perfbench/tracing.py wraps this name on this module, so it stays importable.
 from .models import nls_nonlinear_phase_rate  # noqa: F401
 
 # Nonlinear rotation per step must stay under this angle (radians).
@@ -41,7 +41,7 @@ class Grid1D:
     x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, length = int(self.n), float(self.length)
+        n, length = require_integer("grid size n", self.n), float(self.length)
         if n < 16 or n & (n - 1):
             raise DomainError(f"grid size must be a power of two >= 16, got {n}")
         if not (length > 0.0 and math.isfinite(length)):
@@ -95,9 +95,10 @@ class RunConfig:
             raise DomainError(f"t_final must be >= 0, got {self.t_final}")
         if not (0.0 < self.dt < math.inf and math.isfinite(self.t_final / self.dt)):
             raise DomainError(f"dt must be positive with t_final/dt finite, got {self.dt!r}")
-        if int(self.snapshot_stride) < 1:
-            raise DomainError(f"snapshot_stride must be >= 1, got {self.snapshot_stride}")
-        object.__setattr__(self, "snapshot_stride", int(self.snapshot_stride))
+        stride = require_integer("snapshot_stride", self.snapshot_stride)
+        if stride < 1:
+            raise DomainError(f"snapshot_stride must be >= 1, got {stride}")
+        object.__setattr__(self, "snapshot_stride", stride)
         if self.n_steps > MAX_STEPS:
             raise DomainError(f"dt={self.dt!r} makes {self.n_steps:.3g} steps to "
                               f"t_final={self.t_final!r}, more than {MAX_STEPS:.0e}")
@@ -156,104 +157,6 @@ def _power_floor(n: int) -> float:
     return n * 2.0**-1074 / UNITARITY_GUARD
 
 
-class _Stepper:
-    """Strang steps of a (B, n) spectrum stack, in place, one transform pair per step.
-
-    Rows share n but not their grid length, so each row gets its own half-step
-    multiplier.  Everything run-constant is settled once: the multipliers, the
-    projection targets, the rate-bound guard decision, the family's rate bound
-    to the model, and the (B, n) buffers.
-    `rows` holds the input index of each row still stepping and `spectra` its
-    live view.  advance() takes one step and retires every row that trips the
-    rotation guard, the non-finite check or the unitarity check, compacting
-    the stack so the other rows keep stepping; it returns why each retired row
-    left, and the caller, which keeps the run's clock, supplies the time.
-    Each row must start with a finite power of at least _power_floor(n).
-    """
-
-    def __init__(self, grids: Sequence[Grid1D], model: ModelSpec, dt: float,
-                 v_hat: np.ndarray):
-        if not model.family.is_nls:
-            raise DomainError(f"solver handles envelope families only, got {model.family.value}")
-        self.targets = [float(np.vdot(row, row).real) for row in v_hat]
-        floor = _power_floor(v_hat.shape[-1])
-        for target in self.targets:
-            if not floor <= target < math.inf:  # NaN fails too
-                raise DomainError(f"initial state needs a finite mass whose power is at "
-                                  f"least {floor:g} (n*2**-1074/{UNITARITY_GUARD:g}), "
-                                  f"got power {target:g}")
-        self.dt = dt
-        self.rows = list(range(len(v_hat)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
-                             for g in grids])
-        if not np.all(np.isfinite(half.view(float))):  # D*dt*k**2 overflowed
-            raise DomainError(f"the dispersion half step overflows: D={model.dispersion!r} "
-                              f"(omega={model.omega!r}) times dt={dt!r} times k**2; "
-                              "raise omega or lower dt")
-        law = model.family.law
-        self.guard_each_step = not abs(dt) * law.rate_bound(model) < STABILITY_GUARD
-        # amp = |v| needs no check: it is >= 0, and finite because the power
-        # sum check retires a row the step before it turns non-finite
-        self._rate = law.term(model)
-        self._full = (v_hat, half, np.empty(v_hat.shape, complex),
-                      np.empty(v_hat.shape, complex), np.empty(v_hat.shape),
-                      np.empty(v_hat.shape))
-        self._live(len(self.rows))
-
-    def _live(self, m: int) -> None:
-        self._views = tuple(a[:m] for a in self._full)
-        self.spectra = list(self._views[0])
-
-    def advance(self) -> dict[int, str]:
-        """One step of every live row; returns {input row: reason} for the rows
-        it retired, {t} in each reason standing for the row's time."""
-        v_hat, half, work, rot, amp, rate = self._views
-        np.multiply(half, v_hat, out=work)
-        v = _transform(work, False, work)
-        self._rate(np.abs(v, out=amp), rate)
-        bad = {}  # live row -> reason
-        if self.guard_each_step:
-            peak = abs(self.dt) * np.max(np.abs(rate), axis=-1)
-            for k in np.flatnonzero(peak >= STABILITY_GUARD):
-                bad[int(k)] = (f"nonlinear rotation exceeded guard {STABILITY_GUARD} "
-                               "at t={t:g}; reduce dt")
-        # cos(theta) + i*sin(theta) is bitwise exp(-1j*dt*V): -1j*dt is the
-        # complex (+0, -dt), so its product with V is (+-0) + i*(+0 + (-dt)*V)
-        # exactly, and + 0.0 gives a -0 angle the same +0; tests/test_solver.py
-        # checks the identity on the platform at hand
-        theta = np.add(np.multiply(-self.dt, rate, out=amp), 0.0, out=amp)
-        np.cos(theta, out=rot.real)
-        np.sin(theta, out=rot.imag)
-        np.multiply(v, rot, out=v)
-        np.multiply(half, _transform(v, True, v), out=v_hat)
-        # Both sub-steps are unit-modulus rotations, so the exact flow keeps the
-        # spectral power sum fixed; rescaling onto it removes the slow systematic
-        # drift (~1e-16 per step) that cos, sin and the transform pair leave behind.
-        for k, (row, target) in enumerate(zip(self.spectra, self.targets)):
-            if k in bad:
-                continue
-            total = float(np.vdot(row, row).real)
-            if not math.isfinite(total):
-                bad[k] = "non-finite field at t={t:g}"
-                continue
-            scale = math.sqrt(target / total)
-            if abs(scale - 1.0) > UNITARITY_GUARD:
-                bad[k] = f"unitarity defect {abs(scale - 1.0):.3e} at t={{t:g}}"
-                continue
-            np.multiply(row, scale, out=row)
-        return self._retire(bad) if bad else {}
-
-    def _retire(self, bad: dict) -> dict[int, str]:
-        retired = {self.rows[k]: reason for k, reason in bad.items()}
-        keep = [k for k in range(len(self.rows)) if k not in bad]
-        for a in self._full[:2]:
-            a[:len(keep)] = a[keep]
-        self.rows, self.targets = ([seq[k] for k in keep] for seq in (self.rows, self.targets))
-        self._live(len(keep))
-        return retired
-
-
 def propagate(initial: FieldState, cfg: RunConfig,
               on_snapshot: Optional[Callable[[FieldState], None]] = None) -> Trajectory:
     """Repeated stepping with per-step mass recording and stride snapshots,
@@ -263,7 +166,7 @@ def propagate(initial: FieldState, cfg: RunConfig,
     step) rides on the raised error.  Given on_snapshot, the trajectory keeps
     only the snapshot times, peak intensities and masses, so a run's memory
     does not grow with its snapshot count; the initial snapshot goes only once
-    the stepper is built, so a run the stepper refuses hands nothing over.
+    the run is set up, so a run refused at set-up hands nothing over.
     """
     result, = propagate_batch([initial], cfg,
                               None if on_snapshot is None else lambda _, s: on_snapshot(s))
@@ -282,15 +185,43 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
     a diverged row leaves the stack and the others keep stepping.  Given
     on_snapshot, each snapshot goes to on_snapshot(row, state), row its index
     in initials, and the trajectories hold none.
+
+    The (B, n) spectrum stack takes one transform pair per Strang step, in
+    place.  Rows share n but not their grid length, so each row gets its own
+    half-step multiplier.  A row leaves the stack when it trips the rotation
+    guard, the non-finite check or the unitarity check; each row must start
+    with a finite power of at least _power_floor(n).
     """
     if not initials:
         raise DomainError("propagate_batch needs at least one initial state")
     grids = [s.grid for s in initials]
     if len({g.n for g in grids}) > 1:
         raise DomainError(f"batched rows must share n, got {sorted({g.n for g in grids})}")
-    stack = _Stepper(grids, cfg.model, cfg.dt,
-                     np.array([_transform(s.values, True) for s in initials]))
-    n_steps = cfg.n_steps
+    model, dt, n_steps = cfg.model, cfg.dt, cfg.n_steps
+    if not model.family.is_nls:
+        raise DomainError(f"solver handles envelope families only, got {model.family.value}")
+    v_hat = np.array([_transform(s.values, True) for s in initials])
+    targets = [float(np.vdot(row, row).real) for row in v_hat]
+    floor = _power_floor(v_hat.shape[-1])
+    for target in targets:
+        if not floor <= target < math.inf:  # NaN fails too
+            raise DomainError(f"initial state needs a finite mass whose power is at "
+                              f"least {floor:g} (n*2**-1074/{UNITARITY_GUARD:g}), "
+                              f"got power {target:g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = np.array([np.exp(-0.5j * model.dispersion * dt * g.wavenumbers**2)
+                         for g in grids])
+    if not np.all(np.isfinite(half.view(float))):  # D*dt*k**2 overflowed
+        raise DomainError(f"the dispersion half step overflows: D={model.dispersion!r} "
+                          f"(omega={model.omega!r}) times dt={dt!r} times k**2; "
+                          "raise omega or lower dt")
+    law = model.family.law
+    guard_each_step = not abs(dt) * law.rate_bound(model) < STABILITY_GUARD
+    # amp = |v| needs no check: it is >= 0, and finite because the power
+    # sum check retires a row the step before it turns non-finite
+    phase_rate = law.term(model)
+    full = (v_hat, half, np.empty(v_hat.shape, complex), np.empty(v_hat.shape, complex),
+            np.empty(v_hat.shape), np.empty(v_hat.shape))
 
     # Kept spectral between steps: the discrete mass is read off the spectrum
     # (Parseval), so only one transform pair per step touches the state.
@@ -309,23 +240,66 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
         return Trajectory(tuple(snaps[i]), masses[i, :n_masses], np.array(peaks[i]),
                           np.array(times[i]))
 
+    def clock(i: int) -> float:  # row i's time after step j
+        return initials[i].time + j * dt
+
     for i, state in enumerate(initials):
-        masses[i, 0] = stack.targets[i] * parseval[i]
+        masses[i, 0] = targets[i] * parseval[i]
         record(i, state)
     results: list = [None] * len(initials)
+    rows = list(range(len(initials)))  # the input index of each live row
+    views, spectra = full, list(v_hat)  # the live rows, and each row's view
     for j in range(1, n_steps + 1):
-        for i, reason in stack.advance().items():
-            t = initials[i].time + j * cfg.dt
-            results[i] = DivergenceError(reason.format(t=t), t, trajectory(i, j))
-        if not stack.rows:
-            break
-        for i, row in zip(stack.rows, stack.spectra):
+        v_hat, half, work, rot, amp, rate = views
+        np.multiply(half, v_hat, out=work)
+        v = _transform(work, False, work)
+        phase_rate(np.abs(v, out=amp), rate)
+        bad = {}  # live row -> reason
+        if guard_each_step:
+            peak = abs(dt) * np.max(np.abs(rate), axis=-1)
+            for k in np.flatnonzero(peak >= STABILITY_GUARD):
+                bad[int(k)] = (f"nonlinear rotation exceeded guard {STABILITY_GUARD} "
+                               f"at t={clock(rows[k]):g}; reduce dt")
+        # cos(theta) + i*sin(theta) is bitwise exp(-1j*dt*V): -1j*dt is the
+        # complex (+0, -dt), so its product with V is (+-0) + i*(+0 + (-dt)*V)
+        # exactly, and + 0.0 gives a -0 angle the same +0; tests/test_solver.py
+        # checks the identity on the platform at hand
+        theta = np.add(np.multiply(-dt, rate, out=amp), 0.0, out=amp)
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        np.multiply(v, rot, out=v)
+        np.multiply(half, _transform(v, True, v), out=v_hat)
+        # Both sub-steps are unit-modulus rotations, so the exact flow keeps the
+        # spectral power sum fixed; rescaling onto it removes the slow systematic
+        # drift (~1e-16 per step) that cos, sin and the transform pair leave behind.
+        for k, (i, row, target) in enumerate(zip(rows, spectra, targets)):
+            if k in bad:
+                continue
+            total = float(np.vdot(row, row).real)
+            if not math.isfinite(total):
+                bad[k] = f"non-finite field at t={clock(i):g}"
+                continue
+            scale = math.sqrt(target / total)
+            if abs(scale - 1.0) > UNITARITY_GUARD:
+                bad[k] = f"unitarity defect {abs(scale - 1.0):.3e} at t={clock(i):g}"
+                continue
+            np.multiply(row, scale, out=row)
             masses[i, j] = np.vdot(row, row).real * parseval[i]
+        if bad:  # retire the diverged rows and compact the stack
+            for k, reason in bad.items():
+                results[rows[k]] = DivergenceError(reason, clock(rows[k]), trajectory(rows[k], j))
+            live = [k for k in range(len(rows)) if k not in bad]
+            for a in full[:2]:
+                a[:len(live)] = a[live]
+            rows, targets = ([seq[k] for k in live] for seq in (rows, targets))
+            views = tuple(a[:len(live)] for a in full)
+            spectra = list(views[0])
+            if not rows:
+                break
         if j % cfg.snapshot_stride == 0 or j == n_steps:
-            for i, row in zip(stack.rows, stack.spectra):
-                record(i, FieldState(grids[i], _transform(row, False),
-                                     initials[i].time + j * cfg.dt))
-    for i in stack.rows:
+            for i, row in zip(rows, spectra):
+                record(i, FieldState(grids[i], _transform(row, False), clock(i)))
+    for i in rows:
         results[i] = trajectory(i, n_steps + 1)
     return results
 
@@ -357,11 +331,12 @@ def supergaussian_profile(grid: Grid1D, psi0: float = 1.0, width: float = 10.0,
     """psi0 * exp(-(x/width)**(2*order)), 0 where the power overflows:
     step-like for large order."""
     require_positive("supergaussian width", width)
+    order = require_integer("supergaussian order", order)
     if order < 1:
         raise DomainError(f"supergaussian order must be >= 1, got {order}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf*0: psi0 fails below
         u = grid.x / width
-        return _amplitude_state(grid, psi0, psi0 * np.exp(-(u ** (2 * int(order)))))
+        return _amplitude_state(grid, psi0, psi0 * np.exp(-(u ** (2 * order))))
 
 
 def uniform_profile(grid: Grid1D, psi0: float = 1.0) -> FieldState:

@@ -12,7 +12,8 @@ stepper must reproduce bit for bit: every product allocates, the guard
 dt*max|V| and the finite check run on every step.  reference_bessel_rate is
 the masked J1(z)/z form the rate's fast path must reproduce, and
 reference_phase_rate each envelope family's V as the allocating textbook
-expression the in-place rates must reproduce.
+expression the in-place rates must reproduce.  stationary_state finds a
+localized state that propagate must hold still, by an iteration of its own.
 """
 
 import math
@@ -109,6 +110,31 @@ def _reference_step(v_hat, half, model, dt, t, target):
     if abs(scale - 1.0) > UNITARITY_GUARD:
         raise DivergenceError(f"unitarity defect at t={t:g}", time=t)
     return v_hat * scale
+
+
+def stationary_state(model, mu, grid):
+    """phi > 0 with (mu - D d^2/dx^2) phi = (V(0) - V(phi)) phi on grid's
+    spectral derivative, V the envelope family's phase rate: psi =
+    phi*exp(-i(V(0) - mu)t) then solves i psi_t = -D psi_xx + V(|psi|) psi,
+    so |psi| stays phi.
+
+    Petviashvili's iteration (Sov. J. Plasma Phys. 2:257, 1976) with the cubic
+    exponent 3/2, from the cubic-limit soliton 4*alpha*sech(alpha*x), alpha =
+    sqrt(mu/D).
+    """
+    lin = mu + model.dispersion * grid.wavenumbers**2
+    alpha = math.sqrt(mu / model.dispersion)
+    phi = 4.0 * alpha / np.cosh(alpha * grid.x)
+    rate0 = nls_nonlinear_phase_rate(model, 0.0)
+    for _ in range(200):
+        phi_hat = fft.fft(phi)
+        n_hat = fft.fft((rate0 - nls_nonlinear_phase_rate(model, np.abs(phi))) * phi)
+        factor = np.vdot(phi_hat, lin * phi_hat).real / np.vdot(phi_hat, n_hat).real
+        new = fft.ifft(factor**1.5 * n_hat / lin).real
+        if np.max(np.abs(new - phi)) <= 1e-13 * np.max(new):
+            return new
+        phi = new
+    raise RuntimeError(f"Petviashvili iteration did not converge at mu={mu!r}")
 
 
 def reference_propagate(initial, cfg):

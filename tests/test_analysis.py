@@ -1,6 +1,7 @@
 """Peak detection, structure counting, and the stability scan."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from svealab.analysis import (Peak, PeakRow, PeakTable, ScanTemplate, StabilityP
 from svealab.errors import DomainError
 from svealab.models import Family, ModelSpec
 from svealab.solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate,
-                            sech_profile, uniform_profile)
+                            sech_profile, supergaussian_profile, uniform_profile)
 
 
 def make_state(grid, values):
@@ -414,9 +415,9 @@ class TestLockstepScan:
         # clamp psi0_lo/4, so a second would rescan the same three cells
         cells, evaluate = [], analysis._evaluate
 
-        def counting(template, cfg, block):
+        def counting(template, block):
             cells.extend(block)
-            return evaluate(template, cfg, block)
+            return evaluate(template, block)
         monkeypatch.setattr(analysis, "_evaluate", counting)
         tmpl = ScanTemplate(_SMALL.model, grid_n=16, grid_length=48.0, dt=0.02, t_final=0.2,
                             snapshot_stride=5)
@@ -452,6 +453,30 @@ class TestLockstepScan:
         monkeypatch.setattr(analysis, "propagate_batch", None)  # a call would fail
         with pytest.raises(DomainError, match="refine_iters"):
             scan_stability([0.5], (1.0, 3.0, 5), _SMALL, refine_iters=-1)
+
+
+# A scan on it takes milliseconds.
+_TINY = ScanTemplate(_SMALL.model, grid_n=16, grid_length=48.0, dt=0.02, t_final=0.2,
+                     snapshot_stride=5)
+# name -> (a call taking the value, an integer it accepts)
+_INTEGER_PARAMETERS = {
+    "grid size n": (lambda v: Grid1D(v, 10.0), 16),
+    "snapshot_stride": (lambda v: RunConfig(_SMALL.model, snapshot_stride=v), 2),
+    "supergaussian order": (lambda v: supergaussian_profile(Grid1D(16, 10.0), order=v), 2),
+    "psi0_samples": (lambda v: scan_stability([0.5], (1.0, 3.0, v), _TINY, refine_iters=0), 4),
+    "refine_iters": (lambda v: scan_stability([0.5], (1.0, 3.0, 3), _TINY, refine_iters=v), 1),
+    "jobs": (lambda v: scan_stability([0.5], (1.0, 3.0, 3), _TINY, jobs=v, refine_iters=0), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_PARAMETERS))
+def test_integer_parameters_are_refused_not_truncated(name):
+    make, good = _INTEGER_PARAMETERS[name]
+    for bad in (good + 0.7, float(good)):
+        message = f"{name} must be an integer, got {bad!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            make(bad)
+    make(np.int64(good))  # a numpy integer is one
 
 
 @pytest.mark.parametrize("min_separation", [float("nan"), float("inf"), 0.0, -3.0])

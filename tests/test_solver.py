@@ -1,6 +1,7 @@
 """Split-step propagation: conservation, accuracy, reversibility, guards."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunC
                             sech_profile, supergaussian_profile, uniform_profile,
                             _power_floor, _transform)
 
-from oracles import K_VALUES, reference_propagate
+from oracles import K_VALUES, reference_propagate, stationary_state
 
 CUBIC = ModelSpec(Family.CUBIC_NLS, lam=1.0, omega=1.0)
 BESSEL = ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0)
@@ -434,7 +435,7 @@ _EDGE_RATES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1e-
        fractions=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(_EDGE_RATES)),
                           min_size=1, max_size=64))
 def test_cos_sin_rotation_is_bitwise_the_complex_exp(dt, fractions):
-    # _Stepper.advance builds exp(-1j*dt*V) as cos(theta) + i*sin(theta) with
+    # propagate_batch builds exp(-1j*dt*V) as cos(theta) + i*sin(theta) with
     # theta = (-dt)*V + 0.0; this holds on a platform whose complex exp and
     # real cos/sin round alike, for every rotation under the guard
     rate = np.array([f * STABILITY_GUARD / abs(dt) if abs(f) >= 1e-200 else f
@@ -626,6 +627,29 @@ class TestBatchedPropagation:
         _assert_same_trajectory(first, reference_propagate(initials[0], cfg))
         _assert_same_trajectory(last, reference_propagate(initials[2], cfg))
 
+    def test_each_row_keeps_its_own_clock(self):
+        # rows start at t = 0, 2.5 and 7; amplitude 3 trips the guard at step 14
+        cfg = RunConfig(FOCUSING, dt=0.02, t_final=1.0, snapshot_stride=10)
+        initials = [FieldState(_G, sech_profile(_G, psi0).values, t0)
+                    for psi0, t0 in ((2.0, 0.0), (3.0, 2.5), (1.5, 7.0))]
+        first, bad, last = propagate_batch(initials, cfg)
+        for st, got in ((initials[0], first), (initials[2], last)):
+            assert got.times[-1] == st.time + 50 * cfg.dt
+            _assert_same_trajectory(got, propagate(st, cfg))
+            _assert_same_trajectory(got, reference_propagate(st, cfg))
+        with pytest.raises(DivergenceError) as solo:
+            propagate(initials[1], cfg)
+        with pytest.raises(DivergenceError) as ref:
+            reference_propagate(initials[1], cfg)
+        assert str(bad) == str(solo.value) == ("nonlinear rotation exceeded guard 0.5 "
+                                               "at t=2.78; reduce dt")
+        assert bad.time == solo.value.time == ref.value.time == 2.5 + 14 * cfg.dt
+        _assert_same_trajectory(bad.partial, solo.value.partial)
+        # a textbook run to the last healthy step holds the same record
+        held = reference_propagate(initials[1], replace(cfg, t_final=13 * cfg.dt))
+        _assert_same_trajectory(bad.partial, Trajectory(
+            held.snapshots[:2], held.mass_series, held.peak_series[:2], held.times[:2]))
+
     def test_batch_of_one_is_propagate(self):
         model, st, dt = _BITWISE_CASES["bessel-mixed"]
         cfg = RunConfig(model, dt=dt, t_final=50 * dt, snapshot_stride=20)
@@ -644,3 +668,35 @@ class TestBatchedPropagation:
         cfg = RunConfig(BESSEL, dt=1e-3, t_final=0.01)
         with pytest.raises(DomainError, match="mass"):
             propagate_batch([sech_profile(_G, 1.0), FieldState(_G, np.zeros(_G.n), 0.0)], cfg)
+
+
+class TestStationaryFamily:
+    """Localized states of the Bessel NLS, each found by Petviashvili's
+    iteration (tests/oracles.py), which propagate must hold still."""
+
+    def test_oracle_reproduces_the_cubic_soliton(self):
+        # focusing cubic: A*sech(alpha*x) with D*alpha**2 = mu and
+        # A**2 = 2*mu*omega/|lambda|; alpha*L/2 = 40 keeps the periodic
+        # images' overlap under the rounding
+        grid, alpha = Grid1D(2048, 80.0), 1.0
+        mu = FOCUSING.dispersion * alpha**2
+        amp = math.sqrt(2.0 * mu * FOCUSING.omega / abs(FOCUSING.lam))
+        phi = stationary_state(FOCUSING, mu, grid)
+        assert np.max(np.abs(phi - amp / np.cosh(alpha * grid.x))) <= 1e-12 * amp
+
+    @pytest.mark.parametrize("mu, peak", [(0.08, 1.6623), (0.3, 3.7432), (0.4, 4.9115)])
+    def test_propagate_holds_the_bessel_family_still(self, mu, peak):
+        # the error is max| |psi| - phi | / max phi over the snapshots; it is
+        # the splitting's alone, since phi solves the grid's own equation
+        grid = Grid1D(512, 40.0)
+        phi = stationary_state(BESSEL, mu, grid)
+        assert np.max(phi) == pytest.approx(peak, abs=1e-4)
+        errors = []
+        for dt in (2e-3, 1e-3):
+            cfg = RunConfig(BESSEL, dt=dt, t_final=5.0, snapshot_stride=round(0.5 / dt))
+            traj = propagate(FieldState(grid, phi), cfg)
+            assert len(traj.snapshots) == 11
+            errors.append(max(np.max(np.abs(np.abs(s.values) - phi))
+                              for s in traj.snapshots) / np.max(phi))
+        assert errors[1] <= 1e-8
+        assert math.log2(errors[0] / errors[1]) >= 1.9
