@@ -33,7 +33,7 @@ _CORE_RADIUS = 3.0  # peaks this close to x = 0 belong to the standing structure
 _OUTER_BLOCKS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Peak:
     position: float
     height: float
@@ -118,7 +118,7 @@ def detection_threshold(traj: Trajectory,
     return fraction * float(np.max(traj.peak_series))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeakRow:
     """One snapshot: its time, its peaks and its max |psi|^2."""
 
@@ -241,14 +241,21 @@ def track_structures(table: PeakTable) -> list[list[Peak]]:
 
 @dataclass(frozen=True)
 class ScanTemplate(RunConfig):
-    """The run every scan cell makes, and the grid it makes it on: everything
-    a cell needs except its (alpha, psi0) coordinates."""
+    """The run every scan cell makes, and the grid each width makes it on
+    (grid_for); the run, the model and the base grid are checked when the
+    template is built."""
 
     dt: float = 2e-3
     t_final: float = 90.0
     snapshot_stride: int = 500
     grid_n: int = 1024
     grid_length: float = 80.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.model.family is not Family.BESSEL_NLS:
+            raise DomainError("stability scan is defined for the Bessel envelope model")
+        Grid1D(self.grid_n, self.grid_length)  # a DomainError for a bad n or length
 
     def grid_for(self, alpha: float) -> Grid1D:
         # Wide profiles need a domain several widths across.
@@ -259,13 +266,14 @@ class ScanTemplate(RunConfig):
         return Grid1D(self.grid_n, length)
 
 
-def _evaluate(template: ScanTemplate, cells: Sequence[tuple[float, float]]) -> list[float]:
-    """Breathing metric of each (alpha, psi0) cell, all propagated as one batch
-    under the template, at the default peak separation.
+def _evaluate(template: ScanTemplate,
+              cells: Sequence[tuple[Grid1D, float, float]]) -> list[float]:
+    """Breathing metric of each (grid, psi0, alpha) cell, all propagated as one
+    batch under the template, at the default peak separation.
 
     A cell that diverges scores infinity.
     """
-    initials = [sech_profile(template.grid_for(alpha), psi0, alpha) for alpha, psi0 in cells]
+    initials = [sech_profile(grid, psi0, alpha) for grid, psi0, alpha in cells]
     return [math.inf if isinstance(traj, DivergenceError) else
             oscillation_metric(peak_table(traj))
             for traj in propagate_batch(initials, template)]
@@ -354,8 +362,6 @@ def scan_stability(alphas: Sequence[float],
     bad = [a for a in alphas if not 0.0 < a < math.inf]  # NaN fails too
     if bad:
         raise DomainError(f"alphas must be finite and > 0, got {bad!r}")
-    if template.model.family is not Family.BESSEL_NLS:
-        raise DomainError("stability scan is defined for the Bessel envelope model")
     lo, hi = float(psi0_range[0]), float(psi0_range[1])
     n_samples = require_integer("psi0_samples", psi0_range[2])
     if not (0.0 < lo < hi < math.inf and n_samples >= 3):
@@ -371,10 +377,8 @@ def scan_stability(alphas: Sequence[float],
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     if refine_iters < 0:
         raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
-    for alpha in alphas:
-        template.grid_for(alpha)  # a DomainError if its domain overflows
-
     alphas = [float(a) for a in alphas]
+    grids = [template.grid_for(a) for a in alphas]  # a DomainError if a domain overflows
     searches = [_search(a, lo, hi, n_samples, refine_iters) for a in alphas]
     points: list = [None] * len(searches)
     # Ctrl-C reaches the workers too; they ignore it and the caller handles it
@@ -385,7 +389,7 @@ def scan_stability(alphas: Sequence[float],
     with executor as pool:
         wanted = {i: next(s) for i, s in enumerate(searches)}
         while wanted:
-            cells = [(alphas[i], p) for i, psi0s in wanted.items() for p in psi0s]
+            cells = [(grids[i], p, alphas[i]) for i, psi0s in wanted.items() for p in psi0s]
             n_blocks = min(jobs, len(cells))
             edges = [len(cells) * b // n_blocks for b in range(n_blocks + 1)]
             blocks = [cells[e0:e1] for e0, e1 in zip(edges, edges[1:])]

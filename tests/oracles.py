@@ -13,7 +13,9 @@ dt*max|V| and the finite check run on every step.  reference_bessel_rate is
 the masked J1(z)/z form the rate's fast path must reproduce, and
 reference_phase_rate each envelope family's V as the allocating textbook
 expression the in-place rates must reproduce.  stationary_state finds a
-localized state that propagate must hold still, by an iteration of its own.
+localized state that propagate must hold still, by an iteration of its own,
+and breather_first_harmonic the exact sine-Gordon breather's first temporal
+harmonic, which that state's family must match.
 """
 
 import math
@@ -135,6 +137,20 @@ def stationary_state(model, mu, grid):
             return new
         phi = new
     raise RuntimeError(f"Petviashvili iteration did not converge at mu={mu!r}")
+
+
+def breather_first_harmonic(w, x, samples=256):
+    """a1(x) = (2/T) int_0^T phi sin(wt) dt, T = 2*pi/w, of the exact breather
+    phi = 4*arctan[(eps/w) sin(wt) / cosh(eps*x)], eps = sqrt(1 - w**2), of
+    phi_tt - phi_xx + sin(phi) = 0.
+
+    The trapezoid rule on samples points of one period; the integrand is
+    periodic and analytic, so its error falls geometrically with samples.
+    """
+    eps = math.sqrt(1.0 - w * w)
+    s = np.sin(2.0 * np.pi * np.arange(samples) / samples)  # sin(w t) at t = k T / samples
+    phi = 4.0 * np.arctan((eps / w) * s[:, None] / np.cosh(eps * np.asarray(x))[None, :])
+    return (2.0 / samples) * (s @ phi)
 
 
 def reference_propagate(initial, cfg):

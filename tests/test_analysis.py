@@ -263,6 +263,12 @@ class TestPeakTable:
         assert {(thr, sep) for _, thr, sep in calls} == {(detection_threshold(traj), 2.0)}
         assert [r.time for r in table.rows] == [s.time for s in traj.snapshots]
 
+    def test_rows_and_peaks_hold_no_dict(self):
+        # run holds one row per snapshot until its tracks are written
+        row = PeakRow(0.0, (Peak(1.0, 2.0, 0.0),), 2.0)
+        assert not hasattr(row, "__dict__")
+        assert not hasattr(row.peaks[0], "__dict__")
+
     def test_window_is_the_trailing_quarter(self):
         assert analysis.WINDOW_FRACTION == 0.25
 
@@ -337,6 +343,17 @@ class TestStabilityScan:
         with pytest.raises(DomainError, match="alpha must be finite and > 0"):
             stable_line_prediction(alpha)
 
+    @pytest.mark.parametrize("changes, named", [
+        ({"grid_length": -5.0}, "grid length"), ({"grid_length": 0.0}, "grid length"),
+        ({"grid_length": math.nan}, "grid length"), ({"grid_length": math.inf}, "grid length"),
+        ({"grid_n": 100}, "power of two"), ({"model": ModelSpec(Family.CUBIC_NLS)}, "Bessel"),
+    ], ids=["length-negative", "length-zero", "length-nan", "length-inf", "n-100",
+            "cubic-model"])
+    def test_template_is_checked_when_built(self, changes, named):
+        settings = {"model": ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0), **changes}
+        with pytest.raises(DomainError, match=named):
+            ScanTemplate(**settings)
+
     def test_validation(self):
         tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0))
         with pytest.raises(DomainError):
@@ -345,9 +362,6 @@ class TestStabilityScan:
             scan_stability([0.1], (1.1, 0.1, 9), tmpl)
         with pytest.raises(DomainError):
             scan_stability([0.1], (0.1, 1.1, 1), tmpl)
-        with pytest.raises(DomainError):
-            tmpl_bad = ScanTemplate(ModelSpec(Family.CUBIC_NLS))
-            scan_stability([0.1], (0.1, 1.1, 3), tmpl_bad)
 
     def test_infinite_psi0_hi_rejected(self):
         tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0))
@@ -424,7 +438,31 @@ class TestLockstepScan:
         point, = scan_stability([0.5], (1.0, 3.0, 3), tmpl, refine_iters=1)
         assert point == StabilityPoint(0.5, 0.25, 0.0, "widened low to 0.25; "
                                        "minimum stayed on range boundary")
-        assert [psi0 for _, psi0 in cells] == [1.0, 2.0, 3.0, 0.25, 1.625, 3.0]
+        assert [psi0 for _, psi0, _ in cells] == [1.0, 2.0, 3.0, 0.25, 1.625, 3.0]
+
+    def test_each_width_steps_on_one_grid(self, monkeypatch):
+        # the template checked its base grid when it was built; the scan
+        # builds each width's grid once and every cell of that width steps on it
+        built, cells, evaluate, build = [], [], analysis._evaluate, Grid1D.__post_init__
+
+        def counting(grid):
+            built.append(grid.length)
+            build(grid)
+
+        def no_grids(template, block):
+            cells.extend(block)
+            before = len(built)
+            metrics = evaluate(template, block)
+            assert len(built) == before  # _evaluate builds none
+            return metrics
+        monkeypatch.setattr(Grid1D, "__post_init__", counting)
+        monkeypatch.setattr(analysis, "_evaluate", no_grids)
+        scan_stability([0.5, 0.25, 1.0], (1.0, 3.0, 3), _TINY, refine_iters=1)
+        assert built == [48.0, 96.0, 48.0]
+        grids = {alpha: {id(grid) for grid, _, a in cells if a == alpha}
+                 for alpha in (0.5, 0.25, 1.0)}
+        assert all(len(ids) == 1 for ids in grids.values())
+        assert len(set.union(*grids.values())) == 3
 
     def test_divergent_cells_are_skipped_and_counted(self):
         search = analysis._search(0.5, 1.0, 3.0, 5, refine_iters=0)

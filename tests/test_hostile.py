@@ -139,6 +139,8 @@ def test_flag_value(tmp_path, capsys, command, flag, value):
     ("run", "run", "alpha", "1e308", EXIT_OK),
     ("scan", "scan", "alphas", "1e308", EXIT_OK),
     ("scan", "scan", "length", "1e308", EXIT_OK),
+    ("scan", "scan", "length", "-1", EXIT_USAGE),
+    ("scan", "scan", "length", "0", EXIT_USAGE),
     ("scan", "scan", "psi0_hi", "inf", EXIT_USAGE),
     ("map-check", None, "--detune", "-1", EXIT_USAGE),
     ("map-check", None, "--detune", "1e308", EXIT_USAGE),

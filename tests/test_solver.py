@@ -18,7 +18,7 @@ from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunC
                             sech_profile, supergaussian_profile, uniform_profile,
                             _power_floor, _transform)
 
-from oracles import K_VALUES, reference_propagate, stationary_state
+from oracles import K_VALUES, breather_first_harmonic, reference_propagate, stationary_state
 
 CUBIC = ModelSpec(Family.CUBIC_NLS, lam=1.0, omega=1.0)
 BESSEL = ModelSpec(Family.BESSEL_NLS, lam=1.0, omega=1.0)
@@ -672,7 +672,8 @@ class TestBatchedPropagation:
 
 class TestStationaryFamily:
     """Localized states of the Bessel NLS, each found by Petviashvili's
-    iteration (tests/oracles.py), which propagate must hold still."""
+    iteration (tests/oracles.py), which propagate must hold still and the
+    sine-Gordon breather's first harmonic must match."""
 
     def test_oracle_reproduces_the_cubic_soliton(self):
         # focusing cubic: A*sech(alpha*x) with D*alpha**2 = mu and
@@ -700,3 +701,24 @@ class TestStationaryFamily:
                               for s in traj.snapshots) / np.max(phi))
         assert errors[1] <= 1e-8
         assert math.log2(errors[0] / errors[1]) >= 1.9
+
+    def test_breather_harmonic_lands_on_the_bessel_family(self):
+        # the paper's mapping on an exact time-dependent solution: the
+        # breather's first harmonic against the family's state of its width,
+        # eps = sqrt(mu/D) with D = 1/2; the cubic truncation's peak is 4*eps
+        epsilons = (0.1, 0.2, 0.4, 0.6, 0.8, 0.87)
+        errors = []
+        for eps in epsilons:
+            w = math.sqrt(1.0 - eps * eps)
+            grid = Grid1D(2048, max(80.0, 40.0 / eps))
+            harmonic = np.max(breather_first_harmonic(w, grid.x))
+            # the quadrature against the closed form at x = 0: 8c/(1 + sqrt(1 + c**2))
+            c = eps / w
+            assert harmonic == pytest.approx(8.0 * c / (1.0 + math.sqrt(1.0 + c * c)),
+                                             rel=1e-14)
+            peak = np.max(stationary_state(BESSEL, 0.5 * eps * eps, grid))
+            errors.append(abs(peak - harmonic) / harmonic)
+            assert abs(4.0 * eps - harmonic) >= 5.0 * abs(peak - harmonic), eps
+        assert max(errors) <= 0.02
+        # second order in eps: each halving over 0.1, 0.2, 0.4 cuts the error ~4x
+        assert errors[1] / errors[0] >= 3.5 and errors[2] / errors[1] >= 3.5
