@@ -11,7 +11,7 @@ import signal
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -140,19 +140,17 @@ class PeakTable:
 
 
 def peak_table(traj: Trajectory, threshold: Optional[float] = None,
-               min_separation: float = DEFAULT_MIN_SEPARATION,
-               snapshots: Optional[Iterable[FieldState]] = None) -> PeakTable:
+               min_separation: float = DEFAULT_MIN_SEPARATION) -> PeakTable:
     """One find_peaks pass per snapshot, at one threshold (default:
     detection_threshold(traj)).  The max |psi|^2 of each row is the
-    trajectory's peak_series entry.  The snapshots are traj's unless given,
-    as a streamed run gives them: read back from disk one at a time."""
+    trajectory's peak_series entry.  The snapshots are read in order, one at
+    a time, so a streamed run's come back from disk one by one."""
     if not len(traj.times):
         raise DomainError("trajectory has no snapshots")
     thr = detection_threshold(traj) if threshold is None else float(threshold)
     return PeakTable(tuple(
         PeakRow(s.time, tuple(find_peaks(s, thr, min_separation)), float(top))
-        for s, top in zip(traj.snapshots if snapshots is None else snapshots,
-                          traj.peak_series)))
+        for s, top in zip(traj.snapshots, traj.peak_series)))
 
 
 def peak_count_series(table: PeakTable) -> list[tuple[float, int]]:

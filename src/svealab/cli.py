@@ -5,7 +5,8 @@ Subcommands: verify, map-check, run, scan.  Settings flow preset -> config
 file, the file winning.  Config files are INI sections (model, grid, run,
 analysis, scan, verify, map) holding flat key=value pairs; an unknown key (in
 [model], one the family's law does not read), a section the command does not
-read, or a file that is not UTF-8, is a config error.  SECTION_KEYS states
+read, a key in [DEFAULT], or a file that cannot be read as UTF-8, is a config
+error; a % is a plain character (no interpolation).  SECTION_KEYS states
 each key once with the reader that types it; _section passes on only the keys
 set, so the library's defaults cover the rest.
 
@@ -185,13 +186,19 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
         path = Path(config_path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
         try:
             parser.read_string(path.read_text(encoding="utf-8"))
         except UnicodeDecodeError as err:
             raise ConfigError(f"cannot read {config_path}: not UTF-8 ({err})") from err
+        except OSError as err:
+            raise ConfigError(f"cannot read {config_path}: {err.strerror or err}") from err
         except configparser.Error as err:
             raise ConfigError(f"cannot parse {config_path}: {err}") from err
+        if parser.defaults():  # configparser would copy them into every section
+            raise ConfigError(f"key(s) {', '.join(sorted(parser.defaults()))} in [DEFAULT] "
+                              f"of {config_path}; put each in the section that reads it")
         file_settings = {s: dict(parser.items(s)) for s in parser.sections()}
         settings = _merge(settings, file_settings)
     for section, values in settings.items():
@@ -340,12 +347,12 @@ def cmd_run(args, settings: dict, out: Path) -> int:
         traj = err.partial  # holds the initial state at least
         code = EXIT_DIVERGED
     except KeyboardInterrupt:
-        snapshots.flush()  # every snapshot handed over reaches disk
+        snapshots.flush()  # every snapshot appended reaches disk
         raise
-    write_trajectory(out, traj, cfg.dt)  # only diagnostics.csv: traj holds no snapshots
+    write_trajectory(out, traj, cfg.dt)
     threshold = (detection_threshold(traj, analysis["threshold_fraction"])
                  if "threshold_fraction" in analysis else None)
-    table = peak_table(traj, threshold, min_sep, snapshots.read_back())
+    table = peak_table(traj, threshold, min_sep)
     tracks = track_structures(table)
     write_track_csv(out / "tracks.csv", tracks)
     count = count_structures(table)
@@ -359,7 +366,7 @@ def cmd_run(args, settings: dict, out: Path) -> int:
         f"threshold: {'default' if threshold is None else format(threshold, 'g')}\n"
     )
     atomic_write_text(out / "analysis.txt", summary)
-    print(f"{snapshots.count} snapshots, {len(tracks)} peak tracks, "
+    print(f"{len(snapshots)} snapshots, {len(tracks)} peak tracks, "
           f"count_structures {count} -> {out}")
     return code
 

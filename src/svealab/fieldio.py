@@ -5,10 +5,10 @@ as unsigned 64-bit, domain length and snapshot time as IEEE-754 doubles,
 then the field as n interleaved (re, im) double pairs.  A run directory
 holds one snapshot file per snapshot and diagnostics.csv, one row per
 snapshot in file order; the headers hold the times, so nothing lists them
-again.  SnapshotStream is the hand-off of a streamed run: it numbers the
-snapshots it receives in order and writes them out STREAM_BURST at a time,
-so a run holds at most that many fields, and reads them back one at a time
-afterwards.  write_trajectory writes a held trajectory through it.
+again.  SnapshotStream is the snapshot sequence of a streamed run: it
+numbers the snapshots appended to it in order and writes them out
+STREAM_BURST at a time, so a run holds at most that many fields, and reads
+each back from disk when indexed.
 
 All writers go through an atomic temp-file + rename so a crashed run never
 leaves a half-written artifact; atomic_write_bytes makes the parent directory,
@@ -23,7 +23,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -94,17 +94,6 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_mass_csv(path: PathLike, traj: Trajectory, dt: float) -> None:
-    """Snapshot-aligned diagnostics: step index, time, mass, peak |psi|^2."""
-    lines = ["step,time,mass,peak"]
-    t0 = traj.times[0]
-    for time, peak in zip(traj.times, traj.peak_series):
-        step = int(round((time - t0) / dt))
-        mass_val = traj.mass_series[min(step, len(traj.mass_series) - 1)]
-        lines.append(f"{step},{_fmt(time)},{_fmt(mass_val)},{_fmt(peak)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def write_track_csv(path: PathLike, tracks: Sequence[Sequence[Peak]]) -> None:
     lines = ["time,peak_index,x,height"]
     rows = []
@@ -128,42 +117,46 @@ def write_scan_csv(path: PathLike, points: Sequence[StabilityPoint]) -> None:
 
 
 class SnapshotStream:
-    """snapshot_NNNNN.svea under out_dir for each state received, numbered
-    from 0 in order.  Received states wait until STREAM_BURST of them are
-    pending, then go out together; flush() writes what is pending."""
+    """A sequence of snapshots on disk: snapshot_NNNNN.svea under out_dir for
+    each state appended, numbered from 0 in order.  Appended states wait until
+    STREAM_BURST of them are pending, then go out together; flush() writes
+    what is pending.  Indexing flushes, then reads the file back."""
 
     def __init__(self, out_dir: PathLike):
         self.out = os.fspath(out_dir)
-        self.count = 0  # states received
+        self._count = 0  # states appended
         self._pending: list[FieldState] = []
 
     def _path(self, i: int) -> str:
         return os.path.join(self.out, f"snapshot_{i:05d}.svea")
 
-    def __call__(self, state: FieldState) -> None:
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> FieldState:
+        self.flush()
+        return read_snapshot(self._path(range(self._count)[i]))  # IndexError past the end
+
+    def append(self, state: FieldState) -> None:
         self._pending.append(state)
-        self.count += 1
+        self._count += 1
         if len(self._pending) == STREAM_BURST:
             self.flush()
 
     def flush(self) -> None:
-        first = self.count - len(self._pending)
+        first = self._count - len(self._pending)
         for i, state in enumerate(self._pending, first):
             write_snapshot(self._path(i), state)
         self._pending.clear()
 
-    def read_back(self) -> Iterator[FieldState]:
-        """Every snapshot received, flushed and read back in order, one at a time."""
-        self.flush()
-        return (read_snapshot(self._path(i)) for i in range(self.count))
-
 
 def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> None:
-    """Write snapshot_NNNNN.svea per snapshot held and diagnostics.csv, whose
-    rows follow the snapshots in file order.  A streamed trajectory holds no
-    snapshots; its SnapshotStream has written them."""
-    stream = SnapshotStream(out_dir)
-    for state in traj.snapshots:
-        stream(state)
-    stream.flush()
-    write_mass_csv(os.path.join(stream.out, "diagnostics.csv"), traj, dt)
+    """diagnostics.csv under out_dir, one row per snapshot in file order: step
+    index, time, mass, peak |psi|^2.  The snapshot files are a SnapshotStream's."""
+    lines = ["step,time,mass,peak"]
+    t0 = traj.times[0]
+    for time, peak in zip(traj.times, traj.peak_series):
+        step = int(round((time - t0) / dt))
+        mass_val = traj.mass_series[min(step, len(traj.mass_series) - 1)]
+        lines.append(f"{step},{_fmt(time)},{_fmt(mass_val)},{_fmt(peak)}")
+    atomic_write_text(os.path.join(out_dir, "diagnostics.csv"), "\n".join(lines) + "\n")

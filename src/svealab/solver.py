@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import fft as _fft
@@ -32,13 +32,14 @@ MAX_STEPS = 10**7
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Periodic 1-D grid; n a power of two >= 16."""
+    """Periodic 1-D grid; n a power of two >= 16.  (n, length) alone decide
+    equality and the hash; the other fields derive from them."""
 
     n: int
     length: float
-    spacing: float = field(init=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
-    x: np.ndarray = field(init=False, repr=False)
+    spacing: float = field(init=False, compare=False)
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, length = require_integer("grid size n", self.n), float(self.length)
@@ -61,10 +62,10 @@ class Grid1D:
         object.__setattr__(self, "x", x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldState:
     """Field values on a grid at one time.  values is a read-only copy of the
-    array given, so the finite check made here keeps holding."""
+    array given, so the finite check made here keeps holding; == is identity."""
 
     grid: Grid1D
     values: np.ndarray
@@ -110,23 +111,20 @@ class RunConfig:
         return int(round(self.t_final / self.dt))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Propagation record: snapshots at stride multiples (plus the final step),
     mass at every step, and the peak intensity max |psi|^2 and time of each
-    snapshot.  A streamed run, whose snapshots went to a hand-off, holds no
-    snapshots but still their times."""
+    snapshot.  snapshots is the sequence each snapshot was appended to: a list,
+    or for a streamed run the fieldio.SnapshotStream that wrote them."""
 
-    snapshots: tuple[FieldState, ...]
+    snapshots: Sequence[FieldState]
     mass_series: np.ndarray
     peak_series: np.ndarray
     times: np.ndarray
 
     @property
     def final(self) -> FieldState:
-        if not self.snapshots:  # a held run keeps its initial state at least
-            raise DomainError("a streamed trajectory holds no snapshots: "
-                              "they went to the hand-off")
         return self.snapshots[-1]
 
 
@@ -158,33 +156,32 @@ def _power_floor(n: int) -> float:
 
 
 def propagate(initial: FieldState, cfg: RunConfig,
-              on_snapshot: Optional[Callable[[FieldState], None]] = None) -> Trajectory:
+              snapshots: Optional[Sequence[FieldState]] = None) -> Trajectory:
     """Repeated stepping with per-step mass recording and stride snapshots,
-    kept on the trajectory or, given on_snapshot, handed to it as made.
+    each appended as made to snapshots (empty; default a new list), which
+    becomes the trajectory's: a fieldio.SnapshotStream writes them to disk, so
+    a run's memory does not grow with its snapshot count.
 
     On divergence the partial trajectory (snapshots up to the last healthy
-    step) rides on the raised error.  Given on_snapshot, the trajectory keeps
-    only the snapshot times, peak intensities and masses, so a run's memory
-    does not grow with its snapshot count; the initial snapshot goes only once
-    the run is set up, so a run refused at set-up hands nothing over.
+    step) rides on the raised error.  The initial snapshot goes only once the
+    run is set up, so a run refused at set-up appends nothing.
     """
-    result, = propagate_batch([initial], cfg,
-                              None if on_snapshot is None else lambda _, s: on_snapshot(s))
+    result, = propagate_batch([initial], cfg, None if snapshots is None else [snapshots])
     if isinstance(result, DivergenceError):
         raise result
     return result
 
 
 def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
-                    on_snapshot: Optional[Callable[[int, FieldState], None]] = None,
+                    snapshots: Optional[Sequence[Sequence[FieldState]]] = None,
                     ) -> list[Trajectory | DivergenceError]:
     """propagate() for a stack of initial states that share n, stepped together.
 
     Each entry of the result is the row's Trajectory, bitwise that of its solo
     run, or the DivergenceError it raised there, partial trajectory attached;
-    a diverged row leaves the stack and the others keep stepping.  Given
-    on_snapshot, each snapshot goes to on_snapshot(row, state), row its index
-    in initials, and the trajectories hold none.
+    a diverged row leaves the stack and the others keep stepping.  snapshots
+    holds the empty sequence each row's snapshots are appended to, one per
+    initial state (default: a new list each).
 
     The (B, n) spectrum stack takes one transform pair per Strang step, in
     place.  Rows share n but not their grid length, so each row gets its own
@@ -194,6 +191,10 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
     """
     if not initials:
         raise DomainError("propagate_batch needs at least one initial state")
+    snaps = [[] for _ in initials] if snapshots is None else snapshots
+    if len(snaps) != len(initials) or any(map(len, snaps)):
+        raise DomainError(f"{len(initials)} initial states need as many empty snapshot "
+                          f"sequences, got {len(snaps)} holding {[len(q) for q in snaps]}")
     grids = [s.grid for s in initials]
     if len({g.n for g in grids}) > 1:
         raise DomainError(f"batched rows must share n, got {sorted({g.n for g in grids})}")
@@ -228,16 +229,15 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
     parseval = [g.spacing / g.n for g in grids]
 
     masses = np.empty((len(initials), n_steps + 1))
-    snaps, times, peaks = ([[] for _ in initials] for _ in range(3))
-    keep = on_snapshot or (lambda i, state: snaps[i].append(state))
+    times, peaks = ([[] for _ in initials] for _ in range(2))
 
     def record(i: int, state: FieldState) -> None:
         times[i].append(state.time)
         peaks[i].append(peak_intensity(state))
-        keep(i, state)
+        snaps[i].append(state)
 
     def trajectory(i: int, n_masses: int) -> Trajectory:
-        return Trajectory(tuple(snaps[i]), masses[i, :n_masses], np.array(peaks[i]),
+        return Trajectory(snaps[i], masses[i, :n_masses], np.array(peaks[i]),
                           np.array(times[i]))
 
     def clock(i: int) -> float:  # row i's time after step j

@@ -26,7 +26,7 @@ from svealab.cli import (COMMAND_SECTIONS, EXIT_CHECKS_FAILED, EXIT_DIVERGED,
                          EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, PRESETS, SECTION_KEYS,
                          _model_from, load_settings, main)
 from svealab.errors import ConfigError, DivergenceError
-from svealab.fieldio import STREAM_BURST, write_track_csv, write_trajectory
+from svealab.fieldio import STREAM_BURST, SnapshotStream, write_track_csv, write_trajectory
 from svealab.models import Family, ModelSpec
 from svealab.solver import (Grid1D, RunConfig, propagate, sech_profile, supergaussian_profile,
                             _power_floor)
@@ -363,7 +363,8 @@ snapshot_stride = 2
 
 def _held_run(ini, out):
     """What run wrote before it streamed its snapshots: propagate holding every
-    snapshot, write_trajectory, then the analysis over the held trajectory."""
+    snapshot in a list, write_trajectory, each snapshot through a
+    SnapshotStream, then the analysis over the held trajectory."""
     settings = load_settings(None, str(ini), "run")
     cfg = cli._run_config(settings)
     initial = cli._initial_from(settings, cli._grid_from(settings))
@@ -375,6 +376,11 @@ def _held_run(ini, out):
     except DivergenceError as err:
         traj, code = err.partial, EXIT_DIVERGED
     write_trajectory(out, traj, cfg.dt)
+    stream = SnapshotStream(out)
+    for state in traj.snapshots:
+        stream.append(state)
+    stream.flush()
+    assert len(stream) == len(traj.snapshots) == len(traj.times)
     threshold = (detection_threshold(traj, options["threshold_fraction"])
                  if "threshold_fraction" in options else None)
     table = peak_table(traj, threshold, min_sep)
@@ -421,10 +427,10 @@ class TestStreamedRun:
             self, tmp_path, capsys, monkeypatch):
         # Ctrl-C at the 21st hand-over, with 4 of the 20 before it still pending
         class Interrupted(cli.SnapshotStream):
-            def __call__(self, state):
-                if self.count == 20:
+            def append(self, state):
+                if len(self) == 20:
                     raise KeyboardInterrupt
-                super().__call__(state)
+                super().append(state)
 
         monkeypatch.setattr(cli, "SnapshotStream", Interrupted)
         ini = tmp_path / "run.ini"

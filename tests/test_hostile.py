@@ -187,6 +187,46 @@ def test_detune_out_of_domain_says_why(tmp_path, capsys, detune, reason):
         f"{reason}\n" in err
 
 
+# Config files that used to end in a configparser traceback (a % read as
+# interpolation), or whose [DEFAULT] keys were dropped (exit 0 on a verify
+# they should fail) or copied into every section (an error naming another).
+@pytest.mark.parametrize("command, settings, named", [
+    ("verify", {"verify": {"tolerance": "1%"}}, "[verify] tolerance: '1%'"),
+    ("verify", {"verify": {"tolerance": "%(x)s"}}, "[verify] tolerance: '%(x)s'"),
+    ("run", _with("run", [("run", "dt", "1e-3%")]), "[run] dt: '1e-3%'"),
+    ("verify", {"DEFAULT": {"tolerance": "1e-30"}}, "tolerance in [DEFAULT]"),
+    ("verify", {"DEFAULT": {"t": "1"}, "verify": {"tolerance": "1e-6"}}, "t in [DEFAULT]"),
+    ("run", {"DEFAULT": {"psi0": "3.0"}, **BASE["run"]}, "psi0 in [DEFAULT]"),
+], ids=["percent", "interpolation", "run-percent", "default-alone", "default-leaking",
+        "default-run"])
+def test_config_file_rules(tmp_path, capsys, command, settings, named):
+    code, err = _check(tmp_path, capsys, command, settings)
+    assert code == EXIT_USAGE and err.count("error:") == 1, err
+    # and names no section a [DEFAULT] key would have been copied into
+    assert named in err and "[verify]" not in err.replace(named, "")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SECTIONS))
+def test_unreadable_config_file(tmp_path, capsys, monkeypatch, command):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, err = _check(tmp_path, capsys, command, BASE[command])
+    assert code == EXIT_USAGE and err.count("error:") == 1, err
+    assert "cannot read" in err and "Permission denied" in err
+
+
+@pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs Linux /proc")
+def test_config_file_whose_read_fails(tmp_path, capsys):
+    # a regular file whose read(2) fails with EIO at offset 0
+    out = tmp_path / "out"
+    assert main(["verify", "--config", "/proc/self/mem", "--output", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "cannot read /proc/self/mem" in err, err
+    assert not out.exists()
+
+
 # Key pairs that used to end in a RuntimeWarning or an error naming neither key.
 @pytest.mark.parametrize("changes, named", [
     pytest.param({"run": {"psi0": "inf", "alpha": "1e308"}}, "psi0", id="sech-psi0-alpha"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from svealab import models
 from svealab.errors import DivergenceError, DomainError
+from svealab.fieldio import SnapshotStream
 from svealab.models import BESSEL_RATE_CUTOVER, Family, ModelSpec, nls_nonlinear_phase_rate
 from svealab.solutions import SolutionId, _x_period, eval_solution, make_solution, model_for
 from svealab.solver import (MAX_STEPS, STABILITY_GUARD, FieldState, Grid1D, RunConfig,
@@ -83,8 +84,27 @@ class TestGrid:
         d2 = fft.ifft(-(g.wavenumbers**2) * fft.fft(v))
         assert np.allclose(d2, -(k0**2) * v, atol=1e-10)
 
+    def test_equality_and_hash_go_by_size_and_length(self):
+        # the derived arrays take no part, so == and hash() do not raise
+        a, b = Grid1D(16, 8.0), Grid1D(16, 8.0)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != Grid1D(32, 8.0) and a != Grid1D(16, 4.0)
+        assert {a, b, Grid1D(32, 8.0), Grid1D(16, 4.0)} == {a, Grid1D(32, 8.0),
+                                                             Grid1D(16, 4.0)}
+        assert len({Grid1D(n, 8.0) for n in (16, 32, 16, 64, 32)}) == 3
+
 
 class TestFieldState:
+    def test_equality_is_identity(self):
+        # a state holds an array, so == and hash() go by the object, as for a
+        # trajectory; neither raises
+        g = Grid1D(16, 8.0)
+        a, b = FieldState(g, np.ones(16)), FieldState(g, np.ones(16))
+        assert a == a and a != b and len({a, b, a}) == 2
+        traj = propagate(sech_profile(g, 1.0), RunConfig(CUBIC, dt=0.01, t_final=0.02))
+        twin = Trajectory(traj.snapshots, traj.mass_series, traj.peak_series, traj.times)
+        assert traj == traj and traj != twin and len({traj, twin}) == 2
+
     def test_rejects_non_finite(self):
         g = Grid1D(32, 10.0)
         vals = np.ones(32, dtype=complex)
@@ -512,18 +532,18 @@ FOCUSING = ModelSpec(Family.CUBIC_NLS, lam=-1.0, omega=1.0)
 
 
 class TestSnapshotHandOff:
-    """Given on_snapshot, each snapshot goes to it and the trajectory holds
-    only times, peak intensities and masses, each bitwise the held run's."""
+    """Each snapshot is appended to the sequence handed in, which becomes the
+    trajectory's; times, peak intensities and masses are bitwise the held
+    run's."""
 
     def test_streamed_run_hands_over_the_held_snapshots(self):
         model, st, dt = _BITWISE_CASES["bessel-mixed"]
         cfg = RunConfig(model, dt=dt, t_final=200 * dt, snapshot_stride=30)
         handed = []
-        streamed = propagate(st, cfg, handed.append)
-        assert streamed.snapshots == ()
+        streamed = propagate(st, cfg, handed)
+        assert streamed.snapshots is handed
         ref = reference_propagate(st, cfg)
-        _assert_same_trajectory(Trajectory(tuple(handed), streamed.mass_series,
-                                           streamed.peak_series, streamed.times), ref)
+        _assert_same_trajectory(streamed, ref)
         assert streamed.times.tobytes() == propagate(st, cfg).times.tobytes()
         assert streamed.times.tolist() == [s.time for s in ref.snapshots]
 
@@ -532,24 +552,32 @@ class TestSnapshotHandOff:
         traj = propagate(st, RunConfig(model, dt=dt, t_final=40 * dt, snapshot_stride=7))
         assert traj.mass_series.dtype == np.float64 and traj.mass_series.shape == (41,)
         assert traj.times.tolist() == [s.time for s in traj.snapshots]
+        assert len(traj.snapshots) == len(traj.times)
 
     def test_batch_hands_each_row_its_own_snapshots(self):
-        # rows 1 and 3 diverge mid-run: each hands over exactly the snapshots
-        # its partial trajectory would hold
+        # rows 1 and 3 diverge mid-run: each sequence holds exactly the
+        # snapshots of its row's partial trajectory
         cfg = RunConfig(FOCUSING, dt=0.02, t_final=2.0, snapshot_stride=10)
         initials = [sech_profile(_G, psi0) for psi0 in (2.0, 3.0, 1.5, 4.0)]
-        handed = {i: [] for i in range(len(initials))}
-        streamed = propagate_batch(initials, cfg, lambda i, s: handed[i].append(s))
+        handed = [[] for _ in initials]
+        streamed = propagate_batch(initials, cfg, handed)
         for i, (got, held) in enumerate(zip(streamed, propagate_batch(initials, cfg))):
             if isinstance(held, DivergenceError):
                 assert isinstance(got, DivergenceError) and got.time == held.time
                 got, held = got.partial, held.partial
-            assert got.snapshots == ()
-            assert got.times.tobytes() == held.times.tobytes()
-            _assert_same_trajectory(
-                Trajectory(tuple(handed[i]), got.mass_series, got.peak_series, got.times),
-                held)
-        assert [len(handed[i]) for i in range(4)] == [11, 2, 11, 1]
+            assert got.snapshots is handed[i]
+            assert len(got.snapshots) == len(got.times) == len(held.snapshots)
+            _assert_same_trajectory(got, held)
+        assert [len(q) for q in handed] == [11, 2, 11, 1]
+
+    @pytest.mark.parametrize("handed", [[[]], [[], [], []], [[], ["taken"]]],
+                             ids=["too-few", "too-many", "not-empty"])
+    def test_batch_refuses_snapshot_sequences_that_do_not_fit(self, handed):
+        initials = [sech_profile(_G, 1.0), sech_profile(_G, 2.0)]
+        before = [list(q) for q in handed]
+        with pytest.raises(DomainError, match="2 initial states need as many empty"):
+            propagate_batch(initials, RunConfig(FOCUSING, dt=0.02, t_final=0.1), handed)
+        assert handed == before  # refused before any snapshot is appended
 
     def test_run_refused_by_the_stepper_hands_nothing_over(self):
         # D*dt*k**2 overflows: the DomainError comes before the initial snapshot
@@ -557,15 +585,17 @@ class TestSnapshotHandOff:
         model = ModelSpec(Family.BESSEL_NLS, omega=1e-308)
         with pytest.raises(DomainError, match="omega"):
             propagate(sech_profile(Grid1D(64, 5.0), 2.0),
-                      RunConfig(model, dt=0.01, t_final=0.1), handed.append)
+                      RunConfig(model, dt=0.01, t_final=0.1), handed)
         assert handed == []
 
-    def test_final_of_a_streamed_run_is_a_domain_error(self):
-        traj = propagate(sech_profile(Grid1D(16, 8.0), 1.0),
-                         RunConfig(ModelSpec(Family.CUBIC_NLS), dt=0.01, t_final=0.02,
-                                   snapshot_stride=1), lambda s: None)
-        with pytest.raises(DomainError, match="streamed trajectory holds no snapshots"):
-            traj.final
+    def test_final_of_a_streamed_run_is_its_last_snapshot_read_back(self, tmp_path):
+        initial = sech_profile(Grid1D(16, 8.0), 1.0)
+        cfg = RunConfig(ModelSpec(Family.CUBIC_NLS), dt=0.01, t_final=0.2, snapshot_stride=1)
+        traj = propagate(initial, cfg, SnapshotStream(tmp_path))
+        assert len(traj.snapshots) == len(traj.times) == 21  # one burst and five pending
+        held = propagate(initial, cfg).final
+        assert traj.final.time == held.time
+        assert traj.final.values.tobytes() == held.values.tobytes()
 
 
 class TestBatchedPropagation:
