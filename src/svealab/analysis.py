@@ -8,7 +8,7 @@ import contextlib
 import math
 import multiprocessing
 import signal
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -127,34 +127,49 @@ class PeakRow:
     max_intensity: float
 
 
+def window_size(n_snapshots: int) -> int:
+    """Snapshots the trailing window of a trajectory of n_snapshots holds:
+    max(1, ceil(WINDOW_FRACTION * n_snapshots))."""
+    return max(1, int(math.ceil(WINDOW_FRACTION * n_snapshots)))
+
+
 @dataclass(frozen=True)
 class PeakTable:
-    """The peaks of every snapshot of one trajectory, found once by peak_table;
-    every metric below reads its rows."""
+    """The peaks of the snapshots of one trajectory, found once by peak_table;
+    every metric below reads its rows.  n_snapshots is the trajectory's
+    snapshot count; the rows may cover only its last snapshots."""
 
     rows: tuple[PeakRow, ...]
+    n_snapshots: int
 
     def tail(self) -> tuple[PeakRow, ...]:
-        """The trailing max(1, ceil(WINDOW_FRACTION * N)) rows."""
-        return self.rows[-max(1, int(math.ceil(WINDOW_FRACTION * len(self.rows)))):]
+        """The rows of the trailing window_size(n_snapshots) snapshots."""
+        k = window_size(self.n_snapshots)
+        if len(self.rows) < k:
+            raise DomainError(f"the window needs the last {k} of {self.n_snapshots} "
+                              f"snapshots; the table holds {len(self.rows)}")
+        return self.rows[-k:]
 
 
 def peak_table(traj: Trajectory, threshold: Optional[float] = None,
                min_separation: float = DEFAULT_MIN_SEPARATION) -> PeakTable:
-    """One find_peaks pass per snapshot, at one threshold (default:
-    detection_threshold(traj)).  The max |psi|^2 of each row is the
-    trajectory's peak_series entry.  The snapshots are read in order, one at
-    a time, so a streamed run's come back from disk one by one."""
-    if not len(traj.times):
+    """One find_peaks pass per snapshot the trajectory holds, at one
+    threshold (default: detection_threshold(traj), over every snapshot).
+    The max |psi|^2 of each row is the trajectory's peak_series entry; a
+    bounded deque's snapshots pair with the trailing entries.  The snapshots
+    are read in order, one at a time, so a streamed run's come back from
+    disk one by one."""
+    n = len(traj.times)
+    if not n:
         raise DomainError("trajectory has no snapshots")
     thr = detection_threshold(traj) if threshold is None else float(threshold)
     return PeakTable(tuple(
         PeakRow(s.time, tuple(find_peaks(s, thr, min_separation)), float(top))
-        for s, top in zip(traj.snapshots, traj.peak_series)))
+        for s, top in zip(traj.snapshots, traj.peak_series[n - len(traj.snapshots):])), n)
 
 
 def peak_count_series(table: PeakTable) -> list[tuple[float, int]]:
-    """(time, peak count) per snapshot."""
+    """(time, peak count) per snapshot the table holds."""
     return [(row.time, len(row.peaks)) for row in table.rows]
 
 
@@ -207,7 +222,8 @@ def oscillation_metric(table: PeakTable) -> float:
 
 
 def track_structures(table: PeakTable) -> list[list[Peak]]:
-    """Greedy nearest-neighbor matching of peaks across every snapshot.
+    """Greedy nearest-neighbor matching of peaks across every snapshot the
+    table holds.
 
     Each track is the time-ordered list of matched peaks; a peak further than
     the gating distance from every live track opens a new one.
@@ -267,14 +283,17 @@ class ScanTemplate(RunConfig):
 def _evaluate(template: ScanTemplate,
               cells: Sequence[tuple[Grid1D, float, float]]) -> list[float]:
     """Breathing metric of each (grid, psi0, alpha) cell, all propagated as one
-    batch under the template, at the default peak separation.
+    batch under the template, at the default peak separation.  Each cell
+    keeps only the trailing window of snapshots that the metric reads.
 
     A cell that diverges scores infinity.
     """
     initials = [sech_profile(grid, psi0, alpha) for grid, psi0, alpha in cells]
+    keep = window_size(template.n_snapshots)
     return [math.inf if isinstance(traj, DivergenceError) else
             oscillation_metric(peak_table(traj))
-            for traj in propagate_batch(initials, template)]
+            for traj in propagate_batch(initials, template,
+                                        [deque(maxlen=keep) for _ in initials])]
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -5,10 +5,11 @@ Subcommands: verify, map-check, run, scan.  Settings flow preset -> config
 file, the file winning.  Config files are INI sections (model, grid, run,
 analysis, scan, verify, map) holding flat key=value pairs; an unknown key (in
 [model], one the family's law does not read), a section the command does not
-read, a key in [DEFAULT], or a file that cannot be read as UTF-8, is a config
-error; a % is a plain character (no interpolation).  SECTION_KEYS states
-each key once with the reader that types it; _section passes on only the keys
-set, so the library's defaults cover the rest.
+read, a key in [DEFAULT], or a file that cannot be read as UTF-8 (a leading
+byte-order mark is skipped) or parsed, is a config error; a % is a plain
+character (no interpolation).  SECTION_KEYS states each key once with the
+reader that types it; _section passes on only the keys set, so the library's
+defaults cover the rest.
 
 main runs the steps every command shares, once: load the settings, check
 where the output directory goes, run the command body cmd_*(args, settings,
@@ -189,13 +190,15 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                            interpolation=None)
         try:
-            parser.read_string(path.read_text(encoding="utf-8"))
+            parser.read_string(path.read_text(encoding="utf-8-sig"), source=config_path)
         except UnicodeDecodeError as err:
             raise ConfigError(f"cannot read {config_path}: not UTF-8 ({err})") from err
         except OSError as err:
             raise ConfigError(f"cannot read {config_path}: {err.strerror or err}") from err
         except configparser.Error as err:
-            raise ConfigError(f"cannot parse {config_path}: {err}") from err
+            # configparser's message spans lines; the refusal is one
+            reason = re.sub(r"\.?\s*\n\s*", "; ", str(err))
+            raise ConfigError(f"cannot parse {config_path}: {reason}") from err
         if parser.defaults():  # configparser would copy them into every section
             raise ConfigError(f"key(s) {', '.join(sorted(parser.defaults()))} in [DEFAULT] "
                               f"of {config_path}; put each in the section that reads it")
@@ -213,7 +216,7 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
                               f"expected one of model, {', '.join(SECTION_KEYS)}")
         unknown = sorted(set(values) - set(SECTION_KEYS[section]))
         if unknown:
-            raise ConfigError(f"unknown key(s) {', '.join(unknown)} in [{section}]; "
+            raise ConfigError(f"unknown key(s) {', '.join(map(repr, unknown))} in [{section}]; "
                               f"expected {', '.join(sorted(SECTION_KEYS[section]))}")
     if "run" in settings:
         _settle_initial_keys(settings["run"], file_settings.get("run", {}))

@@ -110,13 +110,22 @@ class RunConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
+    @property
+    def n_snapshots(self) -> int:
+        """Snapshots a whole run records: t = 0, each stride multiple, and the
+        last step when the stride does not divide n_steps."""
+        n, stride = self.n_steps, self.snapshot_stride
+        return n // stride + 1 + (n % stride > 0)
+
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Propagation record: snapshots at stride multiples (plus the final step),
     mass at every step, and the peak intensity max |psi|^2 and time of each
     snapshot.  snapshots is the sequence each snapshot was appended to: a list,
-    or for a streamed run the fieldio.SnapshotStream that wrote them."""
+    for a streamed run the fieldio.SnapshotStream that wrote them, or a
+    collections.deque, which keeps only its last maxlen; times and
+    peak_series cover every snapshot all the same."""
 
     snapshots: Sequence[FieldState]
     mass_series: np.ndarray

@@ -16,10 +16,11 @@ from svealab.analysis import (Peak, PeakRow, PeakTable, ScanTemplate, StabilityP
                               oscillation_metric, outer_position_blocks, peak_count_series,
                               peak_table, scan_stability, splitting_alternations,
                               stable_line_prediction, track_structures)
-from svealab.errors import DomainError
+from svealab.errors import DivergenceError, DomainError
 from svealab.models import Family, ModelSpec
 from svealab.solver import (FieldState, Grid1D, RunConfig, Trajectory, propagate,
-                            sech_profile, supergaussian_profile, uniform_profile)
+                            propagate_batch, sech_profile, supergaussian_profile,
+                            uniform_profile)
 
 
 def make_state(grid, values):
@@ -220,7 +221,7 @@ class TestOscillationMetric:
         # then takes for the minimum
         heights = [1.0] * 13 + [1.2, np.nan, 0.8]
         table = PeakTable(tuple(PeakRow(float(i), (Peak(0.0, h, float(i)),), h)
-                                for i, h in enumerate(heights)))
+                                for i, h in enumerate(heights)), len(heights))
         with pytest.raises(DomainError, match="average to nan"):
             oscillation_metric(table)
 
@@ -276,9 +277,19 @@ class TestPeakTable:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_tail_keeps_the_trailing_window_rule(self, monkeypatch, n, fraction):
         monkeypatch.setattr(analysis, "WINDOW_FRACTION", fraction)
-        table = PeakTable(tuple(PeakRow(float(i), (), 1.0) for i in range(n)))
+        table = PeakTable(tuple(PeakRow(float(i), (), 1.0) for i in range(n)), n)
         k = max(1, int(np.ceil(fraction * n)))
         assert table.tail() == table.rows[-k:]
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 12, 91])
+    def test_tail_of_the_last_rows_is_that_of_all_rows(self, n):
+        # the table of a trajectory's last rows reads the window of all n
+        k = analysis.window_size(n)
+        whole = PeakTable(tuple(PeakRow(float(i), (), 1.0) for i in range(n)), n)
+        assert PeakTable(whole.rows[-k:], n).tail() == whole.tail() == whole.rows[-k:]
+        if k > 1:
+            with pytest.raises(DomainError, match=f"needs the last {k} of {n} snapshots"):
+                PeakTable(whole.rows[-k + 1:], n).tail()
 
     def test_empty_trajectory_rejected(self):
         traj = Trajectory(snapshots=(), mass_series=np.array([]), peak_series=np.array([]),
@@ -491,6 +502,46 @@ class TestLockstepScan:
         monkeypatch.setattr(analysis, "propagate_batch", None)  # a call would fail
         with pytest.raises(DomainError, match="refine_iters"):
             scan_stability([0.5], (1.0, 3.0, 5), _SMALL, refine_iters=-1)
+
+
+class TestScanWindow:
+    """Each cell of a scan keeps only the snapshots its metric reads."""
+
+    # 40 steps: a stride that divides them, one that does not, and one past
+    # them, which leaves t = 0 and the last step (a window of 1)
+    @pytest.mark.parametrize("stride, n_snapshots, window", [(5, 9, 3), (6, 8, 2), (50, 2, 1)])
+    def test_metrics_are_those_of_whole_trajectories(self, monkeypatch, stride, n_snapshots,
+                                                     window):
+        # lambda=10 at dt=0.012 leaves the rotation guard on: a sech's tails
+        # trip it on the first step, while a field flat across the grid
+        # stays under it
+        tmpl = ScanTemplate(ModelSpec(Family.BESSEL_NLS, lam=10.0, omega=1.0), grid_n=64,
+                            grid_length=48.0, t_final=0.48, dt=0.012, snapshot_stride=stride)
+        grid = Grid1D(64, 48.0)
+        cells = [(grid, 5.0, 1e-3), (grid, 2.0, 0.5), (grid, 4.0, 2e-3)]
+        held, batch = [], analysis.propagate_batch
+
+        def holding(initials, cfg, snapshots):
+            held.extend(snapshots)
+            return batch(initials, cfg, snapshots)
+        monkeypatch.setattr(analysis, "propagate_batch", holding)
+        metrics = analysis._evaluate(tmpl, cells)
+        whole = propagate_batch([sech_profile(g, p, a) for g, p, a in cells], tmpl)
+        assert isinstance(whole[1], DivergenceError)
+        assert metrics == [math.inf if isinstance(t, DivergenceError) else
+                           oscillation_metric(peak_table(t)) for t in whole]
+        assert math.isinf(metrics[1]) and math.isfinite(metrics[0] + metrics[2])
+        assert tmpl.n_snapshots == n_snapshots
+        assert analysis.window_size(n_snapshots) == window
+        for traj, kept in zip(whole, held):
+            assert kept.maxlen == window
+            if isinstance(traj, DivergenceError):
+                continue
+            assert len(traj.times) == n_snapshots
+            assert len(kept) == window
+            assert [s.time for s in kept] == [s.time for s in traj.snapshots[-window:]]
+            assert all(np.array_equal(a.values, b.values)
+                       for a, b in zip(kept, traj.snapshots[-window:]))
 
 
 # A scan on it takes milliseconds.

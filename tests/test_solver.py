@@ -156,6 +156,13 @@ class TestRunConfig:
         assert RunConfig(CUBIC, dt=0.1, t_final=0.3).n_steps == 3
         assert RunConfig(CUBIC, dt=0.3, t_final=0.0).n_steps == 0
 
+    # 12 steps: strides that divide them, that do not, and past them; no step
+    @pytest.mark.parametrize("t_final, stride", [(0.12, 1), (0.12, 4), (0.12, 5), (0.12, 11),
+                                                 (0.12, 12), (0.12, 13), (0.0, 3)])
+    def test_snapshot_count_is_that_of_a_run(self, t_final, stride):
+        cfg = RunConfig(CUBIC, dt=0.01, t_final=t_final, snapshot_stride=stride)
+        assert cfg.n_snapshots == len(propagate(sech_profile(_G, 1.0), cfg).times)
+
     def test_step_count_is_bounded(self):
         # t_final/dt is finite, so only the bound stops a run of ~3e301 steps
         with pytest.raises(DomainError, match="dt=1e-300"):
