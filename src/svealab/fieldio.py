@@ -152,11 +152,11 @@ class SnapshotStream:
 
 def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> None:
     """diagnostics.csv under out_dir, one row per snapshot in file order: step
-    index, time, mass, peak |psi|^2.  The snapshot files are a SnapshotStream's."""
+    index, then the snapshot's time, mass and peak |psi|^2 from the
+    trajectory's series.  The snapshot files are a SnapshotStream's."""
     lines = ["step,time,mass,peak"]
     t0 = traj.times[0]
-    for time, peak in zip(traj.times, traj.peak_series):
+    for time, mass, peak in zip(traj.times, traj.mass_series, traj.peak_series):
         step = int(round((time - t0) / dt))
-        mass_val = traj.mass_series[min(step, len(traj.mass_series) - 1)]
-        lines.append(f"{step},{_fmt(time)},{_fmt(mass_val)},{_fmt(peak)}")
+        lines.append(f"{step},{_fmt(time)},{_fmt(mass)},{_fmt(peak)}")
     atomic_write_text(os.path.join(out_dir, "diagnostics.csv"), "\n".join(lines) + "\n")

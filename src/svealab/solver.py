@@ -121,11 +121,11 @@ class RunConfig:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Propagation record: snapshots at stride multiples (plus the final step),
-    mass at every step, and the peak intensity max |psi|^2 and time of each
-    snapshot.  snapshots is the sequence each snapshot was appended to: a list,
-    for a streamed run the fieldio.SnapshotStream that wrote them, or a
-    collections.deque, which keeps only its last maxlen; times and
-    peak_series cover every snapshot all the same."""
+    and the time, mass and peak intensity max |psi|^2 of each snapshot.
+    snapshots is the sequence each snapshot was appended to: a list, for a
+    streamed run the fieldio.SnapshotStream that wrote them, or a
+    collections.deque, which keeps only its last maxlen; times, mass_series
+    and peak_series cover every snapshot all the same."""
 
     snapshots: Sequence[FieldState]
     mass_series: np.ndarray
@@ -166,10 +166,10 @@ def _power_floor(n: int) -> float:
 
 def propagate(initial: FieldState, cfg: RunConfig,
               snapshots: Optional[Sequence[FieldState]] = None) -> Trajectory:
-    """Repeated stepping with per-step mass recording and stride snapshots,
-    each appended as made to snapshots (empty; default a new list), which
-    becomes the trajectory's: a fieldio.SnapshotStream writes them to disk, so
-    a run's memory does not grow with its snapshot count.
+    """Repeated stepping with stride snapshots, each appended as made to
+    snapshots (empty; default a new list), which becomes the trajectory's: a
+    fieldio.SnapshotStream writes them to disk, so a run's memory does not
+    grow with its snapshot count.
 
     On divergence the partial trajectory (snapshots up to the last healthy
     step) rides on the raised error.  The initial snapshot goes only once the
@@ -190,7 +190,8 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
     run, or the DivergenceError it raised there, partial trajectory attached;
     a diverged row leaves the stack and the others keep stepping.  snapshots
     holds the empty sequence each row's snapshots are appended to, one per
-    initial state (default: a new list each).
+    initial state (default: a new list each).  A row's mass, its spectral
+    power sum times dx/n, is read once per snapshot, after the projection.
 
     The (B, n) spectrum stack takes one transform pair per Strang step, in
     place.  Rows share n but not their grid length, so each row gets its own
@@ -237,24 +238,23 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
     # (Parseval), so only one transform pair per step touches the state.
     parseval = [g.spacing / g.n for g in grids]
 
-    masses = np.empty((len(initials), n_steps + 1))
-    times, peaks = ([[] for _ in initials] for _ in range(2))
+    times, masses, peaks = ([[] for _ in initials] for _ in range(3))
 
-    def record(i: int, state: FieldState) -> None:
+    def record(i: int, state: FieldState, mass: float) -> None:
         times[i].append(state.time)
+        masses[i].append(mass)
         peaks[i].append(peak_intensity(state))
         snaps[i].append(state)
 
-    def trajectory(i: int, n_masses: int) -> Trajectory:
-        return Trajectory(snaps[i], masses[i, :n_masses], np.array(peaks[i]),
+    def trajectory(i: int) -> Trajectory:
+        return Trajectory(snaps[i], np.array(masses[i]), np.array(peaks[i]),
                           np.array(times[i]))
 
     def clock(i: int) -> float:  # row i's time after step j
         return initials[i].time + j * dt
 
     for i, state in enumerate(initials):
-        masses[i, 0] = targets[i] * parseval[i]
-        record(i, state)
+        record(i, state, targets[i] * parseval[i])
     results: list = [None] * len(initials)
     rows = list(range(len(initials)))  # the input index of each live row
     views, spectra = full, list(v_hat)  # the live rows, and each row's view
@@ -293,10 +293,9 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
                 bad[k] = f"unitarity defect {abs(scale - 1.0):.3e} at t={clock(i):g}"
                 continue
             np.multiply(row, scale, out=row)
-            masses[i, j] = np.vdot(row, row).real * parseval[i]
         if bad:  # retire the diverged rows and compact the stack
             for k, reason in bad.items():
-                results[rows[k]] = DivergenceError(reason, clock(rows[k]), trajectory(rows[k], j))
+                results[rows[k]] = DivergenceError(reason, clock(rows[k]), trajectory(rows[k]))
             live = [k for k in range(len(rows)) if k not in bad]
             for a in full[:2]:
                 a[:len(live)] = a[live]
@@ -307,9 +306,10 @@ def propagate_batch(initials: Sequence[FieldState], cfg: RunConfig,
                 break
         if j % cfg.snapshot_stride == 0 or j == n_steps:
             for i, row in zip(rows, spectra):
-                record(i, FieldState(grids[i], _transform(row, False), clock(i)))
+                record(i, FieldState(grids[i], _transform(row, False), clock(i)),
+                       np.vdot(row, row).real * parseval[i])
     for i in rows:
-        results[i] = trajectory(i, n_steps + 1)
+        results[i] = trajectory(i)
     return results
 
 

@@ -165,9 +165,9 @@ def reference_propagate(initial, cfg):
     for j in range(1, n_steps + 1):
         t = initial.time + j * dt
         v_hat = _reference_step(v_hat, half, model, dt, t, target)
-        masses.append(float(np.vdot(v_hat, v_hat).real * parseval))
         if j % cfg.snapshot_stride == 0 or j == n_steps:
             snaps.append(FieldState(grid, fft.ifft(v_hat), t))
             peaks.append(peak_intensity(snaps[-1]))
+            masses.append(float(np.vdot(v_hat, v_hat).real * parseval))
     return Trajectory(tuple(snaps), np.array(masses), np.array(peaks),
                       np.array([s.time for s in snaps]))

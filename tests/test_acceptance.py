@@ -128,7 +128,7 @@ def _mass_conserved_for_arbitrary_runs(model, psi0, dt, shape):
     state = (sech_profile(grid, psi0) if shape == "sech"
              else uniform_profile(grid, psi0))
     traj = propagate(state, RunConfig(model, dt=dt, t_final=40 * dt,
-                                      snapshot_stride=40))
+                                      snapshot_stride=1))
     drift = np.max(np.abs(traj.mass_series / traj.mass_series[0] - 1.0))
     assert drift < MASS_TOL
 

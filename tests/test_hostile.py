@@ -4,10 +4,11 @@ Each (section, key) a command reads, [model] lambda and omega, and the
 --detune and --jobs flags are tried with every value of POOL on a tiny base
 config per command, through cli.main in process; so are the keys and the flag
 in UNREAD, which no command reads and each of which must exit 2.  A
-hypothesis test then sets two or three keys of run or scan at once, and
-another draws in-range values for every key of every command, which must run:
-exit 0 or 1 for the checks, 0 or 3 for run and scan (a catalog run's grid
-holds a whole number of the entry's x-periods).  Exit 2 must print
+hypothesis test then sets two or three keys of run or scan at once, another
+edits the raw bytes of a valid config file (a refusal is one stderr line),
+and a third draws in-range values for every key of every command, which must
+run: exit 0 or 1 for the checks, 0 or 3 for run and scan (a catalog run's
+grid holds a whole number of the entry's x-periods).  Exit 2 must print
 "error:" and leave no output directory behind; exit 3 must print "diverged:".
 A RuntimeWarning escaping main fails the case too (pytest turns it into an
 error).
@@ -99,8 +100,13 @@ def _with(command, changes):
 def _check(tmp_path, capsys, command, settings, flags=()):
     """Run command on settings and flags; check how it ended and return
     (exit code, stderr)."""
+    return _check_file(tmp_path, capsys, command, _ini_text(settings).encode(), flags)
+
+
+def _check_file(tmp_path, capsys, command, data, flags=()):
+    """_check on a config file holding the bytes data."""
     ini = tmp_path / "cfg.ini"
-    ini.write_text(_ini_text(settings))
+    ini.write_bytes(data)
     out = tmp_path / "out"
     code = main([command, "--config", str(ini), "--output", str(out), *flags])
     err = capsys.readouterr().err
@@ -323,6 +329,63 @@ def test_config_key_set(capsys, case):
     command, changes = case
     with tempfile.TemporaryDirectory() as tmp:
         _check(Path(tmp), capsys, command, _with(command, changes))
+
+
+# --- edited file text --------------------------------------------------------
+
+# A valid config per command whose run takes milliseconds; verify and
+# map-check read one key each.
+_FILES = {**{command: _ini_text(BASE[command]).encode() for command in ("run", "scan")},
+          "verify": b"[verify]\ntolerance = 1e-6\n", "map-check": b"[map]\ntolerance = 1e-6\n"}
+
+# Bytes inserted anywhere: a tab, NUL, a stray bracket or equals sign, a
+# percent sign, and bytes that are not UTF-8 (a stray continuation byte, a
+# lead byte without its continuation, a truncated sequence).
+_INSERTED = (b"\t", b"\x00", b"[", b"]", b"=", b"%", b"\xff", b"\xc3(", b"\xe2\x82")
+
+# Edits of the whole text: a byte-order mark, CR or CRLF line ends, no text.
+_WHOLE = {"bom": lambda data: b"\xef\xbb\xbf" + data,
+          "cr": lambda data: data.replace(b"\n", b"\r"),
+          "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+          "empty": lambda data: b""}
+
+
+@st.composite
+def _edited_files(draw):
+    """A command and its valid config with one to three edits of the raw
+    bytes: an insertion, leading blanks (a continuation line), a line
+    duplicated (a second header or key), or an edit of the whole text."""
+    command = draw(st.sampled_from(sorted(_FILES)))
+    data = _FILES[command]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["insert", "indent", "duplicate", "whole"]))
+        lines = data.splitlines(keepends=True)
+        if kind == "insert" or not lines:
+            at = draw(st.integers(0, len(data)))
+            data = data[:at] + draw(st.sampled_from(_INSERTED)) + data[at:]
+        elif kind == "indent":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = draw(st.sampled_from([b" ", b"    ", b"\t"])) + lines[k]
+            data = b"".join(lines)
+        elif kind == "duplicate":
+            line = lines[draw(st.integers(0, len(lines) - 1))]
+            lines.insert(draw(st.integers(0, len(lines))), line)
+            data = b"".join(lines)
+        else:
+            data = _WHOLE[draw(st.sampled_from(sorted(_WHOLE)))](data)
+    return command, data
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_edited_files())
+def test_edited_config_text(capsys, case):
+    # whatever the edit, the command runs or is refused on one line
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _check_file(Path(tmp), capsys, command, data)
+    if code == EXIT_USAGE:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (data, err)
 
 
 # --- in-range values ---------------------------------------------------------
