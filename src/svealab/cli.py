@@ -131,7 +131,7 @@ SECTION_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
              "n": int, "length": float, "dt": float, "t_final": float,
              "snapshot_stride": int, "refine_iters": int},
     "verify": {"tolerance": float},
-    "map": {"tolerance": float},
+    "map": {"tolerance": float, "detune": float},
 }
 
 
@@ -200,19 +200,20 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
             reason = re.sub(r"\.?\s*\n\s*", "; ", str(err))
             raise ConfigError(f"cannot parse {config_path}: {reason}") from err
         if parser.defaults():  # configparser would copy them into every section
-            raise ConfigError(f"key(s) {', '.join(sorted(parser.defaults()))} in [DEFAULT] "
-                              f"of {config_path}; put each in the section that reads it")
+            keys = ", ".join(repr(key)[1:-1] for key in sorted(parser.defaults()))
+            raise ConfigError(f"key(s) {keys} in [DEFAULT] of {config_path}; "
+                              "put each in the section that reads it")
         file_settings = {s: dict(parser.items(s)) for s in parser.sections()}
         settings = _merge(settings, file_settings)
     for section, values in settings.items():
         if command is not None and section not in COMMAND_SECTIONS[command]:
-            raise ConfigError(f"{command} does not read [{section}]; it reads "
+            raise ConfigError(f"{command} does not read [{repr(section)[1:-1]}]; it reads "
                               f"{', '.join(f'[{s}]' for s in COMMAND_SECTIONS[command])}")
         if section == "model":
             _model_from(settings)
             continue
         if section not in SECTION_KEYS:
-            raise ConfigError(f"unknown config section [{section}]; "
+            raise ConfigError(f"unknown config section [{repr(section)[1:-1]}]; "
                               f"expected one of model, {', '.join(SECTION_KEYS)}")
         unknown = sorted(set(values) - set(SECTION_KEYS[section]))
         if unknown:
@@ -305,7 +306,6 @@ def _write_manifest(out: Path, args, t_start: float, settings: dict) -> None:
         f"config: {config}\n"
         f"output_dir: {out}\n"
         f"jobs: {args.jobs}\n"
-        f"detune: {args.detune!r}\n"
         f"determinism: {_DETERMINISM_NOTE}\n"
         f"version: {__version__}\n"
         f"duration_s: {time.monotonic() - t_start:.3f}\n"
@@ -327,7 +327,7 @@ def cmd_verify(args, settings: dict, out: Path) -> int:
 
 
 def cmd_map_check(args, settings: dict, out: Path) -> int:
-    checks = check_all_mappings(detune=args.detune or 0.0, **_section(settings, "map"))
+    checks = check_all_mappings(**_section(settings, "map"))
     return _checks_exit(out, mapping_report(checks), checks)
 
 
@@ -398,11 +398,6 @@ def cmd_scan(args, settings: dict, out: Path) -> int:
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
-# A flag value argparse must read as a negative number, not as an option; its
-# own pattern takes no exponent, so "--detune -1e-3" would be a usage error.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-
 def positive_int(raw: str) -> int:
     """The --jobs type: an integer >= 1."""
     value = int(raw)
@@ -427,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("verify", cmd_verify), ("map-check", cmd_map_check),
                      ("run", cmd_run), ("scan", cmd_scan)):
         p = sub.add_parser(name)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.add_argument("--config", help="INI config file")
         p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
         p.add_argument("--output", help="output root (default $SVEA_LAB_OUTPUT or ./artifacts)")
@@ -435,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=positive_int, default=1,
                        help="read by scan only: split each batch of cells into at most "
                             "this many processes")
-        if name == "map-check":
-            p.add_argument("--detune", type=float,
-                           help="mapping diagnostic: shift the quench parameter")
-        p.set_defaults(fn=fn, detune=None)
+        p.set_defaults(fn=fn)
     return parser
 
 

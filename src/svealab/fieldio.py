@@ -23,7 +23,7 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -90,30 +90,24 @@ def read_snapshot(path: PathLike) -> FieldState:
     return FieldState(grid, values.view("<c16"), float(time))  # FieldState copies
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path: PathLike, header: str, rows: Iterable[Sequence]) -> None:
+    """The header line, then one line per row: a float cell by repr, any
+    other cell by str."""
+    lines = [header, *(",".join(repr(float(c)) if isinstance(c, float) else str(c)
+                                for c in row) for row in rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_track_csv(path: PathLike, tracks: Sequence[Sequence[Peak]]) -> None:
-    lines = ["time,peak_index,x,height"]
-    rows = []
-    for ti, track in enumerate(tracks):
-        for p in track:
-            rows.append((p.snapshot_time, ti, p.position, p.height))
-    for t, ti, x, h in sorted(rows):
-        lines.append(f"{_fmt(t)},{ti},{_fmt(x)},{_fmt(h)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "time,peak_index,x,height",
+               sorted((p.snapshot_time, ti, p.position, p.height)
+                      for ti, track in enumerate(tracks) for p in track))
 
 
 def write_scan_csv(path: PathLike, points: Sequence[StabilityPoint]) -> None:
-    lines = ["alpha,psi0_opt,metric,predicted_psi0,flags"]
-    for p in points:
-        predicted, _ = stable_line_prediction(p.alpha)
-        flags = p.flags.replace(",", ";")
-        lines.append(
-            f"{_fmt(p.alpha)},{_fmt(p.psi0_opt)},{_fmt(p.metric_value)},"
-            f"{_fmt(predicted)},{flags}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "alpha,psi0_opt,metric,predicted_psi0,flags",
+               ((p.alpha, p.psi0_opt, p.metric_value, stable_line_prediction(p.alpha)[0],
+                 p.flags.replace(",", ";")) for p in points))
 
 
 class SnapshotStream:
@@ -154,9 +148,7 @@ def write_trajectory(out_dir: PathLike, traj: Trajectory, dt: float) -> None:
     """diagnostics.csv under out_dir, one row per snapshot in file order: step
     index, then the snapshot's time, mass and peak |psi|^2 from the
     trajectory's series.  The snapshot files are a SnapshotStream's."""
-    lines = ["step,time,mass,peak"]
     t0 = traj.times[0]
-    for time, mass, peak in zip(traj.times, traj.mass_series, traj.peak_series):
-        step = int(round((time - t0) / dt))
-        lines.append(f"{step},{_fmt(time)},{_fmt(mass)},{_fmt(peak)}")
-    atomic_write_text(os.path.join(out_dir, "diagnostics.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out_dir, "diagnostics.csv"), "step,time,mass,peak",
+               ((int(round((time - t0) / dt)), time, mass, peak)
+                for time, mass, peak in zip(traj.times, traj.mass_series, traj.peak_series)))

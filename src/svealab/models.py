@@ -137,7 +137,8 @@ class ModelSpec:
         keys = {"family", "lambda", *family.law.couplings}
         extra = sorted(set(data) - keys)
         if extra:
-            raise DomainError(f"{family.value} does not read {', '.join(extra)}; "
+            raise DomainError(f"{family.value} does not read "
+                              f"{', '.join(repr(key)[1:-1] for key in extra)}; "
                               f"expected {', '.join(sorted(keys))}")
         values = {}
         for key, raw in data.items():

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, require_positive
-from .models import ModelSpec, kg_force, nls_nonlinear_phase_rate
+from .models import ModelSpec, kg_force
 from .solutions import (
     AnalyticSolution,
     MappingPair,
@@ -171,7 +171,8 @@ def _residual(model: ModelSpec, sol: AnalyticSolution, x_range: tuple[float, flo
     psi_xx = _second(_shifts(center), h)
     if model.family.is_nls:
         psi_t = _first(slabs.swapaxes(0, 1), h)[:, 2:-2]
-        v = nls_nonlinear_phase_rate(model, np.abs(core))
+        amp = np.abs(core)  # the stepper's bound rate: a NaN field fails its row
+        v = model.family.law.term(model)(amp, np.empty_like(amp))
         res = 1j * psi_t + model.dispersion * psi_xx - v * core
     else:
         phi_tt = (_second(slabs.swapaxes(0, 1), h)[:, 2:-2] if sol.travelling

@@ -186,14 +186,20 @@ class TestExitCodes:
     def test_map_check_passes(self, outdir):
         assert main(["map-check", "--preset", "map-all"]) == EXIT_OK
 
-    def test_map_check_detuned_fails(self, outdir):
+    def test_map_check_detuned_fails(self, outdir, tmp_path):
+        ini = tmp_path / "detune.ini"
+        ini.write_text("[map]\ndetune = 0.05\n")
         assert main(["map-check", "--preset", "map-all",
-                     "--detune", "0.05"]) == EXIT_CHECKS_FAILED
+                     "--config", str(ini)]) == EXIT_CHECKS_FAILED
 
     @pytest.mark.parametrize("detune", ["-1e-3", "-.5e-2", "-2E-1", "-0.05"])
-    def test_negative_detune_is_read_as_a_number(self, outdir, detune):
+    def test_negative_detune_is_read_as_a_number(self, outdir, tmp_path, detune):
+        ini = tmp_path / "detune.ini"
+        ini.write_text(f"[map]\ndetune = {detune}\n")
         assert main(["map-check", "--preset", "map-all",
-                     "--detune", detune]) == EXIT_CHECKS_FAILED
+                     "--config", str(ini)]) == EXIT_CHECKS_FAILED
+        report = (outdir / "map-check-map-all" / "report.txt").read_text()
+        assert f"detune={float(detune):g} " in report
 
     def test_missing_config_is_usage_error(self, outdir):
         assert main(["run", "--config", "/nonexistent/path.ini"]) == EXIT_USAGE
@@ -586,28 +592,29 @@ class TestOutputDirectory:
 
 
 class TestManifest:
-    """manifest.txt holds what a rerun needs: the flags and the merged settings."""
+    """manifest.txt holds what a rerun needs: the flags and the merged settings;
+    a set detune is a [map] key like any other."""
 
     def test_scan_manifest(self, outdir, tmp_path):
         ini = _write_ini(tmp_path / "scan.ini", TINY_SCAN_INI, "scan", refine_iters=1)
         assert main(["scan", "--config", str(ini), "--jobs", "2"]) == EXIT_OK
         text = (outdir / "scan" / "manifest.txt").read_text()
         assert f"config: {ini}\n" in text
-        for line in ("jobs: 2", "detune: None", "[model]",
+        for line in ("jobs: 2", "[model]",
                      "family = bessel_nls", "[scan]", "alphas = 0.5", "refine_iters = 1"):
             assert line + "\n" in text, line
-        assert "threshold" not in text
+        assert "threshold" not in text and "detune" not in text
 
     def test_map_check_manifest(self, outdir, tmp_path):
         ini = tmp_path / "map.ini"
-        ini.write_text("[map]\ntolerance = 1e-3\n")
-        argv = ["map-check", "--preset", "map-all", "--config", str(ini), "--detune", "0.05"]
+        ini.write_text("[map]\ntolerance = 1e-3\ndetune = 0.05\n")
+        argv = ["map-check", "--preset", "map-all", "--config", str(ini)]
         assert main(argv) == EXIT_CHECKS_FAILED
         text = (outdir / "map-check-map-all" / "manifest.txt").read_text()
         # preset -> config: the file's tolerance wins
-        for line in ("jobs: 1", "detune: 0.05", "[map]", "tolerance = 1e-3"):
+        for line in ("jobs: 1", "[map]", "tolerance = 1e-3", "detune = 0.05"):
             assert line + "\n" in text, line
-        assert "tolerance = 1e-10" not in text
+        assert "tolerance = 1e-10" not in text and "detune:" not in text
 
 
 class TestOutOfRangeSettings:
@@ -714,6 +721,31 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=r"unknown config section \[bogus\]"):
             load_settings(None, str(ini))
 
+    @pytest.mark.parametrize("byte", ["\x00", "\x1b"], ids=["nul", "esc"])
+    @pytest.mark.parametrize("where", ["section", "model-key", "default-key"])
+    def test_a_refused_name_is_echoed_escaped(self, outdir, tmp_path, capsys, where, byte):
+        # a raw ESC in the one stderr line would drive the terminal
+        ini = tmp_path / "cfg.ini"
+        command = "run" if where == "model-key" else "verify"
+        if where == "model-key":
+            ini = _write_ini(ini, STRUCTURED_INI, "model", **{f"lam{byte}da": "1"})
+        else:
+            name = f"sc{byte}[2Jan"
+            ini.write_text(f"[DEFAULT]\n{name} = 1\n" if where == "default-key"
+                           else f"[{name}]\ntolerance = 1e-6\n")
+        refusals = []
+        assert main([command, "--config", str(ini)]) == EXIT_USAGE
+        refusals.append(capsys.readouterr().err)
+        assert len(refusals[0].splitlines()) == 1, refusals[0]
+        if where == "section":  # without a command it is an unknown section
+            with pytest.raises(ConfigError, match="unknown config section") as refused:
+                load_settings(None, str(ini))
+            refusals.append(str(refused.value))
+        for text in refusals:
+            assert repr(byte)[1:-1] in text, text
+            assert all(c >= " " for c in text.rstrip("\n")), text
+        assert not (outdir / command).exists()
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_accepted(self, name):
         command = _PRESET_COMMANDS.get(name, "run")
@@ -775,7 +807,7 @@ class TestConfigSchema:
         for command, settings in [("run", s) for s in runs] + [
                 ("scan", _sections(TINY_SCAN_INI)),
                 ("verify", {"verify": {"tolerance": "1e-6"}}),
-                ("map-check", {"map": {"tolerance": "1e-10"}})]:
+                ("map-check", {"map": {"tolerance": "1e-10", "detune": "0.0"}})]:
             ini = tmp_path / "cfg.ini"
             ini.write_text(_ini_text(settings))
             assert main([command, "--config", str(ini)]) in (EXIT_OK, EXIT_CHECKS_FAILED), command
@@ -839,12 +871,14 @@ class TestConfigSchema:
 
 
 class TestFlagsPerCommand:
-    """Each command accepts only the flags it reads; --jobs is accepted by all."""
+    """Every command takes the same four flags: where to read (--config,
+    --preset), where to write (--output) and how many processes to use
+    (--jobs).  Everything a command computes with is a config key."""
 
     @pytest.mark.parametrize("command, flag", [
         ("run", "--detune"), ("run", "--threshold"), ("scan", "--threshold"),
         ("scan", "--detune"), ("verify", "--detune"), ("verify", "--threshold"),
-        ("map-check", "--threshold")])
+        ("map-check", "--threshold"), ("map-check", "--detune")])
     def test_flag_the_command_does_not_read_is_usage_error(self, outdir, tmp_path, capsys,
                                                             command, flag):
         ini = tmp_path / "cfg.ini"
@@ -857,7 +891,8 @@ class TestFlagsPerCommand:
     @pytest.mark.parametrize("command", ["verify", "map-check", "run", "scan"])
     def test_jobs_accepted_by_every_command(self, command):
         args = cli.build_parser().parse_args([command, "--jobs", "1"])
-        assert (args.jobs, args.detune) == (1, None)
+        assert args.jobs == 1
+        assert set(vars(args)) == {"command", "fn", "config", "preset", "output", "jobs"}
 
 
 def _python(*args, **options):
@@ -1014,15 +1049,19 @@ class TestCatalogBytes:
     @pytest.mark.skipif(not _SAME_STACK, reason=(
         f"report digests were recorded with numpy {_RECORDED['numpy']}, "
         f"scipy {_RECORDED['scipy']}"))
-    @pytest.mark.parametrize("argv, code, digest", [
-        (["verify", "--preset", "verify-all"], EXIT_OK,
+    @pytest.mark.parametrize("argv, config, code, digest", [
+        (["verify", "--preset", "verify-all"], None, EXIT_OK,
          "1e66fd6e4546f7c64f75ddce37a4aebdd5580633eb1375ca3972bca903bda6e3"),
-        (["map-check", "--preset", "map-all"], EXIT_OK,
+        (["map-check", "--preset", "map-all"], None, EXIT_OK,
          "eeb423ed7a179888fe871b696ae77dc30a8b07cca89d7d7f96b92353cd033b4e"),
-        (["map-check", "--preset", "map-all", "--detune", "0.05"], EXIT_CHECKS_FAILED,
+        (["map-check", "--preset", "map-all"], "[map]\ndetune = 0.05\n", EXIT_CHECKS_FAILED,
          "0347bff124cdb09842097e9ad4eaccac078f2dcf01c31e796fe79c2b79b0ec5b"),
     ], ids=["verify-all", "map-all", "map-all-detuned"])
-    def test_report(self, outdir, argv, code, digest):
+    def test_report(self, outdir, tmp_path, argv, config, code, digest):
+        if config is not None:
+            ini = tmp_path / "cfg.ini"
+            ini.write_text(config)
+            argv = [*argv, "--config", str(ini)]
         assert main(argv) == code
         report = outdir / f"{argv[0]}-{argv[2]}" / "report.txt"
         assert _sha256(report.read_bytes()) == digest

@@ -1,9 +1,9 @@
 """Hostile values for every config key and flag end in an exit code, never a traceback.
 
 Each (section, key) a command reads, [model] lambda and omega, and the
---detune and --jobs flags are tried with every value of POOL on a tiny base
-config per command, through cli.main in process; so are the keys and the flag
-in UNREAD, which no command reads and each of which must exit 2.  A
+--jobs flag are tried with every value of POOL on a tiny base config per
+command, through cli.main in process; so are the keys and the flags in
+UNREAD, which no command reads and each of which must exit 2.  A
 hypothesis test then sets two or three keys of run or scan at once, another
 edits the raw bytes of a valid config file (a refusal is one stderr line),
 and a third draws in-range values for every key of every command, which must
@@ -50,14 +50,15 @@ BASE = {
 # [run] keys that only another kind of initial condition reads.
 _INITIAL_FOR = {"width": "supergaussian", "order": "supergaussian", "catalog_id": "catalog"}
 
-# Keys and a flag that configs and scripts written for earlier versions may
+# Keys and flags that configs and scripts written for earlier versions may
 # still carry; no command reads them, so each is refused like a typo.
 UNREAD = {("run", "analysis", "threshold"), ("run", "analysis", "window"),
           ("verify", "verify", "n_points"), ("map-check", "map", "n_points"),
           ("map-check", "map", "t_samples"),
-          ("verify", None, "--threshold"), ("map-check", None, "--threshold")}
+          ("verify", None, "--threshold"), ("map-check", None, "--threshold"),
+          *((command, None, "--detune") for command in COMMAND_SECTIONS)}
 
-FLAGS = [("verify", "--threshold"), ("map-check", "--threshold"), ("map-check", "--detune")] + \
+FLAGS = sorted((command, flag) for command, section, flag in UNREAD if section is None) + \
     [(command, "--jobs") for command in COMMAND_SECTIONS]
 
 
@@ -148,8 +149,8 @@ def test_flag_value(tmp_path, capsys, command, flag, value):
     ("scan", "scan", "length", "-1", EXIT_USAGE),
     ("scan", "scan", "length", "0", EXIT_USAGE),
     ("scan", "scan", "psi0_hi", "inf", EXIT_USAGE),
-    ("map-check", None, "--detune", "-1", EXIT_USAGE),
-    ("map-check", None, "--detune", "1e308", EXIT_USAGE),
+    ("map-check", "map", "detune", "-1", EXIT_USAGE),
+    ("map-check", "map", "detune", "1e308", EXIT_USAGE),
     ("run", "model", "omega", "1e-320", EXIT_USAGE),
     ("scan", "model", "omega", "1e-320", EXIT_USAGE),
     *[(command, "model", key, value, EXIT_USAGE) for command in ("run", "scan")
@@ -170,12 +171,10 @@ def test_flag_value(tmp_path, capsys, command, flag, value):
       for value in OVERSIZED],
 ])
 def test_found_value(tmp_path, capsys, command, section, key, value, code):
-    settings = _with(command, [(section, key, value)] if section else [])
-    flags = [] if section else [key, value]
-    got, err = _check(tmp_path, capsys, command, settings, flags)
+    got, err = _check(tmp_path, capsys, command, _with(command, [(section, key, value)]))
     assert got == code
     if code == EXIT_USAGE:
-        assert key.lstrip("-") in err
+        assert key in err
         assert len(err.splitlines()) == 1, err
     if value in OVERSIZED:
         assert f"{key}={value} is too large to allocate" in err
@@ -187,7 +186,7 @@ def test_found_value(tmp_path, capsys, command, section, key, value, code):
 @pytest.mark.parametrize("detune, reason", [("1e154", "its phase rate is not finite"),
                                             ("1e155", "a parameter overflows")])
 def test_detune_out_of_domain_says_why(tmp_path, capsys, detune, reason):
-    code, err = _check(tmp_path, capsys, "map-check", BASE["map-check"], ["--detune", detune])
+    code, err = _check(tmp_path, capsys, "map-check", {"map": {"detune": detune}})
     assert code == EXIT_USAGE  # _check has found no output directory
     assert f"error: detune={float(detune)!r} takes DW_NLS_TANH out of its domain: " \
         f"{reason}\n" in err
@@ -446,7 +445,6 @@ def _in_range(draw):
     """A command and settings with every value inside its documented range,
     on grids of at most 128 points; keys that size the work are always set."""
     command = draw(st.sampled_from(sorted(COMMAND_SECTIONS)))
-    flags = []
     if command == "run":
         initial = draw(st.sampled_from(sorted(_SHAPE_KEYS)))
         run = {"initial": initial,
@@ -473,22 +471,22 @@ def _in_range(draw):
                 "length": draw(_number(5.0, 80.0)), **draw(_horizon())}
         settings = {"model": draw(_model(Family.BESSEL_NLS)), "scan": scan}
     else:
-        section = "verify" if command == "verify" else "map"
-        settings = {section: {"tolerance": draw(_optional(_number(1e-12, 1.0)))}}
-        detune = draw(_optional(_number(-0.1, 0.1))) if command == "map-check" else None
-        flags = [] if detune is None else ["--detune", detune]
+        tolerance = draw(_optional(_number(1e-12, 1.0)))
+        settings = ({"verify": {"tolerance": tolerance}} if command == "verify" else
+                    {"map": {"tolerance": tolerance,
+                             "detune": draw(_optional(_number(-0.1, 0.1)))}})
     settings = {name: {k: v for k, v in kv.items() if v is not None}
                 for name, kv in settings.items()}
-    return command, settings, flags
+    return command, settings
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_in_range())
 def test_in_range_config(capsys, case):
-    command, settings, flags = case
+    command, settings = case
     with tempfile.TemporaryDirectory() as tmp:
-        code, err = _check(Path(tmp), capsys, command, settings, flags)
+        code, err = _check(Path(tmp), capsys, command, settings)
     if code == EXIT_USAGE and "of a pole" in err:
         # a dc entry sampled on a grid point at its pole is refused by design
         assert settings["run"]["catalog_id"] in _DC_ENTRIES

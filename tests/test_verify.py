@@ -239,14 +239,17 @@ class TestNonFiniteVerdicts:
         assert c.passed is False
         assert mapping_report([c]).splitlines()[-1] == f"0/1 mapping rows within {MAPPING_TOLERANCE:g}"
 
-    def test_nan_field_fails_every_kg_entry(self, monkeypatch):
+    def test_nan_field_fails_every_entry(self, monkeypatch):
+        # an envelope entry's rate is the stepper's bound one, which does not
+        # refuse a NaN amplitude: the row fails, it does not raise
         monkeypatch.setattr(verify, "eval_profile", _nan_field)
-        kg = [sid for sid in catalog_ids() if not model_for(make_solution(sid)).family.is_nls]
-        assert len(kg) == 11
-        for sid in kg:
+        envelope = [model_for(make_solution(sid)).family.is_nls for sid in catalog_ids()]
+        assert (envelope.count(False), envelope.count(True)) == (11, 10)
+        for sid in catalog_ids():
             rep = verify_entry(sid)
             assert rep.passed is False, sid
             assert math.isnan(rep.tolerance_report.relative_residual), sid
+            assert rep.note == "doubling ratio nan (order nan)", sid
 
     def test_nan_residual_has_no_doubling_ratio(self, monkeypatch):
         monkeypatch.setattr(verify, "eval_profile", _nan_field)
