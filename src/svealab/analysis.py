@@ -376,9 +376,7 @@ def scan_stability(alphas: Sequence[float],
     """
     if not alphas:
         raise DomainError("alpha list is empty")
-    bad = [a for a in alphas if not 0.0 < a < math.inf]  # NaN fails too
-    if bad:
-        raise DomainError(f"alphas must be finite and > 0, got {bad!r}")
+    alphas = [float(require_positive("alphas", a)) for a in alphas]
     lo, hi = float(psi0_range[0]), float(psi0_range[1])
     n_samples = require_integer("psi0_samples", psi0_range[2])
     if not (0.0 < lo < hi < math.inf and n_samples >= 3):
@@ -388,13 +386,8 @@ def scan_stability(alphas: Sequence[float],
         np.empty(n_samples)  # the size of each coarse sweep's samples
     except (MemoryError, ValueError) as err:  # ValueError: past numpy's size limit
         raise DomainError(f"psi0_samples={n_samples} is too large to allocate") from err
-    jobs = require_integer("jobs", jobs)
-    refine_iters = require_integer("refine_iters", refine_iters)
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-    if refine_iters < 0:
-        raise DomainError(f"refine_iters must be >= 0, got {refine_iters}")
-    alphas = [float(a) for a in alphas]
+    jobs = require_integer("jobs", jobs, 1)
+    refine_iters = require_integer("refine_iters", refine_iters, 0)
     grids = [template.grid_for(a) for a in alphas]  # a DomainError if a domain overflows
     searches = [_search(a, lo, hi, n_samples, refine_iters) for a in alphas]
     points: list = [None] * len(searches)

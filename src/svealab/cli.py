@@ -41,7 +41,8 @@ from .analysis import (DEFAULT_MIN_SEPARATION, WINDOW_FRACTION, ScanTemplate,
                        count_structures, detection_threshold, oscillation_metric,
                        peak_count_series, peak_table, require_threshold_fraction,
                        scan_stability, splitting_alternations, track_structures)
-from .errors import ConfigError, DivergenceError, DomainError, PoleError, require_positive
+from .errors import (ConfigError, DivergenceError, DomainError, PoleError, require_integer,
+                     require_positive)
 from .models import ModelSpec
 from .fieldio import (SnapshotStream, atomic_write_text, write_scan_csv, write_track_csv,
                       write_trajectory)
@@ -398,12 +399,13 @@ def cmd_scan(args, settings: dict, out: Path) -> int:
     return EXIT_DIVERGED if diverged else EXIT_OK
 
 
-def positive_int(raw: str) -> int:
-    """The --jobs type: an integer >= 1."""
-    value = int(raw)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses through main: its error is a
+    ConfigError, each non-printable character escaped, so a bad flag prints
+    one line.  Subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError("".join(c if c.isprintable() else repr(c)[1:-1] for c in message))
 
 
 @functools.cache
@@ -413,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     that calls main more than once (a benchmark loop, a test suite, a script)
     saves a build per call.  Each subparser binds its cmd_* here, at the first
     call.  Parsing leaves the parser as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svealab",
         description="Envelope-reduction laboratory: catalog verification, "
                     "quench-mapping checks, split-step propagation, stability scans.")
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help=f"named preset ({', '.join(sorted(PRESETS))})")
         p.add_argument("--output", help="output root (default $SVEA_LAB_OUTPUT or ./artifacts)")
         # accepted by every command, so a script can pass one argv form to all four
-        p.add_argument("--jobs", type=positive_int, default=1,
+        p.add_argument("--jobs", type=int, default=1,
                        help="read by scan only: split each batch of cells into at most "
                             "this many processes")
         p.set_defaults(fn=fn)
@@ -434,18 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return EXIT_USAGE if err.code not in (0, None) else 0
-    t0 = time.monotonic()
-    try:
+        args = build_parser().parse_args(argv)
+        t0 = time.monotonic()
+        require_integer("--jobs", args.jobs, 1)
         settings = load_settings(args.preset, args.config, args.command)
         out = _output_dir(args)
         code = args.fn(args, settings, out)
         _write_manifest(out, args, t0, settings)
         return code
+    except SystemExit:  # --help or --version has printed; _Parser raises every refusal
+        return EXIT_OK
     except (ConfigError, PoleError, DomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

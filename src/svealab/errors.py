@@ -18,15 +18,19 @@ def range_rule(holds, text: str):
 
 
 require_positive = range_rule(lambda v: 0.0 < v < math.inf, "finite and > 0")  # NaN fails
+require_finite = range_rule(math.isfinite, "finite")
 
 
-def require_integer(name: str, value) -> int:
-    """value as an int, or a DomainError naming it unless it is one (numpy
-    integers are; 2.0 and 2.9 are not): nothing is truncated."""
+def require_integer(name: str, value, least=-math.inf) -> int:
+    """value as an int, or a DomainError naming it unless it is an integer
+    (numpy integers are; 2.0 and 2.9 are not: nothing is truncated) >= least."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 class PoleError(ValueError):

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, FamilyMismatchError
+from .errors import DomainError, FamilyMismatchError, require_finite, require_positive
 
 ArrayLike = Union[float, complex, np.ndarray]
 
@@ -95,13 +95,12 @@ class ModelSpec:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.family.is_nls and not self.omega > 0.0:
-            raise DomainError(f"omega must be > 0 for NLS families, got {self.omega}")
         for key, value in (("lambda", self.lam), ("mass", self.mass), ("sigma", self.sigma),
                            ("omega", self.omega)):
-            if not math.isfinite(value):
-                raise DomainError(f"{key} must be finite, got {value!r}")
+            require_finite(key, value)
         law = self.family.law
+        if "omega" in law.couplings:
+            require_positive("omega", self.omega)
         try:  # binding squares lambda (Bessel) or mass and divides by lambda (double well)
             bound = law.rate_bound(self)
             if law.envelope:

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.special import ellipk
 
-from .errors import ConstraintError, DomainError, FamilyMismatchError
+from .errors import ConstraintError, DomainError, FamilyMismatchError, require_finite
 from .models import Family, ModelSpec, nls_nonlinear_phase_rate
 from .specfn import jacobi_dc, jacobi_elliptic
 
@@ -351,8 +351,7 @@ def make_solution(sid: SolutionId, **overrides) -> AnalyticSolution:
             raise DomainError(f"{sid.value} has no parameter {key!r}")
         params[key] = float(val)
     for key, val in params.items():
-        if not math.isfinite(val):
-            raise DomainError(f"{sid.value} parameter {key} must be finite")
+        require_finite(f"{sid.value} parameter {key}", val)
     if "lam" in params and params["lam"] <= 0.0:
         raise DomainError(f"{sid.value} requires lambda > 0")
     if "omega" in params and params["omega"] <= 0.0:
@@ -403,9 +402,9 @@ def _x_period(sol: AnalyticSolution) -> float:
 def require_whole_periods(sol: AnalyticSolution, length: float) -> None:
     """A DomainError unless a periodic grid of this length holds the envelope
     solution: a whole number of its x-periods, to rel _CONSTRAINT_RTOL.  A
-    static KG field is not checked: no envelope run keeps it."""
+    static KG field is refused: no envelope run keeps it."""
     if not _CATALOG[sol.sid].family.is_nls:
-        return
+        raise DomainError(f"{sol.sid.value} solves a KG field equation, not an envelope one")
     period = _x_period(sol)
     if period == 0.0:
         return

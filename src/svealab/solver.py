@@ -45,8 +45,7 @@ class Grid1D:
         n, length = require_integer("grid size n", self.n), float(self.length)
         if n < 16 or n & (n - 1):
             raise DomainError(f"grid size must be a power of two >= 16, got {n}")
-        if not (length > 0.0 and math.isfinite(length)):
-            raise DomainError(f"grid length must be positive and finite, got {length}")
+        require_positive("grid length", length)
         dx = length / n
         if not (dx > 0.0 and (math.pi / dx) * (math.pi / dx) < math.inf):
             raise DomainError(f"grid length {length!r} makes wavenumbers whose squares overflow")
@@ -96,10 +95,8 @@ class RunConfig:
             raise DomainError(f"t_final must be >= 0, got {self.t_final}")
         if not (0.0 < self.dt < math.inf and math.isfinite(self.t_final / self.dt)):
             raise DomainError(f"dt must be positive with t_final/dt finite, got {self.dt!r}")
-        stride = require_integer("snapshot_stride", self.snapshot_stride)
-        if stride < 1:
-            raise DomainError(f"snapshot_stride must be >= 1, got {stride}")
-        object.__setattr__(self, "snapshot_stride", stride)
+        object.__setattr__(self, "snapshot_stride",
+                           require_integer("snapshot_stride", self.snapshot_stride, 1))
         if self.n_steps > MAX_STEPS:
             raise DomainError(f"dt={self.dt!r} makes {self.n_steps:.3g} steps to "
                               f"t_final={self.t_final!r}, more than {MAX_STEPS:.0e}")
@@ -340,9 +337,7 @@ def supergaussian_profile(grid: Grid1D, psi0: float = 1.0, width: float = 10.0,
     """psi0 * exp(-(x/width)**(2*order)), 0 where the power overflows:
     step-like for large order."""
     require_positive("supergaussian width", width)
-    order = require_integer("supergaussian order", order)
-    if order < 1:
-        raise DomainError(f"supergaussian order must be >= 1, got {order}")
+    order = require_integer("supergaussian order", order, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf*0: psi0 fails below
         u = grid.x / width
         return _amplitude_state(grid, psi0, psi0 * np.exp(-(u ** (2 * order))))

@@ -24,7 +24,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, require_finite
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -79,9 +79,7 @@ def jacobi_elliptic(u: ArrayLike, m: float) -> EllipticTriple:
     the real axis.
     """
     uu, scalar = _checked_array(u, "u")
-    m = float(m)
-    if not math.isfinite(m):
-        raise DomainError(f"m must be finite, got {m!r}")
+    m = require_finite("m", float(m))
 
     if 0.0 <= m <= 1.0:
         s, c, d = _ellipj(uu, m)
@@ -137,9 +135,7 @@ def hyp0f1_two(z: float) -> float:
     0F1(;2;z) = sum_k z^k / (k! (k+1)!), entire in z.  Related to J1 through
     J1(x) = (x/2) * 0F1(;2;-x**2/4); the test suite leans on that identity.
     """
-    z = float(z)
-    if not math.isfinite(z):
-        raise DomainError(f"z must be finite, got {z!r}")
+    z = require_finite("z", float(z))
     term = 1.0
     total = 1.0
     peak = 1.0

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_integer, require_positive
 from .models import ModelSpec, kg_force
 from .solutions import (
     AnalyticSolution,
@@ -122,12 +122,11 @@ def _grid(x_range: tuple[float, float], n_points: int) -> tuple[np.ndarray, floa
     size) and shared: one catalog pass asks for 31 distinct grids 92 times,
     and a process that runs more passes asks for none anew.  x is read-only,
     so no caller can change a grid another one holds."""
-    if int(n_points) < _STENCIL_POINTS:
-        raise DomainError(f"n_points must be at least {_STENCIL_POINTS}, got {n_points}")
+    n_points = require_integer("n_points", n_points, _STENCIL_POINTS)
     lo, hi = float(x_range[0]), float(x_range[1])
-    x = np.linspace(lo, hi, int(n_points))
+    x = np.linspace(lo, hi, n_points)
     x.flags.writeable = False
-    return x, (hi - lo) / (int(n_points) - 1)
+    return x, (hi - lo) / (n_points - 1)
 
 
 def _grid_text(x_range, n_points, t_range) -> str:

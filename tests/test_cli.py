@@ -850,7 +850,7 @@ class TestConfigSchema:
         ("dw_nls_tanh", 20.0, EXIT_USAGE), ("cubic_nls_dc", 20.0, EXIT_USAGE),
         ("dw_nls_dc", 20.0, EXIT_USAGE), ("cubic_nls_sn", 20.0, EXIT_USAGE),
         ("cubic_nls_sn", 8.0 * float(scipy.special.ellipk(0.6)), EXIT_OK),
-        ("cubic_kg_sn", 20.0, EXIT_OK)])
+        ("cubic_kg_sn", 20.0, EXIT_USAGE)])
     def test_catalog_initial_needs_a_whole_number_of_periods(self, outdir, tmp_path, capsys,
                                                              name, length, code):
         ini = tmp_path / "catalog.ini"
@@ -893,6 +893,38 @@ class TestFlagsPerCommand:
         args = cli.build_parser().parse_args([command, "--jobs", "1"])
         assert args.jobs == 1
         assert set(vars(args)) == {"command", "fn", "config", "preset", "output", "jobs"}
+
+
+class TestRefusedArguments:
+    """A refused argument list is printed by main, like every other refusal:
+    one stderr line, control characters escaped, exit 2, nothing written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--bogus"], ["run", "--config"], ["scan", "--jobs", "0"],
+        ["map-check", "--jobs", "2.5"], ["bogus"], [], ["verify", "--bo\x1b[2Jgus"]],
+        ids=["unknown-flag", "no-value", "jobs-0", "jobs-2.5", "unknown-command",
+             "no-command", "flag-with-esc"])
+    def test_one_escaped_line_and_exit_2(self, outdir, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+        assert not [c for c in err[:-1] if ord(c) < 0x20], err
+        assert not list(outdir.iterdir())
+
+    @pytest.mark.parametrize("argv, line", [
+        (["verify", "--jobs", "0"], "error: --jobs must be >= 1, got 0"),
+        (["verify", "--jobs", "2.5"], "error: argument --jobs: invalid int value: '2.5'"),
+        (["verify", "--bogus"], "error: unrecognized arguments: --bogus"),
+        (["verify", "--bo\x1b[2Jgus"], "error: unrecognized arguments: --bo\\x1b[2Jgus")],
+        ids=["jobs-0", "jobs-2.5", "unknown-flag", "flag-with-esc"])
+    def test_the_refusal_line(self, outdir, capsys, argv, line):
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == line + "\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["--version"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 def _python(*args, **options):

@@ -8,8 +8,9 @@ hypothesis test then sets two or three keys of run or scan at once, another
 edits the raw bytes of a valid config file (a refusal is one stderr line),
 and a third draws in-range values for every key of every command, which must
 run: exit 0 or 1 for the checks, 0 or 3 for run and scan (a catalog run's
-grid holds a whole number of the entry's x-periods).  Exit 2 must print
-"error:" and leave no output directory behind; exit 3 must print "diverged:".
+grid holds a whole number of the entry's x-periods).  Exit 2 must print one
+stderr line starting "error:" and leave no output directory behind; exit 3
+must print "diverged:".
 A RuntimeWarning escaping main fails the case too (pytest turns it into an
 error).
 """
@@ -113,7 +114,7 @@ def _check_file(tmp_path, capsys, command, data, flags=()):
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3)
     if code == EXIT_USAGE:
-        assert "error:" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
         assert not out.exists(), sorted(p.name for p in out.rglob("*"))
     if code == EXIT_DIVERGED:
         assert "diverged:" in err
@@ -395,14 +396,15 @@ _DC_ENTRIES = {sid.value for sid in catalog_ids() if sid.value.endswith("_DC")}
 
 def _period(sid):
     """The entry's x-period, which a catalog run's grid must hold a whole
-    number of; None for a static KG field, which is not checked."""
+    number of; None for a static KG field, which is refused."""
     sol = make_solution(sid)
     return _x_period(sol) if model_for(sol).family.is_nls else None
 
 
-# Entries with no period are refused (found_pair cases), so none is drawn here.
+# Entries with no period (found_pair cases) and KG entries are refused, so
+# none is drawn here.
 _PERIODS = {sid.value: period for sid in catalog_ids()
-            if (period := _period(sid)) is None or math.isfinite(period)}
+            if (period := _period(sid)) is not None and math.isfinite(period)}
 
 
 def _number(lo, hi):

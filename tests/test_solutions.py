@@ -208,10 +208,11 @@ class TestPeriods:
         # and not after a half period: the period is not a multiple of a shorter one
         assert np.max(np.abs(eval_profile(sol, x + period / 2) - eval_profile(sol, x))) > 0.1
 
-    def test_kg_entry_is_not_checked(self):
-        # a static KG field is no envelope initial; its sn profile is off length 20
+    def test_kg_entry_is_refused(self):
+        # a static KG field is no envelope initial, whatever the length
         sol = make_solution(SolutionId.CUBIC_KG_SN)
-        require_whole_periods(sol, 20.0)
+        with pytest.raises(DomainError, match="CUBIC_KG_SN solves a KG field equation"):
+            require_whole_periods(sol, 20.0)
 
     @pytest.mark.parametrize("whole", [1, 2, 5])
     def test_whole_number_of_periods_is_held(self, whole):

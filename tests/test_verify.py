@@ -126,7 +126,7 @@ class TestGridSizes:
     def test_residual_needs_the_stencil(self, n_points):
         for sid in (SolutionId.CUBIC_KG_SN, SolutionId.SG_KINK, SolutionId.CUBIC_NLS_SN):
             sol = make_solution(sid)
-            with pytest.raises(DomainError, match="at least 5"):
+            with pytest.raises(DomainError, match="n_points must be >= 5"):
                 verify._residual(model_for(sol), sol, sol.window, n_points)
 
     def test_smallest_residual_grid_runs(self):
