@@ -48,8 +48,7 @@ class StabilityPoint:
     flags: str = ""
 
 
-# Range rules of the detection bar; the command line applies the fraction's up front.
-require_threshold = range_rule(lambda v: v > 0.0, "positive")
+# The detection bar's fraction rule; the command line applies it up front.
 require_threshold_fraction = range_rule(lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
@@ -88,7 +87,7 @@ def find_peaks(state: FieldState, threshold: float,
 
     A field whose |psi|^2 holds a NaN or an infinity is a DomainError.
     """
-    require_threshold("threshold", threshold)
+    require_positive("threshold", threshold)
     require_positive("min_separation", min_separation)
     y = np.abs(state.values) ** 2
     if not math.isfinite(np.max(y, initial=0.0)):  # NaN propagates through max

@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import math
 import os
 import re
 import sys
@@ -41,8 +40,8 @@ from .analysis import (DEFAULT_MIN_SEPARATION, WINDOW_FRACTION, ScanTemplate,
                        count_structures, detection_threshold, oscillation_metric,
                        peak_count_series, peak_table, require_threshold_fraction,
                        scan_stability, splitting_alternations, track_structures)
-from .errors import (ConfigError, DivergenceError, DomainError, PoleError, require_integer,
-                     require_positive)
+from .errors import (ConfigError, DivergenceError, DomainError, PoleError, require_finite,
+                     require_integer, require_positive)
 from .models import ModelSpec
 from .fieldio import (SnapshotStream, atomic_write_text, write_scan_csv, write_track_csv,
                       write_trajectory)
@@ -114,10 +113,8 @@ PRESETS: dict[str, dict[str, dict[str, str]]] = {
 
 def _floats(raw: str) -> tuple[float, ...]:
     """The comma-list reader: a non-empty list of finite numbers."""
-    values = tuple(float(v) for v in raw.split(","))  # an empty item fails here
-    if not all(map(math.isfinite, values)):
-        raise ValueError(raw)
-    return values
+    # an empty item fails float(); the DomainError of a non-finite one is a ValueError too
+    return tuple(require_finite("item", float(v)) for v in raw.split(","))
 
 
 # The keys each config section accepts and the reader of each.  [model] is
@@ -186,8 +183,9 @@ def load_settings(preset: Optional[str], config_path: Optional[str],
         settings = _merge(settings, PRESETS[preset])
     if config_path is not None:
         path = Path(config_path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {config_path}")
+        if not path.is_file():  # a FIFO would block the read
+            raise ConfigError(f"config path is not a regular file: {config_path}"
+                              if path.exists() else f"config file not found: {config_path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                            interpolation=None)
         try:

@@ -18,6 +18,7 @@ def range_rule(holds, text: str):
 
 
 require_positive = range_rule(lambda v: 0.0 < v < math.inf, "finite and > 0")  # NaN fails
+require_nonnegative = range_rule(lambda v: 0.0 <= v < math.inf, "finite and >= 0")  # NaN fails
 require_finite = range_rule(math.isfinite, "finite")
 
 

@@ -12,16 +12,15 @@ each back from disk when indexed.
 
 All writers go through an atomic temp-file + rename so a crashed run never
 leaves a half-written artifact; atomic_write_bytes makes the parent directory,
-so an output directory appears with its first artifact.  Floats in CSVs are
-rendered with repr, which round-trips exactly: identical inputs give
-byte-identical files.
+so an output directory appears with its first artifact, and each file's mode
+follows the umask.  Floats in CSVs are rendered with repr, which round-trips
+exactly: identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -49,9 +48,10 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
     parent, name = os.path.split(os.fspath(path))
     parent = parent or "."
     os.makedirs(parent, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=name + ".", suffix=".tmp")
+    tmp = os.path.join(parent, f"{name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # mode 0o666 less the umask, where mkstemp's would be 0o600
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:

@@ -7,11 +7,12 @@ states every fact about it once: default parameters, constraint check,
 residual window, profile (amplitude times x-profile) and, for envelope
 entries, phase rate theta and x-period.  An entry evaluates as
 profile * exp(i*theta*t) (eval_profile times phase_factor), with theta = 0
-for static fields.  Evaluation checks no domain beyond each
-entry's check (SG_KINK's is |nu| < 1), since the mapping checks quench
-the sn/cn entries at m outside their usual ranges.  The mapping table
-records, for nine KG/envelope pairs, the parameters at which theta vanishes
-and the envelope profile collapses onto the static field solution.
+for static fields.  Evaluation checks no domain beyond each parameter's
+range rule and each entry's check (SG_KINK's is |nu| < 1), since the mapping
+checks quench the sn/cn entries at m outside their usual ranges.  The
+mapping table records, for nine KG/envelope pairs, the parameters at which
+theta vanishes and the envelope profile collapses onto the static field
+solution.
 
 Conventions: sn/cn/dn/dc take the parameter m = k**2 (see specfn).  The
 source writes most solutions as +/- families.  Every equation here is
@@ -31,7 +32,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.special import ellipk
 
-from .errors import ConstraintError, DomainError, FamilyMismatchError, require_finite
+from .errors import (ConstraintError, DomainError, FamilyMismatchError, require_finite,
+                     require_nonnegative, require_positive)
 from .models import Family, ModelSpec, nls_nonlinear_phase_rate
 from .specfn import jacobi_dc, jacobi_elliptic
 
@@ -178,11 +180,6 @@ def _balance(sid: str, relation: str, lhs: float, rhs: float) -> None:
 def _sg_kink_check(p: dict) -> None:
     if not abs(p["nu"]) < 1.0:
         raise DomainError(f"SG_KINK needs |nu| < 1, got {p['nu']}")
-
-
-def _bessel_check(p: dict) -> None:
-    if p["psi0"] < 0.0:
-        raise DomainError("BESSEL_UNIFORM requires psi0 >= 0")
 
 
 _CATALOG: dict[SolutionId, _Entry] = {
@@ -333,13 +330,16 @@ _CATALOG: dict[SolutionId, _Entry] = {
         period=lambda p: 0.0,
         theta=lambda p: -float(nls_nonlinear_phase_rate(
             ModelSpec(Family.BESSEL_NLS, lam=p["lam"], omega=p["omega"]), p["psi0"])),
-        check=_bessel_check,
     ),
 }
 
 
 def catalog_ids() -> tuple[SolutionId, ...]:
     return tuple(_CATALOG.keys())
+
+
+# The range rule of each parameter that has one besides finiteness.
+_PARAMETER_RULES = {"lam": require_positive, "omega": require_positive, "psi0": require_nonnegative}
 
 
 def make_solution(sid: SolutionId, **overrides) -> AnalyticSolution:
@@ -351,11 +351,7 @@ def make_solution(sid: SolutionId, **overrides) -> AnalyticSolution:
             raise DomainError(f"{sid.value} has no parameter {key!r}")
         params[key] = float(val)
     for key, val in params.items():
-        require_finite(f"{sid.value} parameter {key}", val)
-    if "lam" in params and params["lam"] <= 0.0:
-        raise DomainError(f"{sid.value} requires lambda > 0")
-    if "omega" in params and params["omega"] <= 0.0:
-        raise DomainError(f"{sid.value} requires omega > 0")
+        _PARAMETER_RULES.get(key, require_finite)(f"{sid.value} parameter {key}", val)
     if entry.check is not None:
         entry.check(params)
     return AnalyticSolution(sid=sid, params=params)

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import fft as _fft
 from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
-from .errors import DivergenceError, DomainError, require_integer, require_positive
+from .errors import (DivergenceError, DomainError, require_integer, require_nonnegative,
+                     require_positive)
 from .models import ModelSpec
 # Not called here since propagate_batch binds its family's rate once per run;
 # perfbench/tracing.py wraps this name on this module, so it stays importable.
@@ -91,8 +92,7 @@ class RunConfig:
     snapshot_stride: int = 100
 
     def __post_init__(self):
-        if not (self.t_final >= 0.0 and math.isfinite(self.t_final)):
-            raise DomainError(f"t_final must be >= 0, got {self.t_final}")
+        require_nonnegative("t_final", self.t_final)
         if not (0.0 < self.dt < math.inf and math.isfinite(self.t_final / self.dt)):
             raise DomainError(f"dt must be positive with t_final/dt finite, got {self.dt!r}")
         object.__setattr__(self, "snapshot_stride",

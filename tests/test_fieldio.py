@@ -1,6 +1,8 @@
 """Binary snapshot format and CSV artifacts."""
 
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -113,6 +115,20 @@ class TestTrajectoryBundle:
         with pytest.raises(OSError):
             atomic_write_bytes(target, b"svea")
         assert target.is_dir() and not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_each_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # a streamed run writes snapshots, its diagnostics and its directory
+        old = os.umask(umask)
+        try:
+            _streamed_run(tmp_path / "out")
+        finally:
+            os.umask(old)
+        files = sorted((tmp_path / "out").iterdir())
+        assert len(files) > 1 and not list(tmp_path.rglob("*.tmp"))
+        assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in files} == \
+            {p.name: mode for p in files}
 
     def test_directory_contents(self, tmp_path, short_traj):
         _streamed_run(tmp_path / "out")

@@ -251,6 +251,19 @@ def test_unreadable_config_file(tmp_path, capsys, monkeypatch, command):
     assert "cannot read" in err and "Permission denied" in err
 
 
+# A config path that is missing, and one that exists but is no regular file,
+# each refused in its own words.
+@pytest.mark.parametrize("name, reason", [("missing.ini", "config file not found"),
+                                          ("adir", "config path is not a regular file")],
+                         ids=["missing", "directory"])
+def test_config_path_that_is_no_file(tmp_path, capsys, name, reason):
+    path, out = tmp_path / name, tmp_path / "out"
+    (tmp_path / "adir").mkdir()
+    assert main(["verify", "--config", str(path), "--output", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {reason}: {path}\n"
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not Path("/proc/self/mem").is_file(), reason="needs Linux /proc")
 def test_config_file_whose_read_fails(tmp_path, capsys):
     # a regular file whose read(2) fails with EIO at offset 0

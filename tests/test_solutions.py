@@ -54,9 +54,12 @@ def test_constraint_violation_rejected():
 
 
 @pytest.mark.parametrize("sid, overrides, message", [
-    (SolutionId.CUBIC_NLS_SN, {"lam": -1.0}, "CUBIC_NLS_SN requires lambda > 0"),
-    (SolutionId.CUBIC_NLS_SN, {"omega": 0.0}, "CUBIC_NLS_SN requires omega > 0"),
-    (SolutionId.BESSEL_UNIFORM, {"psi0": -1.0}, "BESSEL_UNIFORM requires psi0 >= 0"),
+    (SolutionId.CUBIC_NLS_SN, {"lam": -1.0},
+     "CUBIC_NLS_SN parameter lam must be finite and > 0, got -1.0"),
+    (SolutionId.CUBIC_NLS_SN, {"omega": 0.0},
+     "CUBIC_NLS_SN parameter omega must be finite and > 0, got 0.0"),
+    (SolutionId.BESSEL_UNIFORM, {"psi0": -1.0},
+     "BESSEL_UNIFORM parameter psi0 must be finite and >= 0, got -1.0"),
 ])
 def test_parameter_out_of_domain_rejected(sid, overrides, message):
     with pytest.raises(DomainError) as err:
